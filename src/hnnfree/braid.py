@@ -15,7 +15,7 @@ remainder.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -27,15 +27,12 @@ from .pingpong import (
     Condition,
     OracleReport,
     SubgroupSpec,
-    _abstract_factors,
-    _factor_desc,
-    _factor_word,
     descends_to_identity,
+    free_product_oracle,
 )
 from .presentation import HnnPresentation, SemidirectExtension, p2, relators
 from .rewrite import RuleSystem, nf
 from .words import (
-    EPSILON,
     OUTER,
     Gen,
     GenKind,
@@ -223,13 +220,9 @@ def _splitting(n: int) -> BraidSplitting:
     return BraidSplitting(n)
 
 
-def _rank(ext: SemidirectExtension) -> int:
-    return len(ext.base.alphabet.base_names) + 1
-
-
 def split_nf(ext: SemidirectExtension, w: Word) -> SplitNormalForm:
     """The exact two-part normal form; identity iff the braid word is trivial."""
-    return _splitting(_rank(ext)).nf(w)
+    return _splitting(ext.rank).nf(w)
 
 
 def braid_trivial(ext: SemidirectExtension, w: Word) -> bool:
@@ -238,7 +231,7 @@ def braid_trivial(ext: SemidirectExtension, w: Word) -> bool:
 
 def braid_equal(ext: SemidirectExtension, u: Word, v: Word) -> bool:
     """Complete equality test for the braid layer via the splitting."""
-    return _splitting(_rank(ext)).equal(u, v)
+    return _splitting(ext.rank).equal(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -437,61 +430,25 @@ def free_factor_probe(
 ) -> OracleReport:
     """Bounded check that H and <t> meet only trivially in alternating products.
 
-    Enumerates alternating products of nontrivial H-words and nonzero
-    t-powers up to the bounds and requires each to be nontrivial: the push
-    must leave a remainder and the splitting must confirm it.  H-generators
-    may not contain t.
+    The free-product oracle over the specs H and <t>, with the exact
+    splitting as the triviality test: every alternating product of
+    nontrivial H-words and nonzero t-powers within the bounds must be
+    nontrivial.  H-generators may not contain t.
     """
     for h in h_generators:
         if any(l.gen.kind is GenKind.OUTER for l in h):
             raise ValueError("H generators must not contain the outer letter")
-    split = _splitting(_rank(ext))
-    gens = ext.base.alphabet.all_gens() + [OUTER]
-    hspec = SubgroupSpec("H", tuple(h_generators), frozenset({OUTER}))
-    h_factors = _abstract_factors(len(h_generators), bounds.uses, bounds.exp_range)
-    t_exps = [e for mag in range(1, bounds.exp_range + 1) for e in (mag, -mag)]
-    checked = 0
-
-    def expand(r: int, start_with_h: bool):
-        slots = [h_factors if (start_with_h == (i % 2 == 0)) else t_exps for i in range(r)]
-
-        def rec(pos: int, desc: tuple, prefix: Word):
-            if pos == r:
-                yield desc, prefix
-                return
-            if slots[pos] is t_exps:
-                for e in t_exps:
-                    piece = Word(tuple([Letter(OUTER, 1 if e > 0 else -1)] * abs(e)))
-                    yield from rec(pos + 1, desc + (f"t^{e}",), concat(prefix, piece))
-            else:
-                for runs in h_factors:
-                    fw = _factor_word(hspec, runs)
-                    yield from rec(pos + 1, desc + (_factor_desc(hspec, runs),), concat(prefix, fw))
-
-        yield from rec(0, (), EPSILON)
-
-    for r in range(1, bounds.syllables + 1):
-        starts = [True, False] if h_generators else [False]
-        if not h_generators and r > 1:
-            break
-        for start_with_h in starts:
-            if not h_generators and start_with_h:
-                continue
-            for desc, raw in expand(r, start_with_h):
-                checked += 1
-                if bounds.max_products is not None and checked > bounds.max_products:
-                    return OracleReport(
-                        "inconclusive",
-                        checked - 1,
-                        note=f"budget of {bounds.max_products} products exceeded",
-                    )
-                w = free_reduce(raw)
-                if w and any(exp_sum(w, g) for g in gens):
-                    continue
-                if w and not split.is_trivial(w):
-                    continue
-                return OracleReport("fail", checked, witness=w, witness_factors=desc)
-    return OracleReport("pass", checked)
+    support = frozenset({OUTER})
+    specs = [SubgroupSpec("H", tuple(h_generators), support), SubgroupSpec("T", (T_WORD,), support)]
+    rep = free_product_oracle(specs, _system(ext.base), bounds, _splitting(ext.rank).is_trivial)
+    if not rep.witness_factors:
+        return rep
+    # a <t> factor is one run, "T: (t)" or "T: (t)^e"; it is spelled t^e
+    factors = tuple(
+        "t^" + (f.partition("^")[2] or "1") if f.startswith("T: ") else f
+        for f in rep.witness_factors
+    )
+    return replace(rep, witness_factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from .braid import (
 )
 from .pingpong import (
     CERTIFIED,
+    FAIL,
     INCONCLUSIVE,
+    PASS,
     REFUTED,
     Bounds,
     SubgroupSpec,
@@ -64,8 +66,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-_VERDICT_EXIT = {CERTIFIED: EXIT_PASS, "pass": EXIT_PASS,
-                 REFUTED: EXIT_FAIL, "fail": EXIT_FAIL,
+_VERDICT_EXIT = {CERTIFIED: EXIT_PASS, PASS: EXIT_PASS,
+                 REFUTED: EXIT_FAIL, FAIL: EXIT_FAIL,
                  INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
@@ -114,14 +116,10 @@ def _require_extension(src) -> SemidirectExtension:
     return src
 
 
-def _rank(ext: SemidirectExtension) -> int:
-    return len(ext.base.alphabet.base_names) + 1
-
-
 def _parse(text: str, src) -> "Word":
     """Parse a word; under a p2 source A{i}_{j} braid names are accepted."""
     if isinstance(src, SemidirectExtension):
-        text = resolve_braid_names(text, _rank(src))
+        text = resolve_braid_names(text, src.rank)
         return parse_word(text, src.alphabet)
     return parse_word(text, src.alphabet)
 
@@ -316,7 +314,7 @@ def _cmd_pingpong_oracle(args) -> int:
 
 def _cmd_braid_verify(args) -> int:
     ext = _require_extension(_load_source(args))
-    n = _rank(ext)
+    n = ext.rank
     er = verify_extension(ext)
     rr = verify_braid_relations(n)
     text = er.render() + "\n" + rr.render(ext.alphabet)
@@ -342,7 +340,7 @@ def _cmd_braid_verify(args) -> int:
                 for e in rr.entries
             ],
         },
-        "verdict": "pass" if rr.ok else "fail",
+        "verdict": PASS if rr.ok else FAIL,
     }
     _emit(args, text, doc)
     return EXIT_PASS if rr.ok else EXIT_FAIL
@@ -378,7 +376,7 @@ def _cmd_braid_phi(args) -> int:
 
 def _cmd_braid_check_free(args) -> int:
     ext = _require_extension(_load_source(args))
-    n = _rank(ext)
+    n = ext.rank
     if not args.w:
         raise CliError("at least one --w is required")
     words = [_parse(w, ext) for w in args.w]

@@ -11,22 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import product
+from math import prod
+from typing import Callable, Mapping, Sequence
 
 from .presentation import HnnPresentation
 from .rewrite import RuleSystem, nf, nf_ints
 from .words import (
     EPSILON,
-    OUTER,
     Gen,
     GeneratorMap,
     GenKind,
     Word,
-    concat,
-    exp_sum,
     format_word,
-    free_reduce,
-    invert,
     project_base,
     project_stable,
     word,
@@ -35,6 +32,9 @@ from .words import (
 CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
+# oracle verdicts; a budget overrun is INCONCLUSIVE
+PASS = "pass"
+FAIL = "fail"
 
 
 class _Budget(Exception):
@@ -70,19 +70,14 @@ class Condition:
 class Bounds:
     """Enumeration limits for the oracles.
 
-    max_gen_word_uses caps how many generator occurrences one alternating
-    factor may use; None means exp_range.  max_products is the overall
-    budget; exceeding it yields an inconclusive verdict, never a pass.
+    exp_range caps both the exponent of one run and the generator uses of
+    one alternating factor.  max_products is the overall budget; exceeding
+    it yields an inconclusive verdict, never a pass.
     """
 
     syllables: int = 6
     exp_range: int = 2
-    max_gen_word_uses: int | None = None
     max_products: int | None = None
-
-    @property
-    def uses(self) -> int:
-        return self.exp_range if self.max_gen_word_uses is None else self.max_gen_word_uses
 
 
 @dataclass(frozen=True)
@@ -258,7 +253,7 @@ def free_product_certificate(
             hard_fail |= ev.verdict == REFUTED
         elif isinstance(ev, OracleReport):
             # Bounded evidence never certifies, but a failed probe refutes.
-            if ev.verdict == "fail":
+            if ev.verdict == FAIL:
                 witness = format_word(ev.witness) if ev.witness is not None else None
                 conds.append(Condition(name, False, f"probe found witness {witness}"))
                 hard_fail = True
@@ -275,48 +270,35 @@ def free_product_certificate(
     return Certificate(verdict, "free-product-pingpong", tuple(conds))
 
 
-def _abstract_factors(n_gens: int, uses: int, exp_range: int) -> list[tuple[tuple[int, int], ...]]:
-    """Reduced run sequences ((gen index, signed exponent), ...) ordered by
-    total generator uses, then lexicographically."""
-    out: list[tuple[tuple[int, int], ...]] = []
-    exps = [e for mag in range(1, exp_range + 1) for e in (mag, -mag)]
+Runs = tuple[tuple[int, int], ...]
 
-    def extend(runs: tuple[tuple[int, int], ...], budget: int) -> None:
-        for idx in range(n_gens):
-            if runs and runs[-1][0] == idx:
-                continue
-            for e in exps:
-                if abs(e) > budget:
-                    continue
-                out.append(runs + ((idx, e),))
-                extend(runs + ((idx, e),), budget - abs(e))
 
-    def key(f: tuple[tuple[int, int], ...]):
-        # generator index, then magnitude, then positive before negative
-        return tuple((idx, abs(e), 0 if e > 0 else 1) for idx, e in f)
+@lru_cache(maxsize=None)
+def _run_count(n_gens: int, exp_range: int, uses: int, after_run: bool) -> int:
+    """Run sequences ((gen index, signed exponent), ...) spending exactly
+    `uses`, with 1 <= |exponent| <= exp_range and adjacent indices distinct;
+    after_run forbids one index for the first run."""
+    if uses == 0:
+        return 1
+    first = n_gens - 1 if after_run else n_gens
+    return first * sum(
+        2 * _run_count(n_gens, exp_range, uses - mag, True)
+        for mag in range(1, min(uses, exp_range) + 1)
+    )
 
-    for total in range(1, uses + 1):
-        start = len(out)
-        extend((), total)
-        # keep only factors using exactly `total`, so order is by total uses
-        out[start:] = sorted(
-            (f for f in out[start:] if sum(abs(e) for _, e in f) == total), key=key
-        )
+
+def _push(stack: list[int], letters: Sequence[int]) -> list[int]:
+    """A copy of the reduced word `stack`, extended by `letters` and freely reduced."""
+    out = stack.copy()
+    for c in letters:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
     return out
 
 
-def _factor_word(spec: SubgroupSpec, runs: tuple[tuple[int, int], ...]) -> Word:
-    parts: list[Word] = []
-    for idx, e in runs:
-        g = spec.generators[idx] if e > 0 else invert(spec.generators[idx])
-        parts.extend([g] * abs(e))
-    w = EPSILON
-    for p in parts:
-        w = concat(w, p)
-    return free_reduce(w)
-
-
-def _factor_desc(spec: SubgroupSpec, runs: tuple[tuple[int, int], ...]) -> str:
+def _factor_desc(spec: SubgroupSpec, runs: Runs) -> str:
     chunks = []
     for idx, e in runs:
         base = format_word(spec.generators[idx])
@@ -324,17 +306,102 @@ def _factor_desc(spec: SubgroupSpec, runs: tuple[tuple[int, int], ...]) -> str:
     return f"{spec.label}: {' '.join(chunks)}"
 
 
-def _spec_sequences(k: int, length: int) -> Iterable[tuple[int, ...]]:
-    def extend(seq: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        if len(seq) == length:
-            yield seq
-            return
-        for i in range(k):
-            if seq and seq[-1] == i:
-                continue
-            yield from extend(seq + (i,))
+def _walk(
+    specs: Sequence[SubgroupSpec],
+    system: RuleSystem,
+    bounds: Bounds,
+    screen: Sequence[int],
+    hit: Callable[[list[int]], bool],
+) -> OracleReport:
+    """Depth-first walk over the alternating products of the specs.
 
-    yield from extend(())
+    A product a_1 ... a_r has r <= bounds.syllables factors, adjacent ones
+    from different specs.  A factor is a sequence of runs g^e over its
+    spec's generators, adjacent runs on different generators, with
+    1 <= |e| and total uses sum |e| <= exp_range.  Order: syllable count,
+    then spec sequence, then each factor by total uses and then by its runs
+    (generator index, |e|, positive first), so the first witness is minimal.
+
+    A prefix carries its freely reduced word in the system's signed-int
+    encoding and its exponent sums on the `screen` letter codes.  Once a
+    sum can no longer return to zero within the uses left, the whole
+    subtree is counted as checked without being visited; a product whose
+    sums vanish goes to `hit`, and the first hit fails the report.
+    """
+    e_max, limit = bounds.exp_range, bounds.max_products
+    enc = [[system.encode(g) for g in s.generators] for s in specs]
+    coords = [c for c in screen if any(c in g or -c in g for gens in enc for g in gens)]
+    steps = [[[g.count(c) - g.count(-c) for c in coords] for g in gens] for gens in enc]
+    reach = [[max((abs(st[k]) for st in sts), default=0) for k in range(len(coords))] for sts in steps]
+    powers = [
+        [
+            {e: _push([], (g if e > 0 else [-c for c in reversed(g)]) * abs(e))
+             for mag in range(1, e_max + 1) for e in (mag, -mag)}
+            for g in gens
+        ]
+        for gens in enc
+    ]
+    sizes = [sum(_run_count(len(gens), e_max, u, False) for u in range(1, e_max + 1)) for gens in enc]
+    checked = 0
+
+    def count(amount: int) -> None:
+        nonlocal checked
+        if limit is not None and checked + amount > limit:
+            raise _Budget
+        checked += amount
+
+    # factor() picks the factor of slot pos, runs() extends it run by run;
+    # seq, tail_reach and tail_size belong to the spec sequence being walked
+    def factor(pos: int, w: list[int], sums: list[int], done: tuple):
+        if pos == len(seq):
+            count(1)
+            return (w, done) if hit(w) else None
+        for total in range(1, e_max + 1):
+            found = runs(pos, w, sums, done, (), -1, total)
+            if found:
+                return found
+        return None
+
+    def runs(pos: int, w: list[int], sums: list[int], done: tuple, made: Runs, last: int, left: int):
+        if left == 0:
+            return factor(pos + 1, w, sums, done + ((seq[pos], made),))
+        i = seq[pos]
+        for idx, (step, pw) in enumerate(zip(steps[i], powers[i])):
+            if idx == last:
+                continue
+            for mag in range(1, min(left, e_max) + 1):
+                rest = left - mag
+                for e in (mag, -mag):
+                    nxt = [s + e * d for s, d in zip(sums, step)]
+                    if any(abs(s) > m * rest + t for s, m, t in zip(nxt, reach[i], tail_reach[pos])):
+                        count(_run_count(len(steps[i]), e_max, rest, True) * tail_size[pos])
+                        continue
+                    found = runs(pos, _push(w, pw[e]), nxt, done, made + ((idx, e),), idx, rest)
+                    if found:
+                        return found
+        return None
+
+    try:
+        for r in range(1, bounds.syllables + 1):
+            for seq in product(range(len(specs)), repeat=r):
+                if not all(sizes[i] for i in seq) or any(a == b for a, b in zip(seq, seq[1:])):
+                    continue
+                # what the slots after each position can still add or count
+                tail_reach = [
+                    [e_max * sum(reach[i][k] for i in seq[pos + 1 :]) for k in range(len(coords))]
+                    for pos in range(r)
+                ]
+                tail_size = [prod(sizes[i] for i in seq[pos + 1 :]) for pos in range(r)]
+                found = factor(0, [], [0] * len(coords), ())
+                if found:
+                    w, done = found
+                    factors = tuple(_factor_desc(specs[i], made) for i, made in done)
+                    return OracleReport(FAIL, checked, system.decode(w), factors)
+    except _Budget:
+        return OracleReport(
+            INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"
+        )
+    return OracleReport(PASS, checked)
 
 
 def free_product_oracle(
@@ -349,50 +416,18 @@ def free_product_oracle(
     factors from different specs, each factor a nonempty reduced word in one
     spec's generators within bounds; order is syllable count, then spec
     sequence, then factor choice, so the first witness is minimal.  Exponent
-    sums prescreen most products; the rest go to is_trivial, which defaults
-    to the rewriting normal form and must decide triviality in the group the
-    products live in.
+    sums in every letter screen the products; the rest go to is_trivial,
+    which defaults to the rewriting normal form and must decide triviality
+    in the group the products live in.
     """
     if is_trivial is None:
         is_trivial = lambda w: not nf(w, system)
-    factor_lists = [
-        _abstract_factors(len(s.generators), bounds.uses, bounds.exp_range) for s in specs
-    ]
-    word_cache = [
-        [_factor_word(s, runs) for runs in factor_lists[i]] for i, s in enumerate(specs)
-    ]
-    # t is a valid exponent-sum coordinate in the extension layer too
-    gens = system.presentation.alphabet.all_gens() + [OUTER]
-    checked = 0
-
-    def products(seq: tuple[int, ...], pos: int, desc: tuple, prefix: Word):
-        if pos == len(seq):
-            yield desc, prefix
-            return
-        i = seq[pos]
-        for runs, fw in zip(factor_lists[i], word_cache[i]):
-            yield from products(seq, pos + 1, desc + ((i, runs),), concat(prefix, fw))
-
-    for r in range(1, bounds.syllables + 1):
-        for seq in _spec_sequences(len(specs), r):
-            if any(not factor_lists[i] for i in seq):
-                continue
-            for runs_desc, raw in products(seq, 0, (), EPSILON):
-                checked += 1
-                if bounds.max_products is not None and checked > bounds.max_products:
-                    return OracleReport(
-                        INCONCLUSIVE,
-                        checked - 1,
-                        note=f"budget of {bounds.max_products} products exceeded",
-                    )
-                w = free_reduce(raw)
-                if w and any(exp_sum(w, g) for g in gens):
-                    continue
-                if w and not is_trivial(w):
-                    continue
-                factors = tuple(_factor_desc(specs[i], runs) for i, runs in runs_desc)
-                return OracleReport("fail", checked, witness=w, witness_factors=factors)
-    return OracleReport("pass", checked)
+    # codes of every base and stable letter and of t, which is a valid
+    # exponent-sum coordinate in the extension layer too
+    screen = range(1, system.n_base + system.n_stable + 2)
+    return _walk(
+        specs, system, bounds, screen, lambda w: not w or is_trivial(system.decode(w))
+    )
 
 
 def bounded_intersection_probe(
@@ -405,93 +440,15 @@ def bounded_intersection_probe(
 
     Enumerates reduced words in the declared generators up to max_len uses;
     products that are trivial in the group are skipped, nontrivial ones must
-    keep a stable letter in their normal form.
+    keep a stable letter in their normal form.  Only the non-base exponent
+    sums screen the products.
     """
-    n = len(spec.generators)
-    screen_gens = sorted(
-        {g for v in spec.generators for l in v if (g := l.gen).kind is not GenKind.BASE},
-        key=lambda g: (g.kind.value, g.index),
-    )
-    # exponent-sum step of one use of each generator, per screened coordinate;
-    # a subtree whose running sums cannot return to zero is screened wholesale
-    steps = [tuple(exp_sum(v, g) for g in screen_gens) for v in spec.generators]
-    max_step = [max((abs(s[c]) for s in steps), default=0) for c in range(len(screen_gens))]
-    exps = [e for mag in range(1, max_len + 1) for e in (mag, -mag)]
-    checked = 0
-
-    @lru_cache(maxsize=None)
-    def leaves(budget: int, last: int) -> int:
-        if budget == 0:
-            return 1
-        total = 0
-        for idx in range(n):
-            if idx == last:
-                continue
-            for mag in range(1, budget + 1):
-                total += 2 * leaves(budget - mag, idx)
-        return total
-
-    def bump(amount: int) -> None:
-        nonlocal checked
-        if max_products is not None and checked + amount > max_products:
-            raise _Budget
-        checked += amount
-
-    enc = [system.encode(v) for v in spec.generators]
-    enc_inv = [[-c for c in reversed(e)] for e in enc]
     nb = system.n_base
-    move_starts = system.move_starts
 
-    def walk(runs, sums, budget):
-        if budget == 0:
-            bump(1)
-            out: list[int] = []
-            for idx, e in runs:
-                chunk = enc[idx] if e > 0 else enc_inv[idx]
-                for _ in range(abs(e)):
-                    for c in chunk:
-                        if out and out[-1] == -c:
-                            out.pop()
-                        else:
-                            out.append(c)
-            if not out:
-                return None
-            if move_starts and any(c in move_starts for c in out):
-                v = nf_ints(list(out), system)
-            else:
-                v = out
-            if v and all(abs(c) <= nb for c in v):
-                return runs, system.decode(out)
-            return None
-        for idx in range(n):
-            if runs and runs[-1][0] == idx:
-                continue
-            for e in exps:
-                if abs(e) > budget:
-                    continue
-                nxt = tuple(s + e * d for s, d in zip(sums, steps[idx]))
-                left = budget - abs(e)
-                if any(abs(s) > m * left for s, m in zip(nxt, max_step)):
-                    bump(leaves(left, idx))
-                    continue
-                hit = walk(runs + ((idx, e),), nxt, left)
-                if hit:
-                    return hit
-        return None
+    def pure_base(w: list[int]) -> bool:
+        # a reduced word with no first letter of a non-cancelling rule is normal
+        v = w if system.move_starts.isdisjoint(w) else nf_ints(list(w), system)
+        return bool(v) and all(abs(c) <= nb for c in v)
 
-    zeros = (0,) * len(screen_gens)
-    try:
-        for total in range(1, max_len + 1):
-            hit = walk((), zeros, total)
-            if hit:
-                runs, w = hit
-                return OracleReport(
-                    "fail", checked, witness=w, witness_factors=(_factor_desc(spec, runs),)
-                )
-    except _Budget:
-        return OracleReport(
-            INCONCLUSIVE,
-            checked,
-            note=f"budget of {max_products} products exceeded",
-        )
-    return OracleReport("pass", checked)
+    bounds = Bounds(syllables=1, exp_range=max_len, max_products=max_products)
+    return _walk([spec], system, bounds, range(nb + 1, nb + system.n_stable + 2), pure_base)

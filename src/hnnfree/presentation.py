@@ -195,6 +195,11 @@ class SemidirectExtension:
         a = self.base.alphabet
         return Alphabet(a.base_names, a.stable_names, "t")
 
+    @property
+    def rank(self) -> int:
+        """The braid rank n: one more than the number of base generators."""
+        return len(self.base.alphabet.base_names) + 1
+
     def parse(self, text: str) -> Word:
         return parse_word(text, self.alphabet)
 

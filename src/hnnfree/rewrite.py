@@ -447,4 +447,4 @@ def random_confluence_probe(
                 prev = e.nu_after
         if any(r != reference for r in results):
             failures.append(ProbeFailure(trial, w, tuple(results), "strategy disagreement"))
-    return ProbeReport(not failures, trials, 5, tuple(failures))
+    return ProbeReport(not failures, trials, strategies, tuple(failures))

@@ -237,9 +237,12 @@ def test_probe_fixtures():
 
 
 def test_probe_budget():
-    good = spec("A", ["x2"], "y1 x2", "x2 y2")
-    rep = bounded_intersection_probe(good, S3, max_len=8, max_products=5)
-    assert rep.verdict == INCONCLUSIVE
+    # the second budget runs out inside a subtree the exponent sums rule out
+    for gens, max_products in ((("y1 x2", "x2 y2"), 5), (("x2", "y1 x2 y1^-1"), 17)):
+        rep = bounded_intersection_probe(spec("A", ["x2"], *gens), S3, max_len=8,
+                                         max_products=max_products)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.checked == max_products
 
 
 # --- prescreen soundness (exp-sum cross-check) -----------------------------------------

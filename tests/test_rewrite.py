@@ -182,6 +182,8 @@ def test_random_probe_small():
     report = random_confluence_probe(S3, seed=3, trials=40, max_len=14)
     assert report.ok
     assert report.trials == 40
+    assert report.strategies == 5
+    assert random_confluence_probe(S3, seed=3, trials=4, max_len=14, strategies=2).strategies == 2
 
 
 def test_probe_zero_trials_vacuous():
