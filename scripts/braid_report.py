@@ -22,7 +22,7 @@ from hnnfree.braid import (
 from hnnfree.pingpong import Bounds, SubgroupSpec, free_product_oracle
 from hnnfree.presentation import p2
 from hnnfree.rewrite import RuleSystem
-from hnnfree.words import OUTER, commutator, conjugate, format_word, free_reduce, stable_gen, word
+from hnnfree.words import OUTER, commutator, conjugate, format_word, free_reduce, stable_gen
 
 
 def relation_section(max_n: int) -> None:
@@ -74,7 +74,7 @@ def freeness_section(max_n: int, oracle_syllables: int) -> None:
 
         specs = [SubgroupSpec(f"W{i}", (w,), frozenset({stable_gen(i)}))
                  for i, w in enumerate(basis, start=1)]
-        specs.append(SubgroupSpec("T", (word(OUTER),), frozenset({OUTER})))
+        specs.append(SubgroupSpec("T", ((OUTER,),), frozenset({OUTER})))
         t0 = time.monotonic()
         rep = free_product_oracle(specs, RuleSystem(ext.base),
                                   Bounds(syllables=oracle_syllables, exp_range=2),

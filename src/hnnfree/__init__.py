@@ -2,14 +2,12 @@
 free groups by basis-conjugating embeddings, with a pure-braid layer."""
 
 from .words import (
+    OUTER,
     Alphabet,
-    Gen,
-    GenKind,
     GeneratorMap,
-    Letter,
     Word,
+    base_gen,
     commutator,
-    concat,
     conjugate,
     exp_sum,
     free_reduce,
@@ -18,6 +16,7 @@ from .words import (
     format_word,
     project_base,
     project_stable,
+    stable_gen,
 )
 from .presentation import (
     Association,
@@ -32,6 +31,7 @@ from .presentation import (
 )
 from .rewrite import (
     RuleSystem,
+    StepCapExceeded,
     check_local_confluence,
     critical_pairs,
     equal,

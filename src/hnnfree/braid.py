@@ -34,23 +34,20 @@ from .presentation import HnnPresentation, SemidirectExtension, p2, relators
 from .rewrite import RuleSystem, nf
 from .words import (
     OUTER,
-    Gen,
-    GenKind,
-    Letter,
     Word,
     base_gen,
     commutator,
-    concat,
     conjugate,
     exp_sum,
     format_word,
     free_reduce,
+    gen_name,
     invert,
+    is_base,
     stable_gen,
-    word,
 )
 
-T_WORD = word(OUTER)
+T_WORD = (OUTER,)
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ def _system(p: HnnPresentation) -> RuleSystem:
 
 def phi_power(ext: SemidirectExtension, w: Word, k: int) -> Word:
     """Apply the outer conjugation map (k > 0) or its inverse (k < 0) |k| times."""
-    if any(l.gen.kind is GenKind.OUTER for l in w):
+    if OUTER in w or -OUTER in w:
         raise ValueError("phi_power expects a word without outer letters")
     m = ext.phi if k > 0 else ext.phi_inv
     out = free_reduce(w)
@@ -85,8 +82,8 @@ def phi_power(ext: SemidirectExtension, w: Word, k: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def _pushed_letter(ext: SemidirectExtension, g: Gen, sign: int, k: int) -> Word:
-    return phi_power(ext, Word((Letter(g, sign),)), k)
+def _pushed_letter(ext: SemidirectExtension, c: int, k: int) -> Word:
+    return phi_power(ext, (c,), k)
 
 
 def semidirect_nf(ext: SemidirectExtension, w: Word) -> SemidirectElement:
@@ -97,13 +94,13 @@ def semidirect_nf(ext: SemidirectExtension, w: Word) -> SemidirectElement:
     remainder should be settled with split_nf.
     """
     k = 0
-    parts: list[Letter] = []
-    for l in w:
-        if l.gen.kind is GenKind.OUTER:
-            k += l.sign
+    parts: list[int] = []
+    for c in w:
+        if abs(c) == OUTER:
+            k += 1 if c > 0 else -1
         else:
-            parts.extend(_pushed_letter(ext, l.gen, l.sign, -k).letters)
-    g = nf(free_reduce(Word(tuple(parts))), _system(ext.base))
+            parts.extend(_pushed_letter(ext, c, -k))
+    g = nf(free_reduce(parts), _system(ext.base))
     return SemidirectElement(g, k)
 
 
@@ -134,18 +131,11 @@ class SplitNormalForm:
         return f"({format_word(self.y_part, alphabet)} | {format_word(self.x_part, alphabet)})"
 
 
-def _append_reduced(out: list[Letter], l: Letter) -> None:
-    if out and out[-1] == l.inverse():
-        out.pop()
-    else:
-        out.append(l)
-
-
 class BraidSplitting:
-    """Letter-level action tables for the splitting of the rank-n braid layer.
+    """Per-letter action tables for the splitting of the rank-n braid layer.
 
-    For each base index j the table gives the conjugate y_j^-1 g y_j (and its
-    inverse y_j g y_j^-1) of every x/t letter as an x/t word.  Mutual
+    For each base letter y_j^{+-1} the table gives the conjugate y_j^-1 g y_j
+    (and y_j g y_j^-1) of every signed x/t letter g as an x/t word.  Mutual
     inverseness of the two tables is re-verified at construction.
     """
 
@@ -153,66 +143,69 @@ class BraidSplitting:
         if n < 2:
             raise ValueError("splitting requires n >= 2")
         self.n = n
-        t = Letter(OUTER, 1)
-        ti = Letter(OUTER, -1)
-        pos: dict[int, dict[Gen, tuple[Letter, ...]]] = {}
-        neg: dict[int, dict[Gen, tuple[Letter, ...]]] = {}
+        t = OUTER
+        self._tables: dict[int, dict[int, Word]] = {}
         for j in range(1, n):
-            xj = Letter(stable_gen(j), 1)
-            xji = Letter(stable_gen(j), -1)
-            fwd: dict[Gen, tuple[Letter, ...]] = {}
-            bwd: dict[Gen, tuple[Letter, ...]] = {}
+            xj = stable_gen(j)
+            fwd: dict[int, Word] = {}
+            bwd: dict[int, Word] = {}
             for i in range(1, n):
-                xi = Letter(stable_gen(i), 1)
+                xi = stable_gen(i)
                 if i < j:
-                    fwd[xi.gen] = (xi,)
-                    bwd[xi.gen] = (xi,)
+                    fwd[xi] = bwd[xi] = (xi,)
                 elif i == j:
-                    fwd[xi.gen] = (xj, t, xj, ti, xji)
-                    bwd[xi.gen] = (ti, xj, t)
+                    fwd[xi] = (xj, t, xj, -t, -xj)
+                    bwd[xi] = (-t, xj, t)
                 else:
-                    fwd[xi.gen] = (xj, t, xji, ti, xi, t, xj, ti, xji)
-                    bwd[xi.gen] = (ti, xji, t, xj, xi, xji, ti, xj, t)
-            fwd[OUTER] = (xj, t, xji)
-            bwd[OUTER] = (ti, xji, t, xj, t)
-            pos[j] = fwd
-            neg[j] = bwd
-        self._tables = {1: pos, -1: neg}
-        for j in range(1, n):
-            for g in list(pos[j]):
-                one = [Letter(g, 1)]
-                if self.act(j, 1, self.act(j, -1, one)) != one:
-                    raise AssertionError(f"action tables not mutually inverse at y{j}, {g.name}")
-                if self.act(j, -1, self.act(j, 1, one)) != one:
-                    raise AssertionError(f"action tables not mutually inverse at y{j}, {g.name}")
+                    fwd[xi] = (xj, t, -xj, -t, xi, t, xj, -t, -xj)
+                    bwd[xi] = (-t, -xj, t, xj, xi, -xj, -t, xj, t)
+            fwd[t] = (xj, t, -xj)
+            bwd[t] = (-t, -xj, t, xj, t)
+            for table in (fwd, bwd):
+                table.update({-g: invert(img) for g, img in table.items()})
+            self._tables[base_gen(j)] = fwd
+            self._tables[-base_gen(j)] = bwd
+        for y in self._tables:
+            for g in self._tables[y]:
+                if self.act(-y, self.act(y, [g])) != [g]:
+                    raise AssertionError(
+                        f"action tables not mutually inverse at {gen_name(abs(y))}, {gen_name(abs(g))}"
+                    )
 
-    def act(self, j: int, eps: int, u: list[Letter]) -> list[Letter]:
-        table = self._tables[eps][j]
-        out: list[Letter] = []
-        for l in u:
-            img = table[l.gen]
-            if l.sign == -1:
-                img = tuple(m.inverse() for m in reversed(img))
-            for m in img:
-                _append_reduced(out, m)
+    def act(self, y: int, u: list[int]) -> list[int]:
+        """The reduced x/t word y^-1 u y, for a signed base letter y."""
+        table = self._tables[y]
+        out: list[int] = []
+        for c in u:
+            for m in table[c]:
+                if out and out[-1] == -m:
+                    out.pop()
+                else:
+                    out.append(m)
         return out
 
     def nf(self, w: Word) -> SplitNormalForm:
-        q: list[Letter] = []
-        u: list[Letter] = []
-        for l in w:
-            if l.gen.kind is GenKind.BASE:
-                _append_reduced(q, l)
-                u = self.act(l.gen.index, l.sign, u)
+        q: list[int] = []
+        u: list[int] = []
+        for c in w:
+            if c & 1:  # stable or outer letter
+                if u and u[-1] == -c:
+                    u.pop()
+                else:
+                    u.append(c)
             else:
-                _append_reduced(u, l)
-        return SplitNormalForm(Word(tuple(q)), Word(tuple(u)))
+                if q and q[-1] == -c:
+                    q.pop()
+                else:
+                    q.append(c)
+                u = self.act(c, u)
+        return SplitNormalForm(tuple(q), tuple(u))
 
     def is_trivial(self, w: Word) -> bool:
         return self.nf(w).is_identity
 
     def equal(self, u: Word, v: Word) -> bool:
-        return self.nf(concat(invert(v), u)).is_identity
+        return self.nf(invert(v) + u).is_identity
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +274,8 @@ def verify_extension(ext: SemidirectExtension) -> ExtensionReport:
         )
     gens = ext.base.base_gens + ext.base.stable_gens
     mutual = all(
-        ext.phi.apply(ext.phi_inv.apply(word(g))) == word(g)
-        and ext.phi_inv.apply(ext.phi.apply(word(g))) == word(g)
+        ext.phi.apply(ext.phi_inv.apply((g,))) == (g,)
+        and ext.phi_inv.apply(ext.phi.apply((g,))) == (g,)
         for g in gens
     )
     checks.append(Condition("maps_mutually_inverse", mutual))
@@ -341,8 +334,8 @@ def verify_braid_relations(n: int) -> BraidRelationReport:
     """
     ext = p2(n)
     split = _splitting(n)
-    x = lambda i: word(stable_gen(i))
-    y = lambda j: word(base_gen(j))
+    x = lambda i: (stable_gen(i),)
+    y = lambda j: (base_gen(j),)
     entries: list[RelationCheck] = []
 
     def check(family: str, i: int | None, j: int | None, rel: Word) -> None:
@@ -356,25 +349,25 @@ def verify_braid_relations(n: int) -> BraidRelationReport:
 
     for i in range(1, n):
         for j in range(i + 1, n):
-            rel = free_reduce(concat(conjugate(x(i), y(j)), invert(x(i))))
+            rel = free_reduce(conjugate(x(i), y(j)) + invert(x(i)))
             check("R1", i, j, rel)
             check("R1'", i, j, commutator(x(i), y(j)))
     for i in range(1, n):
-        rhs = conjugate(x(i), invert(concat(x(i), T_WORD)))
-        check("R2", i, None, free_reduce(concat(conjugate(x(i), y(i)), invert(rhs))))
+        rhs = conjugate(x(i), invert(x(i) + T_WORD))
+        check("R2", i, None, free_reduce(conjugate(x(i), y(i)) + invert(rhs)))
         rhs = conjugate(x(i), invert(y(i)))
-        check("R2'", i, None, free_reduce(concat(conjugate(x(i), T_WORD), invert(rhs))))
+        check("R2'", i, None, free_reduce(conjugate(x(i), T_WORD) + invert(rhs)))
     for j in range(1, n):
         for i in range(j + 1, n):
             c = commutator(T_WORD, x(j))
-            rel = free_reduce(concat(conjugate(x(i), y(j)), invert(conjugate(x(i), c))))
+            rel = free_reduce(conjugate(x(i), y(j)) + invert(conjugate(x(i), c)))
             check("R3", i, j, rel)
             check("R3'", i, j, commutator(x(i), conjugate(y(j), y(i))))
     for j in range(1, n):
         rhs = conjugate(T_WORD, invert(x(j)))
-        check("R4", None, j, free_reduce(concat(conjugate(T_WORD, y(j)), invert(rhs))))
-        rhs = free_reduce(concat(y(j), commutator(x(j), y(j))))
-        check("R4'", None, j, free_reduce(concat(conjugate(y(j), T_WORD), invert(rhs))))
+        check("R4", None, j, free_reduce(conjugate(T_WORD, y(j)) + invert(rhs)))
+        rhs = free_reduce(y(j) + commutator(x(j), y(j)))
+        check("R4'", None, j, free_reduce(conjugate(y(j), T_WORD) + invert(rhs)))
     return BraidRelationReport(n, tuple(entries))
 
 
@@ -408,12 +401,7 @@ def braid_freeness_check(
         witness += f"; push remainder {pushed.render(alphabet)}"
         conds.append(Condition(f"commutator_with_t_nontrivial[w{i}]", nontrivial, witness))
         if strict:
-            allowed = {stable_gen(i)}
-            bad = sorted(
-                l.gen.name
-                for l in w
-                if l.gen.kind is not GenKind.BASE and l.gen not in allowed
-            )
+            bad = sorted(gen_name(abs(c)) for c in w if not is_base(c) and abs(c) != stable_gen(i))
             conds.append(
                 Condition(
                     f"letters_within_support[w{i}]",
@@ -436,7 +424,7 @@ def free_factor_probe(
     nontrivial.  H-generators may not contain t.
     """
     for h in h_generators:
-        if any(l.gen.kind is GenKind.OUTER for l in h):
+        if OUTER in h or -OUTER in h:
             raise ValueError("H generators must not contain the outer letter")
     support = frozenset({OUTER})
     specs = [SubgroupSpec("H", tuple(h_generators), support), SubgroupSpec("T", (T_WORD,), support)]

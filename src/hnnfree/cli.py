@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .braid import (
     braid_freeness_check,
@@ -48,6 +47,7 @@ from .presentation import (
 )
 from .rewrite import (
     RuleSystem,
+    StepCapExceeded,
     check_local_confluence,
     equal,
     nf,
@@ -55,6 +55,7 @@ from .rewrite import (
     random_confluence_probe,
 )
 from .words import (
+    Word,
     WordSyntaxError,
     format_word,
     identity_map,
@@ -116,7 +117,7 @@ def _require_extension(src) -> SemidirectExtension:
     return src
 
 
-def _parse(text: str, src) -> "Word":
+def _parse(text: str, src) -> Word:
     """Parse a word; under a p2 source A{i}_{j} braid names are accepted."""
     if isinstance(src, SemidirectExtension):
         text = resolve_braid_names(text, src.rank)
@@ -144,7 +145,7 @@ def _cert_doc(cert) -> dict:
             {"name": c.name, "ok": c.ok, "witness": c.witness}
             for c in cert.conditions
         ],
-        "bounds": asdict(cert.oracle_bounds) if cert.oracle_bounds else None,
+        "bounds": None,
     }
 
 
@@ -506,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as e:
         print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
         return EXIT_USAGE
+    except StepCapExceeded as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

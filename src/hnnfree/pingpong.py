@@ -18,15 +18,14 @@ from typing import Callable, Mapping, Sequence
 from .presentation import HnnPresentation
 from .rewrite import RuleSystem, nf, nf_ints
 from .words import (
-    EPSILON,
-    Gen,
     GeneratorMap,
-    GenKind,
     Word,
     format_word,
+    gen_name,
+    invert,
+    is_base,
     project_base,
     project_stable,
-    word,
 )
 
 CERTIFIED = "certified"
@@ -51,12 +50,12 @@ class SubgroupSpec:
 
     label: str
     generators: tuple[Word, ...]
-    support: frozenset[Gen]
+    support: frozenset[int]
 
     def __post_init__(self) -> None:
         for g in self.support:
-            if g.kind is GenKind.BASE:
-                raise ValueError(f"support must consist of stable letters, got {g.name}")
+            if is_base(g):
+                raise ValueError(f"support must consist of stable letters, got {gen_name(g)}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class Certificate:
     verdict: str
     theorem: str
     conditions: tuple[Condition, ...]
-    oracle_bounds: Bounds | None = None
 
     def __post_init__(self) -> None:
         if self.verdict == CERTIFIED and not all(c.ok for c in self.conditions):
@@ -99,8 +97,6 @@ class Certificate:
             mark = "ok" if c.ok else "FAIL"
             suffix = f"  [{c.witness}]" if c.witness else ""
             lines.append(f"  {mark:4} {c.name}{suffix}")
-        if self.oracle_bounds is not None:
-            lines.append(f"  bounds: {self.oracle_bounds}")
         return "\n".join(lines)
 
 
@@ -127,7 +123,7 @@ class OracleReport:
 
 def in_base_subgroup(w: Word, system: RuleSystem) -> bool:
     """Membership in the pure-base subgroup: the normal form uses base letters only."""
-    return all(l.gen.kind is GenKind.BASE for l in nf(w, system))
+    return all(is_base(c) for c in nf(w, system))
 
 
 def support_check(
@@ -147,15 +143,15 @@ def support_check(
             Condition(
                 f"support_disjoint[{spec.label},{other.label}]",
                 not overlap,
-                ", ".join(sorted(g.name for g in overlap)) or None,
+                ", ".join(sorted(gen_name(g) for g in overlap)) or None,
             )
         )
     if strict:
         bad: list[str] = []
         for w in spec.generators:
-            for l in w:
-                if l.gen.kind is not GenKind.BASE and l.gen not in spec.support:
-                    bad.append(f"{l.gen.name} in {format_word(w)}")
+            for c in w:
+                if not is_base(c) and abs(c) not in spec.support:
+                    bad.append(f"{gen_name(abs(c))} in {format_word(w)}")
                     break
         conds.append(
             Condition(
@@ -186,10 +182,10 @@ def descends_to_identity(m: GeneratorMap, p: HnnPresentation) -> bool:
             if a.w != a.v:
                 raise ValueError(
                     "direct-product projection undefined: association "
-                    f"({a.y.name}) of {x.name} has two distinct conjugators"
+                    f"({gen_name(a.y)}) of {gen_name(x)} has two distinct conjugators"
                 )
     for g in p.base_gens + p.stable_gens:
-        one = word(g)
+        one = (g,)
         img = m.apply(one)
         if project_stable(img) != project_stable(one):
             return False
@@ -212,11 +208,11 @@ def orbit_intersection_certificate(m: GeneratorMap, w: Word, p: HnnPresentation)
         Condition("map_descends_to_identity", True),
         Condition(
             "stable_projection_nontrivial",
-            px != EPSILON,
+            bool(px),
             format_word(px, p.alphabet) if px else "stable projection is empty",
         ),
     )
-    verdict = CERTIFIED if px != EPSILON else REFUTED
+    verdict = CERTIFIED if px else REFUTED
     return Certificate(verdict, "orbit-intersection", conds)
 
 
@@ -308,9 +304,8 @@ def _factor_desc(spec: SubgroupSpec, runs: Runs) -> str:
 
 def _walk(
     specs: Sequence[SubgroupSpec],
-    system: RuleSystem,
     bounds: Bounds,
-    screen: Sequence[int],
+    screen: Callable[[int], bool],
     hit: Callable[[list[int]], bool],
 ) -> OracleReport:
     """Depth-first walk over the alternating products of the specs.
@@ -322,26 +317,26 @@ def _walk(
     then spec sequence, then each factor by total uses and then by its runs
     (generator index, |e|, positive first), so the first witness is minimal.
 
-    A prefix carries its freely reduced word in the system's signed-int
-    encoding and its exponent sums on the `screen` letter codes.  Once a
+    A prefix carries its freely reduced word and its exponent sums on the
+    generators of its letters for which `screen` holds.  Once a
     sum can no longer return to zero within the uses left, the whole
     subtree is counted as checked without being visited; a product whose
     sums vanish goes to `hit`, and the first hit fails the report.
     """
     e_max, limit = bounds.exp_range, bounds.max_products
-    enc = [[system.encode(g) for g in s.generators] for s in specs]
-    coords = [c for c in screen if any(c in g or -c in g for gens in enc for g in gens)]
-    steps = [[[g.count(c) - g.count(-c) for c in coords] for g in gens] for gens in enc]
+    gen_words = [s.generators for s in specs]
+    coords = sorted({abs(c) for gens in gen_words for g in gens for c in g if screen(abs(c))})
+    steps = [[[g.count(c) - g.count(-c) for c in coords] for g in gens] for gens in gen_words]
     reach = [[max((abs(st[k]) for st in sts), default=0) for k in range(len(coords))] for sts in steps]
     powers = [
         [
-            {e: _push([], (g if e > 0 else [-c for c in reversed(g)]) * abs(e))
+            {e: _push([], (g if e > 0 else invert(g)) * abs(e))
              for mag in range(1, e_max + 1) for e in (mag, -mag)}
             for g in gens
         ]
-        for gens in enc
+        for gens in gen_words
     ]
-    sizes = [sum(_run_count(len(gens), e_max, u, False) for u in range(1, e_max + 1)) for gens in enc]
+    sizes = [sum(_run_count(len(gens), e_max, u, False) for u in range(1, e_max + 1)) for gens in gen_words]
     checked = 0
 
     def count(amount: int) -> None:
@@ -396,7 +391,7 @@ def _walk(
                 if found:
                     w, done = found
                     factors = tuple(_factor_desc(specs[i], made) for i, made in done)
-                    return OracleReport(FAIL, checked, system.decode(w), factors)
+                    return OracleReport(FAIL, checked, tuple(w), factors)
     except _Budget:
         return OracleReport(
             INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"
@@ -422,12 +417,8 @@ def free_product_oracle(
     """
     if is_trivial is None:
         is_trivial = lambda w: not nf(w, system)
-    # codes of every base and stable letter and of t, which is a valid
-    # exponent-sum coordinate in the extension layer too
-    screen = range(1, system.n_base + system.n_stable + 2)
-    return _walk(
-        specs, system, bounds, screen, lambda w: not w or is_trivial(system.decode(w))
-    )
+    # every generator, t included, is an exponent-sum invariant
+    return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(tuple(w)))
 
 
 def bounded_intersection_probe(
@@ -443,12 +434,10 @@ def bounded_intersection_probe(
     keep a stable letter in their normal form.  Only the non-base exponent
     sums screen the products.
     """
-    nb = system.n_base
-
     def pure_base(w: list[int]) -> bool:
         # a reduced word with no first letter of a non-cancelling rule is normal
         v = w if system.move_starts.isdisjoint(w) else nf_ints(list(w), system)
-        return bool(v) and all(abs(c) <= nb for c in v)
+        return bool(v) and all(is_base(c) for c in v)
 
     bounds = Bounds(syllables=1, exp_range=max_len, max_products=max_products)
-    return _walk([spec], system, bounds, range(nb + 1, nb + system.n_stable + 2), pure_base)
+    return _walk([spec], bounds, lambda g: not is_base(g), pure_base)

@@ -5,7 +5,7 @@ A presentation consists of base generators Y, stable generators X, and for
 each stable letter x a list of associations (y, w, v) encoding the relation
 (y^w)^x = y^v with w, v reduced words over Y.  The footnote conditions (first
 letter of w and of v differs from y^{+-1}) make every compiled pattern reduced
-as written.
+as written.  Generators and words use the integer code of the words module.
 """
 
 from __future__ import annotations
@@ -15,20 +15,18 @@ from dataclasses import dataclass, field
 from .words import (
     EPSILON,
     Alphabet,
-    Gen,
-    GenKind,
     GeneratorMap,
-    Letter,
     Word,
     base_gen,
     commutator,
-    concat,
     default_alphabet,
+    format_word,
     free_reduce,
+    gen_name,
     invert,
+    is_base,
     parse_word,
     stable_gen,
-    word,
 )
 
 
@@ -36,7 +34,7 @@ from .words import (
 class Association:
     """One triple (y, w, v) attached to a stable letter: (y^w)^x = y^v."""
 
-    y: Gen
+    y: int
     w: Word = EPSILON
     v: Word = EPSILON
 
@@ -44,51 +42,49 @@ class Association:
 @dataclass(frozen=True, eq=False)
 class HnnPresentation:
     alphabet: Alphabet
-    assoc: dict[Gen, tuple[Association, ...]] = field(default_factory=dict)
+    assoc: dict[int, tuple[Association, ...]] = field(default_factory=dict)
 
     @property
-    def base_gens(self) -> list[Gen]:
+    def base_gens(self) -> list[int]:
         return [base_gen(i) for i in range(1, len(self.alphabet.base_names) + 1)]
 
     @property
-    def stable_gens(self) -> list[Gen]:
+    def stable_gens(self) -> list[int]:
         return [stable_gen(i) for i in range(1, len(self.alphabet.stable_names) + 1)]
 
-    def associations(self, x: Gen) -> tuple[Association, ...]:
+    def associations(self, x: int) -> tuple[Association, ...]:
         return self.assoc.get(x, ())
 
     def parse(self, text: str) -> Word:
         return parse_word(text, self.alphabet)
 
 
-def _word_ok(w: Word) -> bool:
-    return all(l.gen.kind is GenKind.BASE for l in w.letters)
-
-
 def validate(p: HnnPresentation) -> list[str]:
-    """All violations of the presentation constraints; empty list means ok."""
+    """All violations of the presentation constraints; empty list means ok.
+
+    Generators are named by their default names (x1, y1, ...)."""
     out: list[str] = []
-    n_base = len(p.alphabet.base_names)
-    n_stable = len(p.alphabet.stable_names)
+    stable = set(p.stable_gens)
+    base = set(p.base_gens)
     for x, assocs in p.assoc.items():
-        if x.kind is not GenKind.STABLE or x.index > n_stable:
-            out.append(f"unknown stable generator {x}")
+        if x not in stable:
+            out.append(f"unknown stable generator {gen_name(x)}")
             continue
-        seen: set[Gen] = set()
+        seen: set[int] = set()
         for a in assocs:
-            label = f"{x}:{a.y}"
-            if a.y.kind is not GenKind.BASE or a.y.index > n_base:
-                out.append(f"{label}: unknown base generator {a.y}")
+            label = f"{gen_name(x)}:{gen_name(a.y)}"
+            if a.y not in base:
+                out.append(f"{label}: unknown base generator {gen_name(a.y)}")
                 continue
             if a.y in seen:
-                out.append(f"{label}: duplicate base generator for {x}")
+                out.append(f"{label}: duplicate base generator for {gen_name(x)}")
             seen.add(a.y)
             for side, cw in (("w", a.w), ("v", a.v)):
-                if not _word_ok(cw):
+                if not all(is_base(c) for c in cw):
                     out.append(f"{label}: conjugator not in F(Y) ({side})")
-                elif not cw.is_reduced():
+                elif any(c == -d for c, d in zip(cw, cw[1:])):
                     out.append(f"{label}: unreduced conjugator ({side})")
-                elif cw and cw[0].gen == a.y:
+                elif cw and abs(cw[0]) == a.y:
                     out.append(f"{label}: {side} begins with y^{{+-1}}")
     return out
 
@@ -105,11 +101,11 @@ class RewriteRule:
     rule_id: int
     lhs: Word
     rhs: Word
-    stable: Gen | None = None
+    stable: int | None = None
     assoc_index: int | None = None
 
     def __repr__(self) -> str:
-        return f"<rule {self.kind}/{self.rule_id}: {self.lhs} -> {self.rhs}>"
+        return f"<rule {self.kind}/{self.rule_id}: {format_word(self.lhs)} -> {format_word(self.rhs)}>"
 
 
 def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
@@ -129,28 +125,20 @@ def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
 
     for g in p.base_gens:
         for s in (1, -1):
-            add(1, word((g, s), (g, -s)), EPSILON)
+            add(1, (s * g, -s * g), EPSILON)
     for g in p.stable_gens:
         for s in (1, -1):
-            add(2, word((g, s), (g, -s)), EPSILON)
+            add(2, (s * g, -s * g), EPSILON)
     for x in p.stable_gens:
         for ai, a in enumerate(p.associations(x)):
             for s in (1, -1):
-                lhs = concat(concat(word(x), invert(a.v)), word((a.y, s)))
-                rhs = concat(
-                    concat(invert(a.w), word((a.y, s))),
-                    concat(concat(a.w, word(x)), invert(a.v)),
-                )
-                add(3, lhs, rhs, x, ai)
+                y = (s * a.y,)
+                add(3, (x,) + invert(a.v) + y, invert(a.w) + y + a.w + (x,) + invert(a.v), x, ai)
     for x in p.stable_gens:
         for ai, a in enumerate(p.associations(x)):
             for s in (1, -1):
-                lhs = concat(concat(word((x, -1)), invert(a.w)), word((a.y, s)))
-                rhs = concat(
-                    concat(invert(a.v), word((a.y, s))),
-                    concat(concat(a.v, word((x, -1))), invert(a.w)),
-                )
-                add(4, lhs, rhs, x, ai)
+                y = (s * a.y,)
+                add(4, (-x,) + invert(a.w) + y, invert(a.v) + y + a.v + (-x,) + invert(a.w), x, ai)
     return rules
 
 
@@ -164,16 +152,15 @@ def gn(n: int) -> HnnPresentation:
     if n < 2:
         raise ValueError("gn requires n >= 2")
     alphabet = default_alphabet(n - 1, n - 1)
-    assoc: dict[Gen, tuple[Association, ...]] = {}
+    assoc: dict[int, tuple[Association, ...]] = {}
     for i in range(1, n):
-        x = stable_gen(i)
         items = []
         for j in range(1, n):
             if j == i:
                 continue
-            conj = word(base_gen(i)) if j < i else EPSILON
+            conj = (base_gen(i),) if j < i else EPSILON
             items.append(Association(base_gen(j), conj, conj))
-        assoc[x] = tuple(items)
+        assoc[stable_gen(i)] = tuple(items)
     return HnnPresentation(alphabet, assoc)
 
 
@@ -215,20 +202,20 @@ def p2(n: int) -> SemidirectExtension:
     if n < 2:
         raise ValueError("p2 requires n >= 2")
     base = gn(n)
-    phi_images: dict[Gen, Word] = {}
-    inv_images: dict[Gen, Word] = {}
+    phi_images: dict[int, Word] = {}
+    inv_images: dict[int, Word] = {}
     for i in range(1, n):
         xi, yi = stable_gen(i), base_gen(i)
-        phi_images[xi] = word(yi, xi, (yi, -1))
-        phi_images[yi] = free_reduce(concat(word(yi), commutator(word(xi), word(yi))))
-        inv_images[yi] = word((xi, -1), yi, xi)
-        inv_images[xi] = word((xi, -1), (yi, -1), xi, yi, xi)
+        phi_images[xi] = (yi, xi, -yi)
+        phi_images[yi] = free_reduce((yi,) + commutator((xi,), (yi,)))
+        inv_images[yi] = (-xi, yi, xi)
+        inv_images[xi] = (-xi, -yi, xi, yi, xi)
     phi = GeneratorMap(phi_images)
     phi_inv = GeneratorMap(inv_images)
-    for g in list(phi_images) :
-        one = word(g)
+    for g in phi_images:
+        one = (g,)
         if phi.apply(phi_inv.apply(one)) != one or phi_inv.apply(phi.apply(one)) != one:
-            raise AssertionError(f"phi and phi_inv are not mutually inverse at {g}")
+            raise AssertionError(f"phi and phi_inv are not mutually inverse at {gen_name(g)}")
     return SemidirectExtension(base, phi, phi_inv)
 
 
@@ -247,7 +234,7 @@ class PresentationSyntaxError(ValueError):
         self.line = line
 
 
-def _parse_rel_side(text: str, alphabet: Alphabet, lineno: int) -> tuple[Gen, Word]:
+def _parse_rel_side(text: str, alphabet: Alphabet, lineno: int) -> tuple[int, Word]:
     toks = text.split()
     if len(toks) < 3 or toks[1] != "^":
         raise PresentationSyntaxError(
@@ -288,7 +275,7 @@ def parse_presentation(text: str) -> HnnPresentation | SemidirectExtension:
     if not base_names or not stable_names:
         raise PresentationSyntaxError("missing base or stable declaration", 1)
     alphabet = Alphabet(tuple(base_names), tuple(stable_names))
-    assoc: dict[Gen, list[Association]] = {}
+    assoc: dict[int, list[Association]] = {}
     for lineno, body in rel_lines:
         head, _, rhs = body.partition("=")
         name, _, lhs = head.partition(":")
@@ -321,14 +308,10 @@ def relators(p: HnnPresentation) -> list[Word]:
     out: list[Word] = []
     for x in p.stable_gens:
         for a in p.associations(x):
-            lhs = concat(
-                concat(word((x, -1)), conj_word(a.w, a.y, 1)),
-                concat(word(x), conj_word(a.v, a.y, -1)),
-            )
-            out.append(free_reduce(lhs))
+            out.append(free_reduce((-x,) + conj_word(a.w, a.y, 1) + (x,) + conj_word(a.v, a.y, -1)))
     return out
 
 
-def conj_word(b: Word, y: Gen, sign: int) -> Word:
+def conj_word(b: Word, y: int, sign: int) -> Word:
     """b^-1 y^sign b as a literal word."""
-    return concat(concat(invert(b), word((y, sign))), b)
+    return invert(b) + (sign * y,) + b

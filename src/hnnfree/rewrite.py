@@ -1,11 +1,10 @@
 """String rewriting engine: redex search, normal forms with traces, the
 nu-vector termination order, and confluence checking.
 
-Words are encoded internally as lists of signed integers (one per letter) so
-the inner matching loop stays cheap; the public surface speaks Word.  The
-deterministic strategy is leftmost position, then smallest rule kind, then
-smallest rule id; confluence is machine-checked per rule system, so results
-do not depend on the strategy.
+Words are tuples of signed ints in the code of the words module; the engine
+rewrites them in place as lists.  The deterministic strategy is leftmost
+position, then smallest rule kind, then smallest rule id; confluence is
+machine-checked per rule system, so results do not depend on the strategy.
 """
 
 from __future__ import annotations
@@ -15,64 +14,51 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .presentation import HnnPresentation, RewriteRule, compile_rules
-from .words import Gen, GenKind, Letter, Word, base_gen, stable_gen, OUTER
+from .words import Word, base_gen, format_word, stable_gen
 
+# read by every rewrite loop when it starts, so tests can lower it
 STEP_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class NuVector:
+class StepCapExceeded(RuntimeError):
+    """A rewrite ran past STEP_CAP steps; termination bug suspected."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"rewrite step cap {cap} exceeded; termination bug suspected")
+
+
+def nu(w) -> tuple[int, ...]:
     """Lengths of the base-letter segments split at stable/outer letters."""
-
-    coords: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __repr__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+    coords = [0]
+    for c in w:
+        if c & 1:  # stable or outer letter
+            coords.append(0)
+        else:
+            coords[-1] += 1
+    return tuple(coords)
 
 
-def nu_less(a: NuVector, b: NuVector) -> bool:
+def nu_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """The termination order: shorter vector first; at equal length compare
     from the last coordinate down (later coordinates dominate)."""
-    if len(a) != len(b):
-        return len(a) < len(b)
-    for x, y in zip(reversed(a.coords), reversed(b.coords)):
-        if x != y:
-            return x < y
-    return False
+    return (len(a), a[::-1]) < (len(b), b[::-1])
 
 
 class RuleSystem:
-    """A compiled rule set with its integer letter encoding and indexes.
+    """A compiled rule set with its match indexes.
 
-    Base letters get codes 1..B, stable letters B+1..B+S, the outer letter
-    B+S+1; a letter is sign * code.  Rules are bucketed by the first letter
-    of their lhs; compile order makes bucket order equal (kind, id) order.
+    Rules are bucketed by the first letter of their lhs; compile order makes
+    bucket order equal (kind, id) order.
     """
 
     def __init__(self, presentation: HnnPresentation, rules: list[RewriteRule] | None = None):
         self.presentation = presentation
         self.rules = compile_rules(presentation) if rules is None else list(rules)
-        a = presentation.alphabet
-        self.n_base = len(a.base_names)
-        self.n_stable = len(a.stable_names)
-        self._rl: list[tuple[tuple[int, ...], tuple[int, ...], int, int]] = []
+        self._rl = [(r.lhs, r.rhs, r.kind, r.rule_id) for r in self.rules]
         self._by_first: dict[int, list[int]] = {}
-        self.max_lhs = 1
-        for idx, r in enumerate(self.rules):
-            lhs = tuple(self._code(l) for l in r.lhs)
-            rhs = tuple(self._code(l) for l in r.rhs)
-            self._rl.append((lhs, rhs, r.kind, r.rule_id))
+        for idx, (lhs, _, _, _) in enumerate(self._rl):
             self._by_first.setdefault(lhs[0], []).append(idx)
-            self.max_lhs = max(self.max_lhs, len(lhs))
+        self.max_lhs = max((len(lhs) for lhs, _, _, _ in self._rl), default=1)
         # first letters of the non-cancellation lhs patterns; a freely reduced
         # word avoiding them all is already in normal form
         self.move_starts = frozenset(
@@ -81,39 +67,9 @@ class RuleSystem:
             if not (len(lhs) == 2 and lhs[1] == -lhs[0] and not rhs)
         )
 
-    def _code(self, l: Letter) -> int:
-        g = l.gen
-        if g.kind is GenKind.BASE:
-            return l.sign * g.index
-        if g.kind is GenKind.STABLE:
-            return l.sign * (self.n_base + g.index)
-        return l.sign * (self.n_base + self.n_stable + 1)
-
     def encode(self, w: Word) -> list[int]:
-        return [self._code(l) for l in w.letters]
-
-    def decode(self, ints) -> Word:
-        out = []
-        for c in ints:
-            code, sign = abs(c), 1 if c > 0 else -1
-            if code <= self.n_base:
-                g = base_gen(code)
-            elif code <= self.n_base + self.n_stable:
-                g = stable_gen(code - self.n_base)
-            else:
-                g = OUTER
-            out.append(Letter(g, sign))
-        return Word(tuple(out))
-
-    def nu_ints(self, ints) -> NuVector:
-        coords = [0]
-        nb = self.n_base
-        for c in ints:
-            if abs(c) > nb:
-                coords.append(0)
-            else:
-                coords[-1] += 1
-        return NuVector(tuple(coords))
+        """The mutable form the rewrite loops work on."""
+        return list(w)
 
     def match_at(self, ints, pos: int) -> int | None:
         """Index of the first rule (kind, id order) whose lhs occurs at pos."""
@@ -146,17 +102,6 @@ class RuleSystem:
         return out
 
 
-def nu(w: Word, system: RuleSystem | None = None) -> NuVector:
-    """nu of a word; the split only needs letter kinds, not a system."""
-    coords = [0]
-    for l in w.letters:
-        if l.gen.kind is GenKind.BASE:
-            coords[-1] += 1
-        else:
-            coords.append(0)
-    return NuVector(tuple(coords))
-
-
 @dataclass(frozen=True)
 class RewriteStep:
     position: int
@@ -164,8 +109,8 @@ class RewriteStep:
     rule_id: int
     before: Word
     after: Word
-    nu_before: NuVector
-    nu_after: NuVector
+    nu_before: tuple[int, ...]
+    nu_after: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -173,14 +118,14 @@ class TraceEntry:
     position: int
     rule_kind: int
     rule_id: int
-    nu_after: NuVector
+    nu_after: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class RewriteTrace:
     initial: Word
     final: Word
-    nu_initial: NuVector
+    nu_initial: tuple[int, ...]
     entries: tuple[TraceEntry, ...]
     system: RuleSystem
 
@@ -191,13 +136,13 @@ class RewriteTrace:
     def steps(self) -> list[RewriteStep]:
         """Full before/after step records, replayed from the entry list."""
         out = []
-        cur = self.system.encode(self.initial)
+        cur = list(self.initial)
         prev_nu = self.nu_initial
         before = self.initial
         for e in self.entries:
             lhs, rhs, _, _ = self.system._rl[e.rule_id]
             cur[e.position : e.position + len(lhs)] = rhs
-            after = self.system.decode(cur)
+            after = tuple(cur)
             out.append(
                 RewriteStep(
                     e.position, e.rule_kind, e.rule_id, before, after, prev_nu, e.nu_after
@@ -207,11 +152,10 @@ class RewriteTrace:
         return out
 
     def render(self, alphabet=None) -> str:
-        from .words import format_word
-
         lines = [f"initial: {format_word(self.initial, alphabet)}"]
         lines += [
-            f"#{k} pos={e.position} rule={e.rule_kind}/{e.rule_id} nu={e.nu_after}"
+            f"#{k} pos={e.position} rule={e.rule_kind}/{e.rule_id} "
+            f"nu=({', '.join(map(str, e.nu_after))})"
             for k, e in enumerate(self.entries, 1)
         ]
         lines.append(f"final: {format_word(self.final, alphabet)}")
@@ -220,12 +164,13 @@ class RewriteTrace:
 
 def find_redexes(w: Word, system: RuleSystem) -> list[tuple[int, int]]:
     """All (position, rule id) pairs where some lhs occurs as a substring."""
-    return [(pos, system._rl[idx][3]) for pos, idx in system.redexes(system.encode(w))]
+    return [(pos, system._rl[idx][3]) for pos, idx in system.redexes(w)]
 
 
-def _apply_leftmost(ints: list[int], system: RuleSystem, entries: list, max_steps: int):
+def _apply_leftmost(ints: list[int], system: RuleSystem, entries: list):
     pos = 0
     steps = 0
+    cap = STEP_CAP
     max_lhs = system.max_lhs
     while True:
         n = len(ints)
@@ -240,17 +185,16 @@ def _apply_leftmost(ints: list[int], system: RuleSystem, entries: list, max_step
         lhs, rhs, kind, rule_id = system._rl[idx]
         ints[pos : pos + len(lhs)] = rhs
         steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"rewrite step cap {max_steps} exceeded; termination bug suspected"
-            )
-        entries.append(TraceEntry(pos, kind, rule_id, system.nu_ints(ints)))
+        if steps > cap:
+            raise StepCapExceeded(cap)
+        entries.append(TraceEntry(pos, kind, rule_id, nu(ints)))
         # a new redex can reach at most max_lhs-1 positions left of the splice
         pos = max(0, pos - max_lhs + 1)
 
 
-def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng, max_steps: int):
+def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng):
     steps = 0
+    cap = STEP_CAP
     while True:
         reds = system.redexes(ints)
         if not reds:
@@ -259,11 +203,9 @@ def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng, max_s
         lhs, rhs, kind, rule_id = system._rl[idx]
         ints[pos : pos + len(lhs)] = rhs
         steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"rewrite step cap {max_steps} exceeded; termination bug suspected"
-            )
-        entries.append(TraceEntry(pos, kind, rule_id, system.nu_ints(ints)))
+        if steps > cap:
+            raise StepCapExceeded(cap)
+        entries.append(TraceEntry(pos, kind, rule_id, nu(ints)))
 
 
 def normal_form(
@@ -271,31 +213,31 @@ def normal_form(
     system: RuleSystem,
     strategy: str = "leftmost",
     seed: int | None = None,
-    max_steps: int = STEP_CAP,
 ) -> tuple[Word, RewriteTrace]:
     """Rewrite to an irreducible word; the result is strategy-independent
     because termination is per-trace certified and confluence is checked."""
-    ints = system.encode(w)
+    ints = list(w)
     entries: list[TraceEntry] = []
-    nu0 = system.nu_ints(ints)
     if strategy == "leftmost":
-        _apply_leftmost(ints, system, entries, max_steps)
+        _apply_leftmost(ints, system, entries)
     elif strategy == "random":
-        _apply_random(ints, system, entries, random.Random(seed), max_steps)
+        _apply_random(ints, system, entries, random.Random(seed))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return system.decode(ints), RewriteTrace(w, system.decode(ints), nu0, tuple(entries), system)
+    final = tuple(ints)
+    return final, RewriteTrace(w, final, nu(w), tuple(entries), system)
 
 
 def nf_ints(ints: list[int], system: RuleSystem) -> list[int]:
-    """Normal form on the integer encoding, in place; returns its argument.
+    """Normal form of a word given as a list, in place; returns its argument.
 
-    The object-free variant of nf for callers that enumerate many words."""
+    The allocation-free variant of nf for callers that enumerate many words."""
     pos = 0
     max_lhs = system.max_lhs
     match_at = system.match_at
     rl = system._rl
     steps = 0
+    cap = STEP_CAP
     while True:
         n = len(ints)
         idx = None
@@ -309,19 +251,18 @@ def nf_ints(ints: list[int], system: RuleSystem) -> list[int]:
         lhs, rhs, _, _ = rl[idx]
         ints[pos : pos + len(lhs)] = rhs
         steps += 1
-        if steps > STEP_CAP:
-            raise RuntimeError("rewrite step cap exceeded; termination bug suspected")
+        if steps > cap:
+            raise StepCapExceeded(cap)
         pos = max(0, pos - max_lhs + 1)
 
 
 def nf(w: Word, system: RuleSystem) -> Word:
     """Normal form without the trace."""
-    return system.decode(nf_ints(system.encode(w), system))
+    return tuple(nf_ints(list(w), system))
 
 
 def is_normal(w: Word, system: RuleSystem) -> bool:
-    ints = system.encode(w)
-    return all(system.match_at(ints, p) is None for p in range(len(ints)))
+    return all(system.match_at(w, p) is None for p in range(len(w)))
 
 
 def equal(u: Word, v: Word, system: RuleSystem) -> bool:
@@ -329,9 +270,9 @@ def equal(u: Word, v: Word, system: RuleSystem) -> bool:
     return nf(u, system) == nf(v, system)
 
 
-def stable_signature(w: Word) -> tuple[Letter, ...]:
+def stable_signature(w: Word) -> Word:
     """The sequence of stable/outer letters of w, in order."""
-    return tuple(l for l in w.letters if l.gen.kind is not GenKind.BASE)
+    return tuple(c for c in w if c & 1)
 
 
 def is_subsequence(sub: tuple, full: tuple) -> bool:
@@ -362,19 +303,10 @@ def critical_pairs(system: RuleSystem) -> list[CriticalPair]:
                 span = min(len(l1) - d, len(l2))
                 if any(l1[d + k] != l2[k] for k in range(span)):
                     continue
-                peak = list(l1) + list(l2[len(l1) - d :])
-                left = list(r1) + peak[len(l1) :]
-                right = peak[:d] + list(r2) + peak[d + len(l2) :]
-                out.append(
-                    CriticalPair(
-                        system.decode(peak),
-                        system.decode(left),
-                        system.decode(right),
-                        id1,
-                        id2,
-                        d,
-                    )
-                )
+                peak = l1 + l2[len(l1) - d :]
+                left = r1 + peak[len(l1) :]
+                right = peak[:d] + r2 + peak[d + len(l2) :]
+                out.append(CriticalPair(peak, left, right, id1, id2, d))
     return out
 
 
@@ -389,7 +321,7 @@ class ConfluenceReport:
         return f"<local confluence: {self.pairs_checked} critical pairs, {verdict}>"
 
 
-def check_local_confluence(system: RuleSystem, max_steps: int = 100_000) -> ConfluenceReport:
+def check_local_confluence(system: RuleSystem) -> ConfluenceReport:
     """Normalize both reducts of every critical pair; termination is
     certified per trace, so joinability everywhere gives global confluence
     by Newman's lemma."""
@@ -402,11 +334,17 @@ def check_local_confluence(system: RuleSystem, max_steps: int = 100_000) -> Conf
 
 
 def random_word(rng: random.Random, system: RuleSystem, max_len: int) -> Word:
-    """Uniform letters with sign over base+stable; unreduced on purpose."""
-    n_codes = system.n_base + system.n_stable
-    length = rng.randint(1, max_len)
-    ints = [rng.choice((1, -1)) * rng.randint(1, n_codes) for _ in range(length)]
-    return system.decode(ints)
+    """Uniform letters with sign over base+stable; unreduced on purpose.
+
+    Draws a sign, then k in 1..B+S standing for y_k (k <= B) or x_{k-B}."""
+    a = system.presentation.alphabet
+    n_base = len(a.base_names)
+    n_codes = n_base + len(a.stable_names)
+    out = []
+    for _ in range(rng.randint(1, max_len)):
+        sign, k = rng.choice((1, -1)), rng.randint(1, n_codes)
+        out.append(sign * (base_gen(k) if k <= n_base else stable_gen(k - n_base)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -1,160 +1,70 @@
 """Free-monoid and free-group word algebra over a split alphabet.
 
-Letters come in three classes: base letters (written ``y1, y2, ...`` by
+There are three classes of letters: base letters (written ``y1, y2, ...`` by
 default), stable letters (``x1, x2, ...``) and an optional outer letter
-(``t``).  Words are plain letter sequences; ``reduced`` is a checkable
-property, not a hidden normalization, because the rewriting engine operates
-on the free monoid and must be able to represent unreduced intermediates.
+(``t``).  A word is a plain tuple of signed ints, one per letter, in one code
+that needs no alphabet and carries the letter's class:
+
+    y_i -> 2i,   x_i -> 2i + 1,   t -> 1,   inverse letter -> negation.
+
+So a letter is a base letter iff its code is even, and ``abs(c)`` is its
+generator.  ``reduced`` is a checkable property, not a hidden normalization,
+because the rewriting engine operates on the free monoid and must be able to
+represent unreduced intermediates; ``u + v`` is the literal (monoid)
+product.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
+
+Word = tuple[int, ...]
+
+OUTER = 1
+EPSILON: Word = ()
 
 
-class GenKind(Enum):
-    BASE = "base"
-    STABLE = "stable"
-    OUTER = "outer"
+def base_gen(i: int) -> int:
+    return 2 * i
 
 
-@dataclass(frozen=True, order=True)
-class Gen:
-    """A generator symbol: class plus 1-based index (outer admits index 1 only)."""
+def stable_gen(i: int) -> int:
+    return 2 * i + 1
 
-    kind: GenKind
-    index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.index}")
-        if self.kind is GenKind.OUTER and self.index != 1:
-            raise ValueError("outer letter admits only index 1")
+def is_base(c: int) -> bool:
+    """Whether a letter (of either sign) is a base letter."""
+    return not c & 1
 
-    @property
-    def name(self) -> str:
-        """Default symbol name: y<i> / x<i> / t."""
-        if self.kind is GenKind.BASE:
-            return f"y{self.index}"
-        if self.kind is GenKind.STABLE:
-            return f"x{self.index}"
+
+def gen_name(g: int) -> str:
+    """Default symbol name of a generator: y<i> / x<i> / t."""
+    if g == OUTER:
         return "t"
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-def base_gen(i: int) -> Gen:
-    return Gen(GenKind.BASE, i)
-
-
-def stable_gen(i: int) -> Gen:
-    return Gen(GenKind.STABLE, i)
-
-
-OUTER = Gen(GenKind.OUTER, 1)
-
-
-@dataclass(frozen=True, order=True)
-class Letter:
-    gen: Gen
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
-
-    def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
-
-    def __repr__(self) -> str:
-        return self.gen.name if self.sign == 1 else f"{self.gen.name}^-1"
-
-
-@dataclass(frozen=True)
-class Word:
-    """A finite (possibly empty) sequence of signed letters."""
-
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Word(self.letters[i])
-        return self.letters[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def is_reduced(self) -> bool:
-        return all(
-            a.gen != b.gen or a.sign != -b.sign
-            for a, b in zip(self.letters, self.letters[1:])
-        )
-
-    def gens(self) -> set[Gen]:
-        return {l.gen for l in self.letters}
-
-    def __repr__(self) -> str:
-        return format_word(self)
-
-
-EPSILON = Word()
-
-
-def word(*items: Gen | Letter | tuple[Gen, int]) -> Word:
-    """Convenience word builder: gens, letters, or (gen, sign) pairs."""
-    out = []
-    for it in items:
-        if isinstance(it, Letter):
-            out.append(it)
-        elif isinstance(it, Gen):
-            out.append(Letter(it, 1))
-        else:
-            g, s = it
-            out.append(Letter(g, s))
-    return Word(tuple(out))
-
-
-def concat(u: Word, v: Word) -> Word:
-    """Literal concatenation (monoid product); not reduced."""
-    return Word(u.letters + v.letters)
+    return f"{'x' if g & 1 else 'y'}{g >> 1}"
 
 
 def invert(w: Word) -> Word:
-    """Letter-reversed, sign-flipped word; concat(w, invert(w)) reduces to 1."""
-    return Word(tuple(l.inverse() for l in reversed(w.letters)))
+    """Reversed, sign-flipped word; w + invert(w) reduces to 1."""
+    return tuple(-c for c in reversed(w))
 
 
-def free_reduce(w: Word) -> Word:
+def free_reduce(w: Iterable[int]) -> Word:
     """The unique reduced word freely equal to w (classical cancellation)."""
-    stack: list[Letter] = []
-    for l in w.letters:
-        if stack and stack[-1].gen == l.gen and stack[-1].sign == -l.sign:
+    stack: list[int] = []
+    for c in w:
+        if stack and stack[-1] == -c:
             stack.pop()
         else:
-            stack.append(l)
-    return Word(tuple(stack))
+            stack.append(c)
+    return tuple(stack)
 
 
 def conjugate(a: Word, b: Word) -> Word:
     """a^b := b^-1 a b, freely reduced."""
-    return free_reduce(concat(concat(invert(b), a), b))
+    return free_reduce(invert(b) + a + b)
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -163,42 +73,36 @@ def commutator(a: Word, b: Word) -> Word:
     With this convention and a^b = b^-1 a b one has the free identity
     [b, a] * (a b) = b a, exercised by the test suite.
     """
-    return free_reduce(concat(concat(a, b), concat(invert(a), invert(b))))
+    return free_reduce(a + b + invert(a) + invert(b))
 
 
-def exp_sum(w: Word, g: Gen) -> int:
+def exp_sum(w: Word, g: int) -> int:
     """Signed count of occurrences of g in w.
 
     Invariant under free reduction, and under every relation of the
     presentations built here (all relators have zero exponent sum in every
     generator), hence well-defined on group elements.
     """
-    return sum(l.sign for l in w.letters if l.gen == g)
-
-
-def project(w: Word, keep: Iterable[GenKind]) -> Word:
-    """Delete letters outside the kept classes, then freely reduce."""
-    kinds = set(keep)
-    return free_reduce(Word(tuple(l for l in w.letters if l.gen.kind in kinds)))
+    return w.count(g) - w.count(-g)
 
 
 def project_stable(w: Word) -> Word:
-    """pi_X: keep stable and outer letters."""
-    return project(w, (GenKind.STABLE, GenKind.OUTER))
+    """pi_X: keep stable and outer letters (the odd codes), then freely reduce."""
+    return free_reduce(c for c in w if c & 1)
 
 
 def project_base(w: Word) -> Word:
-    """pi_Y: keep base letters."""
-    return project(w, (GenKind.BASE,))
+    """pi_Y: keep base letters, then freely reduce."""
+    return free_reduce(c for c in w if not c & 1)
 
 
 class MissingImageError(KeyError):
-    def __init__(self, gen: Gen):
-        super().__init__(gen.name)
+    def __init__(self, gen: int):
+        super().__init__(gen_name(gen))
         self.gen = gen
 
     def __str__(self) -> str:
-        return f"generator map has no image for {self.gen.name}"
+        return f"generator map has no image for {gen_name(self.gen)}"
 
 
 @dataclass(frozen=True)
@@ -209,38 +113,34 @@ class GeneratorMap:
     letters raise MissingImageError.
     """
 
-    images: dict[Gen, Word] = field(default_factory=dict)
+    images: dict[int, Word] = field(default_factory=dict)
 
-    def image(self, g: Gen) -> Word:
+    def image(self, g: int) -> Word:
         try:
             return self.images[g]
         except KeyError:
-            if g.kind is GenKind.OUTER:
-                return Word((Letter(g, 1),))
+            if g == OUTER:
+                return (OUTER,)
             raise MissingImageError(g) from None
 
     def apply(self, w: Word) -> Word:
-        """Substitute images (inverted for sign -1 letters), then freely reduce."""
-        parts: list[Letter] = []
-        for l in w.letters:
-            img = self.image(l.gen)
-            parts.extend(img.letters if l.sign == 1 else invert(img).letters)
-        return free_reduce(Word(tuple(parts)))
+        """Substitute images (inverted for inverse letters), then freely reduce."""
+        parts: list[int] = []
+        for c in w:
+            img = self.image(abs(c))
+            parts.extend(img if c > 0 else invert(img))
+        return free_reduce(parts)
 
     def then(self, after: "GeneratorMap") -> "GeneratorMap":
         """Composite map: first self, then after (apply = after.apply . self.apply)."""
         return GeneratorMap({g: after.apply(w) for g, w in self.images.items()})
 
-    def gens(self) -> set[Gen]:
+    def gens(self) -> set[int]:
         return set(self.images)
 
 
-def identity_map(gens: Iterable[Gen]) -> GeneratorMap:
-    return GeneratorMap({g: Word((Letter(g, 1),)) for g in gens})
-
-
-def apply_generator_map(m: GeneratorMap, w: Word) -> GeneratorMap | Word:
-    return m.apply(w)
+def identity_map(gens: Iterable[int]) -> GeneratorMap:
+    return GeneratorMap({g: (g,) for g in gens})
 
 
 # ---------------------------------------------------------------------------
@@ -262,27 +162,26 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Name table binding identifier spellings to generators."""
+    """Name table binding identifier spellings to generator codes."""
 
     base_names: tuple[str, ...]
     stable_names: tuple[str, ...]
     outer_name: str | None = None
 
     def __post_init__(self) -> None:
-        seen: dict[str, Gen] = {}
-        for i, n in enumerate(self.base_names, 1):
-            seen[n] = base_gen(i)
-        for i, n in enumerate(self.stable_names, 1):
-            if n in seen:
-                raise ValueError(f"duplicate generator name {n!r}")
-            seen[n] = stable_gen(i)
+        by_code = {base_gen(i): n for i, n in enumerate(self.base_names, 1)}
+        by_code.update((stable_gen(i), n) for i, n in enumerate(self.stable_names, 1))
         if self.outer_name is not None:
-            if self.outer_name in seen:
-                raise ValueError(f"duplicate generator name {self.outer_name!r}")
-            seen[self.outer_name] = OUTER
-        object.__setattr__(self, "_by_name", seen)
+            by_code[OUTER] = self.outer_name
+        by_name: dict[str, int] = {}
+        for g, n in by_code.items():
+            if n in by_name and not is_base(g):
+                raise ValueError(f"duplicate generator name {n!r}")
+            by_name[n] = g
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_code", by_code)
 
-    def gen(self, name: str) -> Gen:
+    def gen(self, name: str) -> int:
         try:
             return self._by_name[name]  # type: ignore[attr-defined]
         except KeyError:
@@ -291,21 +190,14 @@ class Alphabet:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name  # type: ignore[attr-defined]
 
-    def name(self, g: Gen) -> str:
-        if g.kind is GenKind.BASE and g.index <= len(self.base_names):
-            return self.base_names[g.index - 1]
-        if g.kind is GenKind.STABLE and g.index <= len(self.stable_names):
-            return self.stable_names[g.index - 1]
-        if g.kind is GenKind.OUTER and self.outer_name is not None:
-            return self.outer_name
-        raise KeyError(f"generator {g} not in alphabet")
+    def name(self, g: int) -> str:
+        try:
+            return self._by_code[g]  # type: ignore[attr-defined]
+        except KeyError:
+            raise KeyError(f"generator {gen_name(g)} not in alphabet") from None
 
-    def all_gens(self) -> list[Gen]:
-        out = [base_gen(i) for i in range(1, len(self.base_names) + 1)]
-        out += [stable_gen(i) for i in range(1, len(self.stable_names) + 1)]
-        if self.outer_name is not None:
-            out.append(OUTER)
-        return out
+    def all_gens(self) -> list[int]:
+        return list(self._by_code)  # type: ignore[attr-defined]
 
 
 def default_alphabet(n_base: int, n_stable: int, outer: bool = False) -> Alphabet:
@@ -323,7 +215,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         return EPSILON
     if not stripped:
         raise WordSyntaxError("empty word (write 1 for the identity)", 1)
-    letters: list[Letter] = []
+    letters: list[int] = []
     # token boundaries: whitespace or '*', both pure separators
     for m in re.finditer(r"[^\s*]+", text):
         tok, col = m.group(0), m.start() + 1
@@ -337,24 +229,23 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         exp = int(tm.group("exp")) if tm.group("exp") else 1
         if exp == 0:
             raise WordSyntaxError("zero exponent not allowed", col)
-        sign = 1 if exp > 0 else -1
-        letters.extend(Letter(g, sign) for _ in range(abs(exp)))
-    return Word(tuple(letters))
+        letters.extend([g if exp > 0 else -g] * abs(exp))
+    return tuple(letters)
 
 
 def format_word(w: Word, alphabet: Alphabet | None = None) -> str:
-    """Print a word in the grammar; runs of one generator collapse to powers."""
-    if not w.letters:
+    """Print a word in the grammar; runs of one letter collapse to powers."""
+    if not w:
         return "1"
+    name = gen_name if alphabet is None else alphabet.name
     out: list[str] = []
     i = 0
-    while i < len(w.letters):
-        l = w.letters[i]
+    while i < len(w):
+        c = w[i]
         j = i
-        while j < len(w.letters) and w.letters[j] == l:
+        while j < len(w) and w[j] == c:
             j += 1
-        name = alphabet.name(l.gen) if alphabet is not None else l.gen.name
-        exp = (j - i) * l.sign
-        out.append(name if exp == 1 else f"{name}^{exp}")
+        exp = j - i if c > 0 else i - j
+        out.append(name(abs(c)) if exp == 1 else f"{name(abs(c))}^{exp}")
         i = j
     return " ".join(out)

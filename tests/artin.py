@@ -7,13 +7,14 @@ y_i = A_{i,n}, t = A_{n,n+1} with A_{i,j} built from the s_k, composed as
 automorphisms, and compared with the identity.  Faithfulness makes this an
 exact triviality oracle, with none of the package's rewriting machinery
 involved: reduction here is plain integer-tuple cancellation.
+
+Input words are read in the package's letter code: y_i = 2i, x_i = 2i + 1,
+t = 1, an inverse letter negated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-from hnnfree.words import GenKind, Word
 
 
 def _red(w):
@@ -95,25 +96,25 @@ def _aij_tables(n: int):
     return a_pos, a_neg, identity
 
 
-def artin_auto(w: Word, n: int) -> Auto:
+def artin_auto(w: tuple[int, ...], n: int) -> Auto:
     """Evaluate a rank-n layer word to its automorphism of F_{n+1}."""
     a_pos, a_neg, identity = _aij_tables(n)
     out = identity
-    for l in w:
-        g = l.gen
-        if g.kind is GenKind.OUTER:
+    for c in w:
+        g = abs(c)
+        if g == 1:
             key = (n, n + 1)
-        elif g.kind is GenKind.STABLE:
-            key = (g.index, n + 1)
+        elif g % 2:
+            key = (g // 2, n + 1)
         else:
-            key = (g.index, n)
-        out = out.then(a_pos[key] if l.sign == 1 else a_neg[key])
+            key = (g // 2, n)
+        out = out.then(a_pos[key] if c > 0 else a_neg[key])
     return out
 
 
-def artin_trivial(w: Word, n: int) -> bool:
+def artin_trivial(w: tuple[int, ...], n: int) -> bool:
     return artin_auto(w, n).is_identity()
 
 
-def artin_equal(u: Word, v: Word, n: int) -> bool:
+def artin_equal(u: tuple[int, ...], v: tuple[int, ...], n: int) -> bool:
     return artin_auto(u, n) == artin_auto(v, n)

@@ -41,15 +41,11 @@ from hnnfree.rewrite import (
     stable_signature,
 )
 from hnnfree.words import (
-    Letter,
     OUTER,
-    Word,
     base_gen,
-    concat,
     format_word,
     free_reduce,
     stable_gen,
-    word,
 )
 
 HANDMADE = """\
@@ -76,7 +72,7 @@ def test_criterion_01_confluence_certification():
     for r in compile_rules(gn(3)):
         if not corrupted and r.kind == 3 and len(r.rhs) > 2:
             rules.append(RewriteRule(r.kind, r.rule_id, r.lhs,
-                                     Word(r.rhs.letters[:-1]), r.stable, r.assoc_index))
+                                     r.rhs[:-1], r.stable, r.assoc_index))
             corrupted = True
         else:
             rules.append(r)
@@ -134,11 +130,10 @@ def test_criterion_05_free_group_degeneration():
         assert nf(w, S2) == free_reduce(w)
     S5 = RuleSystem(gn(5))
     for _ in range(10_000):
-        letters = tuple(
-            Letter(base_gen(rng.randint(1, 4)), rng.choice((1, -1)))
+        w = tuple(
+            base_gen(rng.randint(1, 4)) * rng.choice((1, -1))
             for _ in range(rng.randint(1, 40))
         )
-        w = Word(letters)
         assert nf(w, S5) == free_reduce(w)
     print("criterion 05: PASS - normal form equals classical free reduction on "
           "gn(2) and on base-only words in gn(5)")
@@ -225,7 +220,7 @@ def test_criterion_08_certificate_oracle_coupling():
                 SubgroupSpec(f"W{i}", (w,), frozenset({stable_gen(i)}))
                 for i, w in enumerate(ws, start=1)
             ]
-            specs.append(SubgroupSpec("T", (word(OUTER),), frozenset({OUTER})))
+            specs.append(SubgroupSpec("T", ((OUTER,),), frozenset({OUTER})))
             instances.append((f"n={n} <{', '.join(texts)}, t>", ext, specs,
                               RuleSystem(ext.base)))
 
@@ -250,9 +245,9 @@ def test_criterion_09_projection_and_orbit_fixtures():
     gn3 = gn(3)
     phi3 = p2(3).phi
     for i in (1, 2):
-        cert = orbit_intersection_certificate(phi3, word(stable_gen(i)), gn3)
+        cert = orbit_intersection_certificate(phi3, (stable_gen(i),), gn3)
         assert cert.verdict == "certified"
-    assert orbit_intersection_certificate(phi3, word(base_gen(1)), gn3).verdict == "refuted"
+    assert orbit_intersection_certificate(phi3, (base_gen(1),), gn3).verdict == "refuted"
     ext2 = p2(2)
     x1 = ext2.parse("x1")
     gens = tuple(phi_power(ext2, x1, k) for k in range(-3, 4))
@@ -268,7 +263,7 @@ def test_criterion_10_rank_two_center():
     ext = p2(2)
     z = ext.parse("y1 x1 t")
     for g in ("x1", "y1", "t"):
-        u, v = concat(z, ext.parse(g)), concat(ext.parse(g), z)
+        u, v = z + ext.parse(g), ext.parse(g) + z
         assert semidirect_equal(ext, u, v), f"z does not commute with {g}"
     print("criterion 10: PASS - y1 x1 t commutes with both generators and t "
           "in the rank-two layer")

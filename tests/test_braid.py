@@ -22,21 +22,19 @@ from hnnfree.braid import (
 )
 from hnnfree.pingpong import Bounds
 from hnnfree.presentation import SemidirectExtension, gn, p2
+from hnnfree.rewrite import RuleSystem, nf
 from hnnfree.words import (
     EPSILON,
-    Letter,
     GeneratorMap,
     Word,
     base_gen,
     commutator,
-    concat,
     conjugate,
     exp_sum,
     format_word,
     free_reduce,
     invert,
     stable_gen,
-    word,
     OUTER,
 )
 
@@ -46,18 +44,17 @@ E2, E3, E4 = p2(2), p2(3), p2(4)
 def rand_braid(rng: random.Random, ext, max_len: int) -> Word:
     a = ext.alphabet
     names = a.base_names + a.stable_names + ("t",)
-    letters = tuple(
-        Letter(a.gen(rng.choice(names)), rng.choice((1, -1)))
+    return tuple(
+        a.gen(rng.choice(names)) * rng.choice((1, -1))
         for _ in range(rng.randint(1, max_len))
     )
-    return Word(letters)
 
 
 def as_word(e) -> Word:
     out = e.g
     step = T_WORD if e.k > 0 else invert(T_WORD)
     for _ in range(abs(e.k)):
-        out = concat(out, step)
+        out = out + step
     return out
 
 
@@ -116,9 +113,8 @@ def test_push_is_multiplicative_over_free_base(seed):
     # test below), but they always stay equal as group elements
     rng = random.Random(seed)
     u, v = rand_braid(rng, E2, 8), rand_braid(rng, E2, 8)
-    lhs = semidirect_nf(E2, concat(u, v))
-    rhs = semidirect_nf(E2, concat(as_word(semidirect_nf(E2, u)),
-                                   as_word(semidirect_nf(E2, v))))
+    lhs = semidirect_nf(E2, u + v)
+    rhs = semidirect_nf(E2, as_word(semidirect_nf(E2, u)) + as_word(semidirect_nf(E2, v)))
     assert lhs == rhs
 
 
@@ -127,9 +123,9 @@ def test_push_respects_group_multiplication(seed):
     rng = random.Random(seed)
     u, v = rand_braid(rng, E3, 8), rand_braid(rng, E3, 8)
     lhs, rhs = semidirect_nf(E3, u), semidirect_nf(E3, v)
-    assert lhs.k + rhs.k == exp_sum(concat(u, v), OUTER)
-    rebuilt = concat(as_word(lhs), as_word(rhs))
-    assert braid_equal(E3, concat(u, v), rebuilt)
+    assert lhs.k + rhs.k == exp_sum(u + v, OUTER)
+    rebuilt = as_word(lhs) + as_word(rhs)
+    assert braid_equal(E3, u + v, rebuilt)
 
 
 def test_push_identity_is_sound():
@@ -158,7 +154,7 @@ def test_push_misses_a_trivial_word_from_rank_three_on():
 def test_center_of_rank_two_layer():
     z = E2.parse("y1 x1 t")
     for g in ("x1", "y1", "t"):
-        u, v = concat(z, E2.parse(g)), concat(E2.parse(g), z)
+        u, v = z + E2.parse(g), E2.parse(g) + z
         assert semidirect_equal(E2, u, v)
         assert braid_equal(E2, u, v)
 
@@ -196,10 +192,10 @@ def test_split_equality_matches_artin():
     rels = [e.relator for e in verify_braid_relations(3).entries]
     for _ in range(30):
         u = rand_braid(rng, E3, 8)
-        v = concat(u, conjugate(rng.choice(rels), rand_braid(rng, E3, 4)))
+        v = u + conjugate(rng.choice(rels), rand_braid(rng, E3, 4))
         assert braid_equal(E3, u, v)
         assert artin_equal(u, v, 3)
-        shifted = concat(u, word(stable_gen(1)))
+        shifted = u + (stable_gen(1),)
         assert not braid_equal(E3, u, shifted)
         assert not artin_equal(u, shifted, 3)
 
@@ -225,8 +221,8 @@ def test_extension_report_fails_from_rank_three():
 
 def test_extension_negative_control():
     base = gn(2)
-    phi_bad = GeneratorMap({base_gen(1): word(base_gen(1), stable_gen(1)),
-                            stable_gen(1): word(stable_gen(1))})
+    phi_bad = GeneratorMap({base_gen(1): (base_gen(1), stable_gen(1)),
+                            stable_gen(1): (stable_gen(1),)})
     rep = verify_extension(SemidirectExtension(base, phi_bad, E2.phi_inv))
     assert not rep.ok
     assert any(c.name == "maps_mutually_inverse" and not c.ok for c in rep.checks)
@@ -257,6 +253,16 @@ def test_relations_rank_four_split_set():
     assert rep.ok and not rep.all_push
     settled = sorted(e.label() for e in rep.entries if e.settled_by == "split")
     assert settled == ["R3(i=2, j=1)", "R3(i=3, j=1)", "R3(i=3, j=2)"]
+
+
+def test_rank_three_kernel_witness():
+    # the R3 push remainder is trivial in the braid layer, yet its normal form
+    # in gn(3) is nonempty: the map from gn(3) to the braid layer is not
+    # injective, which is why criterion 06 cannot hold from rank 3 on
+    text = "y1^-1 x2 x1^-1 y1 x1 x2^-1 x1^-1 y1^-1 x1 y1"
+    assert nf(gn(3).parse(text), RuleSystem(gn(3)))
+    assert artin_trivial(E3.parse(text), 3)
+    assert braid_trivial(E3, E3.parse(text))
 
 
 def test_relations_confirmed_by_artin():

@@ -1,5 +1,6 @@
 import json
 
+import hnnfree.rewrite
 from hnnfree.cli import main
 
 FILE_TEXT = """\
@@ -9,6 +10,14 @@ stable x1 x2
 rel x1 : y1 ^ y2 y3 = y1 ^ y3 y2
 rel x1 : y2 ^ y3^-1 y1 = y2 ^ y1 y3
 rel x2 : y3 ^ y1 y1 = y3 ^ y2^-1 y1
+"""
+
+# a non-confluent system: the second association's lhs extends the first's
+NESTED = """\
+base y1 x1
+stable s
+rel s : y1 ^ x1^-1 y1^-1 = y1 ^ x1
+rel s : x1 ^ y1^-1 = x1 ^ y1 x1
 """
 
 
@@ -32,6 +41,10 @@ def test_nf_trace(capsys):
     assert "initial: x2 y2^-1 y1" in out
     assert "final: y2^-1 y1 y2 x2 y2^-1" in out
     assert "nu=" in out and "rule=" in out
+    # a one-coordinate nu prints without a trailing comma
+    code, out, _ = run(capsys, "nf", "--preset", "gn", "3", "--trace", "y1 y1^-1 y2")
+    assert code == 0
+    assert out == "initial: y1 y1^-1 y2\n#1 pos=0 rule=1/0 nu=(1)\nfinal: y2\n"
 
 
 def test_nf_json_is_stable(capsys):
@@ -70,11 +83,18 @@ def test_confluence_critical_pairs(capsys):
     assert "24 checked: all joinable" in out
 
 
-def test_confluence_random_probe(capsys):
+def test_confluence_random_probe(tmp_path, capsys):
     code, out, _ = run(capsys, "confluence", "--preset", "gn", "3",
                        "--random", "--seed", "5", "--trials", "40")
     assert code == 0
     assert "random probe: 40 trials" in out
+    # the failure counts pin the letters random_word draws for each seed
+    path = tmp_path / "nested.txt"
+    path.write_text(NESTED)
+    for seed, failures in (("0", 8), ("1", 5), ("2", 11)):
+        code, out, _ = run(capsys, "confluence", "--file", str(path), "--random", "--seed", seed)
+        assert code == 1
+        assert out == f"random probe: 200 trials x 5 strategies: {failures} failures\n"
 
 
 def test_file_source(tmp_path, capsys):
@@ -281,6 +301,17 @@ def test_presentation_file_error_carries_line(tmp_path, capsys):
     code, _, err = run(capsys, "rules", "--file", str(path))
     assert code == 2
     assert "line 3" in err
+
+
+def test_step_cap_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 10)
+    for argv in (("nf", "--preset", "gn", "3", "x1^20 y2^20"),
+                 ("nf", "--preset", "gn", "3", "--strategy", "random", "x1^20 y2^20"),
+                 ("eq", "--preset", "gn", "3", "x1^20 y2^20", "y2^20 x1^20")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "inconclusive: rewrite step cap 10 exceeded; termination bug suspected\n"
 
 
 def test_danilevich_rejects_outer_generator(capsys):

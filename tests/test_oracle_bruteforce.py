@@ -23,12 +23,11 @@ from hnnfree.rewrite import RuleSystem, nf
 from hnnfree.words import (
     EPSILON,
     OUTER,
-    GenKind,
-    concat,
     exp_sum,
     format_word,
     free_reduce,
     invert,
+    is_base,
 )
 
 GN3 = gn(3)
@@ -56,7 +55,7 @@ def factor_list(label, gens, exp_range):
             w = EPSILON
             for i, e in runs:
                 for _ in range(abs(e)):
-                    w = concat(w, gens[i] if e > 0 else invert(gens[i]))
+                    w = w + (gens[i] if e > 0 else invert(gens[i]))
             out.append((label(runs, gens), w))
     return out
 
@@ -85,7 +84,7 @@ def brute(lists, syllables, screen, hit, max_products):
                 checked += 1
                 w = EPSILON
                 for _, f in choice:
-                    w = concat(w, f)
+                    w = w + f
                 w = free_reduce(w)
                 if any(exp_sum(w, g) for g in screen):
                     continue
@@ -161,11 +160,11 @@ def test_bounded_intersection_probe_matches_brute_force(name):
     texts, max_len = PROBE_CASES[name]
     spec = gn3_spec("P", *texts)
     lists = [factor_list(spec_label("P"), spec.generators, max_len)]
-    screen = [g for g in ALL_GN3 if g.kind is not GenKind.BASE]
+    screen = [g for g in ALL_GN3 if not is_base(g)]
 
     def hit(w):
         v = nf(w, S3)
-        return bool(v) and all(l.gen.kind is GenKind.BASE for l in v)
+        return bool(v) and all(is_base(c) for c in v)
 
     full = brute(lists, 1, screen, hit, None)
     for b in budgets(full):

@@ -25,12 +25,10 @@ from hnnfree.words import (
     GeneratorMap,
     OUTER,
     base_gen,
-    concat,
     exp_sum,
     format_word,
     free_reduce,
     stable_gen,
-    word,
 )
 
 GN3 = gn(3)
@@ -94,9 +92,9 @@ def test_phi_descends():
 
 def test_identity_descends_and_shift_does_not():
     gens = GN3.base_gens + GN3.stable_gens
-    ident = GeneratorMap({g: word(g) for g in gens})
+    ident = GeneratorMap({g: (g,) for g in gens})
     assert descends_to_identity(ident, GN3)
-    shifted = GeneratorMap({**{g: word(g) for g in gens},
+    shifted = GeneratorMap({**{g: (g,) for g in gens},
                             stable_gen(1): w3("x1 x2")})
     assert not descends_to_identity(shifted, GN3)
 
@@ -108,8 +106,8 @@ def test_descends_needs_two_sided_match():
 
     alphabet = Alphabet(("y1", "y2"), ("x1",))
     p = HnnPresentation(alphabet, {stable_gen(1): (
-        Association(base_gen(1), EPSILON, word(base_gen(2))),)})
-    ident = GeneratorMap({g: word(g) for g in p.base_gens + p.stable_gens})
+        Association(base_gen(1), EPSILON, (base_gen(2),)),)})
+    ident = GeneratorMap({g: (g,) for g in p.base_gens + p.stable_gens})
     with pytest.raises(ValueError):
         descends_to_identity(ident, p)
 

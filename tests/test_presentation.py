@@ -21,7 +21,6 @@ from hnnfree.words import (
     free_reduce,
     parse_word,
     stable_gen,
-    word,
 )
 
 
@@ -41,7 +40,7 @@ def test_gn3_associations():
     assert p.associations(x1) == (Association(base_gen(2), EPSILON, EPSILON),)
     (a,) = p.associations(x2)
     assert a.y == base_gen(1)
-    assert a.w == a.v == word(base_gen(2))
+    assert a.w == a.v == (base_gen(2),)
 
 
 def test_gn_validates_up_to_6():
@@ -73,7 +72,7 @@ def test_validate_footnote_condition():
 
 def test_validate_conjugator_letters():
     bad = _presentation_with(
-        Association(base_gen(1), word(stable_gen(1)), EPSILON)
+        Association(base_gen(1), (stable_gen(1),), EPSILON)
     )
     assert any("base letters" in v or "F(Y)" in v for v in validate(bad))
 
@@ -83,6 +82,9 @@ def test_validate_duplicate_y():
     a = Association(base_gen(1), EPSILON, EPSILON)
     p = HnnPresentation(alphabet, {stable_gen(1): (a, a)})
     assert any("duplicate" in v for v in validate(p))
+    # generators are named by their default names, whatever the alphabet
+    named = HnnPresentation(Alphabet(("a", "b"), ("p",)), {stable_gen(1): (a, a)})
+    assert validate(named) == ["x1:y1: duplicate base generator for x1"]
 
 
 def test_validate_unreduced_conjugator():
@@ -106,8 +108,8 @@ def test_gn3_rule_shapes():
     p = gn(3)
     rules = compile_rules(p)
     fmt = lambda r: (
-        " ".join(p.alphabet.name(l.gen) + ("" if l.sign == 1 else "^-1") for l in r.lhs),
-        " ".join(p.alphabet.name(l.gen) + ("" if l.sign == 1 else "^-1") for l in r.rhs),
+        " ".join(p.alphabet.name(abs(c)) + ("" if c > 0 else "^-1") for c in r.lhs),
+        " ".join(p.alphabet.name(abs(c)) + ("" if c > 0 else "^-1") for c in r.rhs),
     )
     table = {fmt(r) for r in rules if r.kind in (3, 4)}
     assert ("x1 y2", "y2 x1") in table
@@ -149,8 +151,8 @@ def test_p2_maps_mutually_inverse_freely():
     for n in (2, 3, 5):
         ext = p2(n)
         for g in ext.base.base_gens + ext.base.stable_gens:
-            assert ext.phi.apply(ext.phi_inv.apply(word(g))) == word(g)
-            assert ext.phi_inv.apply(ext.phi.apply(word(g))) == word(g)
+            assert ext.phi.apply(ext.phi_inv.apply((g,))) == (g,)
+            assert ext.phi_inv.apply(ext.phi.apply((g,))) == (g,)
 
 
 def test_p2_alphabet_has_outer():
@@ -173,7 +175,7 @@ def test_relators_shape():
     p = gn(3)
     rels = relators(p)
     assert len(rels) == 2
-    texts = {" ".join(p.alphabet.name(l.gen) + ("" if l.sign == 1 else "^-1") for l in r)
+    texts = {" ".join(p.alphabet.name(abs(c)) + ("" if c > 0 else "^-1") for c in r)
              for r in rels}
     # each association (y, w, v) of x becomes the relator x^-1 (y^w) x (y^v)^-1
     assert "x1^-1 y2 x1 y2^-1" in texts
@@ -206,7 +208,7 @@ def test_parse_presentation_association_example():
     p = parse_presentation("base y1 y2\nstable x2\nrel x2 : y1 ^ y2 = y1 ^ y2\n")
     (a,) = p.associations(stable_gen(1))
     assert a.y == base_gen(1)
-    assert a.w == a.v == word(base_gen(2))
+    assert a.w == a.v == (base_gen(2),)
 
 
 def test_parse_presentation_presets():
