@@ -50,7 +50,7 @@ from .rewrite import (
     StepCapExceeded,
     check_local_confluence,
     equal,
-    nf,
+    nf_steps,
     normal_form,
     random_confluence_probe,
 )
@@ -120,8 +120,10 @@ def _require_extension(src) -> SemidirectExtension:
 def _parse(text: str, src) -> Word:
     """Parse a word; under a p2 source A{i}_{j} braid names are accepted."""
     if isinstance(src, SemidirectExtension):
-        text = resolve_braid_names(text, src.rank)
-        return parse_word(text, src.alphabet)
+        try:
+            text = resolve_braid_names(text, src.rank)
+        except ValueError as e:
+            raise CliError(str(e))
     return parse_word(text, src.alphabet)
 
 
@@ -169,15 +171,17 @@ def _cmd_nf(args) -> int:
     p, alphabet = _base_and_alphabet(src)
     system = RuleSystem(p)
     w = _parse(args.word, src)
-    result, trace = normal_form(w, system, strategy=args.strategy, seed=args.seed)
-    text = format_word(result, alphabet)
-    if args.trace:
-        text = trace.render(alphabet)
+    if args.trace or args.strategy != "leftmost":
+        result, trace = normal_form(w, system, strategy=args.strategy, seed=args.seed)
+        steps = len(trace)
+    else:
+        result, steps = nf_steps(w, system)
+    text = trace.render(alphabet) if args.trace else format_word(result, alphabet)
     _emit(args, text, {
         "command": "nf",
         "input": format_word(w, alphabet),
         "normal_form": format_word(result, alphabet),
-        "steps": len(trace.entries),
+        "steps": steps,
     })
     return EXIT_PASS
 

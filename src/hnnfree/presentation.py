@@ -264,10 +264,11 @@ def parse_presentation(text: str) -> HnnPresentation | SemidirectExtension:
             if n < 2:
                 raise PresentationSyntaxError("preset requires n >= 2", lineno)
             return gn(n) if ws[1] == "gn" else p2(n)
-        elif ws[0] == "base":
-            base_names.extend(ws[1:])
-        elif ws[0] == "stable":
-            stable_names.extend(ws[1:])
+        elif ws[0] in ("base", "stable"):
+            for name in ws[1:]:
+                if name in base_names or name in stable_names:
+                    raise PresentationSyntaxError(f"duplicate generator name {name!r}", lineno)
+                (base_names if ws[0] == "base" else stable_names).append(name)
         elif ws[0] == "rel":
             rel_lines.append((lineno, line[3:].strip()))
         else:

@@ -1,10 +1,11 @@
 """String rewriting engine: redex search, normal forms with traces, the
 nu-vector termination order, and confluence checking.
 
-Words are tuples of signed ints in the code of the words module; the engine
-rewrites them in place as lists.  The deterministic strategy is leftmost
-position, then smallest rule kind, then smallest rule id; confluence is
-machine-checked per rule system, so results do not depend on the strategy.
+Words are tuples of signed ints in the code of the words module.  The
+deterministic strategy is leftmost position, then smallest rule kind, then
+smallest rule id; one stack engine (_leftmost) runs it for every normal form,
+traced or not.  Confluence is machine-checked per rule system, so results do
+not depend on the strategy.
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ def nu_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 class RuleSystem:
     """A compiled rule set with its match indexes.
 
-    Rules are bucketed by the first letter of their lhs; compile order makes
-    bucket order equal (kind, id) order.
+    Rules are bucketed by the first letter of their lhs for `match_at`;
+    compile order makes bucket order equal (kind, id) order.  The leftmost
+    engine uses an lhs index instead: each distinct lhs maps to its first
+    rule, and each last letter to the lhs lengths ending in it, longest
+    first.
     """
 
     def __init__(self, presentation: HnnPresentation, rules: list[RewriteRule] | None = None):
@@ -56,9 +60,20 @@ class RuleSystem:
         self.rules = compile_rules(presentation) if rules is None else list(rules)
         self._rl = [(r.lhs, r.rhs, r.kind, r.rule_id) for r in self.rules]
         self._by_first: dict[int, list[int]] = {}
+        self._lhs_index: dict[Word, int] = {}
+        ends: dict[int, set[int]] = {}
         for idx, (lhs, _, _, _) in enumerate(self._rl):
             self._by_first.setdefault(lhs[0], []).append(idx)
-        self.max_lhs = max((len(lhs) for lhs, _, _, _ in self._rl), default=1)
+            self._lhs_index.setdefault(lhs, idx)
+            ends.setdefault(lhs[-1], set()).add(len(lhs))
+        self._ends = {c: sorted(ms, reverse=True) for c, ms in ends.items()}
+        # per rule: its rhs reversed (pushed back onto the pending letters),
+        # the stable/outer letters in its lhs, and the lhs that beat it
+        wider = self._wider()
+        self._engine = [
+            (rhs[::-1], sum([c & 1 for c in lhs]), wider.get(idx, ()))
+            for idx, (lhs, rhs, _, _) in enumerate(self._rl)
+        ]
         # first letters of the non-cancellation lhs patterns; a freely reduced
         # word avoiding them all is already in normal form
         self.move_starts = frozenset(
@@ -66,6 +81,30 @@ class RuleSystem:
             for lhs, rhs, _, _ in self._rl
             if not (len(lhs) == 2 and lhs[1] == -lhs[0] and not rhs)
         )
+
+    def _wider(self) -> dict[int, list[tuple]]:
+        """For each rule, the lhs that contain its lhs at some offset d, run
+        on past its end, and win over it: they start earlier (d > 0), or at
+        the same place with a smaller index.  Entries are (d, rule index,
+        the d letters before, the letters past the end reversed, the
+        stable/outer letters up to the end), sorted by start, then index.
+
+        Found by looking up every factor of every lhs in the lhs index."""
+        out: dict[int, list[tuple]] = {}
+        index = self._lhs_index
+        sizes = {len(lhs) for lhs in index}
+        for lhs, idx2 in index.items():
+            for m in sizes:
+                for d in range(len(lhs) - m):
+                    idx = index.get(lhs[d : d + m])
+                    if idx is not None and (d or idx2 < idx):
+                        out.setdefault(idx, []).append((
+                            d, idx2, list(lhs[:d]), list(lhs[d + m :][::-1]),
+                            sum([c & 1 for c in lhs[: d + m]]),
+                        ))
+        for entries in out.values():
+            entries.sort(key=lambda e: (-e[0], e[1]))
+        return out
 
     def encode(self, w: Word) -> list[int]:
         """The mutable form the rewrite loops work on."""
@@ -167,45 +206,98 @@ def find_redexes(w: Word, system: RuleSystem) -> list[tuple[int, int]]:
     return [(pos, system._rl[idx][3]) for pos, idx in system.redexes(w)]
 
 
-def _apply_leftmost(ints: list[int], system: RuleSystem, entries: list):
-    pos = 0
-    steps = 0
+def _splice_nu(vec: list[int], prefix, start: int, j: int, lhs: Word, rhs: Word) -> None:
+    """Turn vec = nu(word) into nu of the word after one step, in place.
+
+    The step replaces lhs at start by rhs; j is the segment start lies in,
+    and prefix holds at least word[:start].  Only the segments the lhs
+    covers change."""
+    a, b = nu(lhs), list(nu(rhs))
+    p = len(a) - 1
+    if p:
+        left, right = vec[j] - a[0], vec[j + p] - a[-1]
+    else:  # the lhs lies inside one segment; split it only if rhs must
+        left = 0
+        if len(b) > 1:
+            while left < start and not prefix[start - left - 1] & 1:
+                left += 1
+        right = vec[j] - a[0] - left
+    b[0] += left
+    b[-1] += right
+    vec[j : j + p + 1] = b
+
+
+def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[int], int]:
+    """The leftmost strategy on a stack; returns the normal form and the
+    number of steps, and appends a TraceEntry per step to entries if given.
+
+    out is the irreducible prefix; the letters still to read sit reversed on
+    pending.  A new redex must end at the letter just pushed, so one lookup
+    per lhs length ending in it finds the one that starts first.  Only a
+    redex that contains it and runs on into pending can start as early, and
+    each rule lists those (RuleSystem._wider); the first that matches wins.
+    A step cuts out back to the redex start and pushes the rhs onto pending.
+    """
+    index, ends, engine, rl = system._lhs_index, system._ends, system._engine, system._rl
     cap = STEP_CAP
-    max_lhs = system.max_lhs
-    while True:
-        n = len(ints)
-        idx = None
-        while pos < n:
-            idx = system.match_at(ints, pos)
-            if idx is not None:
+    out: list[int] = []
+    pending = list(w)[::-1]
+    vec = list(nu(w)) if entries is not None else None
+    odd = steps = 0  # odd: stable/outer letters in out, the index of its last segment
+    while pending:
+        c = pending.pop()
+        out.append(c)
+        odd += c & 1
+        lengths = ends.get(c)
+        if lengths is None:
+            continue
+        top = len(out)
+        for m in lengths:
+            if m <= top:
+                idx = index.get(tuple(out[top - m :]))
+                if idx is not None:
+                    break
+        else:
+            continue
+        start = top - m
+        rrhs, n_odd, wider = engine[idx]
+        for d, idx2, head, rtail, odd2 in wider:
+            t = len(rtail)
+            if d <= start and t <= len(pending) and pending[-t:] == rtail \
+                    and out[start - d : start] == head:
+                start, idx, n_odd = start - d, idx2, odd2
+                rrhs = engine[idx2][0]
+                del pending[-t:]
                 break
-            pos += 1
-        if pos >= n or idx is None:
-            return
-        lhs, rhs, kind, rule_id = system._rl[idx]
-        ints[pos : pos + len(lhs)] = rhs
+        del out[start:]
+        odd -= n_odd
+        pending += rrhs
         steps += 1
         if steps > cap:
             raise StepCapExceeded(cap)
-        entries.append(TraceEntry(pos, kind, rule_id, nu(ints)))
-        # a new redex can reach at most max_lhs-1 positions left of the splice
-        pos = max(0, pos - max_lhs + 1)
+        if entries is not None:
+            lhs, rhs, kind, rule_id = rl[idx]
+            _splice_nu(vec, out, start, odd, lhs, rhs)
+            entries.append(TraceEntry(start, kind, rule_id, tuple(vec)))
+    return out, steps
 
 
 def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng):
     steps = 0
     cap = STEP_CAP
+    vec = list(nu(ints))
     while True:
         reds = system.redexes(ints)
         if not reds:
             return
         pos, idx = reds[rng.randrange(len(reds))]
         lhs, rhs, kind, rule_id = system._rl[idx]
+        _splice_nu(vec, ints, pos, sum(c & 1 for c in ints[:pos]), lhs, rhs)
         ints[pos : pos + len(lhs)] = rhs
         steps += 1
         if steps > cap:
             raise StepCapExceeded(cap)
-        entries.append(TraceEntry(pos, kind, rule_id, nu(ints)))
+        entries.append(TraceEntry(pos, kind, rule_id, tuple(vec)))
 
 
 def normal_form(
@@ -216,11 +308,11 @@ def normal_form(
 ) -> tuple[Word, RewriteTrace]:
     """Rewrite to an irreducible word; the result is strategy-independent
     because termination is per-trace certified and confluence is checked."""
-    ints = list(w)
     entries: list[TraceEntry] = []
     if strategy == "leftmost":
-        _apply_leftmost(ints, system, entries)
+        ints, _ = _leftmost(w, system, entries)
     elif strategy == "random":
+        ints = list(w)
         _apply_random(ints, system, entries, random.Random(seed))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -229,36 +321,20 @@ def normal_form(
 
 
 def nf_ints(ints: list[int], system: RuleSystem) -> list[int]:
-    """Normal form of a word given as a list, in place; returns its argument.
+    """Normal form of a word given as a list, in place; returns its argument."""
+    ints[:] = _leftmost(ints, system)[0]
+    return ints
 
-    The allocation-free variant of nf for callers that enumerate many words."""
-    pos = 0
-    max_lhs = system.max_lhs
-    match_at = system.match_at
-    rl = system._rl
-    steps = 0
-    cap = STEP_CAP
-    while True:
-        n = len(ints)
-        idx = None
-        while pos < n:
-            idx = match_at(ints, pos)
-            if idx is not None:
-                break
-            pos += 1
-        if pos >= n or idx is None:
-            return ints
-        lhs, rhs, _, _ = rl[idx]
-        ints[pos : pos + len(lhs)] = rhs
-        steps += 1
-        if steps > cap:
-            raise StepCapExceeded(cap)
-        pos = max(0, pos - max_lhs + 1)
+
+def nf_steps(w: Word, system: RuleSystem) -> tuple[Word, int]:
+    """Normal form without the trace, and the number of leftmost steps."""
+    out, steps = _leftmost(w, system)
+    return tuple(out), steps
 
 
 def nf(w: Word, system: RuleSystem) -> Word:
     """Normal form without the trace."""
-    return tuple(nf_ints(list(w), system))
+    return tuple(_leftmost(w, system)[0])
 
 
 def is_normal(w: Word, system: RuleSystem) -> bool:

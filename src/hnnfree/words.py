@@ -175,7 +175,7 @@ class Alphabet:
             by_code[OUTER] = self.outer_name
         by_name: dict[str, int] = {}
         for g, n in by_code.items():
-            if n in by_name and not is_base(g):
+            if n in by_name:
                 raise ValueError(f"duplicate generator name {n!r}")
             by_name[n] = g
         object.__setattr__(self, "_by_name", by_name)

@@ -303,6 +303,35 @@ def test_presentation_file_error_carries_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_repeated_generator_name_is_a_parse_error(tmp_path, capsys):
+    for text, msg in (("base a a\nstable s\n", "line 1: duplicate generator name 'a'"),
+                      ("base a b\nstable a\n", "line 2: duplicate generator name 'a'")):
+        path = tmp_path / "dup.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "rules", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: {msg}\n"
+
+
+def test_braid_name_outside_the_layer_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "braid-phi", "--preset", "p2", "3", "A1_2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: braid generator A1_2 lies outside the rank-3 layer\n"
+
+
+def test_untraced_nf_reports_the_traced_step_count(capsys):
+    for word in ("x1^30 y2^30", "x2 y2^-1 y1 x1 x1^-1 y2", "y1"):
+        code, out, _ = run(capsys, "nf", "--preset", "gn", "3", "--json", word)
+        assert code == 0
+        steps = json.loads(out)["steps"]
+        code, out, _ = run(capsys, "nf", "--preset", "gn", "3", "--trace", word)
+        assert code == 0
+        assert steps == len(out.splitlines()) - 2
+    assert steps == 0
+
+
 def test_step_cap_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 10)
     for argv in (("nf", "--preset", "gn", "3", "x1^20 y2^20"),

@@ -224,3 +224,13 @@ def test_parse_presentation_errors_carry_line():
         parse_presentation("stable x1\n")
     with pytest.raises(PresentationSyntaxError):
         parse_presentation("base y1\nstable x1\nrel x9 : y1 ^ 1 = y1 ^ 1\n")
+
+
+def test_parse_presentation_rejects_repeated_names():
+    for text, line in (("base a a\nstable s\n", 1),
+                       ("base a b\nstable a\n", 2),
+                       ("base a\nstable s\nbase b s\n", 3)):
+        with pytest.raises(PresentationSyntaxError) as e:
+            parse_presentation(text)
+        assert e.value.line == line
+        assert "duplicate generator name" in str(e.value)

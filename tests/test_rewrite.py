@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rescan import rescan_leftmost
 
-from hnnfree.presentation import RewriteRule, compile_rules, gn, parse_presentation
+from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_presentation
 from hnnfree.rewrite import (
     RuleSystem,
     check_local_confluence,
@@ -14,6 +15,8 @@ from hnnfree.rewrite import (
     is_normal,
     is_subsequence,
     nf,
+    nf_ints,
+    nf_steps,
     normal_form,
     nu,
     nu_less,
@@ -21,7 +24,7 @@ from hnnfree.rewrite import (
     random_word,
     stable_signature,
 )
-from hnnfree.words import EPSILON, exp_sum, free_reduce, is_base, stable_gen
+from hnnfree.words import EPSILON, base_gen, exp_sum, free_reduce, is_base, stable_gen
 
 GN3 = gn(3)
 S3 = RuleSystem(GN3)
@@ -161,10 +164,10 @@ def test_kind2_kind4_peak_joins():
         assert nf(cp.left_reduct, S3) == nf(cp.right_reduct, S3) == w3("y2^-1 y1")
 
 
-def test_corrupted_rules_not_confluent():
-    rules = compile_rules(GN3)
+def corrupted_gn3_rules():
+    """gn(3)'s rules with the rhs of the first long kind-3 rule cut short."""
     bad, corrupted = [], False
-    for r in rules:
+    for r in compile_rules(GN3):
         if not corrupted and r.kind == 3 and len(r.rhs) > 2:
             bad.append(RewriteRule(r.kind, r.rule_id, r.lhs, r.rhs[:-1],
                                    r.stable, r.assoc_index))
@@ -172,7 +175,11 @@ def test_corrupted_rules_not_confluent():
         else:
             bad.append(r)
     assert corrupted
-    report = check_local_confluence(RuleSystem(GN3, bad))
+    return bad
+
+
+def test_corrupted_rules_not_confluent():
+    report = check_local_confluence(RuleSystem(GN3, corrupted_gn3_rules()))
     assert not report.ok
     assert len(report.failures) > 0
 
@@ -271,3 +278,96 @@ def test_handmade_presentation_confluent():
     # and the engine gives stable normal forms on it
     u = p.parse("x1 y2 y3 y1 x2 y1^-1")
     assert nf(u, system) == nf(nf(u, system), system)
+
+
+# --- the leftmost stack engine against the rescanning oracle ----------------------
+
+# the first association's lhs s^-1 y1 x1 y1^{+-1} extend the second's s^-1 y1 x1
+NESTED = """\
+base y1 x1
+stable s
+rel s : y1 ^ x1^-1 y1^-1 = y1 ^ x1
+rel s : x1 ^ y1^-1 = x1 ^ y1 x1
+"""
+# the same relations in the other order, so the shorter lhs comes first
+NESTED_SWAPPED = "".join(NESTED.splitlines(keepends=True)[i] for i in (0, 1, 3, 2))
+
+
+def _toy_rules():
+    """Length-decreasing rules, so they terminate, that no presentation
+    compiles to: a base-only lhs whose rhs holds a stable letter, and an lhs
+    containing another one past its first letter."""
+    y1, y2, x1, x2 = base_gen(1), base_gen(2), stable_gen(1), stable_gen(2)
+    pairs = [((y1, -y1), ()), ((-y1, y1), ()), ((y1, y1), (x1,)), ((y1, y2), (y2,)),
+             ((x1, y1, y2, y2), (x2,)), ((x1, -x1), ())]
+    return [RewriteRule(1, i, lhs, rhs) for i, (lhs, rhs) in enumerate(pairs)]
+
+
+ENGINE_SYSTEMS = {
+    **{f"gn{n}": RuleSystem(gn(n)) for n in range(2, 7)},
+    **{f"p2_{n}_base": RuleSystem(p2(n).base) for n in range(2, 5)},
+    "handwritten": RuleSystem(parse_presentation(HANDMADE)),
+    "nested": RuleSystem(parse_presentation(NESTED)),
+    "nested_swapped": RuleSystem(parse_presentation(NESTED_SWAPPED)),
+    "gn3_corrupted": RuleSystem(GN3, corrupted_gn3_rules()),
+    "toy": RuleSystem(GN3, _toy_rules()),
+}
+
+
+def _letters(system):
+    p = system.presentation
+    return [s * g for g in p.base_gens + p.stable_gens for s in (1, -1)]
+
+
+def _entries(trace):
+    return [(e.position, e.rule_kind, e.rule_id, e.nu_after) for e in trace.entries]
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
+@given(data=st.data())
+def test_engine_matches_rescanning_oracle(name, data):
+    system = ENGINE_SYSTEMS[name]
+    w = tuple(data.draw(st.lists(st.sampled_from(_letters(system)), max_size=40)))
+    ref, ref_trace = rescan_leftmost(w, system.rules)
+    res, trace = normal_form(w, system)
+    assert res == ref
+    assert _entries(trace) == ref_trace
+    assert nf(w, system) == ref
+    assert nf_steps(w, system) == (ref, len(ref_trace))
+    ints = list(w)
+    assert nf_ints(ints, system) is ints and tuple(ints) == ref
+
+
+def test_nested_prefix_rule_loses_to_its_extension():
+    system = ENGINE_SYSTEMS["nested"]
+    p = system.presentation
+    w = p.parse("y1^-1 x1^-1 y1^-1 y1 x1^2 s^-1 y1 x1 y1^-1 x1^-1 y1^2 s y1^-1 y1 s x1^-1")
+    res, trace = normal_form(w, system)
+    # at step 3 both 4/12 (s^-1 y1 x1) and 4/11 (s^-1 y1 x1 y1^-1) match at
+    # position 2; the leftmost strategy takes the smaller id
+    assert _entries(trace)[2][:3] == (2, 4, 11)
+    assert trace.steps[1].after[2:6] == p.parse("s^-1 y1 x1 y1^-1")
+    assert res == p.parse("y1^-2 x1 s^-1 y1^3 s^2 x1^-1")
+    assert (res, _entries(trace)) == rescan_leftmost(w, system.rules)
+
+
+def test_toy_earlier_start_wins():
+    system = ENGINE_SYSTEMS["toy"]
+    y1, y2, x1, x2 = base_gen(1), base_gen(2), stable_gen(1), stable_gen(2)
+    # y1 y2 ends first, but x1 y1 y2 y2 starts one letter earlier
+    for w, expected in (((x1, y1, y2, y2), (x2,)), ((x1, y1, y2, y1), (x1, y2, y1))):
+        res, trace = normal_form(w, system)
+        assert res == expected
+        assert (res, _entries(trace)) == rescan_leftmost(w, system.rules)
+
+
+@pytest.mark.parametrize("name", ["gn3", "gn4", "handwritten", "nested", "toy"])
+@pytest.mark.parametrize("strategy", ["leftmost", "random"])
+@given(seed=st.integers(0, 10_000))
+def test_trace_nu_is_nu_of_each_step(name, strategy, seed):
+    system = ENGINE_SYSTEMS[name]
+    w = random_word(random.Random(seed), system, 30)
+    _, trace = normal_form(w, system, strategy=strategy, seed=seed)
+    assert trace.nu_initial == nu(w)
+    for step in trace.steps:
+        assert step.nu_after == nu(step.after)

@@ -156,6 +156,9 @@ def test_parse_errors_carry_column():
 def test_alphabet_rejects_duplicates():
     with pytest.raises(ValueError):
         Alphabet(("a", "b"), ("a",))
+    # a repeated base name would make its first generator untypeable
+    with pytest.raises(ValueError):
+        Alphabet(("a", "a"), ("p",))
 
 
 def test_format_is_canonical_spelling():
