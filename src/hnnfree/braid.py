@@ -10,6 +10,18 @@ normal form of the braid layer as a semidirect product of two free groups,
 pushing every base letter left through the stable-letter action; it is
 sound and complete, and acts as the authority whenever the push leaves a
 remainder.
+
+Triviality and equality in the braid layer are decided by one function,
+BraidSplitting.is_trivial, in this order:
+
+1. the projection onto F(Y): a word whose base letters do not freely
+   reduce to 1 is nontrivial, because F(X, t) is the normal factor;
+2. the exponent sums of the x_i and of t: the action of every base letter
+   keeps them, so a word with a nonzero sum is nontrivial;
+3. only a word that passes both is split, and it is trivial iff its x-part
+   reduces to 1.  The x-part can grow exponentially in the word; an
+   action step that leaves more than X_PART_CAP letters raises
+   XPartCapExceeded, which the CLI reports as inconclusive.
 """
 
 from __future__ import annotations
@@ -44,10 +56,24 @@ from .words import (
     gen_name,
     invert,
     is_base,
+    project_base,
     stable_gen,
 )
 
 T_WORD = (OUTER,)
+
+# Largest x-part, in letters, that one action step of the splitting may
+# leave; read at call time.  About ten times the largest x-part that the
+# tests, the scripts and perfbench reach (93,106 letters, for a random
+# length-40 p2(4) word); one step past it builds at most nine times as many.
+X_PART_CAP = 1_000_000
+
+
+class XPartCapExceeded(RuntimeError):
+    """An action step of the splitting left more than X_PART_CAP letters."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"splitting x-part cap {cap} exceeded")
 
 
 @dataclass(frozen=True)
@@ -91,7 +117,7 @@ def semidirect_nf(ext: SemidirectExtension, w: Word) -> SemidirectElement:
 
     Sound: an identity result means the word is trivial in the extension.
     For n >= 3 the converse fails on some trivial words, so a nonzero
-    remainder should be settled with split_nf.
+    remainder should be settled with braid_trivial.
     """
     k = 0
     parts: list[int] = []
@@ -136,7 +162,8 @@ class BraidSplitting:
 
     For each base letter y_j^{+-1} the table gives the conjugate y_j^-1 g y_j
     (and y_j g y_j^-1) of every signed x/t letter g as an x/t word.  Mutual
-    inverseness of the two tables is re-verified at construction.
+    inverseness of the two tables, and that every image keeps the x/t
+    exponent sums of its letter, are re-verified at construction.
     """
 
     def __init__(self, n: int):
@@ -165,11 +192,19 @@ class BraidSplitting:
                 table.update({-g: invert(img) for g, img in table.items()})
             self._tables[base_gen(j)] = fwd
             self._tables[-base_gen(j)] = bwd
-        for y in self._tables:
-            for g in self._tables[y]:
+        self._check_tables()
+
+    def _check_tables(self) -> None:
+        odd = [stable_gen(i) for i in range(1, self.n)] + [OUTER]
+        for y, table in self._tables.items():
+            for g, img in table.items():
                 if self.act(-y, self.act(y, [g])) != [g]:
                     raise AssertionError(
                         f"action tables not mutually inverse at {gen_name(abs(y))}, {gen_name(abs(g))}"
+                    )
+                if any(exp_sum(img, h) != exp_sum((g,), h) for h in odd):
+                    raise AssertionError(
+                        f"action table at {gen_name(abs(y))} changes the exponent sums of {gen_name(abs(g))}"
                     )
 
     def act(self, y: int, u: list[int]) -> list[int]:
@@ -185,6 +220,7 @@ class BraidSplitting:
         return out
 
     def nf(self, w: Word) -> SplitNormalForm:
+        cap = X_PART_CAP
         q: list[int] = []
         u: list[int] = []
         for c in w:
@@ -199,13 +235,21 @@ class BraidSplitting:
                 else:
                     q.append(c)
                 u = self.act(c, u)
+                if len(u) > cap:
+                    raise XPartCapExceeded(cap)
         return SplitNormalForm(tuple(q), tuple(u))
 
     def is_trivial(self, w: Word) -> bool:
+        """Triviality in the braid layer: refute by the F(Y) projection and
+        the x/t exponent sums, and split only a word that passes both."""
+        if project_base(w):
+            return False
+        if any(exp_sum(w, g) for g in {abs(c) for c in w if c & 1}):
+            return False
         return self.nf(w).is_identity
 
     def equal(self, u: Word, v: Word) -> bool:
-        return self.nf(invert(v) + u).is_identity
+        return self.is_trivial(invert(v) + u)
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +263,8 @@ def split_nf(ext: SemidirectExtension, w: Word) -> SplitNormalForm:
 
 
 def braid_trivial(ext: SemidirectExtension, w: Word) -> bool:
-    return split_nf(ext, w).is_identity
+    """Complete triviality test for the braid layer (BraidSplitting.is_trivial)."""
+    return _splitting(ext.rank).is_trivial(w)
 
 
 def braid_equal(ext: SemidirectExtension, u: Word, v: Word) -> bool:
@@ -428,7 +473,9 @@ def free_factor_probe(
             raise ValueError("H generators must not contain the outer letter")
     support = frozenset({OUTER})
     specs = [SubgroupSpec("H", tuple(h_generators), support), SubgroupSpec("T", (T_WORD,), support)]
-    rep = free_product_oracle(specs, _system(ext.base), bounds, _splitting(ext.rank).is_trivial)
+    rep = free_product_oracle(
+        specs, _system(ext.base), bounds, _splitting(ext.rank).is_trivial, ext.alphabet
+    )
     if not rep.witness_factors:
         return rep
     # a <t> factor is one run, "T: (t)" or "T: (t)^e"; it is spelled t^e

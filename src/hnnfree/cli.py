@@ -1,7 +1,8 @@
 """Command-line front end: one binary, subcommands per engine operation.
 
 Exit codes: 0 pass/true/certified, 1 fail/false/refuted, 2 usage or parse
-error, 3 inconclusive.  All commands take a presentation source (--preset
+error, 3 inconclusive (also a rewrite past the step cap or a braid splitting
+past the x-part cap).  All commands take a presentation source (--preset
 gn N, --preset p2 N, or --file PATH) and emit text or, with --json, a
 structured document with a schema field.
 """
@@ -13,6 +14,7 @@ import json
 import sys
 
 from .braid import (
+    XPartCapExceeded,
     braid_freeness_check,
     braid_trivial,
     free_factor_probe,
@@ -294,7 +296,8 @@ def _cmd_pingpong_certify(args) -> int:
             evidence[label] = bounded_intersection_probe(by_label[label], system, int(value))
         else:
             raise CliError(f"unknown evidence kind {kind!r} (orbit/declared/probe)")
-    cert = free_product_certificate(specs, evidence, system, strict=not args.lax)
+    cert = free_product_certificate(specs, evidence, system, strict=not args.lax,
+                                    alphabet=alphabet)
     _emit(args, cert.render(), {"command": "pingpong-certify", **_cert_doc(cert)})
     return _VERDICT_EXIT[cert.verdict]
 
@@ -311,7 +314,7 @@ def _cmd_pingpong_oracle(args) -> int:
     is_trivial = None
     if isinstance(src, SemidirectExtension):
         is_trivial = lambda w: braid_trivial(src, w)
-    rep = free_product_oracle(specs, system, bounds, is_trivial=is_trivial)
+    rep = free_product_oracle(specs, system, bounds, is_trivial=is_trivial, alphabet=alphabet)
     _emit(args, rep.render(alphabet),
           {"command": "pingpong-oracle", **_oracle_doc(rep, alphabet)})
     return _VERDICT_EXIT[rep.verdict]
@@ -511,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as e:
         print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
         return EXIT_USAGE
-    except StepCapExceeded as e:
+    except (StepCapExceeded, XPartCapExceeded) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

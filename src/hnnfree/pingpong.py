@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 from .presentation import HnnPresentation
 from .rewrite import RuleSystem, nf, nf_ints
 from .words import (
+    Alphabet,
     GeneratorMap,
     Word,
     format_word,
@@ -130,12 +131,15 @@ def support_check(
     spec: SubgroupSpec,
     disjoint_with: Sequence[SubgroupSpec] = (),
     strict: bool = True,
+    alphabet: Alphabet | None = None,
 ) -> list[Condition]:
     """Support conditions for one spec against the others.
 
     Checks non-emptiness, pairwise disjointness, and in strict mode that
     every generator word stays inside base letters plus the support.
+    Witnesses spell generators in `alphabet` (default names without one).
     """
+    name = gen_name if alphabet is None else alphabet.name
     conds = [Condition(f"support_nonempty[{spec.label}]", bool(spec.support))]
     for other in disjoint_with:
         overlap = spec.support & other.support
@@ -143,7 +147,7 @@ def support_check(
             Condition(
                 f"support_disjoint[{spec.label},{other.label}]",
                 not overlap,
-                ", ".join(sorted(gen_name(g) for g in overlap)) or None,
+                ", ".join(sorted(name(g) for g in overlap)) or None,
             )
         )
     if strict:
@@ -151,7 +155,7 @@ def support_check(
         for w in spec.generators:
             for c in w:
                 if not is_base(c) and abs(c) not in spec.support:
-                    bad.append(f"{gen_name(abs(c))} in {format_word(w)}")
+                    bad.append(f"{name(abs(c))} in {format_word(w, alphabet)}")
                     break
         conds.append(
             Condition(
@@ -224,6 +228,7 @@ def free_product_certificate(
     evidence: Mapping[str, Evidence],
     system: RuleSystem,
     strict: bool = True,
+    alphabet: Alphabet | None = None,
 ) -> Certificate:
     """Certify that the given subgroups generate their free product.
 
@@ -231,11 +236,12 @@ def free_product_certificate(
     base-intersection evidence.  An orbit certificate or a declared external
     proof is proof-grade; a bounded probe pass is recorded but leaves the
     verdict inconclusive, and any refuting evidence refutes the whole claim.
+    Witnesses are spelled in `alphabet`.
     """
     conds: list[Condition] = []
     hard_fail = False
     for i, spec in enumerate(specs):
-        for c in support_check(spec, specs[i + 1 :], strict=strict):
+        for c in support_check(spec, specs[i + 1 :], strict=strict, alphabet=alphabet):
             conds.append(c)
             hard_fail |= not c.ok
     for spec in specs:
@@ -250,7 +256,7 @@ def free_product_certificate(
         elif isinstance(ev, OracleReport):
             # Bounded evidence never certifies, but a failed probe refutes.
             if ev.verdict == FAIL:
-                witness = format_word(ev.witness) if ev.witness is not None else None
+                witness = format_word(ev.witness, alphabet) if ev.witness is not None else None
                 conds.append(Condition(name, False, f"probe found witness {witness}"))
                 hard_fail = True
             else:
@@ -294,10 +300,10 @@ def _push(stack: list[int], letters: Sequence[int]) -> list[int]:
     return out
 
 
-def _factor_desc(spec: SubgroupSpec, runs: Runs) -> str:
+def _factor_desc(spec: SubgroupSpec, runs: Runs, alphabet: Alphabet | None) -> str:
     chunks = []
     for idx, e in runs:
-        base = format_word(spec.generators[idx])
+        base = format_word(spec.generators[idx], alphabet)
         chunks.append(f"({base})^{e}" if e != 1 else f"({base})")
     return f"{spec.label}: {' '.join(chunks)}"
 
@@ -307,6 +313,7 @@ def _walk(
     bounds: Bounds,
     screen: Callable[[int], bool],
     hit: Callable[[list[int]], bool],
+    alphabet: Alphabet | None = None,
 ) -> OracleReport:
     """Depth-first walk over the alternating products of the specs.
 
@@ -321,7 +328,8 @@ def _walk(
     generators of its letters for which `screen` holds.  Once a
     sum can no longer return to zero within the uses left, the whole
     subtree is counted as checked without being visited; a product whose
-    sums vanish goes to `hit`, and the first hit fails the report.
+    sums vanish goes to `hit`, and the first hit fails the report.  Its
+    factors are spelled in `alphabet`.
     """
     e_max, limit = bounds.exp_range, bounds.max_products
     gen_words = [s.generators for s in specs]
@@ -390,7 +398,7 @@ def _walk(
                 found = factor(0, [], [0] * len(coords), ())
                 if found:
                     w, done = found
-                    factors = tuple(_factor_desc(specs[i], made) for i, made in done)
+                    factors = tuple(_factor_desc(specs[i], made, alphabet) for i, made in done)
                     return OracleReport(FAIL, checked, tuple(w), factors)
     except _Budget:
         return OracleReport(
@@ -404,6 +412,7 @@ def free_product_oracle(
     system: RuleSystem,
     bounds: Bounds,
     is_trivial: Callable[[Word], bool] | None = None,
+    alphabet: Alphabet | None = None,
 ) -> OracleReport:
     """Exhaustively check that alternating products are nontrivial.
 
@@ -413,12 +422,13 @@ def free_product_oracle(
     sequence, then factor choice, so the first witness is minimal.  Exponent
     sums in every letter screen the products; the rest go to is_trivial,
     which defaults to the rewriting normal form and must decide triviality
-    in the group the products live in.
+    in the group the products live in.  Witness factors are spelled in
+    `alphabet`.
     """
     if is_trivial is None:
         is_trivial = lambda w: not nf(w, system)
     # every generator, t included, is an exponent-sum invariant
-    return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(tuple(w)))
+    return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(tuple(w)), alphabet)
 
 
 def bounded_intersection_probe(

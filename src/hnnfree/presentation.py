@@ -62,22 +62,25 @@ class HnnPresentation:
 def validate(p: HnnPresentation) -> list[str]:
     """All violations of the presentation constraints; empty list means ok.
 
-    Generators are named by their default names (x1, y1, ...)."""
+    Generators are spelled in the presentation's alphabet; a code outside
+    it falls back to its default name (x1, y1, ...)."""
+    known = set(p.alphabet.all_gens())
+    name = lambda g: p.alphabet.name(g) if g in known else gen_name(g)
     out: list[str] = []
     stable = set(p.stable_gens)
     base = set(p.base_gens)
     for x, assocs in p.assoc.items():
         if x not in stable:
-            out.append(f"unknown stable generator {gen_name(x)}")
+            out.append(f"unknown stable generator {name(x)}")
             continue
         seen: set[int] = set()
         for a in assocs:
-            label = f"{gen_name(x)}:{gen_name(a.y)}"
+            label = f"{name(x)}:{name(a.y)}"
             if a.y not in base:
-                out.append(f"{label}: unknown base generator {gen_name(a.y)}")
+                out.append(f"{label}: unknown base generator {name(a.y)}")
                 continue
             if a.y in seen:
-                out.append(f"{label}: duplicate base generator for {gen_name(x)}")
+                out.append(f"{label}: duplicate base generator for {name(x)}")
             seen.add(a.y)
             for side, cw in (("w", a.w), ("v", a.v)):
                 if not all(is_base(c) for c in cw):

@@ -3,8 +3,9 @@
 The braid group on m strands acts faithfully on the free group F_m: the
 elementary braid s_k maps g_k to g_k g_{k+1} g_k^-1 and g_{k+1} to g_k.  A
 word in the package's x/y/t letters is translated through x_i = A_{i,n+1},
-y_i = A_{i,n}, t = A_{n,n+1} with A_{i,j} built from the s_k, composed as
-automorphisms, and compared with the identity.  Faithfulness makes this an
+y_i = A_{i,n}, t = A_{n,n+1} with A_{i,j} built from the s_k.  The word then
+acts letter by letter on each free generator in turn, and the images are
+compared with the generators.  Faithfulness makes this an
 exact triviality oracle, with none of the package's rewriting machinery
 involved: reduction here is plain integer-tuple cancellation.
 
@@ -51,9 +52,6 @@ class Auto:
     def __eq__(self, other):
         return isinstance(other, Auto) and self.images == other.images
 
-    def is_identity(self) -> bool:
-        return all(img == (g,) for g, img in self.images.items())
-
 
 def _identity(m: int) -> Auto:
     return Auto(m, {g: (g,) for g in range(1, m + 1)})
@@ -93,28 +91,51 @@ def _aij_tables(n: int):
             a_pos[(i, j)] = core
             a_neg[(i, j)] = anti
             assert core.then(anti) == identity, f"A_{i}_{j} inverse construction broken"
-    return a_pos, a_neg, identity
+    return a_pos, a_neg
 
 
-def artin_auto(w: tuple[int, ...], n: int) -> Auto:
-    """Evaluate a rank-n layer word to its automorphism of F_{n+1}."""
-    a_pos, a_neg, identity = _aij_tables(n)
-    out = identity
-    for c in w:
-        g = abs(c)
+@lru_cache(maxsize=None)
+def _letter_images(n: int) -> dict[int, dict[int, tuple[int, ...]]]:
+    """For each signed layer letter, the images of the signed free generators."""
+    a_pos, a_neg = _aij_tables(n)
+    out: dict[int, dict[int, tuple[int, ...]]] = {}
+    for g in range(1, 2 * n):
         if g == 1:
             key = (n, n + 1)
         elif g % 2:
             key = (g // 2, n + 1)
         else:
             key = (g // 2, n)
-        out = out.then(a_pos[key] if c > 0 else a_neg[key])
+        for c, auto in ((g, a_pos[key]), (-g, a_neg[key])):
+            imgs = dict(auto.images)
+            imgs.update({-h: _inv(img) for h, img in auto.images.items()})
+            out[c] = imgs
     return out
 
 
+def _images(w: tuple[int, ...], n: int):
+    """Yield (g, image of g) for the free generators g = 1..n+1 under the
+    automorphism of the layer word w, applying w letter by letter to each
+    generator on its own, so a caller can stop at the first mismatch."""
+    table = _letter_images(n)
+    for g in range(1, n + 2):
+        img = [g]
+        for c in w:
+            sub = table[c]
+            out: list[int] = []
+            for a in img:
+                for b in sub[a]:
+                    if out and out[-1] == -b:
+                        out.pop()
+                    else:
+                        out.append(b)
+            img = out
+        yield g, img
+
+
 def artin_trivial(w: tuple[int, ...], n: int) -> bool:
-    return artin_auto(w, n).is_identity()
+    return all(img == [g] for g, img in _images(w, n))
 
 
 def artin_equal(u: tuple[int, ...], v: tuple[int, ...], n: int) -> bool:
-    return artin_auto(u, n) == artin_auto(v, n)
+    return all(a == b for (_, a), (_, b) in zip(_images(u, n), _images(v, n)))

@@ -5,9 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artin import artin_equal, artin_trivial
+from hnnfree import braid
 from hnnfree.braid import (
     T_WORD,
     BraidSplitting,
+    XPartCapExceeded,
     braid_equal,
     braid_freeness_check,
     braid_trivial,
@@ -198,6 +200,98 @@ def test_split_equality_matches_artin():
         shifted = u + (stable_gen(1),)
         assert not braid_equal(E3, u, shifted)
         assert not artin_equal(u, shifted, 3)
+
+
+# --- the decision path: two refutations, then the splitting -------------------------
+
+LAYERS = {2: E2, 3: E3, 4: E4}
+RELATORS = {n: [e.relator for e in verify_braid_relations(n).entries] for n in LAYERS}
+
+
+def layer_letters(n: int) -> list[int]:
+    gens = [OUTER] + [f(i) for i in range(1, n) for f in (base_gen, stable_gen)]
+    return [s * g for g in gens for s in (1, -1)]
+
+
+@st.composite
+def layer_word(draw, n: int, kind: str) -> Word:
+    """A random word, a conjugate of a relator, or a commutator [w, t]: the
+    last two have trivial F(Y) projection and zero exponent sums, so only
+    the splitting decides them."""
+    short = st.lists(st.sampled_from(layer_letters(n)), max_size=5).map(tuple)
+    if kind == "random":
+        return draw(st.lists(st.sampled_from(layer_letters(n)), max_size=10).map(tuple))
+    if kind == "relator":
+        c = draw(short)
+        return invert(c) + draw(st.sampled_from(RELATORS[n])) + c
+    return commutator(draw(short), T_WORD)
+
+
+KINDS = ("random", "relator", "commutator")
+
+
+@pytest.mark.parametrize("n", sorted(LAYERS))
+@given(data=st.data())
+def test_trivial_agrees_with_split_and_artin(n, data):
+    w = data.draw(layer_word(n, data.draw(st.sampled_from(KINDS))))
+    ext = LAYERS[n]
+    assert braid_trivial(ext, w) == split_nf(ext, w).is_identity == artin_trivial(w, n)
+
+
+@pytest.mark.parametrize("n", sorted(LAYERS))
+@given(data=st.data())
+def test_equal_agrees_with_artin(n, data):
+    u = data.draw(st.lists(st.sampled_from(layer_letters(n)), max_size=5).map(tuple))
+    v = u + data.draw(layer_word(n, data.draw(st.sampled_from(KINDS))))
+    assert braid_equal(LAYERS[n], u, v) == artin_equal(u, v, n)
+    assert braid_equal(LAYERS[n], v, u) == artin_equal(v, u, n)
+
+
+def test_screens_refute_before_the_splitting():
+    calls = []
+
+    class Counting(BraidSplitting):
+        def nf(self, w):
+            calls.append(w)
+            return super().nf(w)
+
+    split = Counting(3)
+    # the F(Y) projection refutes the first word, the x1 and t sums the others
+    assert not split.is_trivial(E3.parse("x1 y1 x1^-1"))
+    assert not split.is_trivial(E3.parse("y1 x1 y1^-1"))
+    assert not split.is_trivial(E3.parse("t y2 t y2^-1"))
+    assert calls == []
+    # [x1, t] passes both screens and is split
+    assert not split.is_trivial(commutator(E3.parse("x1"), T_WORD))
+    assert split.is_trivial(commutator(E3.parse("y1 x1"), T_WORD))
+    assert len(calls) == 2
+
+
+def test_x_part_cap_applies_only_to_the_splitting(monkeypatch):
+    monkeypatch.setattr(braid, "X_PART_CAP", 0)
+    # screened words never reach the splitting, so the cap cannot fire
+    assert not braid_trivial(E3, E3.parse("x1 y1^3"))
+    assert not braid_equal(E3, E3.parse("x1 y1^3"), E3.parse("x1"))
+    with pytest.raises(XPartCapExceeded, match="cap 0 exceeded"):
+        braid_trivial(E3, commutator(E3.parse("x1 y1^3"), T_WORD))
+    with pytest.raises(XPartCapExceeded):
+        split_nf(E3, E3.parse("x1 y1"))
+
+
+def test_action_tables_must_keep_exponent_sums():
+    # x2 -> x2 t and x2 -> x2 t^-1 are mutually inverse, but change the sums
+    split = BraidSplitting(3)
+    y, x2 = base_gen(1), stable_gen(2)
+    fwd = {g: (g,) for g in split._tables[y]}
+    bwd = dict(fwd)
+    fwd[x2], fwd[-x2] = (x2, OUTER), (-OUTER, -x2)
+    bwd[x2], bwd[-x2] = (x2, -OUTER), (OUTER, -x2)
+    split._tables[y], split._tables[-y] = fwd, bwd
+    with pytest.raises(AssertionError, match="changes the exponent sums of x2"):
+        split._check_tables()
+    bwd[x2] = (x2,)
+    with pytest.raises(AssertionError, match="not mutually inverse"):
+        split._check_tables()
 
 
 # --- extension verification --------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 
+import hnnfree.braid
 import hnnfree.rewrite
 from hnnfree.cli import main
 
@@ -341,6 +342,53 @@ def test_step_cap_is_inconclusive(monkeypatch, capsys):
         assert code == 3
         assert out == ""
         assert err == "inconclusive: rewrite step cap 10 exceeded; termination bug suspected\n"
+
+
+def test_x_part_cap_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(hnnfree.braid, "X_PART_CAP", 10)
+    for argv in (("braid-phi", "--preset", "p2", "3", "--push", "x1 y1^3"),
+                 ("braid-check-free", "--preset", "p2", "3", "--w", "x1 y1^3", "--w", "x2"),
+                 ("danilevich", "--preset", "p2", "3", "--h", "x1 y1 y1"),
+                 ("pingpong-oracle", "--preset", "p2", "3",
+                  "--spec", "H:x1:x1 y1 y1", "--spec", "T:t:t")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "inconclusive: splitting x-part cap 10 exceeded\n"
+
+
+def test_default_x_part_cap_stops_an_exponential_push(capsys):
+    # the x-part of this [w, t] grows about 14-fold per (y1 y3^-1 y2) block
+    k = 6
+    w = "y1 y3^-1 y2 " * k + "x3 " + "y2^-1 y3 y1^-1 " * k
+    w_inv = "y1 y3^-1 y2 " * k + "x3^-1 " + "y2^-1 y3 y1^-1 " * k
+    code, out, err = run(capsys, "braid-phi", "--preset", "p2", "4", "--push",
+                         f"{w} t {w_inv} t^-1")
+    assert code == 3
+    assert out == ""
+    assert err == f"inconclusive: splitting x-part cap {hnnfree.braid.X_PART_CAP} exceeded\n"
+
+
+def test_file_generator_names_reach_every_message(tmp_path, capsys):
+    path = tmp_path / "own.txt"
+    path.write_text("base a b\nstable p q\nrel p : a ^ 1 = a ^ 1\n")
+    code, out, _ = run(capsys, "pingpong-certify", "--file", str(path),
+                       "--spec", "A:p:p", "--spec", "B:p:q")
+    assert code == 1
+    assert "FAIL support_disjoint[A,B]  [p]\n" in out
+    assert "FAIL support_contains_generators[B]  [q in q]\n" in out
+    code, out, _ = run(capsys, "pingpong-certify", "--file", str(path),
+                       "--spec", "A:p:p a p^-1", "--evidence", "A:probe:2")
+    assert code == 1
+    assert "[probe found witness p a p^-1]" in out
+    code, out, _ = run(capsys, "pingpong-oracle", "--file", str(path),
+                       "--spec", "A:p:p b", "--spec", "B:q:b^-1 p^-1", "--syllables", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == "  factors: A: (p b) | B: (b^-1 p^-1)"
+    path.write_text("base a b\nstable p q\nrel p : a ^ a = a ^ 1\n")
+    code, out, err = run(capsys, "rules", "--file", str(path))
+    assert code == 2
+    assert err == "parse error: line 1: p:a: w begins with y^{+-1}\n"
 
 
 def test_danilevich_rejects_outer_generator(capsys):

@@ -82,9 +82,12 @@ def test_validate_duplicate_y():
     a = Association(base_gen(1), EPSILON, EPSILON)
     p = HnnPresentation(alphabet, {stable_gen(1): (a, a)})
     assert any("duplicate" in v for v in validate(p))
-    # generators are named by their default names, whatever the alphabet
+    # generators are spelled in the presentation's own alphabet
     named = HnnPresentation(Alphabet(("a", "b"), ("p",)), {stable_gen(1): (a, a)})
-    assert validate(named) == ["x1:y1: duplicate base generator for x1"]
+    assert validate(named) == ["p:a: duplicate base generator for p"]
+    # a code outside the alphabet keeps its default name
+    stray = HnnPresentation(Alphabet(("a", "b"), ("p",)), {stable_gen(2): (a,)})
+    assert validate(stray) == ["unknown stable generator x2"]
 
 
 def test_validate_unreduced_conjugator():
