@@ -1,4 +1,9 @@
 import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
 
 import hnnfree.braid
 import hnnfree.rewrite
@@ -178,6 +183,25 @@ def test_oracle_budget_inconclusive(capsys):
                        "--max-products", "5")
     assert code == 3
     assert "budget" in out
+
+
+# Exact stdout and exit code of every report-emitting command, text and --json.
+# Each case in cli_golden.txt is a "$ hnnfree ARGS" line, an "exit N" line and
+# the stdout, up to the next case.
+GOLDEN = re.findall(r"^\$ hnnfree ([^\n]*)\nexit (\d+)\n(.*?)(?=^\$ |\Z)",
+                    (Path(__file__).parent / "cli_golden.txt").read_text(),
+                    re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("args,exit_code,stdout", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_report_output_is_pinned(capsys, args, exit_code, stdout):
+    assert run(capsys, *shlex.split(args)) == (int(exit_code), stdout, "")
+
+
+def test_golden_cases_cover_every_report():
+    assert len(GOLDEN) == 20
+    assert {shlex.split(a)[0] for a, _, _ in GOLDEN} == {
+        "pingpong-certify", "pingpong-oracle", "braid-check-free", "danilevich", "braid-verify"}
 
 
 # --- braid layer ----------------------------------------------------------------------
