@@ -33,12 +33,16 @@ from typing import Sequence
 
 from .pingpong import (
     CERTIFIED,
+    FAIL,
+    PASS,
     REFUTED,
     Bounds,
     Certificate,
     Condition,
     OracleReport,
     SubgroupSpec,
+    conditions_doc,
+    conditions_text,
     descends_to_identity,
     free_product_oracle,
 )
@@ -285,13 +289,12 @@ class ExtensionReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def render(self) -> str:
-        lines = [f"extension checks: {'all pass' if self.ok else 'FAILURES'}"]
-        for c in self.checks:
-            mark = "ok" if c.ok else "FAIL"
-            suffix = f"  [{c.witness}]" if c.witness else ""
-            lines.append(f"  {mark:4} {c.name}{suffix}")
-        return "\n".join(lines)
+    def render(self, alphabet=None) -> str:
+        head = f"extension checks: {'all pass' if self.ok else 'FAILURES'}"
+        return conditions_text(head, self.checks)
+
+    def doc(self, alphabet=None) -> dict:
+        return {"ok": self.ok, "checks": conditions_doc(self.checks)}
 
 
 def verify_extension(ext: SemidirectExtension) -> ExtensionReport:
@@ -308,15 +311,8 @@ def verify_extension(ext: SemidirectExtension) -> ExtensionReport:
     for idx, r in enumerate(relators(ext.base)):
         img = ext.phi.apply(r)
         v = nf(img, system)
-        checks.append(
-            Condition(
-                f"relator_image_trivial[{idx}]",
-                not v,
-                None
-                if not v
-                else f"image of {format_word(r, alphabet)} has normal form {format_word(v, alphabet)}",
-            )
-        )
+        why = f"image of {format_word(r, alphabet)} has normal form {format_word(v, alphabet)}"
+        checks.append(Condition(f"relator_image_trivial[{idx}]", not v, why if v else None))
     gens = ext.base.base_gens + ext.base.stable_gens
     mutual = all(
         ext.phi.apply(ext.phi_inv.apply((g,))) == (g,)
@@ -324,9 +320,7 @@ def verify_extension(ext: SemidirectExtension) -> ExtensionReport:
         for g in gens
     )
     checks.append(Condition("maps_mutually_inverse", mutual))
-    checks.append(
-        Condition("projects_to_identity", descends_to_identity(ext.phi, ext.base))
-    )
+    checks.append(Condition("projects_to_identity", descends_to_identity(ext.phi, ext.base)))
     return ExtensionReport(tuple(checks))
 
 
@@ -366,6 +360,39 @@ class BraidRelationReport:
             extra = "" if e.settled_by == "push" else f"  (push remainder {e.pushed.render(alphabet)})"
             lines.append(f"  {mark:4} {e.label():10} via {e.settled_by}{extra}")
         return "\n".join(lines)
+
+    def doc(self, alphabet=None) -> dict:
+        entries = [
+            {"family": e.family, "i": e.i, "j": e.j, "settled_by": e.settled_by,
+             "trivial": e.trivial, "push_remainder": format_word(e.pushed.g, alphabet),
+             "push_t_exponent": e.pushed.k}
+            for e in self.entries
+        ]
+        return {"ok": self.ok, "all_settled_by_push": self.all_push, "entries": entries}
+
+
+@dataclass(frozen=True)
+class BraidVerification:
+    """The extension checks and the relation check of one rank; the
+    relation check alone sets the verdict."""
+
+    extension: ExtensionReport
+    relations: BraidRelationReport
+
+    @property
+    def verdict(self) -> str:
+        return PASS if self.relations.ok else FAIL
+
+    def render(self, alphabet=None) -> str:
+        text = f"{self.extension.render()}\n{self.relations.render(alphabet)}"
+        text += f"\noverall: relations {'all trivial' if self.relations.ok else 'FAIL'}"
+        if not self.extension.ok:
+            text += " (conjugation maps do not descend to the base quotient; see failures above)"
+        return text
+
+    def doc(self, alphabet=None) -> dict:
+        return {"n": self.relations.n, "extension": self.extension.doc(),
+                "relations": self.relations.doc(alphabet), "verdict": self.verdict}
 
 
 def verify_braid_relations(n: int) -> BraidRelationReport:
@@ -447,13 +474,7 @@ def braid_freeness_check(
         conds.append(Condition(f"commutator_with_t_nontrivial[w{i}]", nontrivial, witness))
         if strict:
             bad = sorted(gen_name(abs(c)) for c in w if not is_base(c) and abs(c) != stable_gen(i))
-            conds.append(
-                Condition(
-                    f"letters_within_support[w{i}]",
-                    not bad,
-                    ", ".join(bad) or None,
-                )
-            )
+            conds.append(Condition(f"letters_within_support[w{i}]", not bad, ", ".join(bad) or None))
     verdict = CERTIFIED if all(c.ok for c in conds) else REFUTED
     return Certificate(verdict, "braid-free-rank", tuple(conds))
 

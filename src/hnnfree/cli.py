@@ -14,6 +14,7 @@ import json
 import sys
 
 from .braid import (
+    BraidVerification,
     XPartCapExceeded,
     braid_freeness_check,
     braid_trivial,
@@ -36,7 +37,7 @@ from .pingpong import (
     bounded_intersection_probe,
     free_product_certificate,
     free_product_oracle,
-    orbit_intersection_certificate,
+    orbit_evidence,
 )
 from .presentation import (
     HnnPresentation,
@@ -83,13 +84,6 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _add_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--preset", nargs=2, metavar=("KIND", "N"),
-                     help="gn N or p2 N with N >= 2")
-    sub.add_argument("--file", metavar="PATH", help="presentation file")
-    sub.add_argument("--json", action="store_true", help="structured output")
-
-
 def _load_source(args) -> HnnPresentation | SemidirectExtension:
     if args.preset and args.file:
         raise CliError("--preset and --file are mutually exclusive")
@@ -108,9 +102,7 @@ def _load_source(args) -> HnnPresentation | SemidirectExtension:
 
 
 def _base_and_alphabet(src):
-    if isinstance(src, SemidirectExtension):
-        return src.base, src.alphabet
-    return src, src.alphabet
+    return (src.base if isinstance(src, SemidirectExtension) else src), src.alphabet
 
 
 def _require_extension(src) -> SemidirectExtension:
@@ -129,6 +121,25 @@ def _parse(text: str, src) -> Word:
     return parse_word(text, src.alphabet)
 
 
+def _at_least(low: int, **options) -> None:
+    """Reject an integer option below `low` as a usage error."""
+    for name, value in options.items():
+        if value is not None and value < low:
+            raise CliError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
+def _add_bounds(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--syllables", type=int, default=6)
+    sub.add_argument("--exp-range", type=int, default=2)
+    sub.add_argument("--max-products", type=int, default=None)
+
+
+def _bounds(args) -> Bounds:
+    _at_least(1, syllables=args.syllables, exp_range=args.exp_range)
+    _at_least(0, max_products=args.max_products)
+    return Bounds(args.syllables, args.exp_range, args.max_products)
+
+
 # ---------------------------------------------------------------------------
 # Output plumbing
 # ---------------------------------------------------------------------------
@@ -136,31 +147,15 @@ def _parse(text: str, src) -> Word:
 
 def _emit(args, text: str, doc: dict) -> None:
     if args.json:
-        print(json.dumps({"schema": 1, **doc}, indent=2, sort_keys=False))
+        print(json.dumps({"schema": 1, "command": args.command, **doc}, indent=2, sort_keys=False))
     else:
         print(text)
 
 
-def _cert_doc(cert) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "theorem": cert.theorem,
-        "conditions": [
-            {"name": c.name, "ok": c.ok, "witness": c.witness}
-            for c in cert.conditions
-        ],
-        "bounds": None,
-    }
-
-
-def _oracle_doc(rep, alphabet) -> dict:
-    return {
-        "verdict": rep.verdict,
-        "checked": rep.checked,
-        "witness": format_word(rep.witness, alphabet) if rep.witness is not None else None,
-        "witness_factors": list(rep.witness_factors) if rep.witness_factors else None,
-        "note": rep.note,
-    }
+def _report(args, rep, alphabet=None, **fields) -> int:
+    """Print a report as its text or its JSON document; exit by its verdict."""
+    _emit(args, rep.render(alphabet), {**fields, **rep.doc(alphabet)})
+    return _VERDICT_EXIT[rep.verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +163,7 @@ def _oracle_doc(rep, alphabet) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_nf(args) -> int:
-    src = _load_source(args)
+def _cmd_nf(args, src) -> int:
     p, alphabet = _base_and_alphabet(src)
     system = RuleSystem(p)
     w = _parse(args.word, src)
@@ -180,7 +174,6 @@ def _cmd_nf(args) -> int:
         result, steps = nf_steps(w, system)
     text = trace.render(alphabet) if args.trace else format_word(result, alphabet)
     _emit(args, text, {
-        "command": "nf",
         "input": format_word(w, alphabet),
         "normal_form": format_word(result, alphabet),
         "steps": steps,
@@ -188,14 +181,12 @@ def _cmd_nf(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_eq(args) -> int:
-    src = _load_source(args)
+def _cmd_eq(args, src) -> int:
     p, alphabet = _base_and_alphabet(src)
     system = RuleSystem(p)
     u, v = _parse(args.left, src), _parse(args.right, src)
     same = equal(u, v, system)
     _emit(args, "true" if same else "false", {
-        "command": "eq",
         "left": format_word(u, alphabet),
         "right": format_word(v, alphabet),
         "equal": same,
@@ -203,8 +194,7 @@ def _cmd_eq(args) -> int:
     return EXIT_PASS if same else EXIT_FAIL
 
 
-def _cmd_rules(args) -> int:
-    src = _load_source(args)
+def _cmd_rules(args, src) -> int:
     p, alphabet = _base_and_alphabet(src)
     rules = compile_rules(p)
     lines = [f"{len(rules)} rules"]
@@ -213,12 +203,12 @@ def _cmd_rules(args) -> int:
         lhs, rhs = format_word(r.lhs, alphabet), format_word(r.rhs, alphabet)
         lines.append(f"  kind {r.kind} #{r.rule_id}: {lhs} -> {rhs}")
         docs.append({"kind": r.kind, "id": r.rule_id, "lhs": lhs, "rhs": rhs})
-    _emit(args, "\n".join(lines), {"command": "rules", "count": len(rules), "rules": docs})
+    _emit(args, "\n".join(lines), {"count": len(rules), "rules": docs})
     return EXIT_PASS
 
 
-def _cmd_confluence(args) -> int:
-    src = _load_source(args)
+def _cmd_confluence(args, src) -> int:
+    _at_least(1, trials=args.trials, max_len=args.max_len)
     p, alphabet = _base_and_alphabet(src)
     system = RuleSystem(p)
     if args.random:
@@ -227,7 +217,7 @@ def _cmd_confluence(args) -> int:
         ok = rep.ok
         text = (f"random probe: {rep.trials} trials x {rep.strategies} strategies: "
                 + ("all agree, nu decreasing" if ok else f"{len(rep.failures)} failures"))
-        doc = {"command": "confluence", "mode": "random-probe", "ok": ok,
+        doc = {"mode": "random-probe", "ok": ok,
                "trials": rep.trials, "strategies": rep.strategies,
                "failures": len(rep.failures)}
     else:
@@ -238,7 +228,7 @@ def _cmd_confluence(args) -> int:
         if not ok:
             for cp in rep.failures[:10]:
                 text += f"\n  peak {format_word(cp.peak, alphabet)} has non-joinable reducts"
-        doc = {"command": "confluence", "mode": "critical-pairs", "ok": ok,
+        doc = {"mode": "critical-pairs", "ok": ok,
                "pairs_checked": rep.pairs_checked, "failures": len(rep.failures)}
     _emit(args, text, doc)
     return EXIT_PASS if ok else EXIT_FAIL
@@ -265,14 +255,23 @@ def _parse_spec(text: str, src, alphabet) -> SubgroupSpec:
         raise CliError(str(e))
 
 
-def _cmd_pingpong_certify(args) -> int:
-    src = _load_source(args)
-    p, alphabet = _base_and_alphabet(src)
-    system = RuleSystem(p)
+def _specs(args, src, alphabet) -> dict[str, SubgroupSpec]:
+    """The --spec options by label; labels must be distinct."""
     if not args.spec:
         raise CliError("at least one --spec is required")
-    specs = [_parse_spec(s, src, alphabet) for s in args.spec]
-    by_label = {s.label: s for s in specs}
+    specs: dict[str, SubgroupSpec] = {}
+    for text in args.spec:
+        spec = _parse_spec(text, src, alphabet)
+        if spec.label in specs:
+            raise CliError(f"--spec label {spec.label!r} is repeated")
+        specs[spec.label] = spec
+    return specs
+
+
+def _cmd_pingpong_certify(args, src) -> int:
+    p, alphabet = _base_and_alphabet(src)
+    system = RuleSystem(p)
+    by_label = _specs(args, src, alphabet)
     evidence = {}
     for ev in args.evidence or []:
         parts = ev.split(":", 2)
@@ -284,78 +283,42 @@ def _cmd_pingpong_certify(args) -> int:
         if kind == "declared":
             evidence[label] = value
         elif kind == "orbit":
-            m = src.phi if isinstance(src, SemidirectExtension) else identity_map(
-                p.base_gens + p.stable_gens)
+            m, m_inv = ((src.phi, src.phi_inv) if isinstance(src, SemidirectExtension)
+                        else (identity_map(p.base_gens + p.stable_gens),) * 2)
             try:
-                evidence[label] = orbit_intersection_certificate(m, _parse(value, src), p)
+                evidence[label] = orbit_evidence(by_label[label], _parse(value, src), p, m, m_inv,
+                                                 alphabet)
             except ValueError as e:
                 raise CliError(f"orbit evidence unavailable here: {e}")
         elif kind == "probe":
-            if not value.isdigit():
+            if not value.isdigit() or int(value) < 1:
                 raise CliError(f"probe evidence needs a length bound, got {value!r}")
             evidence[label] = bounded_intersection_probe(by_label[label], system, int(value))
         else:
             raise CliError(f"unknown evidence kind {kind!r} (orbit/declared/probe)")
-    cert = free_product_certificate(specs, evidence, system, strict=not args.lax,
-                                    alphabet=alphabet)
-    _emit(args, cert.render(), {"command": "pingpong-certify", **_cert_doc(cert)})
-    return _VERDICT_EXIT[cert.verdict]
+    cert = free_product_certificate(list(by_label.values()), evidence, system,
+                                    strict=not args.lax, alphabet=alphabet)
+    return _report(args, cert)
 
 
-def _cmd_pingpong_oracle(args) -> int:
-    src = _load_source(args)
+def _cmd_pingpong_oracle(args, src) -> int:
     p, alphabet = _base_and_alphabet(src)
-    system = RuleSystem(p)
-    if not args.spec:
-        raise CliError("at least one --spec is required")
-    specs = [_parse_spec(s, src, alphabet) for s in args.spec]
-    bounds = Bounds(syllables=args.syllables, exp_range=args.exp_range,
-                    max_products=args.max_products)
+    specs = list(_specs(args, src, alphabet).values())
     is_trivial = None
     if isinstance(src, SemidirectExtension):
         is_trivial = lambda w: braid_trivial(src, w)
-    rep = free_product_oracle(specs, system, bounds, is_trivial=is_trivial, alphabet=alphabet)
-    _emit(args, rep.render(alphabet),
-          {"command": "pingpong-oracle", **_oracle_doc(rep, alphabet)})
-    return _VERDICT_EXIT[rep.verdict]
+    rep = free_product_oracle(specs, RuleSystem(p), _bounds(args), is_trivial, alphabet)
+    return _report(args, rep, alphabet)
 
 
-def _cmd_braid_verify(args) -> int:
-    ext = _require_extension(_load_source(args))
-    n = ext.rank
-    er = verify_extension(ext)
-    rr = verify_braid_relations(n)
-    text = er.render() + "\n" + rr.render(ext.alphabet)
-    text += f"\noverall: relations {'all trivial' if rr.ok else 'FAIL'}"
-    if not er.ok:
-        text += " (conjugation maps do not descend to the base quotient; see failures above)"
-    doc = {
-        "command": "braid-verify",
-        "n": n,
-        "extension": {
-            "ok": er.ok,
-            "checks": [{"name": c.name, "ok": c.ok, "witness": c.witness}
-                       for c in er.checks],
-        },
-        "relations": {
-            "ok": rr.ok,
-            "all_settled_by_push": rr.all_push,
-            "entries": [
-                {"family": e.family, "i": e.i, "j": e.j,
-                 "settled_by": e.settled_by, "trivial": e.trivial,
-                 "push_remainder": format_word(e.pushed.g, ext.alphabet),
-                 "push_t_exponent": e.pushed.k}
-                for e in rr.entries
-            ],
-        },
-        "verdict": PASS if rr.ok else FAIL,
-    }
-    _emit(args, text, doc)
-    return EXIT_PASS if rr.ok else EXIT_FAIL
+def _cmd_braid_verify(args, src) -> int:
+    ext = _require_extension(src)
+    rep = BraidVerification(verify_extension(ext), verify_braid_relations(ext.rank))
+    return _report(args, rep, ext.alphabet)
 
 
-def _cmd_braid_phi(args) -> int:
-    ext = _require_extension(_load_source(args))
+def _cmd_braid_phi(args, src) -> int:
+    ext = _require_extension(src)
     w = _parse(args.word, ext)
     alphabet = ext.alphabet
     if args.push:
@@ -364,7 +327,7 @@ def _cmd_braid_phi(args) -> int:
         text = (f"semidirect: {se.render(alphabet)}\n"
                 f"splitting:  {sp.render(alphabet)}\n"
                 f"trivial: {'true' if sp.is_identity else 'false'}")
-        doc = {"command": "braid-phi", "mode": "push",
+        doc = {"mode": "push",
                "input": format_word(w, alphabet),
                "semidirect": {"g": format_word(se.g, alphabet), "k": se.k},
                "splitting": {"y_part": format_word(sp.y_part, alphabet),
@@ -377,13 +340,13 @@ def _cmd_braid_phi(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     _emit(args, format_word(img, alphabet), {
-        "command": "braid-phi", "mode": "power", "k": args.k,
+        "mode": "power", "k": args.k,
         "input": format_word(w, alphabet), "image": format_word(img, alphabet)})
     return EXIT_PASS
 
 
-def _cmd_braid_check_free(args) -> int:
-    ext = _require_extension(_load_source(args))
+def _cmd_braid_check_free(args, src) -> int:
+    ext = _require_extension(src)
     n = ext.rank
     if not args.w:
         raise CliError("at least one --w is required")
@@ -392,22 +355,17 @@ def _cmd_braid_check_free(args) -> int:
         cert = braid_freeness_check(n, words, strict=args.strict)
     except ValueError as e:
         raise CliError(str(e))
-    _emit(args, cert.render(), {"command": "braid-check-free", "n": n, **_cert_doc(cert)})
-    return _VERDICT_EXIT[cert.verdict]
+    return _report(args, cert, n=n)
 
 
-def _cmd_danilevich(args) -> int:
-    ext = _require_extension(_load_source(args))
+def _cmd_danilevich(args, src) -> int:
+    ext = _require_extension(src)
     hgens = [_parse(w, ext) for w in (args.h or [])]
-    bounds = Bounds(syllables=args.syllables, exp_range=args.exp_range,
-                    max_products=args.max_products)
     try:
-        rep = free_factor_probe(ext, hgens, bounds)
+        rep = free_factor_probe(ext, hgens, _bounds(args))
     except ValueError as e:
         raise CliError(str(e))
-    _emit(args, rep.render(ext.alphabet),
-          {"command": "danilevich", **_oracle_doc(rep, ext.alphabet)})
-    return _VERDICT_EXIT[rep.verdict]
+    return _report(args, rep, ext.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -423,92 +381,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("nf", help="normal form of a word")
-    _add_source(sp)
+    def command(name, func, summary):
+        sp = subs.add_parser(name, help=summary)
+        sp.add_argument("--preset", nargs=2, metavar=("KIND", "N"),
+                        help="gn N or p2 N with N >= 2")
+        sp.add_argument("--file", metavar="PATH", help="presentation file")
+        sp.add_argument("--json", action="store_true", help="structured output")
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("nf", _cmd_nf, "normal form of a word")
     sp.add_argument("word")
     sp.add_argument("--trace", action="store_true", help="print the rewrite trace")
     sp.add_argument("--strategy", choices=("leftmost", "random"), default="leftmost")
     sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(func=_cmd_nf)
 
-    sp = subs.add_parser("eq", help="decide equality of two words")
-    _add_source(sp)
+    sp = command("eq", _cmd_eq, "decide equality of two words")
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.set_defaults(func=_cmd_eq)
 
-    sp = subs.add_parser("rules", help="list the compiled rewrite rules")
-    _add_source(sp)
-    sp.set_defaults(func=_cmd_rules)
+    command("rules", _cmd_rules, "list the compiled rewrite rules")
 
-    sp = subs.add_parser("confluence", help="critical-pair check or random probe")
-    _add_source(sp)
+    sp = command("confluence", _cmd_confluence, "critical-pair check or random probe")
     sp.add_argument("--random", action="store_true", help="run the random probe instead")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--max-len", type=int, default=20)
-    sp.set_defaults(func=_cmd_confluence)
 
-    sp = subs.add_parser("pingpong-certify", help="freeness certificate for subgroups")
-    _add_source(sp)
+    sp = command("pingpong-certify", _cmd_pingpong_certify, "freeness certificate for subgroups")
     sp.add_argument("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS",
                     help="subgroup spec; SUPPORT and GENWORDS comma-separated")
     sp.add_argument("--evidence", action="append", metavar="LABEL:KIND:VALUE",
                     help="base-intersection evidence: orbit:WORD, declared:TEXT, probe:MAXLEN")
     sp.add_argument("--lax", action="store_true",
                     help="accept declared support without the syntactic letter check")
-    sp.set_defaults(func=_cmd_pingpong_certify)
 
-    sp = subs.add_parser("pingpong-oracle", help="brute-force free-product check")
-    _add_source(sp)
+    sp = command("pingpong-oracle", _cmd_pingpong_oracle, "brute-force free-product check")
     sp.add_argument("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS")
-    sp.add_argument("--syllables", type=int, default=6)
-    sp.add_argument("--exp-range", type=int, default=2)
-    sp.add_argument("--max-products", type=int, default=None)
-    sp.set_defaults(func=_cmd_pingpong_oracle)
+    _add_bounds(sp)
 
-    sp = subs.add_parser("braid-verify", help="verify the braid-layer relations and maps")
-    _add_source(sp)
-    sp.set_defaults(func=_cmd_braid_verify)
+    command("braid-verify", _cmd_braid_verify, "verify the braid-layer relations and maps")
 
-    sp = subs.add_parser("braid-phi", help="apply the outer conjugation map, or push a word")
-    _add_source(sp)
+    sp = command("braid-phi", _cmd_braid_phi, "apply the outer conjugation map, or push a word")
     sp.add_argument("word")
     sp.add_argument("--k", type=int, default=1, help="power of the map (negative for inverse)")
     sp.add_argument("--push", action="store_true",
                     help="print the semidirect and splitting normal forms instead")
-    sp.set_defaults(func=_cmd_braid_phi)
 
-    sp = subs.add_parser("braid-check-free", help="freeness certificate for <w_1..w_{n-1}, t>")
-    _add_source(sp)
+    sp = command("braid-check-free", _cmd_braid_check_free,
+                 "freeness certificate for <w_1..w_{n-1}, t>")
     sp.add_argument("--w", action="append", metavar="WORD", help="repeat for each w_i")
     sp.add_argument("--strict", action="store_true",
                     help="require letters of w_i within {y_*} u {x_i}")
-    sp.set_defaults(func=_cmd_braid_check_free)
 
-    sp = subs.add_parser("danilevich", help="bounded probe that <H, t> = H * <t>")
-    _add_source(sp)
+    sp = command("danilevich", _cmd_danilevich, "bounded probe that <H, t> = H * <t>")
     sp.add_argument("--h", action="append", metavar="WORD", help="repeat for each H generator")
-    sp.add_argument("--syllables", type=int, default=6)
-    sp.add_argument("--exp-range", type=int, default=2)
-    sp.add_argument("--max-products", type=int, default=None)
-    sp.set_defaults(func=_cmd_danilevich)
+    _add_bounds(sp)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_source(args))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except WordSyntaxError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except PresentationSyntaxError as e:
+    except (WordSyntaxError, PresentationSyntaxError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except KeyError as e:

@@ -9,7 +9,7 @@ brute-force oracles independently confirm the conclusion up to bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -22,6 +22,7 @@ from .words import (
     GeneratorMap,
     Word,
     format_word,
+    free_reduce,
     gen_name,
     invert,
     is_base,
@@ -66,6 +67,20 @@ class Condition:
     witness: str | None = None
 
 
+def conditions_text(head: str, conds: Sequence[Condition]) -> str:
+    """A condition list as text: the head, then `  ok   name  [witness]` each."""
+    lines = [head]
+    for c in conds:
+        suffix = f"  [{c.witness}]" if c.witness else ""
+        lines.append(f"  {'ok' if c.ok else 'FAIL':4} {c.name}{suffix}")
+    return "\n".join(lines)
+
+
+def conditions_doc(conds: Sequence[Condition]) -> list[dict]:
+    """A condition list as JSON: {"name", "ok", "witness"} each."""
+    return [asdict(c) for c in conds]
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Enumeration limits for the oracles.
@@ -92,13 +107,12 @@ class Certificate:
         if self.verdict == CERTIFIED and not all(c.ok for c in self.conditions):
             raise ValueError("certified verdict requires every condition to pass")
 
-    def render(self) -> str:
-        lines = [f"verdict: {self.verdict}  ({self.theorem})"]
-        for c in self.conditions:
-            mark = "ok" if c.ok else "FAIL"
-            suffix = f"  [{c.witness}]" if c.witness else ""
-            lines.append(f"  {mark:4} {c.name}{suffix}")
-        return "\n".join(lines)
+    def render(self, alphabet: Alphabet | None = None) -> str:
+        return conditions_text(f"verdict: {self.verdict}  ({self.theorem})", self.conditions)
+
+    def doc(self, alphabet: Alphabet | None = None) -> dict:
+        return {"verdict": self.verdict, "theorem": self.theorem,
+                "conditions": conditions_doc(self.conditions), "bounds": None}
 
 
 @dataclass(frozen=True)
@@ -111,7 +125,7 @@ class OracleReport:
     witness_factors: tuple[str, ...] | None = None
     note: str | None = None
 
-    def render(self, alphabet=None) -> str:
+    def render(self, alphabet: Alphabet | None = None) -> str:
         line = f"{self.verdict}  (products checked: {self.checked})"
         if self.witness is not None:
             line += f"\n  witness: {format_word(self.witness, alphabet)}"
@@ -120,6 +134,15 @@ class OracleReport:
         if self.note:
             line += f"\n  note: {self.note}"
         return line
+
+    def doc(self, alphabet: Alphabet | None = None) -> dict:
+        return {
+            "verdict": self.verdict,
+            "checked": self.checked,
+            "witness": None if self.witness is None else format_word(self.witness, alphabet),
+            "witness_factors": list(self.witness_factors) if self.witness_factors else None,
+            "note": self.note,
+        }
 
 
 def in_base_subgroup(w: Word, system: RuleSystem) -> bool:
@@ -143,13 +166,8 @@ def support_check(
     conds = [Condition(f"support_nonempty[{spec.label}]", bool(spec.support))]
     for other in disjoint_with:
         overlap = spec.support & other.support
-        conds.append(
-            Condition(
-                f"support_disjoint[{spec.label},{other.label}]",
-                not overlap,
-                ", ".join(sorted(name(g) for g in overlap)) or None,
-            )
-        )
+        witness = ", ".join(sorted(name(g) for g in overlap)) or None
+        conds.append(Condition(f"support_disjoint[{spec.label},{other.label}]", not overlap, witness))
     if strict:
         bad: list[str] = []
         for w in spec.generators:
@@ -157,21 +175,11 @@ def support_check(
                 if not is_base(c) and abs(c) not in spec.support:
                     bad.append(f"{name(abs(c))} in {format_word(w, alphabet)}")
                     break
-        conds.append(
-            Condition(
-                f"support_contains_generators[{spec.label}]",
-                not bad,
-                "; ".join(bad) or None,
-            )
-        )
+        conds.append(Condition(f"support_contains_generators[{spec.label}]", not bad,
+                               "; ".join(bad) or None))
     else:
-        conds.append(
-            Condition(
-                f"support_containment_declared[{spec.label}]",
-                True,
-                "lax mode: containment accepted as declared",
-            )
-        )
+        conds.append(Condition(f"support_containment_declared[{spec.label}]", True,
+                               "lax mode: containment accepted as declared"))
     return conds
 
 
@@ -203,7 +211,10 @@ def orbit_intersection_certificate(m: GeneratorMap, w: Word, p: HnnPresentation)
 
     Requires m to descend to the identity on the direct-product quotient;
     then a non-vanishing stable projection of w forces A = <m^k(w)> to meet
-    the pure-base subgroup trivially.
+    the pure-base subgroup trivially.  A vanishing projection proves nothing
+    (every power of a commutator [x1, y1] keeps a stable letter), so it
+    refutes only when w itself is a nontrivial pure base word, which lies
+    in A; otherwise the verdict is inconclusive.
     """
     if not descends_to_identity(m, p):
         raise ValueError("map does not descend to the identity on the direct product")
@@ -216,8 +227,40 @@ def orbit_intersection_certificate(m: GeneratorMap, w: Word, p: HnnPresentation)
             format_word(px, p.alphabet) if px else "stable projection is empty",
         ),
     )
-    verdict = CERTIFIED if px else REFUTED
+    r = free_reduce(w)
+    pure_base = bool(r) and all(is_base(c) for c in r)
+    verdict = CERTIFIED if px else REFUTED if pure_base else INCONCLUSIVE
     return Certificate(verdict, "orbit-intersection", conds)
+
+
+def orbit_evidence(
+    spec: SubgroupSpec,
+    w: Word,
+    p: HnnPresentation,
+    m: GeneratorMap,
+    m_inv: GeneratorMap,
+    alphabet: Alphabet | None = None,
+) -> Certificate:
+    """The orbit certificate of w as evidence for spec.
+
+    It speaks of A = <m^k(w)>, so it counts only when every generator of
+    spec, freely reduced, is m^k(w)^{+-1} for some |k| <= 3 (the range
+    criterion 09 probes; m_inv inverts m).  Otherwise it is inconclusive
+    and names the first generator not covered, spelled in `alphabet`.
+    """
+    cert = orbit_intersection_certificate(m, w, p)
+    r = free_reduce(w)
+    orbit, fwd, bwd = {r}, r, r
+    for _ in range(3):
+        fwd, bwd = m.apply(fwd), m_inv.apply(bwd)
+        orbit |= {fwd, bwd}
+    orbit |= {invert(u) for u in orbit}
+    missing = [g for g in spec.generators if free_reduce(g) not in orbit]
+    if not missing:
+        return cert
+    why = f"{format_word(missing[0], alphabet)} not in the orbit of {format_word(w, alphabet)}"
+    covers = Condition(f"orbit_covers_generators[{spec.label}]", False, why)
+    return Certificate(INCONCLUSIVE, cert.theorem, (covers,) + cert.conditions)
 
 
 Evidence = Certificate | OracleReport | str
@@ -233,10 +276,11 @@ def free_product_certificate(
     """Certify that the given subgroups generate their free product.
 
     Supports must be pairwise disjoint and non-empty; each spec needs
-    base-intersection evidence.  An orbit certificate or a declared external
-    proof is proof-grade; a bounded probe pass is recorded but leaves the
-    verdict inconclusive, and any refuting evidence refutes the whole claim.
-    Witnesses are spelled in `alphabet`.
+    base-intersection evidence.  A certified orbit certificate or a declared
+    external proof is proof-grade; any other orbit verdict and a bounded
+    probe pass leave the verdict inconclusive.  Only failed support
+    conditions and a probe witness refute.  Witnesses are spelled in
+    `alphabet`.
     """
     conds: list[Condition] = []
     hard_fail = False
@@ -250,9 +294,9 @@ def free_product_certificate(
         if ev is None:
             conds.append(Condition(name, False, "no evidence supplied"))
         elif isinstance(ev, Certificate):
-            ok = ev.verdict == CERTIFIED
-            conds.append(Condition(name, ok, f"orbit certificate: {ev.verdict}"))
-            hard_fail |= ev.verdict == REFUTED
+            why = next((f" ({c.witness})" for c in ev.conditions if not c.ok), "")
+            conds.append(Condition(name, ev.verdict == CERTIFIED,
+                                   f"orbit certificate: {ev.verdict}{why}"))
         elif isinstance(ev, OracleReport):
             # Bounded evidence never certifies, but a failed probe refutes.
             if ev.verdict == FAIL:
@@ -263,12 +307,7 @@ def free_product_certificate(
                 conds.append(Condition(name, False, f"bounded probe only: {ev.verdict}"))
         else:
             conds.append(Condition(name, True, f"declared: {ev}"))
-    if hard_fail:
-        verdict = REFUTED
-    elif all(c.ok for c in conds):
-        verdict = CERTIFIED
-    else:
-        verdict = INCONCLUSIVE
+    verdict = REFUTED if hard_fail else CERTIFIED if all(c.ok for c in conds) else INCONCLUSIVE
     return Certificate(verdict, "free-product-pingpong", tuple(conds))
 
 

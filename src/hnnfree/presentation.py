@@ -19,6 +19,7 @@ from .words import (
     Word,
     base_gen,
     commutator,
+    conjugate,
     default_alphabet,
     format_word,
     free_reduce,
@@ -312,10 +313,5 @@ def relators(p: HnnPresentation) -> list[Word]:
     out: list[Word] = []
     for x in p.stable_gens:
         for a in p.associations(x):
-            out.append(free_reduce((-x,) + conj_word(a.w, a.y, 1) + (x,) + conj_word(a.v, a.y, -1)))
+            out.append(free_reduce((-x,) + conjugate((a.y,), a.w) + (x,) + conjugate((-a.y,), a.v)))
     return out
-
-
-def conj_word(b: Word, y: int, sign: int) -> Word:
-    """b^-1 y^sign b as a literal word."""
-    return invert(b) + (sign * y,) + b

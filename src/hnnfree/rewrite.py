@@ -110,35 +110,21 @@ class RuleSystem:
         """The mutable form the rewrite loops work on."""
         return list(w)
 
+    def _matches(self, ints, pos: int):
+        """Indices of the rules whose lhs occurs at pos, in (kind, id) order."""
+        n = len(ints)
+        for idx in self._by_first.get(ints[pos], ()):
+            lhs = self._rl[idx][0]
+            if pos + len(lhs) <= n and all(ints[pos + k] == lhs[k] for k in range(1, len(lhs))):
+                yield idx
+
     def match_at(self, ints, pos: int) -> int | None:
         """Index of the first rule (kind, id order) whose lhs occurs at pos."""
-        bucket = self._by_first.get(ints[pos])
-        if not bucket:
-            return None
-        n = len(ints)
-        for idx in bucket:
-            lhs = self._rl[idx][0]
-            if pos + len(lhs) <= n and all(
-                ints[pos + k] == lhs[k] for k in range(1, len(lhs))
-            ):
-                return idx
-        return None
+        return next(self._matches(ints, pos), None)
 
     def redexes(self, ints) -> list[tuple[int, int]]:
         """All (position, rule index) pairs, position order then (kind, id)."""
-        out = []
-        n = len(ints)
-        for pos in range(n):
-            bucket = self._by_first.get(ints[pos])
-            if not bucket:
-                continue
-            for idx in bucket:
-                lhs = self._rl[idx][0]
-                if pos + len(lhs) <= n and all(
-                    ints[pos + k] == lhs[k] for k in range(1, len(lhs))
-                ):
-                    out.append((pos, idx))
-        return out
+        return [(pos, idx) for pos in range(len(ints)) for idx in self._matches(ints, pos)]
 
 
 @dataclass(frozen=True)

@@ -135,9 +135,6 @@ class GeneratorMap:
         """Composite map: first self, then after (apply = after.apply . self.apply)."""
         return GeneratorMap({g: after.apply(w) for g, w in self.images.items()})
 
-    def gens(self) -> set[int]:
-        return set(self.images)
-
 
 def identity_map(gens: Iterable[int]) -> GeneratorMap:
     return GeneratorMap({g: (g,) for g in gens})

@@ -164,6 +164,37 @@ def test_certify_json_document(capsys):
     assert any(c["name"].startswith("base_intersection") for c in doc["conditions"])
 
 
+def test_orbit_evidence_must_cover_the_spec(capsys):
+    # A = B = <y1> meet the base, though the orbits of x1 and x2 do not
+    code, out, _ = run(capsys, "pingpong-certify", "--preset", "gn", "3",
+                       "--spec", "A:x1:y1", "--spec", "B:x2:y1",
+                       "--evidence", "A:orbit:x1", "--evidence", "B:orbit:x2")
+    assert code == 3
+    assert out.startswith("verdict: inconclusive")
+    assert ("  FAIL base_intersection_trivial[A]  "
+            "[orbit certificate: inconclusive (y1 not in the orbit of x1)]\n") in out
+    code, out, _ = run(capsys, "pingpong-oracle", "--preset", "gn", "3",
+                       "--spec", "A:x1:y1", "--spec", "B:x2:y1")
+    assert code == 1
+    assert "  witness: 1\n" in out
+    # under p2 the orbit follows phi: phi(x1) = y1 x1 y1^-1, but x1 y1^-1 is no image
+    certify_p2 = ("pingpong-certify", "--preset", "p2", "3", "--evidence", "A:orbit:x1")
+    code, out, _ = run(capsys, *certify_p2, "--spec", "A:x1:y1 x1 y1^-1, x1^-1")
+    assert code == 0
+    code, out, _ = run(capsys, *certify_p2, "--spec", "A:x1:x1 y1^-1")
+    assert code == 3
+    assert "(x1 y1^-1 not in the orbit of x1)" in out
+
+
+def test_vanishing_stable_projection_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "pingpong-certify", "--preset", "gn", "3",
+                       "--spec", "A:x1:x1 y1 x1^-1 y1^-1",
+                       "--evidence", "A:orbit:x1 y1 x1^-1 y1^-1")
+    assert code == 3
+    assert out.endswith("  FAIL base_intersection_trivial[A]  "
+                        "[orbit certificate: inconclusive (stable projection is empty)]\n")
+
+
 def test_oracle_pass_and_fail(capsys):
     code, out, _ = run(capsys, "pingpong-oracle", "--preset", "gn", "3",
                        "--spec", "A1:x1:x1", "--spec", "A2:x2:y1 x2",
@@ -318,6 +349,36 @@ def test_bad_spec_and_evidence_format(capsys):
     code, _, err = run(capsys, "pingpong-certify", "--preset", "gn", "3",
                        "--spec", "A1:x1:x1", "--evidence", "ZZ:declared:proof")
     assert code == 2
+
+
+G3 = ("--preset", "gn", "3")
+TWO_SPECS = ("pingpong-oracle", *G3, "--spec", "A:x1:x1", "--spec", "B:x2:x2")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("pingpong-certify", *G3, "--spec", "A:x1:y1", "--spec", "A:x2:x2",
+      "--evidence", "A:orbit:x2"), "--spec label 'A' is repeated"),
+    (("pingpong-oracle", *G3, "--spec", "A:x1:x1", "--spec", "A:x2:x2"),
+     "--spec label 'A' is repeated"),
+    ((*TWO_SPECS, "--syllables", "0"), "--syllables must be at least 1, got 0"),
+    ((*TWO_SPECS, "--exp-range", "-1"), "--exp-range must be at least 1, got -1"),
+    ((*TWO_SPECS, "--max-products", "-1"), "--max-products must be at least 0, got -1"),
+    (("danilevich", "--preset", "p2", "2", "--h", "x1", "--exp-range", "0"),
+     "--exp-range must be at least 1, got 0"),
+    (("confluence", *G3, "--random", "--trials", "-1"), "--trials must be at least 1, got -1"),
+    (("confluence", *G3, "--random", "--trials", "0"), "--trials must be at least 1, got 0"),
+    (("confluence", *G3, "--random", "--max-len", "0"), "--max-len must be at least 1, got 0"),
+    (("pingpong-certify", *G3, "--spec", "A:x1:x1", "--evidence", "A:probe:0"),
+     "probe evidence needs a length bound, got '0'"),
+])
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_zero_product_budget_is_allowed(capsys):
+    code, out, _ = run(capsys, *TWO_SPECS, "--max-products", "0")
+    assert code == 3
+    assert out == "inconclusive  (products checked: 0)\n  note: budget of 0 products exceeded\n"
 
 
 def test_presentation_file_error_carries_line(tmp_path, capsys):

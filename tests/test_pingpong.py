@@ -16,6 +16,7 @@ from hnnfree.pingpong import (
     free_product_certificate,
     free_product_oracle,
     in_base_subgroup,
+    orbit_evidence,
     orbit_intersection_certificate,
     support_check,
 )
@@ -120,6 +121,36 @@ def test_orbit_certificate_verdicts():
     assert orbit_intersection_certificate(EXT3.phi, w3("x1 y2"), GN3).verdict == CERTIFIED
 
 
+def test_vanishing_stable_projection_refutes_only_a_pure_base_word():
+    # every nonzero power of [x1, y1] keeps an x1, so <[x1, y1]> meets the base trivially
+    for text in ("x1 y1 x1^-1 y1^-1", "x1 x1^-1", "1"):
+        assert orbit_intersection_certificate(EXT3.phi, w3(text), GN3).verdict == INCONCLUSIVE
+    # the freely reduced word decides: y1 x1 x1^-1 is the base word y1
+    assert orbit_intersection_certificate(EXT3.phi, w3("y1 x1 x1^-1"), GN3).verdict == REFUTED
+
+
+def test_orbit_evidence_counts_only_for_generators_in_the_orbit():
+    ident = GeneratorMap({g: (g,) for g in GN3.base_gens + GN3.stable_gens})
+    phi, phi_inv = EXT3.phi, EXT3.phi_inv
+    # phi(x1) = y1 x1 y1^-1, and phi^-3(x1) and inverses are in range too
+    far = phi_inv.apply(phi_inv.apply(phi_inv.apply(w3("x1"))))
+    covered = SubgroupSpec("A", (w3("x1 x1 x1^-1"), w3("y1 x1^-1 y1^-1"), far),
+                           frozenset({stable_gen(1)}))
+    assert orbit_evidence(covered, w3("x1"), GN3, phi, phi_inv).verdict == CERTIFIED
+    # the identity map's orbit of x1 is x1^{+-1} alone
+    cert = orbit_evidence(covered, w3("x1"), GN3, ident, ident)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.conditions[0] == Condition(
+        "orbit_covers_generators[A]", False, "y1 x1^-1 y1^-1 not in the orbit of x1")
+    # phi^4(x1) lies past |k| <= 3
+    beyond = phi.apply(phi.apply(phi.apply(phi.apply(w3("x1")))))
+    spec4 = SubgroupSpec("A", (beyond,), frozenset({stable_gen(1)}))
+    assert orbit_evidence(spec4, w3("x1"), GN3, phi, phi_inv).verdict == INCONCLUSIVE
+    # a covering orbit keeps the orbit certificate's own verdict
+    y1 = spec("B", ["x1"], "y1")
+    assert orbit_evidence(y1, w3("y1"), GN3, ident, ident).verdict == REFUTED
+
+
 def test_orbit_certificate_monotone_against_probe():
     # certified orbit generator stays clear of <Y> under finitely many phi
     # powers; the acceptance suite runs the same probe at the full length-6
@@ -172,6 +203,16 @@ def test_free_product_certificate_probe_not_enough():
     evidence["A2"] = bounded_intersection_probe(specs[1], S3, max_len=6)
     cert = free_product_certificate(specs, evidence, S3)
     assert cert.verdict == INCONCLUSIVE
+
+
+def test_orbit_evidence_never_refutes_the_free_product():
+    a = spec("A", ["x1"], "y1")
+    refuted = orbit_intersection_certificate(EXT3.phi, w3("y1"), GN3)
+    cert = free_product_certificate([a], {"A": refuted}, S3)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.conditions[-1] == Condition(
+        "base_intersection_trivial[A]", False,
+        "orbit certificate: refuted (stable projection is empty)")
 
 
 def test_certificate_constructor_guards_verdict():
