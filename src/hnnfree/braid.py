@@ -311,8 +311,10 @@ def verify_extension(ext: SemidirectExtension) -> ExtensionReport:
     for idx, r in enumerate(relators(ext.base)):
         img = ext.phi.apply(r)
         v = nf(img, system)
-        why = f"image of {format_word(r, alphabet)} has normal form {format_word(v, alphabet)}"
-        checks.append(Condition(f"relator_image_trivial[{idx}]", not v, why if v else None))
+        why = None
+        if v:
+            why = f"image of {format_word(r, alphabet)} has normal form {format_word(v, alphabet)}"
+        checks.append(Condition(f"relator_image_trivial[{idx}]", not v, why))
     gens = ext.base.base_gens + ext.base.stable_gens
     mutual = all(
         ext.phi.apply(ext.phi_inv.apply((g,))) == (g,)

@@ -110,21 +110,23 @@ class RuleSystem:
         """The mutable form the rewrite loops work on."""
         return list(w)
 
-    def _matches(self, ints, pos: int):
-        """Indices of the rules whose lhs occurs at pos, in (kind, id) order."""
+    def _matches(self, ints, positions):
+        """(position, rule index) of every lhs occurring at one of the
+        positions, in position order, then (kind, id) order."""
         n = len(ints)
-        for idx in self._by_first.get(ints[pos], ()):
-            lhs = self._rl[idx][0]
-            if pos + len(lhs) <= n and all(ints[pos + k] == lhs[k] for k in range(1, len(lhs))):
-                yield idx
+        for pos in positions:
+            for idx in self._by_first.get(ints[pos], ()):
+                lhs = self._rl[idx][0]
+                if pos + len(lhs) <= n and all(ints[pos + k] == lhs[k] for k in range(1, len(lhs))):
+                    yield pos, idx
 
     def match_at(self, ints, pos: int) -> int | None:
         """Index of the first rule (kind, id order) whose lhs occurs at pos."""
-        return next(self._matches(ints, pos), None)
+        return next((idx for _, idx in self._matches(ints, (pos,))), None)
 
     def redexes(self, ints) -> list[tuple[int, int]]:
         """All (position, rule index) pairs, position order then (kind, id)."""
-        return [(pos, idx) for pos in range(len(ints)) for idx in self._matches(ints, pos)]
+        return list(self._matches(ints, range(len(ints))))
 
 
 @dataclass(frozen=True)
