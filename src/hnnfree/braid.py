@@ -373,13 +373,12 @@ class BraidRelationReport:
         return {"ok": self.ok, "all_settled_by_push": self.all_push, "entries": entries}
 
 
-@dataclass(frozen=True)
 class BraidVerification:
     """The extension checks and the relation check of one rank; the
     relation check alone sets the verdict."""
 
-    extension: ExtensionReport
-    relations: BraidRelationReport
+    def __init__(self, extension: ExtensionReport, relations: BraidRelationReport):
+        self.extension, self.relations = extension, relations
 
     @property
     def verdict(self) -> str:
