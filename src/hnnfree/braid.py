@@ -252,9 +252,6 @@ class BraidSplitting:
             return False
         return self.nf(w).is_identity
 
-    def equal(self, u: Word, v: Word) -> bool:
-        return self.is_trivial(invert(v) + u)
-
 
 @lru_cache(maxsize=None)
 def _splitting(n: int) -> BraidSplitting:
@@ -273,7 +270,7 @@ def braid_trivial(ext: SemidirectExtension, w: Word) -> bool:
 
 def braid_equal(ext: SemidirectExtension, u: Word, v: Word) -> bool:
     """Complete equality test for the braid layer via the splitting."""
-    return _splitting(ext.rank).equal(u, v)
+    return _splitting(ext.rank).is_trivial(invert(v) + u)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +286,11 @@ class ExtensionReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def render(self, alphabet=None) -> str:
+    def render(self) -> str:
         head = f"extension checks: {'all pass' if self.ok else 'FAILURES'}"
         return conditions_text(head, self.checks)
 
-    def doc(self, alphabet=None) -> dict:
+    def doc(self) -> dict:
         return {"ok": self.ok, "checks": conditions_doc(self.checks)}
 
 
@@ -355,18 +352,18 @@ class BraidRelationReport:
         """Whether every relator already pushed to the identity pair."""
         return all(e.settled_by == "push" for e in self.entries)
 
-    def render(self, alphabet=None) -> str:
+    def render(self) -> str:
         lines = [f"relation check at n={self.n}: {'all trivial' if self.ok else 'FAILURES'}"]
         for e in self.entries:
             mark = "ok" if e.trivial else "FAIL"
-            extra = "" if e.settled_by == "push" else f"  (push remainder {e.pushed.render(alphabet)})"
+            extra = "" if e.settled_by == "push" else f"  (push remainder {e.pushed.render()})"
             lines.append(f"  {mark:4} {e.label():10} via {e.settled_by}{extra}")
         return "\n".join(lines)
 
-    def doc(self, alphabet=None) -> dict:
+    def doc(self) -> dict:
         entries = [
             {"family": e.family, "i": e.i, "j": e.j, "settled_by": e.settled_by,
-             "trivial": e.trivial, "push_remainder": format_word(e.pushed.g, alphabet),
+             "trivial": e.trivial, "push_remainder": format_word(e.pushed.g),
              "push_t_exponent": e.pushed.k}
             for e in self.entries
         ]
@@ -384,16 +381,16 @@ class BraidVerification:
     def verdict(self) -> str:
         return PASS if self.relations.ok else FAIL
 
-    def render(self, alphabet=None) -> str:
-        text = f"{self.extension.render()}\n{self.relations.render(alphabet)}"
+    def render(self) -> str:
+        text = f"{self.extension.render()}\n{self.relations.render()}"
         text += f"\noverall: relations {'all trivial' if self.relations.ok else 'FAIL'}"
         if not self.extension.ok:
             text += " (conjugation maps do not descend to the base quotient; see failures above)"
         return text
 
-    def doc(self, alphabet=None) -> dict:
+    def doc(self) -> dict:
         return {"n": self.relations.n, "extension": self.extension.doc(),
-                "relations": self.relations.doc(alphabet), "verdict": self.verdict}
+                "relations": self.relations.doc(), "verdict": self.verdict}
 
 
 def verify_braid_relations(n: int) -> BraidRelationReport:
@@ -495,9 +492,7 @@ def free_factor_probe(
             raise ValueError("H generators must not contain the outer letter")
     support = frozenset({OUTER})
     specs = [SubgroupSpec("H", tuple(h_generators), support), SubgroupSpec("T", (T_WORD,), support)]
-    rep = free_product_oracle(
-        specs, _system(ext.base), bounds, _splitting(ext.rank).is_trivial, ext.alphabet
-    )
+    rep = free_product_oracle(specs, _system(ext.base), bounds, _splitting(ext.rank).is_trivial)
     if not rep.witness_factors:
         return rep
     # a <t> factor is one run, "T: (t)" or "T: (t)^e"; it is spelled t^e

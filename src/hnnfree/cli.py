@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .braid import (
     BraidVerification,
@@ -62,7 +63,6 @@ from .words import (
     WordSyntaxError,
     format_word,
     identity_map,
-    parse_word,
 )
 
 EXIT_PASS = 0
@@ -101,8 +101,9 @@ def _load_source(args) -> HnnPresentation | SemidirectExtension:
     raise CliError("a presentation source is required (--preset or --file)")
 
 
-def _base_and_alphabet(src):
-    return (src.base if isinstance(src, SemidirectExtension) else src), src.alphabet
+def _base(src) -> HnnPresentation:
+    """The presented group: a p2 source's base, otherwise the source itself."""
+    return src.base if isinstance(src, SemidirectExtension) else src
 
 
 def _require_extension(src) -> SemidirectExtension:
@@ -111,14 +112,15 @@ def _require_extension(src) -> SemidirectExtension:
     return src
 
 
-def _parse(text: str, src) -> Word:
-    """Parse a word; under a p2 source A{i}_{j} braid names are accepted."""
+def _parse(text: str, src, p=None) -> Word:
+    """Parse a word in p, by default the source itself; under a p2 source
+    A{i}_{j} braid names are resolved first."""
     if isinstance(src, SemidirectExtension):
         try:
             text = resolve_braid_names(text, src.rank)
         except ValueError as e:
             raise CliError(str(e))
-    return parse_word(text, src.alphabet)
+    return (p or src).parse(text)
 
 
 def _at_least(low: int, **options) -> None:
@@ -152,9 +154,9 @@ def _emit(args, text: str, doc: dict) -> None:
         print(text)
 
 
-def _report(args, rep, alphabet=None, **fields) -> int:
+def _report(args, rep, **fields) -> int:
     """Print a report as its text or its JSON document; exit by its verdict."""
-    _emit(args, rep.render(alphabet), {**fields, **rep.doc(alphabet)})
+    _emit(args, rep.render(), {**fields, **rep.doc()})
     return _VERDICT_EXIT[rep.verdict]
 
 
@@ -164,7 +166,7 @@ def _report(args, rep, alphabet=None, **fields) -> int:
 
 
 def _cmd_nf(args, src) -> int:
-    p, alphabet = _base_and_alphabet(src)
+    p = _base(src)
     system = RuleSystem(p)
     w = _parse(args.word, src)
     if args.trace or args.strategy != "leftmost":
@@ -172,35 +174,35 @@ def _cmd_nf(args, src) -> int:
         steps = len(trace)
     else:
         result, steps = nf_steps(w, system)
-    text = trace.render(alphabet) if args.trace else format_word(result, alphabet)
+    text = trace.render(p.alphabet) if args.trace else format_word(result, p.alphabet)
     _emit(args, text, {
-        "input": format_word(w, alphabet),
-        "normal_form": format_word(result, alphabet),
+        "input": format_word(w, p.alphabet),
+        "normal_form": format_word(result, p.alphabet),
         "steps": steps,
     })
     return EXIT_PASS
 
 
 def _cmd_eq(args, src) -> int:
-    p, alphabet = _base_and_alphabet(src)
+    p = _base(src)
     system = RuleSystem(p)
     u, v = _parse(args.left, src), _parse(args.right, src)
     same = equal(u, v, system)
     _emit(args, "true" if same else "false", {
-        "left": format_word(u, alphabet),
-        "right": format_word(v, alphabet),
+        "left": format_word(u, p.alphabet),
+        "right": format_word(v, p.alphabet),
         "equal": same,
     })
     return EXIT_PASS if same else EXIT_FAIL
 
 
 def _cmd_rules(args, src) -> int:
-    p, alphabet = _base_and_alphabet(src)
+    p = _base(src)
     rules = compile_rules(p)
     lines = [f"{len(rules)} rules"]
     docs = []
     for r in rules:
-        lhs, rhs = format_word(r.lhs, alphabet), format_word(r.rhs, alphabet)
+        lhs, rhs = format_word(r.lhs, p.alphabet), format_word(r.rhs, p.alphabet)
         lines.append(f"  kind {r.kind} #{r.rule_id}: {lhs} -> {rhs}")
         docs.append({"kind": r.kind, "id": r.rule_id, "lhs": lhs, "rhs": rhs})
     _emit(args, "\n".join(lines), {"count": len(rules), "rules": docs})
@@ -209,7 +211,7 @@ def _cmd_rules(args, src) -> int:
 
 def _cmd_confluence(args, src) -> int:
     _at_least(1, trials=args.trials, max_len=args.max_len)
-    p, alphabet = _base_and_alphabet(src)
+    p = _base(src)
     system = RuleSystem(p)
     if args.random:
         rep = random_confluence_probe(system, seed=args.seed or 0,
@@ -227,14 +229,14 @@ def _cmd_confluence(args, src) -> int:
                 + ("all joinable" if ok else f"{len(rep.failures)} non-joinable"))
         if not ok:
             for cp in rep.failures[:10]:
-                text += f"\n  peak {format_word(cp.peak, alphabet)} has non-joinable reducts"
+                text += f"\n  peak {format_word(cp.peak, p.alphabet)} has non-joinable reducts"
         doc = {"mode": "critical-pairs", "ok": ok,
                "pairs_checked": rep.pairs_checked, "failures": len(rep.failures)}
     _emit(args, text, doc)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _parse_spec(text: str, src, alphabet) -> SubgroupSpec:
+def _parse_spec(text: str, src, p) -> SubgroupSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"--spec must read LABEL:SUPPORT:GENWORDS, got {text!r}")
@@ -243,25 +245,23 @@ def _parse_spec(text: str, src, alphabet) -> SubgroupSpec:
         raise CliError("--spec label must be nonempty")
     support = set()
     for name in filter(None, (s.strip() for s in support_text.split(","))):
-        if name not in alphabet:
+        if name not in p.alphabet:
             raise CliError(f"unknown support letter {name!r} in spec {label!r}")
-        support.add(alphabet.gen(name))
-    gens = tuple(
-        _parse(g, src) for g in filter(None, (s.strip() for s in gens_text.split(",")))
-    )
+        support.add(p.alphabet.gen(name))
+    gens = tuple(_parse(g, src, p) for g in filter(None, (s.strip() for s in gens_text.split(","))))
     try:
         return SubgroupSpec(label, gens, frozenset(support))
     except ValueError as e:
         raise CliError(str(e))
 
 
-def _specs(args, src, alphabet) -> dict[str, SubgroupSpec]:
-    """The --spec options by label; labels must be distinct."""
+def _specs(args, src, p) -> dict[str, SubgroupSpec]:
+    """The --spec options by label, read in p; labels must be distinct."""
     if not args.spec:
         raise CliError("at least one --spec is required")
     specs: dict[str, SubgroupSpec] = {}
     for text in args.spec:
-        spec = _parse_spec(text, src, alphabet)
+        spec = _parse_spec(text, src, p)
         if spec.label in specs:
             raise CliError(f"--spec label {spec.label!r} is repeated")
         specs[spec.label] = spec
@@ -269,9 +269,10 @@ def _specs(args, src, alphabet) -> dict[str, SubgroupSpec]:
 
 
 def _cmd_pingpong_certify(args, src) -> int:
-    p, alphabet = _base_and_alphabet(src)
+    # the theorem speaks of the presented group, whose letters exclude t
+    p = _base(src)
     system = RuleSystem(p)
-    by_label = _specs(args, src, alphabet)
+    by_label = _specs(args, src, p)
     evidence = {}
     for ev in args.evidence or []:
         parts = ev.split(":", 2)
@@ -286,8 +287,7 @@ def _cmd_pingpong_certify(args, src) -> int:
             m, m_inv = ((src.phi, src.phi_inv) if isinstance(src, SemidirectExtension)
                         else (identity_map(p.base_gens + p.stable_gens),) * 2)
             try:
-                evidence[label] = orbit_evidence(by_label[label], _parse(value, src), p, m, m_inv,
-                                                 alphabet)
+                evidence[label] = orbit_evidence(by_label[label], _parse(value, src, p), p, m, m_inv)
             except ValueError as e:
                 raise CliError(f"orbit evidence unavailable here: {e}")
         elif kind == "probe":
@@ -296,25 +296,21 @@ def _cmd_pingpong_certify(args, src) -> int:
             evidence[label] = bounded_intersection_probe(by_label[label], system, int(value))
         else:
             raise CliError(f"unknown evidence kind {kind!r} (orbit/declared/probe)")
-    cert = free_product_certificate(list(by_label.values()), evidence, system,
-                                    strict=not args.lax, alphabet=alphabet)
+    cert = free_product_certificate(list(by_label.values()), evidence, system, strict=not args.lax)
     return _report(args, cert)
 
 
 def _cmd_pingpong_oracle(args, src) -> int:
-    p, alphabet = _base_and_alphabet(src)
-    specs = list(_specs(args, src, alphabet).values())
-    is_trivial = None
-    if isinstance(src, SemidirectExtension):
-        is_trivial = lambda w: braid_trivial(src, w)
-    rep = free_product_oracle(specs, RuleSystem(p), _bounds(args), is_trivial, alphabet)
-    return _report(args, rep, alphabet)
+    specs = list(_specs(args, src, src).values())
+    is_trivial = partial(braid_trivial, src) if isinstance(src, SemidirectExtension) else None
+    rep = free_product_oracle(specs, RuleSystem(_base(src)), _bounds(args), is_trivial)
+    return _report(args, rep)
 
 
 def _cmd_braid_verify(args, src) -> int:
     ext = _require_extension(src)
     rep = BraidVerification(verify_extension(ext), verify_braid_relations(ext.rank))
-    return _report(args, rep, ext.alphabet)
+    return _report(args, rep)
 
 
 def _cmd_braid_phi(args, src) -> int:
@@ -365,7 +361,7 @@ def _cmd_danilevich(args, src) -> int:
         rep = free_factor_probe(ext, hgens, _bounds(args))
     except ValueError as e:
         raise CliError(str(e))
-    return _report(args, rep, ext.alphabet)
+    return _report(args, rep)
 
 
 # ---------------------------------------------------------------------------

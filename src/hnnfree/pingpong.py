@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 from .presentation import HnnPresentation
 from .rewrite import RuleSystem, nf, nf_ints
 from .words import (
+    OUTER,
     Alphabet,
     GeneratorMap,
     Word,
@@ -107,39 +108,41 @@ class Certificate:
         if self.verdict == CERTIFIED and not all(c.ok for c in self.conditions):
             raise ValueError("certified verdict requires every condition to pass")
 
-    def render(self, alphabet: Alphabet | None = None) -> str:
+    def render(self) -> str:
         return conditions_text(f"verdict: {self.verdict}  ({self.theorem})", self.conditions)
 
-    def doc(self, alphabet: Alphabet | None = None) -> dict:
+    def doc(self) -> dict:
         return {"verdict": self.verdict, "theorem": self.theorem,
                 "conditions": conditions_doc(self.conditions), "bounds": None}
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Result of a bounded enumeration: pass, fail with witness, or budget out."""
+    """Result of a bounded enumeration: pass, fail with witness, or budget out.
+    The witness is spelled in `alphabet`, that of the enumeration's system."""
 
     verdict: str
     checked: int
     witness: Word | None = None
     witness_factors: tuple[str, ...] | None = None
     note: str | None = None
+    alphabet: Alphabet | None = None
 
-    def render(self, alphabet: Alphabet | None = None) -> str:
+    def render(self) -> str:
         line = f"{self.verdict}  (products checked: {self.checked})"
         if self.witness is not None:
-            line += f"\n  witness: {format_word(self.witness, alphabet)}"
+            line += f"\n  witness: {format_word(self.witness, self.alphabet)}"
         if self.witness_factors:
             line += f"\n  factors: {' | '.join(self.witness_factors)}"
         if self.note:
             line += f"\n  note: {self.note}"
         return line
 
-    def doc(self, alphabet: Alphabet | None = None) -> dict:
+    def doc(self) -> dict:
         return {
             "verdict": self.verdict,
             "checked": self.checked,
-            "witness": None if self.witness is None else format_word(self.witness, alphabet),
+            "witness": None if self.witness is None else format_word(self.witness, self.alphabet),
             "witness_factors": list(self.witness_factors) if self.witness_factors else None,
             "note": self.note,
         }
@@ -239,14 +242,13 @@ def orbit_evidence(
     p: HnnPresentation,
     m: GeneratorMap,
     m_inv: GeneratorMap,
-    alphabet: Alphabet | None = None,
 ) -> Certificate:
     """The orbit certificate of w as evidence for spec.
 
     It speaks of A = <m^k(w)>, so it counts only when every generator of
     spec, freely reduced, is m^k(w)^{+-1} for some |k| <= 3 (the range
     criterion 09 probes; m_inv inverts m).  Otherwise it is inconclusive
-    and names the first generator not covered, spelled in `alphabet`.
+    and names the first generator not covered, spelled in p's alphabet.
     """
     cert = orbit_intersection_certificate(m, w, p)
     r = free_reduce(w)
@@ -258,9 +260,22 @@ def orbit_evidence(
     missing = [g for g in spec.generators if free_reduce(g) not in orbit]
     if not missing:
         return cert
-    why = f"{format_word(missing[0], alphabet)} not in the orbit of {format_word(w, alphabet)}"
+    why = f"{format_word(missing[0], p.alphabet)} not in the orbit of {format_word(w, p.alphabet)}"
     covers = Condition(f"orbit_covers_generators[{spec.label}]", False, why)
     return Certificate(INCONCLUSIVE, cert.theorem, (covers,) + cert.conditions)
+
+
+def _projection_certifies(spec: SubgroupSpec, p: HnnPresentation) -> bool:
+    """Whether A = <spec> meets the base trivially because every association
+    has w = v, making pi: x -> (x, 1), y -> (1, y) a homomorphism to F(X) x
+    F(Y), and every generator, with no t, maps to (a, b)^{+-1} for one a != 1:
+    then h in A and in the base has pi(h) = (a, b)^k = (1, h), so h = 1."""
+    if any(a.w != a.v for x in p.stable_gens for a in p.associations(x)) or any(
+            OUTER in map(abs, free_reduce(g)) for g in spec.generators):
+        return False
+    pairs = ((project_stable(g), project_base(g)) for g in spec.generators)
+    images = {min((a, b), (invert(a), invert(b))) for a, b in pairs}
+    return len(images) <= 1 and all(a for a, _ in images)
 
 
 Evidence = Certificate | OracleReport | str
@@ -271,21 +286,22 @@ def free_product_certificate(
     evidence: Mapping[str, Evidence],
     system: RuleSystem,
     strict: bool = True,
-    alphabet: Alphabet | None = None,
 ) -> Certificate:
     """Certify that the given subgroups generate their free product.
 
     Supports must be pairwise disjoint and non-empty; each spec needs
-    base-intersection evidence.  A certified orbit certificate or a declared
-    external proof is proof-grade; any other orbit verdict and a bounded
-    probe pass leave the verdict inconclusive.  Only failed support
-    conditions and a probe witness refute.  Witnesses are spelled in
-    `alphabet`.
+    base-intersection evidence.  A certified orbit certificate for which
+    _projection_certifies holds, or a declared external proof, is
+    proof-grade; any other certificate and a bounded probe pass
+    leave the verdict inconclusive.  Only failed support conditions and a
+    probe witness refute.  Witnesses are spelled in the alphabet of the
+    system's presentation.
     """
+    p = system.presentation
     conds: list[Condition] = []
     hard_fail = False
     for i, spec in enumerate(specs):
-        for c in support_check(spec, specs[i + 1 :], strict=strict, alphabet=alphabet):
+        for c in support_check(spec, specs[i + 1 :], strict=strict, alphabet=p.alphabet):
             conds.append(c)
             hard_fail |= not c.ok
     for spec in specs:
@@ -293,14 +309,18 @@ def free_product_certificate(
         ev = evidence.get(spec.label)
         if ev is None:
             conds.append(Condition(name, False, "no evidence supplied"))
+        elif isinstance(ev, Certificate) and ev.theorem != "orbit-intersection":
+            conds.append(Condition(name, False, f"{ev.theorem} certificate: not base-intersection evidence"))
         elif isinstance(ev, Certificate):
+            ok = ev.verdict == CERTIFIED
             why = next((f" ({c.witness})" for c in ev.conditions if not c.ok), "")
-            conds.append(Condition(name, ev.verdict == CERTIFIED,
-                                   f"orbit certificate: {ev.verdict}{why}"))
+            if ok and not _projection_certifies(spec, p):
+                ok, why = False, f" (no direct-product projection shows that {spec.label} meets the base trivially)"
+            conds.append(Condition(name, ok, f"orbit certificate: {ev.verdict}{why}"))
         elif isinstance(ev, OracleReport):
             # Bounded evidence never certifies, but a failed probe refutes.
             if ev.verdict == FAIL:
-                witness = format_word(ev.witness, alphabet) if ev.witness is not None else None
+                witness = format_word(ev.witness, p.alphabet) if ev.witness is not None else None
                 conds.append(Condition(name, False, f"probe found witness {witness}"))
                 hard_fail = True
             else:
@@ -339,7 +359,7 @@ def _push(stack: list[int], letters: Sequence[int]) -> list[int]:
     return out
 
 
-def _factor_desc(spec: SubgroupSpec, runs: Runs, alphabet: Alphabet | None) -> str:
+def _factor_desc(spec: SubgroupSpec, runs: Runs, alphabet: Alphabet) -> str:
     chunks = []
     for idx, e in runs:
         base = format_word(spec.generators[idx], alphabet)
@@ -352,7 +372,7 @@ def _walk(
     bounds: Bounds,
     screen: Callable[[int], bool],
     hit: Callable[[list[int]], bool],
-    alphabet: Alphabet | None = None,
+    alphabet: Alphabet,
 ) -> OracleReport:
     """Depth-first walk over the alternating products of the specs.
 
@@ -367,8 +387,8 @@ def _walk(
     generators of its letters for which `screen` holds.  Once a
     sum can no longer return to zero within the uses left, the whole
     subtree is counted as checked without being visited; a product whose
-    sums vanish goes to `hit`, and the first hit fails the report.  Its
-    factors are spelled in `alphabet`.
+    sums vanish goes to `hit`, and the first hit fails the report, which
+    spells its witness and factors in `alphabet`.
     """
     e_max, limit = bounds.exp_range, bounds.max_products
     gen_words = [s.generators for s in specs]
@@ -438,7 +458,7 @@ def _walk(
                 if found:
                     w, done = found
                     factors = tuple(_factor_desc(specs[i], made, alphabet) for i, made in done)
-                    return OracleReport(FAIL, checked, tuple(w), factors)
+                    return OracleReport(FAIL, checked, tuple(w), factors, alphabet=alphabet)
     except _Budget:
         return OracleReport(
             INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"
@@ -451,7 +471,6 @@ def free_product_oracle(
     system: RuleSystem,
     bounds: Bounds,
     is_trivial: Callable[[Word], bool] | None = None,
-    alphabet: Alphabet | None = None,
 ) -> OracleReport:
     """Exhaustively check that alternating products are nontrivial.
 
@@ -461,13 +480,14 @@ def free_product_oracle(
     sequence, then factor choice, so the first witness is minimal.  Exponent
     sums in every letter screen the products; the rest go to is_trivial,
     which defaults to the rewriting normal form and must decide triviality
-    in the group the products live in.  Witness factors are spelled in
-    `alphabet`.
+    in the group the products live in.  The witness is spelled in the
+    alphabet of the system's presentation.
     """
     if is_trivial is None:
         is_trivial = lambda w: not nf(w, system)
     # every generator, t included, is an exponent-sum invariant
-    return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(tuple(w)), alphabet)
+    return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(tuple(w)),
+                 system.presentation.alphabet)
 
 
 def bounded_intersection_probe(
@@ -489,4 +509,4 @@ def bounded_intersection_probe(
         return bool(v) and all(is_base(c) for c in v)
 
     bounds = Bounds(syllables=1, exp_range=max_len, max_products=max_products)
-    return _walk([spec], bounds, lambda g: not is_base(g), pure_base)
+    return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.presentation.alphabet)

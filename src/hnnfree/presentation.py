@@ -11,6 +11,7 @@ as written.  Generators and words use the integer code of the words module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .words import (
     EPSILON,
@@ -21,7 +22,6 @@ from .words import (
     commutator,
     conjugate,
     default_alphabet,
-    format_word,
     free_reduce,
     gen_name,
     invert,
@@ -62,11 +62,8 @@ class HnnPresentation:
 
 def validate(p: HnnPresentation) -> list[str]:
     """All violations of the presentation constraints; empty list means ok.
-
-    Generators are spelled in the presentation's alphabet; a code outside
-    it falls back to its default name (x1, y1, ...)."""
-    known = set(p.alphabet.all_gens())
-    name = lambda g: p.alphabet.name(g) if g in known else gen_name(g)
+    Generators are spelled in the presentation's alphabet."""
+    name = p.alphabet.name
     out: list[str] = []
     stable = set(p.stable_gens)
     base = set(p.base_gens)
@@ -108,9 +105,6 @@ class RewriteRule:
     stable: int | None = None
     assoc_index: int | None = None
 
-    def __repr__(self) -> str:
-        return f"<rule {self.kind}/{self.rule_id}: {format_word(self.lhs)} -> {format_word(self.rhs)}>"
-
 
 def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
     """Compile to the four rule families; count = 2|Y| + 2|X| + 4*sum(m_i).
@@ -146,12 +140,14 @@ def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
     return rules
 
 
+@lru_cache(maxsize=None)
 def gn(n: int) -> HnnPresentation:
     """The group with [x_i, y_j] = 1 for i < j and [x_i, y_j^{y_i}] = 1 for i > j.
 
     Base y_1..y_{n-1}, stable x_1..x_{n-1}; for x_i the associations are
     (y_j, 1, 1) for j > i and (y_j, y_i, y_i) for j < i, ordered by j.
     All conjugators satisfy w = v, so the projection to F(X) x F(Y) exists.
+    Memoized, so caches keyed by presentations stay bounded by the ranks.
     """
     if n < 2:
         raise ValueError("gn requires n >= 2")
@@ -195,13 +191,14 @@ class SemidirectExtension:
         return parse_word(text, self.alphabet)
 
 
+@lru_cache(maxsize=None)
 def p2(n: int) -> SemidirectExtension:
     """The pure-braid kernel layer: gn(n) extended by t with
     phi(x_i) = x_i^{y_i^-1}, phi(y_i) = y_i [x_i, y_i].
 
     phi_inv is fixed to the closed forms phi_inv(y_i) = x_i^-1 y_i x_i and
     phi_inv(x_i) = x_i^-1 y_i^-1 x_i y_i x_i, and the mutual-inverse identity
-    (a free-group fact) is re-verified here at load time.
+    (a free-group fact) is re-verified here at load time.  Memoized like gn.
     """
     if n < 2:
         raise ValueError("p2 requires n >= 2")

@@ -380,10 +380,6 @@ class ConfluenceReport:
     pairs_checked: int
     failures: tuple[CriticalPair, ...]
 
-    def __repr__(self) -> str:
-        verdict = "confluent" if self.ok else f"{len(self.failures)} non-joinable"
-        return f"<local confluence: {self.pairs_checked} critical pairs, {verdict}>"
-
 
 def check_local_confluence(system: RuleSystem) -> ConfluenceReport:
     """Normalize both reducts of every critical pair; termination is

@@ -188,13 +188,8 @@ class Alphabet:
         return name in self._by_name  # type: ignore[attr-defined]
 
     def name(self, g: int) -> str:
-        try:
-            return self._by_code[g]  # type: ignore[attr-defined]
-        except KeyError:
-            raise KeyError(f"generator {gen_name(g)} not in alphabet") from None
-
-    def all_gens(self) -> list[int]:
-        return list(self._by_code)  # type: ignore[attr-defined]
+        """g's name; a code outside the table keeps its default name (gen_name)."""
+        return self._by_code.get(g) or gen_name(g)  # type: ignore[attr-defined]
 
 
 def default_alphabet(n_base: int, n_stable: int, outer: bool = False) -> Alphabet:

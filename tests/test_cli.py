@@ -186,6 +186,29 @@ def test_orbit_evidence_must_cover_the_spec(capsys):
     assert "(x1 y1^-1 not in the orbit of x1)" in out
 
 
+def test_certify_reads_words_in_the_presented_group(capsys):
+    # t lies outside the group the ping-pong theorem speaks of: <t> * <y1 x1> is
+    # not free (pingpong-oracle finds t y1 x1 t^-1 x1^-1 y1^-1 = 1), so a
+    # certificate with t in it would be wrong
+    p2_2 = ("pingpong-certify", "--preset", "p2", "2")
+    code, out, err = run(capsys, *p2_2, "--spec", "A:t:t", "--spec", "B:x1:y1 x1",
+                         "--evidence", "A:declared:ok", "--evidence", "B:orbit:y1 x1")
+    assert (code, out, err) == (2, "", "error: unknown support letter 't' in spec 'A'\n")
+    # A2_3 names t at rank 2, and A3_4 is outside the rank-2 layer
+    code, out, err = run(capsys, *p2_2, "--spec", "A:x1:A2_3", "--evidence", "A:declared:ok")
+    assert (code, out, err) == (2, "", "parse error: column 1: unknown generator 't'\n")
+    code, out, err = run(capsys, *p2_2, "--spec", "A:x1:A3_4", "--evidence", "A:orbit:x1")
+    assert (code, out, err) == (2, "", "error: braid generator A3_4 lies outside the rank-2 layer\n")
+    code, out, err = run(capsys, *p2_2, "--spec", "A:x1:x1", "--evidence", "A:orbit:t")
+    assert code == 2 and out == ""
+    assert err.endswith("unknown generator 't'\n")
+    # a braid name of an x or a y still reads
+    code, out, _ = run(capsys, "pingpong-certify", "--preset", "p2", "3",
+                       "--spec", "A:x1:A1_4", "--evidence", "A:orbit:x1")
+    assert code == 0
+    assert out.startswith("verdict: certified")
+
+
 def test_vanishing_stable_projection_is_inconclusive(capsys):
     code, out, _ = run(capsys, "pingpong-certify", "--preset", "gn", "3",
                        "--spec", "A:x1:x1 y1 x1^-1 y1^-1",
@@ -230,7 +253,7 @@ def test_report_output_is_pinned(capsys, args, exit_code, stdout):
 
 
 def test_golden_cases_cover_every_report():
-    assert len(GOLDEN) == 20
+    assert len(GOLDEN) == 22
     assert {shlex.split(a)[0] for a, _, _ in GOLDEN} == {
         "pingpong-certify", "pingpong-oracle", "braid-check-free", "danilevich", "braid-verify"}
 
@@ -474,6 +497,16 @@ def test_file_generator_names_reach_every_message(tmp_path, capsys):
     code, out, err = run(capsys, "rules", "--file", str(path))
     assert code == 2
     assert err == "parse error: line 1: p:a: w begins with y^{+-1}\n"
+
+
+def test_repeated_p2_commands_keep_the_braid_caches_bounded(capsys):
+    argv = ("braid-phi", "--preset", "p2", "4", "--push", "x1 y2 t x3^-1 y1")
+    caches = (hnnfree.braid._system, hnnfree.braid._pushed_letter)
+    assert run(capsys, *argv)[0] == 0
+    sizes = [c.cache_info().currsize for c in caches]
+    for _ in range(300):
+        run(capsys, *argv)
+    assert [c.cache_info().currsize for c in caches] == sizes
 
 
 def test_danilevich_rejects_outer_generator(capsys):

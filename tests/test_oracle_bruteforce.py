@@ -108,8 +108,8 @@ def gn3_spec(label, *texts):
     return SubgroupSpec(label, tuple(GN3.parse(t) for t in texts), frozenset({OUTER}))
 
 
-ALL_GN3 = GN3.alphabet.all_gens() + [OUTER]
-ALL_E2 = E2.alphabet.all_gens()
+ALL_GN3 = GN3.base_gens + GN3.stable_gens + [OUTER]
+ALL_E2 = E2.base.base_gens + E2.base.stable_gens + [OUTER]
 
 ORACLE_CASES = {
     "certified pair": ([gn3_spec("A1", "x1"), gn3_spec("A2", "y1 x2")], 4, 2),

@@ -20,9 +20,12 @@ from hnnfree.pingpong import (
     orbit_intersection_certificate,
     support_check,
 )
-from hnnfree.presentation import gn, p2
+from hnnfree.braid import braid_freeness_check
+from hnnfree.presentation import Association, HnnPresentation, gn, p2, parse_presentation
 from hnnfree.rewrite import RuleSystem, nf
 from hnnfree.words import (
+    EPSILON,
+    Alphabet,
     GeneratorMap,
     OUTER,
     base_gen,
@@ -215,6 +218,58 @@ def test_orbit_evidence_never_refutes_the_free_product():
         "orbit certificate: refuted (stable projection is empty)")
 
 
+def test_orbit_certificate_counts_only_for_a_spec_it_covers():
+    # A = <y1> is the base itself; a certificate for the orbit of x1 says nothing of it
+    a = spec("A", ["x1"], "y1")
+    orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
+    cert = free_product_certificate([a], {"A": orbit}, S3)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.conditions[-1] == Condition(
+        "base_intersection_trivial[A]", False, "orbit certificate: certified "
+        "(no direct-product projection shows that A meets the base trivially)")
+
+
+def test_certificate_of_another_theorem_is_not_evidence():
+    a = spec("A", ["x1"], "y1")
+    rank = braid_freeness_check(3, [EXT3.parse("x1"), EXT3.parse("x2")])
+    assert rank.verdict == CERTIFIED
+    cert = free_product_certificate([a], {"A": rank}, S3)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.conditions[-1] == Condition(
+        "base_intersection_trivial[A]", False,
+        "braid-free-rank certificate: not base-intersection evidence")
+
+
+@pytest.mark.parametrize("gens,counts", [
+    # every generator maps to (x1, 1)^{+-1} under x -> (x, 1), y -> (1, y)
+    ((w3("x1"), w3("y1 x1 y1^-1"), w3("x1^-1")), True),
+    ((w3("y1 x2"), w3("x2 y1")), True),
+    ((), True),
+    ((w3("x1"), w3("x1^2")), False),
+    ((w3("x1"), w3("x2")), False),
+    ((w3("x1 y1 x1^-1 y1^-1"),), False),
+    ((w3("x1 x1^-1"),), False),
+    # t is no letter of the presented group; a cancelled t is no t
+    (((OUTER,) + w3("x1"),), False),
+    ((w3("x1") + (OUTER, -OUTER),), True),
+])
+def test_orbit_certificate_counts_when_the_projection_is_one_cycle(gens, counts):
+    orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
+    a = SubgroupSpec("A", gens, frozenset({stable_gen(1), stable_gen(2), OUTER}))
+    cert = free_product_certificate([a], {"A": orbit}, S3, strict=False)
+    assert (cert.verdict == CERTIFIED) == counts
+
+
+def test_orbit_certificate_needs_the_direct_product_projection():
+    # with w != v the projection to F(X) x F(Y) is not a homomorphism
+    p = HnnPresentation(Alphabet(("y1", "y2"), ("x1",)), {stable_gen(1): (
+        Association(base_gen(1), EPSILON, (base_gen(2),)),)})
+    orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
+    a = SubgroupSpec("A", (w3("x1"),), frozenset({stable_gen(1)}))
+    assert free_product_certificate([a], {"A": orbit}, S3).verdict == CERTIFIED
+    assert free_product_certificate([a], {"A": orbit}, RuleSystem(p)).verdict == INCONCLUSIVE
+
+
 def test_certificate_constructor_guards_verdict():
     with pytest.raises(ValueError):
         Certificate(CERTIFIED, "x", (Condition("c", False),))
@@ -240,6 +295,17 @@ def test_oracle_duplicate_spec_fails_with_minimal_witness():
     assert rep.verdict == "fail"
     assert rep.witness_factors == ("A1: (x1)", "B1: (x1)^-1")
     assert free_reduce(rep.witness) == free_reduce(w3("x1 x1^-1"))
+
+
+def test_oracle_spells_witness_in_the_presentations_own_names():
+    p = parse_presentation("base a b\nstable p\nrel p : b ^ 1 = b ^ 1\n")
+    specs = [SubgroupSpec("A", (p.parse("p"),), frozenset({p.alphabet.gen("p")})),
+             SubgroupSpec("B", (p.parse("b"),), frozenset({p.alphabet.gen("p")}))]
+    rep = free_product_oracle(specs, RuleSystem(p), Bounds(syllables=4))
+    assert rep.verdict == "fail"
+    assert rep.witness_factors == ("A: (p)", "B: (b)", "A: (p)^-1", "B: (b)^-1")
+    assert rep.render() == ("fail  (products checked: 174)\n  witness: p b p^-1 b^-1\n"
+                            "  factors: A: (p) | B: (b) | A: (p)^-1 | B: (b)^-1")
 
 
 def test_oracle_budget_is_inconclusive():
