@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Fingerprint the CLI's output on a fixed corpus of commands.
+
+Runs `hnnfree.cli.main` in-process on a fixed argv list: every subcommand in
+text and --json, help, usage and parse errors, presentation files that use
+their own generator names, and the traced normal form of x1^100 y2^100.
+Prints one sha256 per case, taken over its exit code, stdout and stderr,
+and then a total over all cases.  Two trees give equal hashes exactly when
+their CLI output agrees on the corpus:
+
+    PYTHONPATH=src python3 scripts/cli_corpus.py
+    PYTHONPATH=/path/to/other/src python3 scripts/cli_corpus.py
+
+Files are written to a temporary directory that the run works in, so no
+path of this machine reaches the output.  Help text is formatted for 80
+columns; its layout also depends on the Python version.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import tempfile
+
+from hnnfree.cli import main
+
+FILES = {
+    "handwritten.txt": """\
+base y1 y2 y3
+stable x1 x2
+rel x1 : y1 ^ y2 y3 = y1 ^ y3 y2
+rel x1 : y2 ^ y3^-1 y1 = y2 ^ y1 y3
+rel x2 : y3 ^ y1 y1 = y3 ^ y2^-1 y1
+""",
+    "nested.txt": """\
+base y1 x1
+stable s
+rel s : y1 ^ x1^-1 y1^-1 = y1 ^ x1
+rel s : x1 ^ y1^-1 = x1 ^ y1 x1
+""",
+    # the file's own names; w != v, so no direct-product projection
+    "own.txt": "base a b c\nstable p q\nrel p : a ^ b = a ^ c\n",
+    "own-trivial.txt": "base a b\nstable p q\nrel p : a ^ 1 = a ^ 1\n",
+    "bad-line.txt": "base y1\nstable x1\nrel x1 : zz ^ y1 = zz ^ y1\n",
+    "duplicate.txt": "base a a\nstable s\n",
+}
+
+G3 = "--preset gn 3"
+P2_2, P2_3 = "--preset p2 2", "--preset p2 3"
+CERTIFY = f"pingpong-certify {G3} --spec A1:x1:x1 --spec 'A2:x2:y1 x2'"
+
+# each case once in text and once with --json
+COMMANDS = [
+    f"nf {G3} 'x2 y2^-1 y1'",
+    f"nf {G3} --trace 'x2 y2^-1 y1'",
+    f"nf {G3} --trace 'x1^2 y2^2'",
+    f"nf {G3} --trace 'x1 y2^12'",
+    f"nf {G3} --trace 'x1^100 y2^100'",
+    f"nf {G3} --strategy random --seed 3 --trace 'x1^3 y2^3 x2 y1^-2'",
+    "nf --preset gn 4 'x3 y3^-1 x1 y2 x2^-1 y1'",
+    "nf --file handwritten.txt 'x1 y1 y2 y3 x1^-1 y2'",
+    "nf --file own.txt 'p a b p^-1 c'",
+    f"eq {G3} 'x1 y2' 'y2 x1'",
+    f"eq {G3} x1 x2",
+    "eq --file nested.txt 'y1 x1' 's x1^-1 y1^-1 x1 y1 x1 s^-1 y1'",
+    f"rules {G3}",
+    "rules --file own.txt",
+    f"confluence {G3}",
+    "confluence --file nested.txt",
+    f"confluence {G3} --random --seed 5 --trials 40",
+    f"{CERTIFY} --evidence A1:orbit:x1 --evidence 'A2:orbit:y1 x2'",
+    f"pingpong-certify {G3} --spec A1:x1:x1",
+    f"pingpong-certify {G3} --spec A1:x1:x1 --evidence A1:probe:4",
+    f"pingpong-certify {G3} --spec A1:x1:x1 --spec A2:x1:x1 "
+    "--evidence A1:declared:external --evidence A2:declared:external",
+    f"pingpong-certify {P2_3} --spec 'A:x1:y1 x1 y1^-1, x1^-1' --evidence A:orbit:x1",
+    "pingpong-certify --file own-trivial.txt --spec A:p:p --spec B:p:q",
+    f"pingpong-oracle {G3} --spec A1:x1:x1 --spec 'A2:x2:y1 x2' --syllables 4",
+    f"pingpong-oracle {G3} --spec A1:x1:x1 --spec B1:x1:x1 --syllables 4",
+    f"pingpong-oracle {G3} --spec A1:x1:x1 --spec 'A2:x2:y1 x2' --max-products 5",
+    "pingpong-oracle --file own-trivial.txt --spec 'A:p:p b' --spec 'B:q:b^-1 p^-1' "
+    "--syllables 3",
+    f"braid-verify {P2_2}",
+    f"braid-verify {P2_3}",
+    f"braid-phi {P2_2} x1",
+    f"braid-phi {P2_2} --k -1 x1",
+    f"braid-phi {P2_3} A1_4",
+    f"braid-phi {P2_2} --push 'x1 t y1'",
+    f"braid-check-free {P2_3} --w 'y1 x1' --w x2",
+    f"braid-check-free {P2_3} --w x1 --w x2 --strict",
+    f"danilevich {P2_2} --h x1",
+    f"danilevich {P2_2} --h 'y1 x1'",
+    f"danilevich {P2_2} --h x1 --max-products 3",
+]
+
+SUBCOMMANDS = ["nf", "eq", "rules", "confluence", "pingpong-certify", "pingpong-oracle",
+               "braid-verify", "braid-phi", "braid-check-free", "danilevich"]
+
+# help, usage and parse errors, and messages that name a file's generators
+ERRORS = [
+    "--help",
+    *(f"{name} --help" for name in SUBCOMMANDS),
+    "",
+    "bogus",
+    f"nf {G3}",
+    "danilevich --bogus",
+    f"nf {G3} --strategy sideways x1",
+    f"nf {G3} 'y1 zz'",
+    "nf x1",
+    "nf --preset zz 3 x1",
+    f"nf {G3} --file own.txt x1",
+    "rules --file missing.txt",
+    "rules --file bad-line.txt",
+    "rules --file duplicate.txt",
+    f"braid-verify {G3}",
+    f"braid-phi {P2_3} A1_2",
+    f"pingpong-certify {G3} --spec A1:x1",
+    f"pingpong-certify {G3} --spec A1:x1:x1 --evidence A1:psychic:yes",
+    f"pingpong-certify {G3} --spec A:x1:x1 --evidence A:orbit:zz",
+    f"pingpong-certify {P2_2} --spec A:x1:x1 --evidence A:orbit:t",
+    "pingpong-certify --file own.txt --spec A:p:p --evidence A:orbit:p",
+    f"pingpong-oracle {G3} --spec A:x1:x1 --spec A:x2:x2",
+    f"danilevich {P2_2} --h 'x1 t'",
+]
+
+CASES = [*COMMANDS, *(f"{c} --json" for c in COMMANDS), *ERRORS]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: help, usage errors
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fingerprint(code: int, out: str, err: str) -> str:
+    return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+
+
+def main_corpus() -> None:
+    os.environ["COLUMNS"] = "80"
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for case in CASES:
+                digest = fingerprint(*run(shlex.split(case)))
+                total.update(digest.encode())
+                print(f"{digest}  hnnfree {case}")
+        finally:
+            os.chdir(cwd)
+    print(f"{total.hexdigest()}  total of {len(CASES)} cases")
+
+
+if __name__ == "__main__":
+    main_corpus()

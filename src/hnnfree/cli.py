@@ -1,10 +1,10 @@
 """Command-line front end: one binary, subcommands per engine operation.
 
 Exit codes: 0 pass/true/certified, 1 fail/false/refuted, 2 usage or parse
-error, 3 inconclusive (also a rewrite past the step cap or a braid splitting
-past the x-part cap).  All commands take a presentation source (--preset
-gn N, --preset p2 N, or --file PATH) and emit text or, with --json, a
-structured document with a schema field.
+error, 3 inconclusive (also a rewrite past the step cap, a trace past the
+trace cap, or a braid splitting past the x-part cap).  All commands take a
+presentation source (--preset gn N, --preset p2 N, or --file PATH) and emit
+text or, with --json, a structured document with a schema field.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .presentation import (
 from .rewrite import (
     RuleSystem,
     StepCapExceeded,
+    TraceCapExceeded,
     check_local_confluence,
     equal,
     nf_steps,
@@ -130,12 +131,6 @@ def _at_least(low: int, **options) -> None:
             raise CliError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
 
 
-def _add_bounds(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--syllables", type=int, default=6)
-    sub.add_argument("--exp-range", type=int, default=2)
-    sub.add_argument("--max-products", type=int, default=None)
-
-
 def _bounds(args) -> Bounds:
     _at_least(1, syllables=args.syllables, exp_range=args.exp_range)
     _at_least(0, max_products=args.max_products)
@@ -147,7 +142,7 @@ def _bounds(args) -> Bounds:
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, text: str, doc: dict) -> None:
+def _emit(args, text: str | None, doc: dict) -> None:
     if args.json:
         print(json.dumps({"schema": 1, "command": args.command, **doc}, indent=2, sort_keys=False))
     else:
@@ -164,7 +159,36 @@ def _report(args, rep, **fields) -> int:
 # Commands
 # ---------------------------------------------------------------------------
 
+# name -> (handler, help line, the arguments of its own): the one list of
+# subcommands, in the order --help shows them
+_COMMANDS: dict[str, tuple] = {}
 
+
+def _arg(*names: str, **options) -> tuple:
+    """One add_argument call, stored until a subparser is built."""
+    return names, options
+
+
+def _command(name: str, summary: str, *arguments: tuple):
+    """Register the decorated handler as subcommand `name`."""
+    def register(func):
+        _COMMANDS[name] = (func, summary, arguments)
+        return func
+    return register
+
+
+_BOUNDS = (
+    _arg("--syllables", type=int, default=6),
+    _arg("--exp-range", type=int, default=2),
+    _arg("--max-products", type=int, default=None),
+)
+
+
+@_command("nf", "normal form of a word",
+          _arg("word"),
+          _arg("--trace", action="store_true", help="print the rewrite trace"),
+          _arg("--strategy", choices=("leftmost", "random"), default="leftmost"),
+          _arg("--seed", type=int, default=None))
 def _cmd_nf(args, src) -> int:
     p = _base(src)
     system = RuleSystem(p)
@@ -174,7 +198,10 @@ def _cmd_nf(args, src) -> int:
         steps = len(trace)
     else:
         result, steps = nf_steps(w, system)
-    text = trace.render(p.alphabet) if args.trace else format_word(result, p.alphabet)
+    if args.json:
+        text = None  # a rendered trace can run to megabytes
+    else:
+        text = trace.render(p.alphabet) if args.trace else format_word(result, p.alphabet)
     _emit(args, text, {
         "input": format_word(w, p.alphabet),
         "normal_form": format_word(result, p.alphabet),
@@ -183,6 +210,7 @@ def _cmd_nf(args, src) -> int:
     return EXIT_PASS
 
 
+@_command("eq", "decide equality of two words", _arg("left"), _arg("right"))
 def _cmd_eq(args, src) -> int:
     p = _base(src)
     system = RuleSystem(p)
@@ -196,6 +224,7 @@ def _cmd_eq(args, src) -> int:
     return EXIT_PASS if same else EXIT_FAIL
 
 
+@_command("rules", "list the compiled rewrite rules")
 def _cmd_rules(args, src) -> int:
     p = _base(src)
     rules = compile_rules(p)
@@ -209,6 +238,11 @@ def _cmd_rules(args, src) -> int:
     return EXIT_PASS
 
 
+@_command("confluence", "critical-pair check or random probe",
+          _arg("--random", action="store_true", help="run the random probe instead"),
+          _arg("--seed", type=int, default=0),
+          _arg("--trials", type=int, default=200),
+          _arg("--max-len", type=int, default=20))
 def _cmd_confluence(args, src) -> int:
     _at_least(1, trials=args.trials, max_len=args.max_len)
     p = _base(src)
@@ -268,6 +302,13 @@ def _specs(args, src, p) -> dict[str, SubgroupSpec]:
     return specs
 
 
+@_command("pingpong-certify", "freeness certificate for subgroups",
+          _arg("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS",
+               help="subgroup spec; SUPPORT and GENWORDS comma-separated"),
+          _arg("--evidence", action="append", metavar="LABEL:KIND:VALUE",
+               help="base-intersection evidence: orbit:WORD, declared:TEXT, probe:MAXLEN"),
+          _arg("--lax", action="store_true",
+               help="accept declared support without the syntactic letter check"))
 def _cmd_pingpong_certify(args, src) -> int:
     # the theorem speaks of the presented group, whose letters exclude t
     p = _base(src)
@@ -284,10 +325,11 @@ def _cmd_pingpong_certify(args, src) -> int:
         if kind == "declared":
             evidence[label] = value
         elif kind == "orbit":
+            w = _parse(value, src, p)
             m, m_inv = ((src.phi, src.phi_inv) if isinstance(src, SemidirectExtension)
                         else (identity_map(p.base_gens + p.stable_gens),) * 2)
             try:
-                evidence[label] = orbit_evidence(by_label[label], _parse(value, src, p), p, m, m_inv)
+                evidence[label] = orbit_evidence(by_label[label], w, p, m, m_inv)
             except ValueError as e:
                 raise CliError(f"orbit evidence unavailable here: {e}")
         elif kind == "probe":
@@ -300,6 +342,8 @@ def _cmd_pingpong_certify(args, src) -> int:
     return _report(args, cert)
 
 
+@_command("pingpong-oracle", "brute-force free-product check",
+          _arg("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS"), *_BOUNDS)
 def _cmd_pingpong_oracle(args, src) -> int:
     specs = list(_specs(args, src, src).values())
     is_trivial = partial(braid_trivial, src) if isinstance(src, SemidirectExtension) else None
@@ -307,12 +351,18 @@ def _cmd_pingpong_oracle(args, src) -> int:
     return _report(args, rep)
 
 
+@_command("braid-verify", "verify the braid-layer relations and maps")
 def _cmd_braid_verify(args, src) -> int:
     ext = _require_extension(src)
     rep = BraidVerification(verify_extension(ext), verify_braid_relations(ext.rank))
     return _report(args, rep)
 
 
+@_command("braid-phi", "apply the outer conjugation map, or push a word",
+          _arg("word"),
+          _arg("--k", type=int, default=1, help="power of the map (negative for inverse)"),
+          _arg("--push", action="store_true",
+               help="print the semidirect and splitting normal forms instead"))
 def _cmd_braid_phi(args, src) -> int:
     ext = _require_extension(src)
     w = _parse(args.word, ext)
@@ -341,6 +391,10 @@ def _cmd_braid_phi(args, src) -> int:
     return EXIT_PASS
 
 
+@_command("braid-check-free", "freeness certificate for <w_1..w_{n-1}, t>",
+          _arg("--w", action="append", metavar="WORD", help="repeat for each w_i"),
+          _arg("--strict", action="store_true",
+               help="require letters of w_i within {y_*} u {x_i}"))
 def _cmd_braid_check_free(args, src) -> int:
     ext = _require_extension(src)
     n = ext.rank
@@ -354,6 +408,9 @@ def _cmd_braid_check_free(args, src) -> int:
     return _report(args, cert, n=n)
 
 
+@_command("danilevich", "bounded probe that <H, t> = H * <t>",
+          _arg("--h", action="append", metavar="WORD", help="repeat for each H generator"),
+          *_BOUNDS)
 def _cmd_danilevich(args, src) -> int:
     ext = _require_extension(src)
     hgens = [_parse(w, ext) for w in (args.h or [])]
@@ -369,76 +426,40 @@ def _cmd_danilevich(args, src) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser(names) -> argparse.ArgumentParser:
+    """The hnnfree parser with the subcommands in names."""
     parser = argparse.ArgumentParser(
         prog="hnnfree",
         description="Normal forms and freeness certificates for multiple HNN "
                     "extensions of free groups, with a pure-braid layer.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary):
+    for name in names:
+        func, summary, arguments = _COMMANDS[name]
         sp = subs.add_parser(name, help=summary)
         sp.add_argument("--preset", nargs=2, metavar=("KIND", "N"),
                         help="gn N or p2 N with N >= 2")
         sp.add_argument("--file", metavar="PATH", help="presentation file")
         sp.add_argument("--json", action="store_true", help="structured output")
+        for arg_names, options in arguments:
+            sp.add_argument(*arg_names, **options)
         sp.set_defaults(func=func)
-        return sp
-
-    sp = command("nf", _cmd_nf, "normal form of a word")
-    sp.add_argument("word")
-    sp.add_argument("--trace", action="store_true", help="print the rewrite trace")
-    sp.add_argument("--strategy", choices=("leftmost", "random"), default="leftmost")
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = command("eq", _cmd_eq, "decide equality of two words")
-    sp.add_argument("left")
-    sp.add_argument("right")
-
-    command("rules", _cmd_rules, "list the compiled rewrite rules")
-
-    sp = command("confluence", _cmd_confluence, "critical-pair check or random probe")
-    sp.add_argument("--random", action="store_true", help="run the random probe instead")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--max-len", type=int, default=20)
-
-    sp = command("pingpong-certify", _cmd_pingpong_certify, "freeness certificate for subgroups")
-    sp.add_argument("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS",
-                    help="subgroup spec; SUPPORT and GENWORDS comma-separated")
-    sp.add_argument("--evidence", action="append", metavar="LABEL:KIND:VALUE",
-                    help="base-intersection evidence: orbit:WORD, declared:TEXT, probe:MAXLEN")
-    sp.add_argument("--lax", action="store_true",
-                    help="accept declared support without the syntactic letter check")
-
-    sp = command("pingpong-oracle", _cmd_pingpong_oracle, "brute-force free-product check")
-    sp.add_argument("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS")
-    _add_bounds(sp)
-
-    command("braid-verify", _cmd_braid_verify, "verify the braid-layer relations and maps")
-
-    sp = command("braid-phi", _cmd_braid_phi, "apply the outer conjugation map, or push a word")
-    sp.add_argument("word")
-    sp.add_argument("--k", type=int, default=1, help="power of the map (negative for inverse)")
-    sp.add_argument("--push", action="store_true",
-                    help="print the semidirect and splitting normal forms instead")
-
-    sp = command("braid-check-free", _cmd_braid_check_free,
-                 "freeness certificate for <w_1..w_{n-1}, t>")
-    sp.add_argument("--w", action="append", metavar="WORD", help="repeat for each w_i")
-    sp.add_argument("--strict", action="store_true",
-                    help="require letters of w_i within {y_*} u {x_i}")
-
-    sp = command("danilevich", _cmd_danilevich, "bounded probe that <H, t> = H * <t>")
-    sp.add_argument("--h", action="append", metavar="WORD", help="repeat for each H generator")
-    _add_bounds(sp)
-
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # building every subparser costs several parses, so a command that is
+    # named first gets only its own; anything left over goes to the full
+    # parser, whose usage line lists every command
+    named = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    args, rest = _parser(named).parse_known_args(argv)
+    if rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args, _load_source(args))
     except CliError as e:
@@ -450,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as e:
         print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
         return EXIT_USAGE
-    except (StepCapExceeded, XPartCapExceeded) as e:
+    except (StepCapExceeded, TraceCapExceeded, XPartCapExceeded) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

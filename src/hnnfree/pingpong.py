@@ -197,7 +197,7 @@ def descends_to_identity(m: GeneratorMap, p: HnnPresentation) -> bool:
             if a.w != a.v:
                 raise ValueError(
                     "direct-product projection undefined: association "
-                    f"({gen_name(a.y)}) of {gen_name(x)} has two distinct conjugators"
+                    f"({p.alphabet.name(a.y)}) of {p.alphabet.name(x)} has two distinct conjugators"
                 )
     for g in p.base_gens + p.stable_gens:
         one = (g,)

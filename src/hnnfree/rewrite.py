@@ -13,12 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .presentation import HnnPresentation, RewriteRule, compile_rules
 from .words import Word, base_gen, format_word, stable_gen
 
-# read by every rewrite loop when it starts, so tests can lower it
+# read by every rewrite loop when it starts, so tests can lower them
 STEP_CAP = 10_000_000
+# nu coordinates a trace may hold, summed over its steps
+TRACE_CAP = 10_000_000
 
 
 class StepCapExceeded(RuntimeError):
@@ -26,6 +29,13 @@ class StepCapExceeded(RuntimeError):
 
     def __init__(self, cap: int):
         super().__init__(f"rewrite step cap {cap} exceeded; termination bug suspected")
+
+
+class TraceCapExceeded(RuntimeError):
+    """A traced rewrite would store more than TRACE_CAP nu coordinates."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"rewrite trace cap {cap} exceeded")
 
 
 def nu(w) -> tuple[int, ...]:
@@ -106,6 +116,11 @@ class RuleSystem:
             entries.sort(key=lambda e: (-e[0], e[1]))
         return out
 
+    @cached_property
+    def _nus(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per rule, for the traced loops: nu of its lhs and of its rhs."""
+        return [(nu(lhs), nu(rhs)) for lhs, rhs, _, _ in self._rl]
+
     def encode(self, w: Word) -> list[int]:
         """The mutable form the rewrite loops work on."""
         return list(w)
@@ -140,12 +155,19 @@ class RewriteStep:
     nu_after: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     position: int
     rule_kind: int
     rule_id: int
     nu_after: tuple[int, ...]
+
+
+class _IntText(dict):
+    """str(n) for every n looked up, each converted once."""
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = str(n)
+        return text
 
 
 @dataclass(frozen=True)
@@ -179,11 +201,12 @@ class RewriteTrace:
         return out
 
     def render(self, alphabet=None) -> str:
+        # a long trace repeats a few small coordinates a million times over
+        text, join = _IntText().__getitem__, ", ".join
         lines = [f"initial: {format_word(self.initial, alphabet)}"]
         lines += [
-            f"#{k} pos={e.position} rule={e.rule_kind}/{e.rule_id} "
-            f"nu=({', '.join(map(str, e.nu_after))})"
-            for k, e in enumerate(self.entries, 1)
+            f"#{k} pos={position} rule={kind}/{rule_id} nu=({join(map(text, nu_after))})"
+            for k, (position, kind, rule_id, nu_after) in enumerate(self.entries, 1)
         ]
         lines.append(f"final: {format_word(self.final, alphabet)}")
         return "\n".join(lines)
@@ -194,13 +217,14 @@ def find_redexes(w: Word, system: RuleSystem) -> list[tuple[int, int]]:
     return [(pos, system._rl[idx][3]) for pos, idx in system.redexes(w)]
 
 
-def _splice_nu(vec: list[int], prefix, start: int, j: int, lhs: Word, rhs: Word) -> None:
+def _splice_nu(vec: list[int], prefix, start: int, j: int, a: tuple, b: tuple) -> None:
     """Turn vec = nu(word) into nu of the word after one step, in place.
 
-    The step replaces lhs at start by rhs; j is the segment start lies in,
-    and prefix holds at least word[:start].  Only the segments the lhs
-    covers change."""
-    a, b = nu(lhs), list(nu(rhs))
+    The step replaces a rule's lhs at start by its rhs, and a, b are their
+    nu vectors (RuleSystem._nus); j is the segment start lies in, and
+    prefix holds at least word[:start].  Only the segments the lhs covers
+    change."""
+    b = list(b)
     p = len(a) - 1
     if p:
         left, right = vec[j] - a[0], vec[j + p] - a[-1]
@@ -217,7 +241,8 @@ def _splice_nu(vec: list[int], prefix, start: int, j: int, lhs: Word, rhs: Word)
 
 def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[int], int]:
     """The leftmost strategy on a stack; returns the normal form and the
-    number of steps, and appends a TraceEntry per step to entries if given.
+    number of steps, and appends a TraceEntry per step to entries if given
+    (at most TRACE_CAP nu coordinates in all).
 
     out is the irreducible prefix; the letters still to read sit reversed on
     pending.  A new redex must end at the letter just pushed, so one lookup
@@ -227,11 +252,11 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
     A step cuts out back to the redex start and pushes the rhs onto pending.
     """
     index, ends, engine, rl = system._lhs_index, system._ends, system._engine, system._rl
-    cap = STEP_CAP
+    cap, trace_cap = STEP_CAP, TRACE_CAP
     out: list[int] = []
     pending = list(w)[::-1]
     vec = list(nu(w)) if entries is not None else None
-    odd = steps = 0  # odd: stable/outer letters in out, the index of its last segment
+    odd = steps = coords = 0  # odd: stable/outer letters in out, the index of its last segment
     while pending:
         c = pending.pop()
         out.append(c)
@@ -264,15 +289,18 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
         if steps > cap:
             raise StepCapExceeded(cap)
         if entries is not None:
-            lhs, rhs, kind, rule_id = rl[idx]
-            _splice_nu(vec, out, start, odd, lhs, rhs)
+            _splice_nu(vec, out, start, odd, *system._nus[idx])
+            coords += len(vec)
+            if coords > trace_cap:
+                raise TraceCapExceeded(trace_cap)
+            _, _, kind, rule_id = rl[idx]
             entries.append(TraceEntry(start, kind, rule_id, tuple(vec)))
     return out, steps
 
 
 def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng):
-    steps = 0
-    cap = STEP_CAP
+    steps = coords = 0
+    cap, trace_cap = STEP_CAP, TRACE_CAP
     vec = list(nu(ints))
     while True:
         reds = system.redexes(ints)
@@ -280,11 +308,14 @@ def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng):
             return
         pos, idx = reds[rng.randrange(len(reds))]
         lhs, rhs, kind, rule_id = system._rl[idx]
-        _splice_nu(vec, ints, pos, sum(c & 1 for c in ints[:pos]), lhs, rhs)
+        _splice_nu(vec, ints, pos, sum(c & 1 for c in ints[:pos]), *system._nus[idx])
         ints[pos : pos + len(lhs)] = rhs
         steps += 1
         if steps > cap:
             raise StepCapExceeded(cap)
+        coords += len(vec)
+        if coords > trace_cap:
+            raise TraceCapExceeded(trace_cap)
         entries.append(TraceEntry(pos, kind, rule_id, tuple(vec)))
 
 

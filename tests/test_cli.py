@@ -51,6 +51,29 @@ def test_nf_trace(capsys):
     code, out, _ = run(capsys, "nf", "--preset", "gn", "3", "--trace", "y1 y1^-1 y2")
     assert code == 0
     assert out == "initial: y1 y1^-1 y2\n#1 pos=0 rule=1/0 nu=(1)\nfinal: y2\n"
+    code, out, _ = run(capsys, "nf", "--preset", "gn", "3", "--trace", "x1^2 y2^2")
+    assert code == 0
+    assert out == ("initial: x1^2 y2^2\n"
+                   "#1 pos=1 rule=3/8 nu=(0, 1, 1)\n"
+                   "#2 pos=0 rule=3/8 nu=(1, 0, 1)\n"
+                   "#3 pos=2 rule=3/8 nu=(1, 1, 0)\n"
+                   "#4 pos=1 rule=3/8 nu=(2, 0, 0)\n"
+                   "final: y2^2 x1^2\n")
+    # coordinates of two digits
+    code, out, _ = run(capsys, "nf", "--preset", "gn", "3", "--trace", "x1 y2^12")
+    assert code == 0
+    assert out == "".join(
+        ["initial: x1 y2^12\n"]
+        + [f"#{k} pos={k - 1} rule=3/8 nu=({k}, {12 - k})\n" for k in range(1, 13)]
+        + ["final: y2^12 x1\n"])
+
+
+def test_nf_json_leaves_out_the_trace(capsys):
+    doc = ('{\n  "schema": 1,\n  "command": "nf",\n  "input": "x1^2 y2^2",\n'
+           '  "normal_form": "y2^2 x1^2",\n  "steps": 4\n}\n')
+    for flags in ((), ("--trace",)):
+        argv = ("nf", "--preset", "gn", "3", "--json", *flags, "x1^2 y2^2")
+        assert run(capsys, *argv) == (0, doc, "")
 
 
 def test_nf_json_is_stable(capsys):
@@ -398,6 +421,13 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_bad_orbit_word_is_a_parse_error(capsys):
+    # the same message as for a bad --spec word
+    for argv in (("pingpong-certify", *G3, "--spec", "A:x1:x1", "--evidence", "A:orbit:zz"),
+                 ("pingpong-certify", *G3, "--spec", "A:x1:zz")):
+        assert run(capsys, *argv) == (2, "", "parse error: column 1: unknown generator 'zz'\n")
+
+
 def test_zero_product_budget_is_allowed(capsys):
     code, out, _ = run(capsys, *TWO_SPECS, "--max-products", "0")
     assert code == 3
@@ -452,6 +482,21 @@ def test_step_cap_is_inconclusive(monkeypatch, capsys):
         assert err == "inconclusive: rewrite step cap 10 exceeded; termination bug suspected\n"
 
 
+def test_trace_cap_is_inconclusive(monkeypatch, capsys):
+    # x1^2 y2^2 takes 4 steps, each storing a nu of 3 coordinates: 12 in all
+    monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", 11)
+    for argv in (("nf", "--preset", "gn", "3", "--trace", "x1^2 y2^2"),
+                 ("nf", "--preset", "gn", "3", "--strategy", "random", "x1^2 y2^2")):
+        assert run(capsys, *argv) == (3, "", "inconclusive: rewrite trace cap 11 exceeded\n")
+    monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", 12)
+    code, out, _ = run(capsys, "nf", "--preset", "gn", "3", "--trace", "x1^2 y2^2")
+    assert code == 0
+    assert len(out.splitlines()) == 6
+    # the untraced engine keeps no trace
+    monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", 0)
+    assert run(capsys, "nf", "--preset", "gn", "3", "x1^2 y2^2") == (0, "y2^2 x1^2\n", "")
+
+
 def test_x_part_cap_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(hnnfree.braid, "X_PART_CAP", 10)
     for argv in (("braid-phi", "--preset", "p2", "3", "--push", "x1 y1^3"),
@@ -499,6 +544,15 @@ def test_file_generator_names_reach_every_message(tmp_path, capsys):
     assert err == "parse error: line 1: p:a: w begins with y^{+-1}\n"
 
 
+def test_file_generator_names_reach_the_projection_error(tmp_path, capsys):
+    path = tmp_path / "own.txt"
+    path.write_text("base a b c\nstable p q\nrel p : a ^ b = a ^ c\n")
+    assert run(capsys, "pingpong-certify", "--file", str(path),
+               "--spec", "A:p:p", "--evidence", "A:orbit:p") == (
+        2, "", "error: orbit evidence unavailable here: direct-product projection "
+               "undefined: association (a) of p has two distinct conjugators\n")
+
+
 def test_repeated_p2_commands_keep_the_braid_caches_bounded(capsys):
     argv = ("braid-phi", "--preset", "p2", "4", "--push", "x1 y2 t x3^-1 y1")
     caches = (hnnfree.braid._system, hnnfree.braid._pushed_letter)
@@ -513,3 +567,30 @@ def test_danilevich_rejects_outer_generator(capsys):
     code, _, err = run(capsys, "danilevich", "--preset", "p2", "2", "--h", "x1 t")
     assert code == 2
     assert "outer" in err
+
+
+# Exact argparse output: help of the program and of every command, and usage
+# errors.  Each case in cli_usage.txt is a "$ hnnfree ARGS" line, an
+# "exit N STREAM" line and the text on that stream; the other stream is
+# empty.  The layout is argparse's at 80 columns, and may differ between
+# Python versions.
+USAGE = re.findall(r"^\$ hnnfree ?([^\n]*)\nexit (\d+) (stdout|stderr)\n(.*?)(?=^\$ |\Z)",
+                   (Path(__file__).parent / "cli_usage.txt").read_text(),
+                   re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("args,exit_code,stream,text", USAGE, ids=[u[0] for u in USAGE])
+def test_usage_output_is_pinned(monkeypatch, capsys, args, exit_code, stream, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(args))
+    cap = capsys.readouterr()
+    want = (text, "") if stream == "stdout" else ("", text)
+    assert (exc.value.code, cap.out, cap.err) == (int(exit_code), *want)
+
+
+def test_usage_cases_cover_every_command():
+    cases = {args: text for args, _, _, text in USAGE}
+    listed = re.search(r"\{([\w,-]+)\}", cases["--help"]).group(1).split(",")
+    assert [shlex.split(a)[0] for a in cases if a.endswith(" --help")] == listed
+    assert {"", "bogus", "danilevich --bogus"} <= set(cases)
