@@ -50,6 +50,7 @@ from .presentation import HnnPresentation, SemidirectExtension, p2, relators
 from .rewrite import RuleSystem, nf
 from .words import (
     OUTER,
+    CapExceeded,
     Word,
     base_gen,
     commutator,
@@ -73,11 +74,9 @@ T_WORD = (OUTER,)
 X_PART_CAP = 1_000_000
 
 
-class XPartCapExceeded(RuntimeError):
+class XPartCapExceeded(CapExceeded):
     """An action step of the splitting left more than X_PART_CAP letters."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"splitting x-part cap {cap} exceeded")
+    template = "splitting x-part cap {} exceeded"
 
 
 @dataclass(frozen=True)

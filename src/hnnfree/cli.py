@@ -1,10 +1,10 @@
 """Command-line front end: one binary, subcommands per engine operation.
 
 Exit codes: 0 pass/true/certified, 1 fail/false/refuted, 2 usage or parse
-error, 3 inconclusive (also a rewrite past the step cap, a trace past the
-trace cap, or a braid splitting past the x-part cap).  All commands take a
-presentation source (--preset gn N, --preset p2 N, or --file PATH) and emit
-text or, with --json, a structured document with a schema field.
+error, 3 inconclusive (also any CapExceeded).  The library and the handlers
+raise; main alone turns failures into messages and exit codes.  All
+commands take a presentation source (--preset gn N, --preset p2 N, or
+--file PATH) and emit text or, with --json, a document with a schema field.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import partial
 
 from .braid import (
     BraidVerification,
-    XPartCapExceeded,
     braid_freeness_check,
     braid_trivial,
     free_factor_probe,
@@ -51,8 +50,6 @@ from .presentation import (
 )
 from .rewrite import (
     RuleSystem,
-    StepCapExceeded,
-    TraceCapExceeded,
     check_local_confluence,
     equal,
     nf_steps,
@@ -60,10 +57,12 @@ from .rewrite import (
     random_confluence_probe,
 )
 from .words import (
+    CapExceeded,
     Word,
     WordSyntaxError,
     format_word,
     identity_map,
+    is_base,
 )
 
 EXIT_PASS = 0
@@ -76,10 +75,6 @@ _VERDICT_EXIT = {CERTIFIED: EXIT_PASS, PASS: EXIT_PASS,
                  INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
-class CliError(Exception):
-    """Usage-level failure; message goes to stderr, exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Source loading and word parsing
 # ---------------------------------------------------------------------------
@@ -87,19 +82,19 @@ class CliError(Exception):
 
 def _load_source(args) -> HnnPresentation | SemidirectExtension:
     if args.preset and args.file:
-        raise CliError("--preset and --file are mutually exclusive")
+        raise ValueError("--preset and --file are mutually exclusive")
     if args.preset:
         kind, n_text = args.preset
         if kind not in ("gn", "p2") or not n_text.isdigit() or int(n_text) < 2:
-            raise CliError("--preset expects gn N or p2 N with N >= 2")
+            raise ValueError("--preset expects gn N or p2 N with N >= 2")
         return gn(int(n_text)) if kind == "gn" else p2(int(n_text))
     if args.file:
         try:
             with open(args.file) as fh:
                 return parse_presentation(fh.read())
         except OSError as e:
-            raise CliError(str(e))
-    raise CliError("a presentation source is required (--preset or --file)")
+            raise ValueError(str(e))
+    raise ValueError("a presentation source is required (--preset or --file)")
 
 
 def _base(src) -> HnnPresentation:
@@ -109,7 +104,7 @@ def _base(src) -> HnnPresentation:
 
 def _require_extension(src) -> SemidirectExtension:
     if not isinstance(src, SemidirectExtension):
-        raise CliError("this command needs the braid layer; use --preset p2 N")
+        raise ValueError("this command needs the braid layer; use --preset p2 N")
     return src
 
 
@@ -117,10 +112,7 @@ def _parse(text: str, src, p=None) -> Word:
     """Parse a word in p, by default the source itself; under a p2 source
     A{i}_{j} braid names are resolved first."""
     if isinstance(src, SemidirectExtension):
-        try:
-            text = resolve_braid_names(text, src.rank)
-        except ValueError as e:
-            raise CliError(str(e))
+        text = resolve_braid_names(text, src.rank)
     return (p or src).parse(text)
 
 
@@ -128,7 +120,7 @@ def _at_least(low: int, **options) -> None:
     """Reject an integer option below `low` as a usage error."""
     for name, value in options.items():
         if value is not None and value < low:
-            raise CliError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
 
 
 def _bounds(args) -> Bounds:
@@ -193,15 +185,14 @@ def _cmd_nf(args, src) -> int:
     p = _base(src)
     system = RuleSystem(p)
     w = _parse(args.word, src)
-    if args.trace or args.strategy != "leftmost":
+    # a leftmost trace is built only for the text that prints it
+    if args.strategy != "leftmost" or (args.trace and not args.json):
         result, trace = normal_form(w, system, strategy=args.strategy, seed=args.seed)
         steps = len(trace)
     else:
         result, steps = nf_steps(w, system)
-    if args.json:
-        text = None  # a rendered trace can run to megabytes
-    else:
-        text = trace.render(p.alphabet) if args.trace else format_word(result, p.alphabet)
+    text = None if args.json else (
+        trace.render(p.alphabet) if args.trace else format_word(result, p.alphabet))
     _emit(args, text, {
         "input": format_word(w, p.alphabet),
         "normal_form": format_word(result, p.alphabet),
@@ -273,31 +264,31 @@ def _cmd_confluence(args, src) -> int:
 def _parse_spec(text: str, src, p) -> SubgroupSpec:
     parts = text.split(":")
     if len(parts) != 3:
-        raise CliError(f"--spec must read LABEL:SUPPORT:GENWORDS, got {text!r}")
+        raise ValueError(f"--spec must read LABEL:SUPPORT:GENWORDS, got {text!r}")
     label, support_text, gens_text = (s.strip() for s in parts)
     if not label:
-        raise CliError("--spec label must be nonempty")
+        raise ValueError("--spec label must be nonempty")
     support = set()
     for name in filter(None, (s.strip() for s in support_text.split(","))):
         if name not in p.alphabet:
-            raise CliError(f"unknown support letter {name!r} in spec {label!r}")
-        support.add(p.alphabet.gen(name))
+            raise ValueError(f"unknown support letter {name!r} in spec {label!r}")
+        g = p.alphabet.gen(name)
+        if is_base(g):
+            raise ValueError(f"support must consist of stable letters, got {name}")
+        support.add(g)
     gens = tuple(_parse(g, src, p) for g in filter(None, (s.strip() for s in gens_text.split(","))))
-    try:
-        return SubgroupSpec(label, gens, frozenset(support))
-    except ValueError as e:
-        raise CliError(str(e))
+    return SubgroupSpec(label, gens, frozenset(support))
 
 
 def _specs(args, src, p) -> dict[str, SubgroupSpec]:
     """The --spec options by label, read in p; labels must be distinct."""
     if not args.spec:
-        raise CliError("at least one --spec is required")
+        raise ValueError("at least one --spec is required")
     specs: dict[str, SubgroupSpec] = {}
     for text in args.spec:
         spec = _parse_spec(text, src, p)
         if spec.label in specs:
-            raise CliError(f"--spec label {spec.label!r} is repeated")
+            raise ValueError(f"--spec label {spec.label!r} is repeated")
         specs[spec.label] = spec
     return specs
 
@@ -318,10 +309,10 @@ def _cmd_pingpong_certify(args, src) -> int:
     for ev in args.evidence or []:
         parts = ev.split(":", 2)
         if len(parts) != 3:
-            raise CliError(f"--evidence must read LABEL:KIND:VALUE, got {ev!r}")
+            raise ValueError(f"--evidence must read LABEL:KIND:VALUE, got {ev!r}")
         label, kind, value = (s.strip() for s in parts)
         if label not in by_label:
-            raise CliError(f"evidence label {label!r} matches no --spec")
+            raise ValueError(f"evidence label {label!r} matches no --spec")
         if kind == "declared":
             evidence[label] = value
         elif kind == "orbit":
@@ -331,13 +322,13 @@ def _cmd_pingpong_certify(args, src) -> int:
             try:
                 evidence[label] = orbit_evidence(by_label[label], w, p, m, m_inv)
             except ValueError as e:
-                raise CliError(f"orbit evidence unavailable here: {e}")
+                raise ValueError(f"orbit evidence unavailable here: {e}")
         elif kind == "probe":
             if not value.isdigit() or int(value) < 1:
-                raise CliError(f"probe evidence needs a length bound, got {value!r}")
+                raise ValueError(f"probe evidence needs a length bound, got {value!r}")
             evidence[label] = bounded_intersection_probe(by_label[label], system, int(value))
         else:
-            raise CliError(f"unknown evidence kind {kind!r} (orbit/declared/probe)")
+            raise ValueError(f"unknown evidence kind {kind!r} (orbit/declared/probe)")
     cert = free_product_certificate(list(by_label.values()), evidence, system, strict=not args.lax)
     return _report(args, cert)
 
@@ -381,10 +372,7 @@ def _cmd_braid_phi(args, src) -> int:
                "trivial": sp.is_identity}
         _emit(args, text, doc)
         return EXIT_PASS
-    try:
-        img = phi_power(ext, w, args.k)
-    except ValueError as e:
-        raise CliError(str(e))
+    img = phi_power(ext, w, args.k)
     _emit(args, format_word(img, alphabet), {
         "mode": "power", "k": args.k,
         "input": format_word(w, alphabet), "image": format_word(img, alphabet)})
@@ -399,12 +387,9 @@ def _cmd_braid_check_free(args, src) -> int:
     ext = _require_extension(src)
     n = ext.rank
     if not args.w:
-        raise CliError("at least one --w is required")
+        raise ValueError("at least one --w is required")
     words = [_parse(w, ext) for w in args.w]
-    try:
-        cert = braid_freeness_check(n, words, strict=args.strict)
-    except ValueError as e:
-        raise CliError(str(e))
+    cert = braid_freeness_check(n, words, strict=args.strict)
     return _report(args, cert, n=n)
 
 
@@ -414,11 +399,7 @@ def _cmd_braid_check_free(args, src) -> int:
 def _cmd_danilevich(args, src) -> int:
     ext = _require_extension(src)
     hgens = [_parse(w, ext) for w in (args.h or [])]
-    try:
-        rep = free_factor_probe(ext, hgens, _bounds(args))
-    except ValueError as e:
-        raise CliError(str(e))
-    return _report(args, rep)
+    return _report(args, free_factor_probe(ext, hgens, _bounds(args)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +443,13 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args, _load_source(args))
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (WordSyntaxError, PresentationSyntaxError) as e:
+    except (WordSyntaxError, PresentationSyntaxError) as e:  # ValueErrors: first
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except KeyError as e:
-        print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
+    except (ValueError, KeyError) as e:
+        print(f"error: {e.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    except (StepCapExceeded, TraceCapExceeded, XPartCapExceeded) as e:
+    except CapExceeded as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

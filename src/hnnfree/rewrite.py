@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .presentation import HnnPresentation, RewriteRule, compile_rules
-from .words import Word, base_gen, format_word, stable_gen
+from .words import CapExceeded, Word, base_gen, format_word, stable_gen
 
 # read by every rewrite loop when it starts, so tests can lower them
 STEP_CAP = 10_000_000
@@ -24,18 +24,14 @@ STEP_CAP = 10_000_000
 TRACE_CAP = 10_000_000
 
 
-class StepCapExceeded(RuntimeError):
+class StepCapExceeded(CapExceeded):
     """A rewrite ran past STEP_CAP steps; termination bug suspected."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"rewrite step cap {cap} exceeded; termination bug suspected")
+    template = "rewrite step cap {} exceeded; termination bug suspected"
 
 
-class TraceCapExceeded(RuntimeError):
+class TraceCapExceeded(CapExceeded):
     """A traced rewrite would store more than TRACE_CAP nu coordinates."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"rewrite trace cap {cap} exceeded")
+    template = "rewrite trace cap {} exceeded"
 
 
 def nu(w) -> tuple[int, ...]:

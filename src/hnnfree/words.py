@@ -25,6 +25,19 @@ Word = tuple[int, ...]
 OUTER = 1
 EPSILON: Word = ()
 
+# letters a parsed word may expand to; read at call time, so tests can lower it
+WORD_CAP = 1_000_000
+
+
+class CapExceeded(RuntimeError):
+    """A computation ran past a cap, so its answer is inconclusive.  A bare
+    one is parse_word's word length cap; each other cap is a subclass that
+    words its message once, as its own template."""
+    template = "word length cap {} exceeded"
+
+    def __init__(self, cap: int):
+        super().__init__(self.template.format(cap))
+
 
 def base_gen(i: int) -> int:
     return 2 * i
@@ -201,7 +214,8 @@ def default_alphabet(n_base: int, n_stable: int, outer: bool = False) -> Alphabe
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse the word grammar against an alphabet; errors carry the column."""
+    """Parse the word grammar against an alphabet; errors carry the column,
+    and a word of more than WORD_CAP letters raises CapExceeded."""
     stripped = text.strip()
     if stripped == "1":
         return EPSILON
@@ -221,6 +235,8 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         exp = int(tm.group("exp")) if tm.group("exp") else 1
         if exp == 0:
             raise WordSyntaxError("zero exponent not allowed", col)
+        if len(letters) + abs(exp) > WORD_CAP:
+            raise CapExceeded(WORD_CAP)
         letters.extend([g if exp > 0 else -g] * abs(exp))
     return tuple(letters)
 

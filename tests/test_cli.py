@@ -7,6 +7,7 @@ import pytest
 
 import hnnfree.braid
 import hnnfree.rewrite
+import hnnfree.words
 from hnnfree.cli import main
 
 FILE_TEXT = """\
@@ -68,12 +69,15 @@ def test_nf_trace(capsys):
         + ["final: y2^12 x1\n"])
 
 
-def test_nf_json_leaves_out_the_trace(capsys):
+def test_nf_json_leaves_out_the_trace(monkeypatch, capsys):
     doc = ('{\n  "schema": 1,\n  "command": "nf",\n  "input": "x1^2 y2^2",\n'
            '  "normal_form": "y2^2 x1^2",\n  "steps": 4\n}\n')
-    for flags in ((), ("--trace",)):
-        argv = ("nf", "--preset", "gn", "3", "--json", *flags, "x1^2 y2^2")
-        assert run(capsys, *argv) == (0, doc, "")
+    # nor does it build one: a trace cap of 0 leaves the document as it is
+    for cap in (hnnfree.rewrite.TRACE_CAP, 0):
+        monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", cap)
+        for flags in ((), ("--trace",)):
+            argv = ("nf", "--preset", "gn", "3", "--json", *flags, "x1^2 y2^2")
+            assert run(capsys, *argv) == (0, doc, "")
 
 
 def test_nf_json_is_stable(capsys):
@@ -497,6 +501,18 @@ def test_trace_cap_is_inconclusive(monkeypatch, capsys):
     assert run(capsys, "nf", "--preset", "gn", "3", "x1^2 y2^2") == (0, "y2^2 x1^2\n", "")
 
 
+def test_word_cap_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(hnnfree.words, "WORD_CAP", 10)
+    for argv in (("nf", *G3, "x1^11"),
+                 ("nf", *G3, "x1^5 y2^-5 x1"),
+                 ("nf", *G3, "y1 x1^99999999999999"),
+                 ("eq", *G3, "x1", "y1 y2^10"),
+                 ("braid-phi", "--preset", "p2", "3", "A1_4^11"),
+                 ("pingpong-certify", *G3, "--spec", "A:x1:x1^11")):
+        assert run(capsys, *argv) == (3, "", "inconclusive: word length cap 10 exceeded\n")
+    assert run(capsys, "nf", *G3, "x1^5 y2^5") == (0, "y2^5 x1^5\n", "")
+
+
 def test_x_part_cap_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(hnnfree.braid, "X_PART_CAP", 10)
     for argv in (("braid-phi", "--preset", "p2", "3", "--push", "x1 y1^3"),
@@ -551,6 +567,14 @@ def test_file_generator_names_reach_the_projection_error(tmp_path, capsys):
                "--spec", "A:p:p", "--evidence", "A:orbit:p") == (
         2, "", "error: orbit evidence unavailable here: direct-product projection "
                "undefined: association (a) of p has two distinct conjugators\n")
+
+
+def test_base_support_letter_is_spelled_as_typed(tmp_path, capsys):
+    path = tmp_path / "own.txt"
+    path.write_text("base a b c\nstable p q\nrel p : a ^ b = a ^ c\n")
+    for command in ("pingpong-certify", "pingpong-oracle"):
+        assert run(capsys, command, "--file", str(path), "--spec", "A:a:a") == (
+            2, "", "error: support must consist of stable letters, got a\n")
 
 
 def test_repeated_p2_commands_keep_the_braid_caches_bounded(capsys):
