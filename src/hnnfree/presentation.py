@@ -16,6 +16,7 @@ from functools import lru_cache
 from .words import (
     EPSILON,
     Alphabet,
+    CapExceeded,
     GeneratorMap,
     Word,
     base_gen,
@@ -140,6 +141,15 @@ def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
     return rules
 
 
+# the largest gn/p2 rank; a larger one would be built in full
+RANK_CAP = 32
+
+
+class RankCapExceeded(CapExceeded):
+    """A gn or p2 preset of a rank above RANK_CAP was asked for."""
+    template = "preset rank cap {} exceeded"
+
+
 @lru_cache(maxsize=None)
 def gn(n: int) -> HnnPresentation:
     """The group with [x_i, y_j] = 1 for i < j and [x_i, y_j^{y_i}] = 1 for i > j.
@@ -147,10 +157,13 @@ def gn(n: int) -> HnnPresentation:
     Base y_1..y_{n-1}, stable x_1..x_{n-1}; for x_i the associations are
     (y_j, 1, 1) for j > i and (y_j, y_i, y_i) for j < i, ordered by j.
     All conjugators satisfy w = v, so the projection to F(X) x F(Y) exists.
-    Memoized, so caches keyed by presentations stay bounded by the ranks.
+    Memoized, so caches keyed by presentations stay bounded by the ranks;
+    a rank above RANK_CAP raises RankCapExceeded before anything is built.
     """
     if n < 2:
         raise ValueError("gn requires n >= 2")
+    if n > RANK_CAP:
+        raise RankCapExceeded(RANK_CAP)
     alphabet = default_alphabet(n - 1, n - 1)
     assoc: dict[int, tuple[Association, ...]] = {}
     for i in range(1, n):

@@ -58,7 +58,9 @@ class RuleSystem:
     compile order makes bucket order equal (kind, id) order.  The leftmost
     engine uses an lhs index instead: each distinct lhs maps to its first
     rule, and each last letter to the lhs lengths ending in it, longest
-    first.
+    first.  For the untraced engine's runs of swaps it also keeps a floor
+    per swap rule a c -> c a (_swap_floors) and the letters a that end an
+    lhs in a a (_doubled).
     """
 
     def __init__(self, presentation: HnnPresentation, rules: list[RewriteRule] | None = None):
@@ -74,12 +76,16 @@ class RuleSystem:
             ends.setdefault(lhs[-1], set()).add(len(lhs))
         self._ends = {c: sorted(ms, reverse=True) for c, ms in ends.items()}
         # per rule: its rhs reversed (pushed back onto the pending letters),
-        # the stable/outer letters in its lhs, and the lhs that beat it
+        # the stable/outer letters in its lhs, the lhs that beat it, and
+        # its floor if it is a swap
         wider = self._wider()
+        floors = self._swap_floors(wider)
         self._engine = [
-            (rhs[::-1], sum([c & 1 for c in lhs]), wider.get(idx, ()))
+            (rhs[::-1], sum([c & 1 for c in lhs]), wider.get(idx, ()), floors.get(idx, 0))
             for idx, (lhs, rhs, _, _) in enumerate(self._rl)
         ]
+        # a run of one of these letters may not settle all at once
+        self._doubled = frozenset(lhs[-1] for lhs in self._lhs_index if lhs[-2:-1] == lhs[-1:])
         # first letters of the non-cancellation lhs patterns; a freely reduced
         # word avoiding them all is already in normal form
         self.move_starts = frozenset(
@@ -110,6 +116,22 @@ class RuleSystem:
                         ))
         for entries in out.values():
             entries.sort(key=lambda e: (-e[0], e[1]))
+        return out
+
+    def _swap_floors(self, wider) -> dict[int, int]:
+        """The swaps, rules a c -> c a that are the first rule for their lhs
+        and that no wider lhs beats, each with its floor max(1, L - 1), where
+        L is the longest lhs ending in c.
+
+        Once the swap has matched with c on a run of a, no lhs a^(m-1) c
+        fits in the run.  After each swap, while at least floor letters a
+        stay under c, every lhs ending in c reads some a^(m-1) c that fits,
+        so the swap matches again, whatever lies below the run."""
+        out = {}
+        for lhs, idx in self._lhs_index.items():
+            if len(lhs) == 2 and lhs[0] != lhs[1] and self._rl[idx][1] == lhs[::-1] \
+                    and idx not in wider:
+                out[idx] = max(1, self._ends[lhs[1]][0] - 1)
         return out
 
     @cached_property
@@ -246,30 +268,57 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
     redex that contains it and runs on into pending can start as early, and
     each rule lists those (RuleSystem._wider); the first that matches wins.
     A step cuts out back to the redex start and pushes the rhs onto pending.
+
+    Untraced, a swap a c -> c a on a run of a takes at once all the steps
+    it takes while its floor of a stays under c (RuleSystem._swap_floors),
+    counting each, and c goes back onto pending above the a it passed,
+    for the usual lookup.  If c settles and then the first of those a, the
+    rest settle too unless some lhs ends in a a, and go onto out together.
     """
     index, ends, engine, rl = system._lhs_index, system._ends, system._engine, system._rl
+    doubled, batch = system._doubled, entries is None
     cap, trace_cap = STEP_CAP, TRACE_CAP
     out: list[int] = []
     pending = list(w)[::-1]
     vec = list(nu(w)) if entries is not None else None
-    odd = steps = coords = 0  # odd: stable/outer letters in out, the index of its last segment
+    # odd, for the trace: stable/outer letters in out, the index of its last segment
+    odd = steps = coords = 0
+    held = ha = 0  # under the swapped letter, pending ends in held copies of ha
     while pending:
         c = pending.pop()
         out.append(c)
         odd += c & 1
-        lengths = ends.get(c)
-        if lengths is None:
-            continue
         top = len(out)
-        for m in lengths:
+        for m in ends.get(c, ()):
             if m <= top:
                 idx = index.get(tuple(out[top - m :]))
                 if idx is not None:
                     break
         else:
+            if held and c == ha:  # the first ha settled, so the rest do too
+                k = len(pending) - held + 1
+                out += pending[k:]
+                del pending[k:]
+                held = 0
             continue
         start = top - m
-        rrhs, n_odd, wider = engine[idx]
+        rrhs, n_odd, wider, floor = engine[idx]
+        if floor and batch:  # c swaps past b letters a of the run below it
+            a = out[start]
+            i = start
+            while i and out[i - 1] == a:
+                i -= 1
+            b = 1 + max(0, start + 1 - i - floor)  # start + 1 - i: the run's length
+            steps += b
+            if steps > cap:
+                raise StepCapExceeded(cap)
+            del out[top - 1 - b :]
+            pending += [a] * b
+            pending.append(c)
+            held = 0 if a in doubled else b + (held if a == ha else 0)
+            ha = a
+            continue
+        held = 0
         for d, idx2, head, rtail, odd2 in wider:
             t = len(rtail)
             if d <= start and t <= len(pending) and pending[-t:] == rtail \

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hnnfree.braid
+import hnnfree.presentation
 import hnnfree.rewrite
 import hnnfree.words
 from hnnfree.cli import main
@@ -475,9 +476,20 @@ def test_untraced_nf_reports_the_traced_step_count(capsys):
     assert steps == 0
 
 
+def test_nf_counts_every_swap_of_a_run(capsys):
+    # y2 moves past the run x1^200 in one batch of steps, each counted
+    for n in ("3", "6"):
+        code, out, _ = run(capsys, "nf", "--preset", "gn", n, "--json", "x1^200 y2^200")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["normal_form"], doc["steps"]) == ("y2^200 x1^200", 200 * 200)
+
+
 def test_step_cap_is_inconclusive(monkeypatch, capsys):
+    # the cap falls inside the first batch of swaps of each nf
     monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 10)
     for argv in (("nf", "--preset", "gn", "3", "x1^20 y2^20"),
+                 ("nf", "--preset", "gn", "6", "x1^200 y2^200"),
                  ("nf", "--preset", "gn", "3", "--strategy", "random", "x1^20 y2^20"),
                  ("eq", "--preset", "gn", "3", "x1^20 y2^20", "y2^20 x1^20")):
         code, out, err = run(capsys, *argv)
@@ -511,6 +523,17 @@ def test_word_cap_is_inconclusive(monkeypatch, capsys):
                  ("pingpong-certify", *G3, "--spec", "A:x1:x1^11")):
         assert run(capsys, *argv) == (3, "", "inconclusive: word length cap 10 exceeded\n")
     assert run(capsys, "nf", *G3, "x1^5 y2^5") == (0, "y2^5 x1^5\n", "")
+
+
+def test_rank_cap_is_inconclusive(tmp_path, capsys):
+    # the cap stops each rank before gn or p2 builds anything
+    path = tmp_path / "huge.txt"
+    path.write_text(f"preset p2 {10 ** 12}\n")
+    msg = f"inconclusive: preset rank cap {hnnfree.presentation.RANK_CAP} exceeded\n"
+    for argv in (("nf", "--preset", "gn", str(hnnfree.presentation.RANK_CAP + 1), "x1"),
+                 ("eq", "--preset", "p2", str(10 ** 12), "x1", "x1"),
+                 ("rules", "--file", str(path))):
+        assert run(capsys, *argv) == (3, "", msg)
 
 
 def test_x_part_cap_is_inconclusive(monkeypatch, capsys):

@@ -17,6 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hnnfree.cli import main
+from hnnfree.presentation import RANK_CAP
 
 # presentation files by the token that stands for their path: the text,
 # then the base and stable names it declares; "@missing" names no file
@@ -33,6 +34,8 @@ FILES = {
     "@own": ("base a b c\nstable p q\nrel p : a ^ b = a ^ c\n", ("a", "b", "c"), ("p", "q")),
     "@braid": ("preset p2 3\n", ("y1", "y2"), ("x1", "x2", "t")),
     "@bad": ("base y1\nstable x1\nrel x1 : zz ^ y1 = zz ^ y1\n", ("y1",), ("x1",)),
+    # past the rank cap, which stops it before anything is built
+    "@huge": (f"preset p2 {10 ** 12}\n", ("y1",), ("x1", "t")),
 }
 
 
@@ -47,13 +50,17 @@ P2_SOURCES = st.one_of(st.builds(preset, st.just("p2"), st.integers(2, 4)),
 GOOD_SOURCES = st.one_of(
     st.builds(preset, st.sampled_from(("gn", "p2")), st.integers(2, 4)),
     st.sampled_from([(("--file", key), base, stable)
-                     for key, (_, base, stable) in FILES.items() if key != "@bad"]),
+                     for key, (_, base, stable) in FILES.items()
+                     if key not in ("@bad", "@huge")]),
 )
 BAD_SOURCES = st.sampled_from([
     (("--preset", "gn", "1"), ("y1",), ("x1",)),
     (("--preset", "zz", "3"), ("y1",), ("x1",)),
     (("--preset", "p2", "x"), ("y1",), ("x1",)),
     (("--file", "@bad"), ("y1",), ("x1",)),
+    (("--file", "@huge"), ("y1",), ("x1",)),
+    (("--preset", "gn", str(RANK_CAP + 1)), ("y1",), ("x1",)),
+    (("--preset", "p2", str(10 ** 12)), ("y1",), ("x1",)),
     (("--file", "@missing"), ("y1",), ("x1",)),
     ((), ("y1",), ("x1",)),
     (("--preset", "gn", "3", "--file", "@file"), ("y1",), ("x1",)),

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from rescan import rescan_leftmost
 
+from hnnfree import rewrite
 from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_presentation
 from hnnfree.rewrite import (
     RuleSystem,
+    StepCapExceeded,
     check_local_confluence,
     critical_pairs,
     equal,
@@ -303,6 +305,18 @@ def _toy_rules():
     return [RewriteRule(1, i, lhs, rhs) for i, (lhs, rhs) in enumerate(pairs)]
 
 
+def _swap_toy_rules(*others):
+    """The swap x1 y2 -> y2 x1, the cancellations of x1 and y2, then each
+    lhs in others rewritten to x2.  Every rule but the swap shortens the
+    word, and the swap only moves y2 left, so they terminate."""
+    y2, x1, x2 = base_gen(2), stable_gen(1), stable_gen(2)
+    pairs = [((x1, y2), (y2, x1)), ((x1, -x1), ()), ((-x1, x1), ()), ((y2, -y2), ()),
+             ((-y2, y2), ()), *((lhs, (x2,)) for lhs in others)]
+    return [RewriteRule(1, i, lhs, rhs) for i, (lhs, rhs) in enumerate(pairs)]
+
+
+Y1, Y2, X1 = base_gen(1), base_gen(2), stable_gen(1)
+
 ENGINE_SYSTEMS = {
     **{f"gn{n}": RuleSystem(gn(n)) for n in range(2, 7)},
     **{f"p2_{n}_base": RuleSystem(p2(n).base) for n in range(2, 5)},
@@ -311,6 +325,13 @@ ENGINE_SYSTEMS = {
     "nested_swapped": RuleSystem(parse_presentation(NESTED_SWAPPED)),
     "gn3_corrupted": RuleSystem(GN3, corrupted_gn3_rules()),
     "toy": RuleSystem(GN3, _toy_rules()),
+    # the swap x1 y2 -> y2 x1 beside: an lhs x1 x1 y2; an lhs y1 x1 y2, which
+    # reads below a run of x1 (floor 2); a wider lhs y1 x1 y2 y1 (no floor);
+    # an lhs y2 x1 x1, so the x1 that y2 passed do not settle all at once
+    "swap_aac": RuleSystem(GN3, _swap_toy_rules((X1, X1, Y2))),
+    "swap_dac": RuleSystem(GN3, _swap_toy_rules((Y1, X1, Y2))),
+    "swap_wider": RuleSystem(GN3, _swap_toy_rules((Y1, X1, Y2, Y1))),
+    "swap_caa": RuleSystem(GN3, _swap_toy_rules((Y2, X1, X1))),
 }
 
 
@@ -323,11 +344,34 @@ def _entries(trace):
     return [(e.position, e.rule_kind, e.rule_id, e.nu_after) for e in trace.entries]
 
 
+def _runs(system):
+    """Words of up to four pieces, each a letter or the letters of an lhs,
+    every letter raised to a power k <= 20: a swap meets long runs of one
+    letter and the lhs around them, which uniform letters rarely give it."""
+    def powered(letters):
+        runs = (st.integers(1, 20).map(lambda k, g=g: (g,) * k) for g in letters)
+        return st.tuples(*runs).map(lambda rs: sum(rs, ()))
+
+    piece = st.one_of(st.sampled_from(_letters(system)).map(lambda g: (g,)),
+                      st.sampled_from([r.lhs for r in system.rules])).flatmap(powered)
+    return st.lists(piece, max_size=4).map(lambda ps: sum(ps, ()))
+
+
 @pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
 @given(data=st.data())
 def test_engine_matches_rescanning_oracle(name, data):
     system = ENGINE_SYSTEMS[name]
-    w = tuple(data.draw(st.lists(st.sampled_from(_letters(system)), max_size=40)))
+    _check_engine(system, tuple(data.draw(st.lists(st.sampled_from(_letters(system)), max_size=40))))
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
+@given(data=st.data())
+def test_engine_matches_rescanning_oracle_on_runs(name, data):
+    system = ENGINE_SYSTEMS[name]
+    _check_engine(system, data.draw(_runs(system)))
+
+
+def _check_engine(system, w):
     ref, ref_trace = rescan_leftmost(w, system.rules)
     res, trace = normal_form(w, system)
     assert res == ref
@@ -359,6 +403,19 @@ def test_toy_earlier_start_wins():
         res, trace = normal_form(w, system)
         assert res == expected
         assert (res, _entries(trace)) == rescan_leftmost(w, system.rules)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_step_cap_inside_a_batch_of_swaps(monkeypatch, n):
+    # each y2 passes x1^200 in one batch, on gn(6) (floor 2) but one swap
+    system = RuleSystem(gn(n))
+    w = gn(n).parse("x1^200 y2^200")
+    monkeypatch.setattr(rewrite, "STEP_CAP", 200 * 200)
+    assert nf_steps(w, system) == (gn(n).parse("y2^200 x1^200"), 200 * 200)
+    for cap in (150, 39_900):
+        monkeypatch.setattr(rewrite, "STEP_CAP", cap)
+        with pytest.raises(StepCapExceeded, match=f"cap {cap} exceeded"):
+            nf(w, system)
 
 
 @pytest.mark.parametrize("name", ["gn3", "gn4", "handwritten", "nested", "toy"])
