@@ -99,6 +99,9 @@ COMMANDS = [
     f"danilevich {P2_2} --h x1",
     f"danilevich {P2_2} --h 'y1 x1'",
     f"danilevich {P2_2} --h x1 --max-products 3",
+    f"eq {P2_2} 't^-1 y1 t' 'y1 x1 y1 x1^-1 y1^-1'",
+    f"eq {P2_3} 'y1^-1 x2 x1^-1 y1 x1 x2^-1 x1^-1 y1^-1 x1 y1' 1",
+    f"nf {P2_2} 't y1 t^-1'",
 ]
 
 SUBCOMMANDS = ["nf", "eq", "rules", "confluence", "pingpong-certify", "pingpong-oracle",

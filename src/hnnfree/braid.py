@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .pingpong import (
@@ -47,7 +47,7 @@ from .pingpong import (
     free_product_oracle,
 )
 from .presentation import HnnPresentation, SemidirectExtension, p2, relators
-from .rewrite import RuleSystem, nf
+from .rewrite import RuleSystem, equal, nf
 from .words import (
     OUTER,
     CapExceeded,
@@ -59,6 +59,7 @@ from .words import (
     format_word,
     free_reduce,
     gen_name,
+    identity_map,
     invert,
     is_base,
     project_base,
@@ -244,12 +245,13 @@ class BraidSplitting:
 
     def is_trivial(self, w: Word) -> bool:
         """Triviality in the braid layer: refute by the F(Y) projection and
-        the x/t exponent sums, and split only a word that passes both."""
+        the x/t exponent sums, and split the free reduction of a word that
+        passes both."""
         if project_base(w):
             return False
         if any(exp_sum(w, g) for g in {abs(c) for c in w if c & 1}):
             return False
-        return self.nf(w).is_identity
+        return self.nf(free_reduce(w)).is_identity
 
 
 @lru_cache(maxsize=None)
@@ -270,6 +272,40 @@ def braid_trivial(ext: SemidirectExtension, w: Word) -> bool:
 def braid_equal(ext: SemidirectExtension, u: Word, v: Word) -> bool:
     """Complete equality test for the braid layer via the splitting."""
     return _splitting(ext.rank).is_trivial(invert(v) + u)
+
+
+class Group:
+    """The group a presentation source presents, and the engine that decides
+    in it: a p2 source is the braid layer (braid), decided by the splitting;
+    any other source decides by rewriting.  hnn is the HNN presentation that
+    rewriting, the rules and the ping-pong theorem speak of, a p2 source's
+    base gN; maps are (phi, phi_inv), or the identity map twice."""
+
+    def __init__(self, source: HnnPresentation | SemidirectExtension):
+        self.source, self.alphabet = source, source.alphabet
+        if isinstance(source, SemidirectExtension):
+            self.braid, self.hnn = source, source.base
+            self.maps = (source.phi, source.phi_inv)
+        else:
+            self.braid, self.hnn = None, source
+            self.maps = (identity_map(source.base_gens + source.stable_gens),) * 2
+
+    @cached_property
+    def system(self) -> RuleSystem:
+        return RuleSystem(self.hnn)
+
+    def parse(self, text: str, p=None) -> Word:
+        """Parse a word in p, by default the source; under p2, A{i}_{j}
+        braid names are resolved first."""
+        if self.braid:
+            text = resolve_braid_names(text, self.braid.rank)
+        return (p or self.source).parse(text)
+
+    def is_trivial(self, w: Word) -> bool:
+        return braid_trivial(self.braid, w) if self.braid else not nf(w, self.system)
+
+    def equal(self, u: Word, v: Word) -> bool:
+        return braid_equal(self.braid, u, v) if self.braid else equal(u, v, self.system)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 from .braid import (
     BraidVerification,
+    Group,
     braid_freeness_check,
-    braid_trivial,
     free_factor_probe,
     phi_power,
-    resolve_braid_names,
     semidirect_nf,
     split_nf,
     verify_braid_relations,
@@ -49,19 +47,15 @@ from .presentation import (
     parse_presentation,
 )
 from .rewrite import (
-    RuleSystem,
     check_local_confluence,
-    equal,
     nf_steps,
     normal_form,
     random_confluence_probe,
 )
 from .words import (
     CapExceeded,
-    Word,
     WordSyntaxError,
     format_word,
-    identity_map,
     is_base,
 )
 
@@ -97,23 +91,10 @@ def _load_source(args) -> HnnPresentation | SemidirectExtension:
     raise ValueError("a presentation source is required (--preset or --file)")
 
 
-def _base(src) -> HnnPresentation:
-    """The presented group: a p2 source's base, otherwise the source itself."""
-    return src.base if isinstance(src, SemidirectExtension) else src
-
-
-def _require_extension(src) -> SemidirectExtension:
-    if not isinstance(src, SemidirectExtension):
+def _require_extension(group: Group) -> SemidirectExtension:
+    if group.braid is None:
         raise ValueError("this command needs the braid layer; use --preset p2 N")
-    return src
-
-
-def _parse(text: str, src, p=None) -> Word:
-    """Parse a word in p, by default the source itself; under a p2 source
-    A{i}_{j} braid names are resolved first."""
-    if isinstance(src, SemidirectExtension):
-        text = resolve_braid_names(text, src.rank)
-    return (p or src).parse(text)
+    return group.braid
 
 
 def _at_least(low: int, **options) -> None:
@@ -181,10 +162,10 @@ _BOUNDS = (
           _arg("--trace", action="store_true", help="print the rewrite trace"),
           _arg("--strategy", choices=("leftmost", "random"), default="leftmost"),
           _arg("--seed", type=int, default=None))
-def _cmd_nf(args, src) -> int:
-    p = _base(src)
-    system = RuleSystem(p)
-    w = _parse(args.word, src)
+def _cmd_nf(args, group) -> int:
+    # normal forms are gN's, where t is no letter
+    p, system = group.hnn, group.system
+    w = group.parse(args.word, p)
     # a leftmost trace is built only for the text that prints it
     if args.strategy != "leftmost" or (args.trace and not args.json):
         result, trace = normal_form(w, system, strategy=args.strategy, seed=args.seed)
@@ -202,22 +183,20 @@ def _cmd_nf(args, src) -> int:
 
 
 @_command("eq", "decide equality of two words", _arg("left"), _arg("right"))
-def _cmd_eq(args, src) -> int:
-    p = _base(src)
-    system = RuleSystem(p)
-    u, v = _parse(args.left, src), _parse(args.right, src)
-    same = equal(u, v, system)
+def _cmd_eq(args, group) -> int:
+    u, v = group.parse(args.left), group.parse(args.right)
+    same = group.equal(u, v)
     _emit(args, "true" if same else "false", {
-        "left": format_word(u, p.alphabet),
-        "right": format_word(v, p.alphabet),
+        "left": format_word(u, group.alphabet),
+        "right": format_word(v, group.alphabet),
         "equal": same,
     })
     return EXIT_PASS if same else EXIT_FAIL
 
 
 @_command("rules", "list the compiled rewrite rules")
-def _cmd_rules(args, src) -> int:
-    p = _base(src)
+def _cmd_rules(args, group) -> int:
+    p = group.hnn
     rules = compile_rules(p)
     lines = [f"{len(rules)} rules"]
     docs = []
@@ -234,10 +213,9 @@ def _cmd_rules(args, src) -> int:
           _arg("--seed", type=int, default=0),
           _arg("--trials", type=int, default=200),
           _arg("--max-len", type=int, default=20))
-def _cmd_confluence(args, src) -> int:
+def _cmd_confluence(args, group) -> int:
     _at_least(1, trials=args.trials, max_len=args.max_len)
-    p = _base(src)
-    system = RuleSystem(p)
+    p, system = group.hnn, group.system
     if args.random:
         rep = random_confluence_probe(system, seed=args.seed or 0,
                                       trials=args.trials, max_len=args.max_len)
@@ -261,7 +239,7 @@ def _cmd_confluence(args, src) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _parse_spec(text: str, src, p) -> SubgroupSpec:
+def _parse_spec(text: str, group, p) -> SubgroupSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--spec must read LABEL:SUPPORT:GENWORDS, got {text!r}")
@@ -276,17 +254,17 @@ def _parse_spec(text: str, src, p) -> SubgroupSpec:
         if is_base(g):
             raise ValueError(f"support must consist of stable letters, got {name}")
         support.add(g)
-    gens = tuple(_parse(g, src, p) for g in filter(None, (s.strip() for s in gens_text.split(","))))
+    gens = tuple(group.parse(g, p) for g in filter(None, (s.strip() for s in gens_text.split(","))))
     return SubgroupSpec(label, gens, frozenset(support))
 
 
-def _specs(args, src, p) -> dict[str, SubgroupSpec]:
+def _specs(args, group, p) -> dict[str, SubgroupSpec]:
     """The --spec options by label, read in p; labels must be distinct."""
     if not args.spec:
         raise ValueError("at least one --spec is required")
     specs: dict[str, SubgroupSpec] = {}
     for text in args.spec:
-        spec = _parse_spec(text, src, p)
+        spec = _parse_spec(text, group, p)
         if spec.label in specs:
             raise ValueError(f"--spec label {spec.label!r} is repeated")
         specs[spec.label] = spec
@@ -300,11 +278,10 @@ def _specs(args, src, p) -> dict[str, SubgroupSpec]:
                help="base-intersection evidence: orbit:WORD, declared:TEXT, probe:MAXLEN"),
           _arg("--lax", action="store_true",
                help="accept declared support without the syntactic letter check"))
-def _cmd_pingpong_certify(args, src) -> int:
+def _cmd_pingpong_certify(args, group) -> int:
     # the theorem speaks of the presented group, whose letters exclude t
-    p = _base(src)
-    system = RuleSystem(p)
-    by_label = _specs(args, src, p)
+    p, system = group.hnn, group.system
+    by_label = _specs(args, group, p)
     evidence = {}
     for ev in args.evidence or []:
         parts = ev.split(":", 2)
@@ -316,11 +293,9 @@ def _cmd_pingpong_certify(args, src) -> int:
         if kind == "declared":
             evidence[label] = value
         elif kind == "orbit":
-            w = _parse(value, src, p)
-            m, m_inv = ((src.phi, src.phi_inv) if isinstance(src, SemidirectExtension)
-                        else (identity_map(p.base_gens + p.stable_gens),) * 2)
+            w = group.parse(value, p)
             try:
-                evidence[label] = orbit_evidence(by_label[label], w, p, m, m_inv)
+                evidence[label] = orbit_evidence(by_label[label], w, p, *group.maps)
             except ValueError as e:
                 raise ValueError(f"orbit evidence unavailable here: {e}")
         elif kind == "probe":
@@ -335,16 +310,14 @@ def _cmd_pingpong_certify(args, src) -> int:
 
 @_command("pingpong-oracle", "brute-force free-product check",
           _arg("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS"), *_BOUNDS)
-def _cmd_pingpong_oracle(args, src) -> int:
-    specs = list(_specs(args, src, src).values())
-    is_trivial = partial(braid_trivial, src) if isinstance(src, SemidirectExtension) else None
-    rep = free_product_oracle(specs, RuleSystem(_base(src)), _bounds(args), is_trivial)
-    return _report(args, rep)
+def _cmd_pingpong_oracle(args, group) -> int:
+    specs = list(_specs(args, group, group.source).values())
+    return _report(args, free_product_oracle(specs, group.system, _bounds(args), group.is_trivial))
 
 
 @_command("braid-verify", "verify the braid-layer relations and maps")
-def _cmd_braid_verify(args, src) -> int:
-    ext = _require_extension(src)
+def _cmd_braid_verify(args, group) -> int:
+    ext = _require_extension(group)
     rep = BraidVerification(verify_extension(ext), verify_braid_relations(ext.rank))
     return _report(args, rep)
 
@@ -354,9 +327,9 @@ def _cmd_braid_verify(args, src) -> int:
           _arg("--k", type=int, default=1, help="power of the map (negative for inverse)"),
           _arg("--push", action="store_true",
                help="print the semidirect and splitting normal forms instead"))
-def _cmd_braid_phi(args, src) -> int:
-    ext = _require_extension(src)
-    w = _parse(args.word, ext)
+def _cmd_braid_phi(args, group) -> int:
+    ext = _require_extension(group)
+    w = group.parse(args.word)
     alphabet = ext.alphabet
     if args.push:
         se = semidirect_nf(ext, w)
@@ -383,12 +356,12 @@ def _cmd_braid_phi(args, src) -> int:
           _arg("--w", action="append", metavar="WORD", help="repeat for each w_i"),
           _arg("--strict", action="store_true",
                help="require letters of w_i within {y_*} u {x_i}"))
-def _cmd_braid_check_free(args, src) -> int:
-    ext = _require_extension(src)
+def _cmd_braid_check_free(args, group) -> int:
+    ext = _require_extension(group)
     n = ext.rank
     if not args.w:
         raise ValueError("at least one --w is required")
-    words = [_parse(w, ext) for w in args.w]
+    words = [group.parse(w) for w in args.w]
     cert = braid_freeness_check(n, words, strict=args.strict)
     return _report(args, cert, n=n)
 
@@ -396,9 +369,9 @@ def _cmd_braid_check_free(args, src) -> int:
 @_command("danilevich", "bounded probe that <H, t> = H * <t>",
           _arg("--h", action="append", metavar="WORD", help="repeat for each H generator"),
           *_BOUNDS)
-def _cmd_danilevich(args, src) -> int:
-    ext = _require_extension(src)
-    hgens = [_parse(w, ext) for w in (args.h or [])]
+def _cmd_danilevich(args, group) -> int:
+    ext = _require_extension(group)
+    hgens = [group.parse(w) for w in (args.h or [])]
     return _report(args, free_factor_probe(ext, hgens, _bounds(args)))
 
 
@@ -442,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     if rest:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _load_source(args))
+        return args.func(args, Group(_load_source(args)))
     except (WordSyntaxError, PresentationSyntaxError) as e:  # ValueErrors: first
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hnnfree.braid
 import hnnfree.presentation
 import hnnfree.rewrite
 import hnnfree.words
+from artin import artin_equal
+from hnnfree.braid import braid_equal, braid_trivial, verify_braid_relations
 from hnnfree.cli import main
+from hnnfree.presentation import p2
+from hnnfree.words import format_word, invert
 
 FILE_TEXT = """\
 # three-letter base with two stable letters, conjugators of length two
@@ -102,6 +110,42 @@ def test_eq_false_exits_one(capsys):
     code, out, _ = run(capsys, "eq", "--preset", "gn", "3", "x1", "x2")
     assert code == 1
     assert out.strip() == "false"
+
+
+def test_p2_eq_decides_in_the_braid_layer(capsys):
+    # t^-1 y1 t pushes to the second word; the third word is the push
+    # remainder of relator R3(i=2, j=1), trivial in the braid layer but not in g3
+    for argv in (("2", "t^-1 y1 t", "y1 x1 y1 x1^-1 y1^-1"),
+                 ("3", "y1^-1 x2 x1^-1 y1 x1 x2^-1 x1^-1 y1^-1 x1 y1", "1")):
+        assert run(capsys, "eq", "--preset", "p2", *argv) == (0, "true\n", "")
+    # normal forms are those of gN, which has no letter t
+    assert run(capsys, "nf", "--preset", "p2", "2", "t y1 t^-1") == (
+        2, "", "parse error: column 1: unknown generator 't'\n")
+
+
+P2_RELATORS = {n: [e.relator for e in verify_braid_relations(n).entries if len(e.relator) <= 8]
+               for n in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("n", sorted(P2_RELATORS))
+@given(data=st.data())
+def test_p2_eq_agrees_with_braid_equal_and_artin(n, data):
+    # letters t, y1, x1, ..., y(n-1), x(n-1) and their inverses
+    word = st.lists(st.sampled_from([s * g for g in range(1, 2 * n) for s in (1, -1)]),
+                    max_size=6).map(tuple)
+    u = data.draw(word)
+    if data.draw(st.booleans()):
+        v = data.draw(word)
+    else:  # u with a relator of the layer inserted, so equal to u
+        k = data.draw(st.integers(0, len(u)))
+        v = u[:k] + data.draw(st.sampled_from(P2_RELATORS[n])) + u[k:]
+    same = braid_equal(p2(n), u, v)
+    assert same == artin_equal(u, v, n)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eq", "--preset", "p2", str(n),
+                     format_word(u, p2(n).alphabet), format_word(v, p2(n).alphabet)])
+    assert (code, out.getvalue()) == ((0, "true\n") if same else (1, "false\n"))
 
 
 def test_rules_counts(capsys):
@@ -486,16 +530,19 @@ def test_nf_counts_every_swap_of_a_run(capsys):
 
 
 def test_step_cap_is_inconclusive(monkeypatch, capsys):
-    # the cap falls inside the first batch of swaps of each nf
+    # untraced, the cap falls inside the first batch of swaps of each nf;
+    # traced, it falls after a single step, as it does at x2 y2^-1 y1, whose
+    # one kind-3 step no batch takes
+    msg = "inconclusive: rewrite step cap {} exceeded; termination bug suspected\n"
     monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 10)
     for argv in (("nf", "--preset", "gn", "3", "x1^20 y2^20"),
                  ("nf", "--preset", "gn", "6", "x1^200 y2^200"),
                  ("nf", "--preset", "gn", "3", "--strategy", "random", "x1^20 y2^20"),
+                 ("nf", "--preset", "gn", "3", "--trace", "x1^20 y2^20"),
                  ("eq", "--preset", "gn", "3", "x1^20 y2^20", "y2^20 x1^20")):
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err == "inconclusive: rewrite step cap 10 exceeded; termination bug suspected\n"
+        assert run(capsys, *argv) == (3, "", msg.format(10))
+    monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 0)
+    assert run(capsys, "nf", "--preset", "gn", "3", "x2 y2^-1 y1") == (3, "", msg.format(0))
 
 
 def test_trace_cap_is_inconclusive(monkeypatch, capsys):
@@ -547,6 +594,17 @@ def test_x_part_cap_is_inconclusive(monkeypatch, capsys):
         assert code == 3
         assert out == ""
         assert err == "inconclusive: splitting x-part cap 10 exceeded\n"
+
+
+def test_p2_eq_splits_only_the_reduced_quotient(monkeypatch, capsys):
+    # unreduced, w^-1 w and w w^-1 pass y1^3 over x1 and leave x-parts of
+    # more than ten letters
+    monkeypatch.setattr(hnnfree.braid, "X_PART_CAP", 10)
+    ext = p2(4)
+    for text in ("x1 y1^3", "y1^3 x1"):
+        assert run(capsys, "eq", "--preset", "p2", "4", text, text) == (0, "true\n", "")
+        w = ext.parse(text)
+        assert braid_trivial(ext, w + invert(w)) and braid_trivial(ext, invert(w) + w)
 
 
 def test_default_x_part_cap_stops_an_exponential_push(capsys):
