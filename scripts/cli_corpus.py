@@ -3,8 +3,8 @@
 
 Runs `hnnfree.cli.main` in-process on a fixed argv list: every subcommand in
 text and --json, help, usage and parse errors, presentation files that use
-their own generator names, the traced normal form of x1^100 y2^100, and
-normal forms of words with long runs of one letter.
+their own generator names, the traced normal forms of x1^100 y2^100 and
+of other words with long runs of one letter, and untraced ones.
 Prints one sha256 per case, taken over its exit code, stdout and stderr,
 and then a total over all cases.  Two trees give equal hashes exactly when
 their CLI output agrees on the corpus:
@@ -61,8 +61,11 @@ COMMANDS = [
     f"nf {G3} --strategy random --seed 3 --trace 'x1^3 y2^3 x2 y1^-2'",
     "nf --preset gn 4 'x3 y3^-1 x1 y2 x2^-1 y1'",
     "nf --preset gn 6 'x1^200 y2^200'",
+    # floor 2: each batch of swaps stops one letter short of the run
+    "nf --preset gn 6 --trace 'x1^30 y2^30'",
     "nf --file handwritten.txt 'x1 y1 y2 y3 x1^-1 y2'",
     "nf --file handwritten.txt 'x1^12 y2^-1 y3^-1 y1^12'",
+    "nf --file handwritten.txt --trace 'x1^12 y2^-1 y3^-1 y1^12'",
     "eq --file handwritten.txt 'x1^12 y2^-1 y3^-1 y1^12' "
     "'x1^11 y3^-1 y2^-1 y1^12 y2 y3 x1 y2^-1 y3^-1'",
     "nf --file nested.txt 's^12 x1^-1 y1^12'",

@@ -18,10 +18,11 @@ BraidSplitting.is_trivial, in this order:
    reduce to 1 is nontrivial, because F(X, t) is the normal factor;
 2. the exponent sums of the x_i and of t: the action of every base letter
    keeps them, so a word with a nonzero sum is nontrivial;
-3. only a word that passes both is split, and it is trivial iff its x-part
-   reduces to 1.  The x-part can grow exponentially in the word; an
-   action step that leaves more than X_PART_CAP letters raises
-   XPartCapExceeded, which the CLI reports as inconclusive.
+3. only a word that passes both is split, cyclically reduced first, and it
+   is trivial iff its x-part reduces to 1.  The x-part can grow
+   exponentially in the word; an action step that leaves more than
+   X_PART_CAP letters raises XPartCapExceeded, which the CLI reports as
+   inconclusive.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
+from . import words
 from .pingpong import (
     CERTIFIED,
     FAIL,
@@ -51,10 +53,12 @@ from .rewrite import RuleSystem, equal, nf
 from .words import (
     OUTER,
     CapExceeded,
+    PhiPowerCapExceeded,
     Word,
     base_gen,
     commutator,
     conjugate,
+    cyclic_reduce,
     exp_sum,
     format_word,
     free_reduce,
@@ -101,13 +105,21 @@ def _system(p: HnnPresentation) -> RuleSystem:
 
 
 def phi_power(ext: SemidirectExtension, w: Word, k: int) -> Word:
-    """Apply the outer conjugation map (k > 0) or its inverse (k < 0) |k| times."""
+    """Apply the outer conjugation map (k > 0) or its inverse (k < 0) |k| times.
+
+    Each image is about as long as the last plus a constant, so |k| steps
+    cost about k^2 letters; past words.WORD_CAP letters of images in all,
+    read at call time, it raises PhiPowerCapExceeded."""
     if OUTER in w or -OUTER in w:
         raise ValueError("phi_power expects a word without outer letters")
     m = ext.phi if k > 0 else ext.phi_inv
+    cap, built = words.WORD_CAP, 0
     out = free_reduce(w)
     for _ in range(abs(k)):
         out = m.apply(out)
+        built += len(out)
+        if built > cap:
+            raise PhiPowerCapExceeded(cap)
     return out
 
 
@@ -245,13 +257,13 @@ class BraidSplitting:
 
     def is_trivial(self, w: Word) -> bool:
         """Triviality in the braid layer: refute by the F(Y) projection and
-        the x/t exponent sums, and split the free reduction of a word that
-        passes both."""
+        the x/t exponent sums, and split the cyclic reduction of a word that
+        passes both, since a conjugate of w is trivial iff w is."""
         if project_base(w):
             return False
         if any(exp_sum(w, g) for g in {abs(c) for c in w if c & 1}):
             return False
-        return self.nf(free_reduce(w)).is_identity
+        return self.nf(cyclic_reduce(w)).is_identity
 
 
 @lru_cache(maxsize=None)

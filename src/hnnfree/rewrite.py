@@ -58,9 +58,9 @@ class RuleSystem:
     compile order makes bucket order equal (kind, id) order.  The leftmost
     engine uses an lhs index instead: each distinct lhs maps to its first
     rule, and each last letter to the lhs lengths ending in it, longest
-    first.  For the untraced engine's runs of swaps it also keeps a floor
-    per swap rule a c -> c a (_swap_floors) and the letters a that end an
-    lhs in a a (_doubled).
+    first.  For the engine's runs of swaps it also keeps a floor per swap
+    rule a c -> c a (_swap_floors) and the letters a that end an lhs in
+    a a (_doubled).
     """
 
     def __init__(self, presentation: HnnPresentation, rules: list[RewriteRule] | None = None):
@@ -178,14 +178,7 @@ class TraceEntry(NamedTuple):
     rule_kind: int
     rule_id: int
     nu_after: tuple[int, ...]
-
-
-class _IntText(dict):
-    """str(n) for every n looked up, each converted once."""
-
-    def __missing__(self, n: int) -> str:
-        text = self[n] = str(n)
-        return text
+    segment: int  # the nu coordinate, counted from 0, that position lies in
 
 
 @dataclass(frozen=True)
@@ -219,13 +212,16 @@ class RewriteTrace:
         return out
 
     def render(self, alphabet=None) -> str:
-        # a long trace repeats a few small coordinates a million times over
-        text, join = _IntText().__getitem__, ", ".join
+        """One line per step.  A step changes only the nu coordinates its
+        lhs covers, from its segment on, so each line respells just those
+        and joins the rest as the line before left them."""
+        nus, join = self.system._nus, ", ".join
+        parts = list(map(str, self.nu_initial))
         lines = [f"initial: {format_word(self.initial, alphabet)}"]
-        lines += [
-            f"#{k} pos={position} rule={kind}/{rule_id} nu=({join(map(text, nu_after))})"
-            for k, (position, kind, rule_id, nu_after) in enumerate(self.entries, 1)
-        ]
+        for k, (position, kind, rule_id, nu_after, j) in enumerate(self.entries, 1):
+            a, b = nus[rule_id]
+            parts[j : j + len(a)] = map(str, nu_after[j : j + len(b)])
+            lines.append(f"#{k} pos={position} rule={kind}/{rule_id} nu=({join(parts)})")
         lines.append(f"final: {format_word(self.final, alphabet)}")
         return "\n".join(lines)
 
@@ -260,7 +256,8 @@ def _splice_nu(vec: list[int], prefix, start: int, j: int, a: tuple, b: tuple) -
 def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[int], int]:
     """The leftmost strategy on a stack; returns the normal form and the
     number of steps, and appends a TraceEntry per step to entries if given
-    (at most TRACE_CAP nu coordinates in all).
+    (at most TRACE_CAP nu coordinates in all).  A traced run takes the same
+    steps through the same code; it only records them.
 
     out is the irreducible prefix; the letters still to read sit reversed on
     pending.  A new redex must end at the letter just pushed, so one lookup
@@ -269,21 +266,23 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
     each rule lists those (RuleSystem._wider); the first that matches wins.
     A step cuts out back to the redex start and pushes the rhs onto pending.
 
-    Untraced, a swap a c -> c a on a run of a takes at once all the steps
-    it takes while its floor of a stays under c (RuleSystem._swap_floors),
-    counting each, and c goes back onto pending above the a it passed,
+    A swap a c -> c a on a run of a takes at once all the steps it takes
+    while its floor of a stays under c (RuleSystem._swap_floors), counting
+    and recording each, and c goes back onto pending above the a it passed,
     for the usual lookup.  If c settles and then the first of those a, the
     rest settle too unless some lhs ends in a a, and go onto out together.
+    The run under c is counted letter by letter, unless c is the first
+    letter read after such a run settled, when its length is known.
     """
     index, ends, engine, rl = system._lhs_index, system._ends, system._engine, system._rl
-    doubled, batch = system._doubled, entries is None
-    cap, trace_cap = STEP_CAP, TRACE_CAP
+    doubled, cap, trace_cap = system._doubled, STEP_CAP, TRACE_CAP
     out: list[int] = []
     pending = list(w)[::-1]
     vec = list(nu(w)) if entries is not None else None
-    # odd, for the trace: stable/outer letters in out, the index of its last segment
+    # odd: stable/outer letters in out, so the index of its last segment
     odd = steps = coords = 0
     held = ha = 0  # under the swapped letter, pending ends in held copies of ha
+    run = run_at = None  # the last run that settled, and (steps, len(out)) after it
     while pending:
         c = pending.pop()
         out.append(c)
@@ -299,20 +298,36 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
                 k = len(pending) - held + 1
                 out += pending[k:]
                 del pending[k:]
-                held = 0
+                odd += (ha & 1) * (held - 1)
+                run, run_at, held = held, (steps, len(out)), 0
             continue
         start = top - m
         rrhs, n_odd, wider, floor = engine[idx]
-        if floor and batch:  # c swaps past b letters a of the run below it
+        if floor:  # c swaps past b letters a of the run below it
             a = out[start]
-            i = start
-            while i and out[i - 1] == a:
-                i -= 1
-            b = 1 + max(0, start + 1 - i - floor)  # start + 1 - i: the run's length
+            if run_at == (steps, start + 1):  # c came right after a run of a settled
+                r = run
+            else:
+                i = start
+                while i and out[i - 1] == a:
+                    i -= 1
+                r = start + 1 - i
+            b = 1 + max(0, r - floor)
+            if entries is not None:  # each step up to the step cap, as one by one
+                j, k = odd - n_odd, min(b, cap - steps)
+                coords += k * len(vec)
+                if coords > trace_cap:
+                    raise TraceCapExceeded(trace_cap)
+                (_, _, kind, rule_id), nus = rl[idx], system._nus[idx]
+                for pos in range(start, start - k, -1):
+                    _splice_nu(vec, out, pos, j, *nus)
+                    entries.append(TraceEntry(pos, kind, rule_id, tuple(vec), j))
+                    j -= a & 1
             steps += b
             if steps > cap:
                 raise StepCapExceeded(cap)
             del out[top - 1 - b :]
+            odd -= (c & 1) + b * (a & 1)
             pending += [a] * b
             pending.append(c)
             held = 0 if a in doubled else b + (held if a == ha else 0)
@@ -339,7 +354,7 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
             if coords > trace_cap:
                 raise TraceCapExceeded(trace_cap)
             _, _, kind, rule_id = rl[idx]
-            entries.append(TraceEntry(start, kind, rule_id, tuple(vec)))
+            entries.append(TraceEntry(start, kind, rule_id, tuple(vec), odd))
     return out, steps
 
 
@@ -353,7 +368,8 @@ def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng):
             return
         pos, idx = reds[rng.randrange(len(reds))]
         lhs, rhs, kind, rule_id = system._rl[idx]
-        _splice_nu(vec, ints, pos, sum(c & 1 for c in ints[:pos]), *system._nus[idx])
+        j = sum(c & 1 for c in ints[:pos])
+        _splice_nu(vec, ints, pos, j, *system._nus[idx])
         ints[pos : pos + len(lhs)] = rhs
         steps += 1
         if steps > cap:
@@ -361,7 +377,7 @@ def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng):
         coords += len(vec)
         if coords > trace_cap:
             raise TraceCapExceeded(trace_cap)
-        entries.append(TraceEntry(pos, kind, rule_id, tuple(vec)))
+        entries.append(TraceEntry(pos, kind, rule_id, tuple(vec), j))
 
 
 def normal_form(

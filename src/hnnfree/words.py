@@ -39,6 +39,11 @@ class CapExceeded(RuntimeError):
         super().__init__(self.template.format(cap))
 
 
+class PhiPowerCapExceeded(CapExceeded):
+    """phi_power built more than WORD_CAP letters of images in all."""
+    template = "phi power cap {} exceeded"
+
+
 def base_gen(i: int) -> int:
     return 2 * i
 
@@ -73,6 +78,16 @@ def free_reduce(w: Iterable[int]) -> Word:
         else:
             stack.append(c)
     return tuple(stack)
+
+
+def cyclic_reduce(w: Iterable[int]) -> Word:
+    """free_reduce(w) with matching inverse letters stripped from both ends:
+    a cyclically reduced conjugate of w."""
+    u = free_reduce(w)
+    i = 0
+    while 2 * i + 1 < len(u) and u[i] == -u[-1 - i]:
+        i += 1
+    return u[i : len(u) - i]
 
 
 def conjugate(a: Word, b: Word) -> Word:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artin import artin_equal, artin_trivial
-from hnnfree import braid
+from hnnfree import braid, words
 from hnnfree.braid import (
     T_WORD,
     BraidSplitting,
@@ -38,6 +38,7 @@ from hnnfree.words import (
     invert,
     stable_gen,
     OUTER,
+    PhiPowerCapExceeded,
 )
 
 E2, E3, E4 = p2(2), p2(3), p2(4)
@@ -82,6 +83,18 @@ def test_phi_power_round_trips():
     for k in (1, 2, 3, 4):
         assert phi_power(E3, phi_power(E3, u, k), -k) == free_reduce(u)
     assert phi_power(E3, u, 0) == free_reduce(u)
+
+
+def test_phi_power_cap_counts_the_letters_of_every_image(monkeypatch):
+    # x1's images have 3, 7, 11, ... letters: 78 in all for k = 6
+    monkeypatch.setattr(words, "WORD_CAP", 78)
+    x1 = E3.parse("x1")
+    assert len(phi_power(E3, x1, 6)) == 23
+    with pytest.raises(PhiPowerCapExceeded, match="cap 78 exceeded"):
+        phi_power(E3, x1, 7)
+    # the cap stops a power far too large to compute, after a few images
+    with pytest.raises(PhiPowerCapExceeded):
+        phi_power(E3, x1, -10 ** 12)
 
 
 def test_phi_power_rejects_outer_letters():
@@ -245,6 +258,15 @@ def test_equal_agrees_with_artin(n, data):
     v = u + data.draw(layer_word(n, data.draw(st.sampled_from(KINDS))))
     assert braid_equal(LAYERS[n], u, v) == artin_equal(u, v, n)
     assert braid_equal(LAYERS[n], v, u) == artin_equal(v, u, n)
+
+
+@pytest.mark.parametrize("n", sorted(LAYERS))
+@given(data=st.data())
+def test_trivial_is_the_same_on_every_cyclic_conjugate(n, data):
+    w = data.draw(layer_word(n, data.draw(st.sampled_from(KINDS))))
+    trivial = artin_trivial(w, n)
+    for i in range(len(w)):
+        assert braid_trivial(LAYERS[n], w[i:] + w[:i]) == trivial
 
 
 def test_screens_refute_before_the_splitting():

@@ -530,9 +530,9 @@ def test_nf_counts_every_swap_of_a_run(capsys):
 
 
 def test_step_cap_is_inconclusive(monkeypatch, capsys):
-    # untraced, the cap falls inside the first batch of swaps of each nf;
-    # traced, it falls after a single step, as it does at x2 y2^-1 y1, whose
-    # one kind-3 step no batch takes
+    # traced or not, the cap falls inside the first batch of swaps of each
+    # nf, and after a single step at x2 y2^-1 y1, whose one kind-3 step no
+    # batch takes
     msg = "inconclusive: rewrite step cap {} exceeded; termination bug suspected\n"
     monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 10)
     for argv in (("nf", "--preset", "gn", "3", "x1^20 y2^20"),
@@ -558,6 +558,36 @@ def test_trace_cap_is_inconclusive(monkeypatch, capsys):
     # the untraced engine keeps no trace
     monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", 0)
     assert run(capsys, "nf", "--preset", "gn", "3", "x1^2 y2^2") == (0, "y2^2 x1^2\n", "")
+
+
+@pytest.mark.parametrize("n", ["3", "6"])
+def test_caps_trip_inside_a_traced_batch_of_swaps(monkeypatch, n, capsys):
+    # the first y2 passes the x1^200 in one batch (gn(6): all but one), the
+    # second in the next; every step stores a nu of 201 coordinates.  Each
+    # step checks the step cap before it stores its nu
+    step = "inconclusive: rewrite step cap {} exceeded; termination bug suspected\n"
+    trace = "inconclusive: rewrite trace cap {} exceeded\n"
+    argv = ("nf", "--preset", "gn", n, "--trace", "x1^200 y2^200")
+    for step_cap, trace_cap, msg in ((150, 10 ** 7, step.format(150)),
+                                     (250, 10 ** 7, step.format(250)),
+                                     (10 ** 7, 201 * 150, trace.format(201 * 150)),
+                                     (10 ** 7, 201 * 250, trace.format(201 * 250)),
+                                     (150, 201 * 150, step.format(150)),
+                                     (150, 201 * 150 - 1, trace.format(201 * 150 - 1))):
+        monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", step_cap)
+        monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", trace_cap)
+        assert run(capsys, *argv) == (3, "", msg)
+
+
+def test_phi_power_cap_is_inconclusive(monkeypatch, capsys):
+    # x1's images under phi have 3, 7, 11, ... letters: 78 in all for
+    # k = 6, and 105 for k = 7, past a cap of 80
+    monkeypatch.setattr(hnnfree.words, "WORD_CAP", 80)
+    for argv in (("braid-phi", "--preset", "p2", "3", "--k", "7", "x1"),
+                 ("braid-phi", "--preset", "p2", "2", "--k", "-40", "x1"),
+                 ("braid-phi", "--preset", "p2", "3", "--k", str(10 ** 12), "x1")):
+        assert run(capsys, *argv) == (3, "", "inconclusive: phi power cap 80 exceeded\n")
+    assert run(capsys, "braid-phi", "--preset", "p2", "3", "--k", "6", "x1")[0] == 0
 
 
 def test_word_cap_is_inconclusive(monkeypatch, capsys):
@@ -605,6 +635,18 @@ def test_p2_eq_splits_only_the_reduced_quotient(monkeypatch, capsys):
         assert run(capsys, "eq", "--preset", "p2", "4", text, text) == (0, "true\n", "")
         w = ext.parse(text)
         assert braid_trivial(ext, w + invert(w)) and braid_trivial(ext, invert(w) + w)
+
+
+def test_p2_eq_splits_a_cyclic_reduction(monkeypatch, capsys):
+    # R C and C are equal, as R is a relator.  Split as it stands, C^-1 R C
+    # has an x-part of far more than a thousand letters; its cyclic
+    # reduction R has a short one
+    monkeypatch.setattr(hnnfree.braid, "X_PART_CAP", 1_000)
+    r = "y1^-1 x2 y1 x1 t x1^-1 t^-1 x2^-1 t x1 t^-1 x1^-1"
+    c = "y1 x3 y3^-1 y2 " * 5
+    assert run(capsys, "eq", "--preset", "p2", "4", f"{r} {c}", c) == (0, "true\n", "")
+    ext = p2(4)
+    assert braid_equal(ext, ext.parse(f"{r} {c}"), ext.parse(c))
 
 
 def test_default_x_part_cap_stops_an_exponential_push(capsys):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import hnnfree.words
 from hnnfree.cli import main
 from hnnfree.presentation import RANK_CAP
 
@@ -161,7 +162,8 @@ OPTIONS = {
     "pingpong-oracle": lambda base, stable: (specs(base, stable, evidence=False), *bounds()),
     "braid-verify": lambda base, stable: (),
     "braid-phi": lambda base, stable: (
-        flag("--push"), option("--k", st.integers(-2, 3)),
+        flag("--push"),
+        option("--k", mostly(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12), 3)),
         words(base + stable[:-1]).map(lambda w: [w])),
     "braid-check-free": lambda base, stable: (
         repeated("--w", words(base + stable), len(base)), flag("--strict")),
@@ -188,6 +190,15 @@ def argvs(draw):
     sources = P2_SOURCES if command in BRAID_COMMANDS else GOOD_SOURCES
     source, base, stable = draw(mostly(mostly(sources, GOOD_SOURCES, 9), BAD_SOURCES, 9))
     return [command, *source, *draw(arguments(command, base, stable))]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def low_word_cap():
+    """A word cap far above every word the grammar spells, but one that a
+    phi power of any --k reaches within a hundred images."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hnnfree.words, "WORD_CAP", 10_000)
+        yield
 
 
 @pytest.fixture(scope="module")

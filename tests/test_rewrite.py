@@ -26,7 +26,7 @@ from hnnfree.rewrite import (
     random_word,
     stable_signature,
 )
-from hnnfree.words import EPSILON, base_gen, exp_sum, free_reduce, is_base, stable_gen
+from hnnfree.words import EPSILON, base_gen, exp_sum, format_word, free_reduce, is_base, stable_gen
 
 GN3 = gn(3)
 S3 = RuleSystem(GN3)
@@ -428,3 +428,31 @@ def test_trace_nu_is_nu_of_each_step(name, strategy, seed):
     assert trace.nu_initial == nu(w)
     for step in trace.steps:
         assert step.nu_after == nu(step.after)
+
+
+def _render_from_scratch(trace, alphabet):
+    """RewriteTrace.render as it was first written: every line joins its
+    whole nu vector."""
+    lines = [f"initial: {format_word(trace.initial, alphabet)}"]
+    lines += [f"#{k} pos={e.position} rule={e.rule_kind}/{e.rule_id} "
+              f"nu=({', '.join(map(str, e.nu_after))})"
+              for k, e in enumerate(trace.entries, 1)]
+    lines.append(f"final: {format_word(trace.final, alphabet)}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
+@pytest.mark.parametrize("strategy", ["leftmost", "random"])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_trace_renders_and_segments_as_from_scratch(name, strategy, data):
+    system = ENGINE_SYSTEMS[name]
+    w = data.draw(st.one_of(_runs(system), st.lists(st.sampled_from(_letters(system)),
+                                                    max_size=30).map(tuple)))
+    seed = data.draw(st.integers(0, 10_000))
+    _, trace = normal_form(w, system, strategy=strategy, seed=seed)
+    alphabet = system.presentation.alphabet
+    assert trace.render(alphabet) == _render_from_scratch(trace, alphabet)
+    # the segment of an entry is the number of odd letters before its redex
+    for e, step in zip(trace.entries, trace.steps):
+        assert e.segment == sum(c & 1 for c in step.before[: e.position])

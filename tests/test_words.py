@@ -11,6 +11,7 @@ from hnnfree.words import (
     base_gen,
     commutator,
     conjugate,
+    cyclic_reduce,
     default_alphabet,
     exp_sum,
     format_word,
@@ -214,3 +215,14 @@ def test_map_is_homomorphism_up_to_reduction(u, v):
 def test_invert_is_involutive_antihomomorphism(wd):
     assert invert(invert(wd)) == wd
     assert free_reduce(wd + invert(wd)) == EPSILON
+
+
+@given(words_st, words_st)
+def test_cyclic_reduce_strips_a_conjugator(wd, c):
+    u, r = free_reduce(wd), cyclic_reduce(wd)
+    assert cyclic_reduce(r) == r
+    # u is p r p^-1 for its prefix p, and r r is freely reduced
+    k = (len(u) - len(r)) // 2
+    assert u == u[:k] + r + invert(u[:k])
+    assert len(free_reduce(r + r)) == 2 * len(r)
+    assert cyclic_reduce(conjugate(wd, c)) in {r[i:] + r[:i] for i in range(max(1, len(r)))}
