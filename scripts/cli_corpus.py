@@ -91,6 +91,13 @@ COMMANDS = [
     f"pingpong-oracle {G3} --spec A1:x1:x1 --spec 'A2:x2:y1 x2' --max-products 5",
     "pingpong-oracle --file own-trivial.txt --spec 'A:p:p b' --spec 'B:q:b^-1 p^-1' "
     "--syllables 3",
+    # both generators add 1 to the x1 sum, so a factor of odd uses cannot
+    # bring it back to zero; a single T slot cannot bring back the t sum
+    f"pingpong-oracle {G3} --spec 'A:x1:x1, y1 x1 y1^-1' --spec B:x2:x2 --exp-range 3 "
+    "--syllables 3",
+    f"pingpong-oracle {P2_3} --spec W1:x1:x1 --spec W2:x2:x2 --spec T:t:t --syllables 4",
+    f"pingpong-oracle {G3} --spec 'A:x1:x1, y1 x1 y1^-1' --spec B:x2:x2 --exp-range 3 "
+    "--max-products 7",
     f"braid-verify {P2_2}",
     f"braid-verify {P2_3}",
     f"braid-phi {P2_2} x1",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .braid import (
@@ -116,10 +117,16 @@ def _bounds(args) -> Bounds:
 
 
 def _emit(args, text: str | None, doc: dict) -> None:
-    if args.json:
-        print(json.dumps({"schema": 1, "command": args.command, **doc}, indent=2, sort_keys=False))
-    else:
-        print(text)
+    try:
+        if args.json:
+            print(json.dumps({"schema": 1, "command": args.command, **doc}, indent=2, sort_keys=False))
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the rest of the output, and the flush at
+        # exit, go to devnull, and the command keeps its exit code
+        sys.stdout = open(os.devnull, "w")
 
 
 def _report(args, rep, **fields) -> int:

@@ -10,16 +10,19 @@ brute-force oracles independently confirm the conclusion up to bounds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import reduce
 from itertools import product
 from math import prod
+from operator import add, or_
 from typing import Callable, Mapping, Sequence
 
+from . import words
 from .presentation import HnnPresentation
 from .rewrite import RuleSystem, nf, nf_ints
 from .words import (
     OUTER,
     Alphabet,
+    ExpRangeCapExceeded,
     GeneratorMap,
     Word,
     format_word,
@@ -334,20 +337,6 @@ def free_product_certificate(
 Runs = tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
-def _run_count(n_gens: int, exp_range: int, uses: int, after_run: bool) -> int:
-    """Run sequences ((gen index, signed exponent), ...) spending exactly
-    `uses`, with 1 <= |exponent| <= exp_range and adjacent indices distinct;
-    after_run forbids one index for the first run."""
-    if uses == 0:
-        return 1
-    first = n_gens - 1 if after_run else n_gens
-    return first * sum(
-        2 * _run_count(n_gens, exp_range, uses - mag, True)
-        for mag in range(1, min(uses, exp_range) + 1)
-    )
-
-
 def _push(stack: list[int], letters: Sequence[int]) -> list[int]:
     """A copy of the reduced word `stack`, extended by `letters` and freely reduced."""
     out = stack.copy()
@@ -379,31 +368,85 @@ def _walk(
     A product a_1 ... a_r has r <= bounds.syllables factors, adjacent ones
     from different specs.  A factor is a sequence of runs g^e over its
     spec's generators, adjacent runs on different generators, with
-    1 <= |e| and total uses sum |e| <= exp_range.  Order: syllable count,
-    then spec sequence, then each factor by total uses and then by its runs
-    (generator index, |e|, positive first), so the first witness is minimal.
+    1 <= |e| and total uses sum |e| <= exp_range: a reduced word of that
+    many letters in the generators taken as free letters.  Order: syllable
+    count, then spec sequence, then each factor by total uses and then by
+    its runs (generator index, |e|, positive first), so the first witness
+    is minimal.  An exp_range above words.EXP_RANGE_CAP, read at call time,
+    raises ExpRangeCapExceeded before anything is built.
 
     A prefix carries its freely reduced word and its exponent sums on the
-    generators of its letters for which `screen` holds.  Once a
-    sum can no longer return to zero within the uses left, the whole
-    subtree is counted as checked without being visited; a product whose
-    sums vanish goes to `hit`, and the first hit fails the report, which
-    spells its witness and factors in `alphabet`.
+    generators of its letters for which `screen` holds.  Each such
+    coordinate has exact reach sets: every value that the rest of the
+    current factor (given its uses left and its last generator) can add,
+    and every value that the factors of the slots still to come can add.
+    Once a sum is no longer the negation of a value of the two sets added
+    together, no completion brings it back to zero (parity and non-empty
+    factors included), and the whole subtree is counted as checked without
+    being visited.  A product whose sums vanish goes to `hit`, and the
+    first hit fails the report, which spells its witness and factors in
+    `alphabet`.
     """
     e_max, limit = bounds.exp_range, bounds.max_products
+    if e_max > words.EXP_RANGE_CAP:
+        raise ExpRangeCapExceeded(words.EXP_RANGE_CAP)
     gen_words = [s.generators for s in specs]
     coords = sorted({abs(c) for gens in gen_words for g in gens for c in g if screen(abs(c))})
     steps = [[[g.count(c) - g.count(-c) for c in coords] for g in gens] for gens in gen_words]
-    reach = [[max((abs(st[k]) for st in sts), default=0) for k in range(len(coords))] for sts in steps]
-    powers = [
-        [
-            {e: _push([], (g if e > 0 else invert(g)) * abs(e))
-             for mag in range(1, e_max + 1) for e in (mag, -mag)}
-            for g in gens
-        ]
-        for gens in gen_words
-    ]
-    sizes = [sum(_run_count(len(gens), e_max, u, False) for u in range(1, e_max + 1)) for gens in gen_words]
+    # A set of values v of coordinate k is the int with the bits v + off[k],
+    # off[k] bounding what one factor adds.  A sum s is carried as
+    # s + bias[k], bias[k] bounding every sum, and a tail set T as the bits
+    # bias[k] + off[k] - t, so that s + f + t = 0 for some t in T and f in
+    # a factor's set F exactly when (T >> s + bias[k]) & F is not 0.
+    off = [e_max * max((abs(st[k]) for sts in steps for st in sts), default=0)
+           for k in range(len(coords))]
+    bias = [bounds.syllables * o for o in off]
+
+    def shift(bits: int, v: int) -> int:
+        return bits << v if v >= 0 else bits >> -v
+
+    def reach(d: list[int], o: int) -> tuple[list[list[int]], list[int]]:
+        """For one coordinate, to which the generators add d: avoid[u][g],
+        the values of the reduced words of u letters that do not begin with
+        generator g (u = 0: the empty word), and the values of the factors."""
+        n = len(d)
+        avoid, ends, every = [[1 << o] * n], [(0, 0)] * n, 0
+        for _ in range(e_max):
+            # words of one more letter, by their first letter g or g^-1
+            ends = [(shift(a | p, d[g]), shift(a | m, -d[g]))
+                    for g, (a, (p, m)) in enumerate(zip(avoid[-1], ends))]
+            both = [p | m for p, m in ends]
+            avoid.append([reduce(or_, both[:g] + both[g + 1:], 0) for g in range(n)])
+            every = reduce(or_, both, every)
+        return avoid, [v - o for v in range(every.bit_length()) if every >> v & 1]
+
+    # per spec: rests[i][u][g] holds a set per coordinate, values[i] the
+    # values of its factors per coordinate, powers[i][g][e] the reduced
+    # word g^e and what it adds to each sum, subtree[i][u] the run
+    # sequences of u uses after a run and sizes[i] its factors.  The factors
+    # of u uses are the 2n(2n-1)^(u-1) reduced words of u letters in its n
+    # generators, and 2(n-1)(2n-1)^(u-1) of them avoid a given first one.
+    rests, values, powers, subtree, sizes = [], [], [], [], []
+    for gens, sts in zip(gen_words, steps):
+        n = len(gens)
+        per_coord = [reach([st[k] for st in sts], o) for k, o in enumerate(off)]
+        rests.append([[[r[u][g] for r, _ in per_coord] for g in range(n)]
+                      for u in range(e_max + 1)])
+        values.append([vs for _, vs in per_coord])
+        powers.append([])
+        for g, st in zip(gens, sts):
+            pw, up, down = {}, [], []
+            for mag in range(1, e_max + 1):
+                up, down = _push(up, g), _push(down, invert(g))
+                pw[mag] = up, [mag * d for d in st]
+                pw[-mag] = down, [-mag * d for d in st]
+            powers[-1].append(pw)
+        grow = [(2 * n - 1) ** u for u in range(e_max)]
+        subtree.append([1] + [2 * (n - 1) * q for q in grow])
+        sizes.append(2 * n * sum(grow))
+    # the tail set of every spec sequence walked so far, the empty one first
+    tails = {(): [1 << b + o for b, o in zip(bias, off)]}
+    path: list[tuple[int, int, int]] = []
     checked = 0
 
     def count(amount: int) -> None:
@@ -413,34 +456,45 @@ def _walk(
         checked += amount
 
     # factor() picks the factor of slot pos, runs() extends it run by run;
-    # seq, tail_reach and tail_size belong to the spec sequence being walked
-    def factor(pos: int, w: list[int], sums: list[int], done: tuple):
-        if pos == len(seq):
-            count(1)
-            return (w, done) if hit(w) else None
+    # seq, tail and tail_size belong to the spec sequence being walked, and
+    # path holds the runs (slot, generator index, exponent) of the prefix
+    def factor(pos: int, w: list[int], sums: list[int]):
         for total in range(1, e_max + 1):
-            found = runs(pos, w, sums, done, (), -1, total)
-            if found:
+            found = runs(pos, w, sums, -1, total)
+            if found is not None:
                 return found
         return None
 
-    def runs(pos: int, w: list[int], sums: list[int], done: tuple, made: Runs, last: int, left: int):
-        if left == 0:
-            return factor(pos + 1, w, sums, done + ((seq[pos], made),))
-        i = seq[pos]
-        for idx, (step, pw) in enumerate(zip(steps[i], powers[i])):
+    def runs(pos: int, w: list[int], sums: list[int], last: int, left: int):
+        i, ts = seq[pos], tail[pos]
+        for idx, pw in enumerate(powers[i]):
             if idx == last:
                 continue
-            for mag in range(1, min(left, e_max) + 1):
+            for mag in range(1, left + 1):
                 rest = left - mag
+                if not subtree[i][rest]:
+                    continue  # no run can follow this one
+                fs = rests[i][rest][idx]
                 for e in (mag, -mag):
-                    nxt = [s + e * d for s, d in zip(sums, step)]
-                    if any(abs(s) > m * rest + t for s, m, t in zip(nxt, reach[i], tail_reach[pos])):
-                        count(_run_count(len(steps[i]), e_max, rest, True) * tail_size[pos])
-                        continue
-                    found = runs(pos, _push(w, pw[e]), nxt, done, made + ((idx, e),), idx, rest)
-                    if found:
-                        return found
+                    letters, step = pw[e]
+                    nxt = list(map(add, sums, step))
+                    for s, f, t in zip(nxt, fs, ts):
+                        if not t >> s & f:
+                            count(subtree[i][rest] * tail_size[pos])
+                            break
+                    else:
+                        path.append((pos, idx, e))
+                        v = _push(w, letters)
+                        if rest:
+                            found = runs(pos, v, nxt, idx, rest)
+                        elif pos < end:
+                            found = factor(pos + 1, v, nxt)
+                        else:  # a whole product, whose sums vanish
+                            count(1)
+                            found = v if hit(v) else None
+                        if found is not None:
+                            return found
+                        path.pop()
         return None
 
     try:
@@ -448,17 +502,21 @@ def _walk(
             for seq in product(range(len(specs)), repeat=r):
                 if not all(sizes[i] for i in seq) or any(a == b for a, b in zip(seq, seq[1:])):
                     continue
-                # what the slots after each position can still add or count
-                tail_reach = [
-                    [e_max * sum(reach[i][k] for i in seq[pos + 1 :]) for k in range(len(coords))]
-                    for pos in range(r)
+                # the suffixes of seq are walked sequences, so only seq is new
+                tails[seq] = [
+                    reduce(or_, (shift(t, -v) for v in vs), 0)
+                    for t, vs in zip(tails[seq[1:]], values[seq[0]])
                 ]
+                tail, end = [tails[seq[pos + 1 :]] for pos in range(r)], r - 1
                 tail_size = [prod(sizes[i] for i in seq[pos + 1 :]) for pos in range(r)]
-                found = factor(0, [], [0] * len(coords), ())
-                if found:
-                    w, done = found
-                    factors = tuple(_factor_desc(specs[i], made, alphabet) for i, made in done)
-                    return OracleReport(FAIL, checked, tuple(w), factors, alphabet=alphabet)
+                found = factor(0, [], bias)
+                if found is not None:
+                    runs_of = [[] for _ in seq]
+                    for pos, idx, e in path:
+                        runs_of[pos].append((idx, e))
+                    factors = tuple(_factor_desc(specs[i], tuple(made), alphabet)
+                                    for i, made in zip(seq, runs_of))
+                    return OracleReport(FAIL, checked, tuple(found), factors, alphabet=alphabet)
     except _Budget:
         return OracleReport(
             INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"

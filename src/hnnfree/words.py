@@ -44,6 +44,15 @@ class PhiPowerCapExceeded(CapExceeded):
     template = "phi power cap {} exceeded"
 
 
+# the largest exp_range an oracle walks; read at call time, so tests can lower it
+EXP_RANGE_CAP = 1_000
+
+
+class ExpRangeCapExceeded(CapExceeded):
+    """An oracle was asked for an exp_range above EXP_RANGE_CAP."""
+    template = "exponent range cap {} exceeded"
+
+
 def base_gen(i: int) -> int:
     return 2 * i
 

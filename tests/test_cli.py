@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -624,6 +627,37 @@ def test_x_part_cap_is_inconclusive(monkeypatch, capsys):
         assert code == 3
         assert out == ""
         assert err == "inconclusive: splitting x-part cap 10 exceeded\n"
+
+
+def test_exp_range_cap_is_inconclusive(monkeypatch, capsys):
+    # each oracle checks the cap before it builds any table
+    monkeypatch.setattr(hnnfree.words, "EXP_RANGE_CAP", 4)
+    pair = ("pingpong-oracle", *G3, "--spec", "A:x1:x1, y1 x1 y1^-1", "--spec", "B:x2:x2")
+    for argv in ((*pair, "--exp-range", "5"),
+                 (*pair, "--exp-range", str(10 ** 12), "--max-products", "1"),
+                 ("pingpong-certify", *G3, "--spec", "A1:x1:x1", "--evidence", "A1:probe:5"),
+                 ("danilevich", "--preset", "p2", "2", "--h", "x1", "--exp-range", "5")):
+        assert run(capsys, *argv) == (3, "", "inconclusive: exponent range cap 4 exceeded\n")
+    assert run(capsys, *pair, "--exp-range", "4", "--syllables", "2")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [("nf", "--preset", "gn", "6", "--trace", "x1^30 y2^30"),
+                                  ("rules", "--preset", "gn", "20", "--json")])
+def test_closed_stdout_ends_quietly(argv):
+    # each output is over 100 kB, more than a pipe holds, so the command is
+    # still writing when the reader closes its end
+    root = Path(__file__).parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hnnfree.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, 1, 2, 3)
+    assert err == b""
 
 
 def test_p2_eq_splits_only_the_reduced_quotient(monkeypatch, capsys):

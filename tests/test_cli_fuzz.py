@@ -74,6 +74,9 @@ def mostly(common, rare, odds: int = 19):
     return st.sampled_from([common] * odds + [rare]).flatmap(lambda strategy: strategy)
 
 
+# the exp_range cap while this module's tests run
+EXP_RANGE_CAP = 3
+
 EXPONENTS = st.sampled_from((1, 1, 1, -1, -1, 2, -2, 3, -3))
 # an unknown name, or a braid name A{i}_{j} inside or outside the layer
 STRANGE_NAMES = st.one_of(
@@ -109,8 +112,14 @@ def repeated(name: str, values, size: int):
         lambda vs: [a for v in vs for a in (name, v)])
 
 
+def past_cap(low: int, high: int):
+    """An integer option in [low, high], rarely one below it, and one draw
+    in five anywhere past the lowered exp_range cap."""
+    return mostly(small(low, high), st.integers(EXP_RANGE_CAP + 1, 10 ** 12), 4)
+
+
 def bounds():
-    return (option("--syllables", small(1, 3)), option("--exp-range", small(1, 2)),
+    return (option("--syllables", small(1, 3)), option("--exp-range", past_cap(1, EXP_RANGE_CAP)),
             st.integers(0, 300).map(lambda m: ["--max-products", str(m)]))
 
 
@@ -136,7 +145,7 @@ def specs(draw, base, stable, evidence: bool):
     for label, gens in draw(st.lists(st.sampled_from(labels), max_size=3 * evidence)):
         kind, value = draw(st.sampled_from([
             ("orbit", gens[0]), ("orbit", gens[-1]), ("orbit", gens[0]), ("declared", "ok"),
-            ("probe", str(draw(small(1, 3)))), ("psychic", "yes")]))
+            ("probe", str(draw(past_cap(1, EXP_RANGE_CAP)))), ("psychic", "yes")]))
         argv += ["--evidence", f"{label}:{kind}:{value}"]
     return argv
 
@@ -193,11 +202,13 @@ def argvs(draw):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def low_word_cap():
+def low_caps():
     """A word cap far above every word the grammar spells, but one that a
-    phi power of any --k reaches within a hundred images."""
+    phi power of any --k reaches within a hundred images; and an exp_range
+    cap that the grammar's larger --exp-range and probe:N values pass."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hnnfree.words, "WORD_CAP", 10_000)
+        mp.setattr(hnnfree.words, "EXP_RANGE_CAP", EXP_RANGE_CAP)
         yield
 
 

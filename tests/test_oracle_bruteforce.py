@@ -4,17 +4,22 @@ The enumerator here shares no code with the oracles' walk: it lists every
 factor explicitly, takes itertools.product over the lists, and runs
 free_reduce and exp_sum on every product.  On small bounds each oracle must
 agree with it on verdict, checked count, witness and witness factors, with
-and without a product budget.
+and without a product budget, on fixed specs and on drawn ones; and the
+walk must hand its `hit` exactly the products whose screened exponent sums
+vanish, in order, so that no prune drops one.
 """
 
 import itertools
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from hnnfree.braid import braid_trivial, free_factor_probe
 from hnnfree.pingpong import (
     Bounds,
     SubgroupSpec,
+    _walk,
     bounded_intersection_probe,
     free_product_oracle,
 )
@@ -72,24 +77,31 @@ def t_label(runs, gens):
     return f"t^{e}"
 
 
-def brute(lists, syllables, screen, hit, max_products):
-    checked = 0
+def products(lists, syllables):
+    """(factor choice, freely reduced product) of every alternating product."""
     for r in range(1, syllables + 1):
         for seq in itertools.product(range(len(lists)), repeat=r):
             if any(a == b for a, b in zip(seq, seq[1:])):
                 continue
             for choice in itertools.product(*(lists[i] for i in seq)):
-                if max_products is not None and checked >= max_products:
-                    return "inconclusive", max_products, None, None
-                checked += 1
                 w = EPSILON
                 for _, f in choice:
                     w = w + f
-                w = free_reduce(w)
-                if any(exp_sum(w, g) for g in screen):
-                    continue
-                if hit(w):
-                    return "fail", checked, w, tuple(d for d, _ in choice)
+                yield choice, free_reduce(w)
+
+
+def zero_sum(w, screen):
+    return not any(exp_sum(w, g) for g in screen)
+
+
+def brute(lists, syllables, screen, hit, max_products):
+    checked = 0
+    for choice, w in products(lists, syllables):
+        if max_products is not None and checked >= max_products:
+            return "inconclusive", max_products, None, None
+        checked += 1
+        if zero_sum(w, screen) and hit(w):
+            return "fail", checked, w, tuple(d for d, _ in choice)
     return "pass", checked, None, None
 
 
@@ -191,3 +203,111 @@ def test_free_factor_probe_matches_brute_force(name):
     for b in budgets(full):
         rep = free_factor_probe(E2, hs, Bounds(syllables=syllables, max_products=b))
         assert outcome(rep) == brute(lists, syllables, ALL_E2, hit, b), (name, b)
+
+
+# Drawn specs.  The generator words include what the fixed cases miss: a
+# zero sum vector (1 and the commutator [x1, y1]), coupled coordinates
+# (y1 x2), and sums that only parity keeps from vanishing (x1 beside
+# y1 x1 y1^-1, or x1^2).  Each draw keeps its enumeration small.
+
+PRODUCT_LIMIT = 2000
+
+
+def drawn_words(letters, special):
+    term = st.sampled_from([*letters, *(f"{a}^-1" for a in letters)])
+    return st.one_of(st.sampled_from(special),
+                     st.lists(term, min_size=1, max_size=3).map(" ".join))
+
+
+GN3_WORDS = drawn_words(("x1", "x2", "y1", "y2"),
+                        ("1", "x1 y1 x1^-1 y1^-1", "y1 x2", "y1 x1 y1^-1", "x1 x1", "x1"))
+E2_WORDS = drawn_words(("x1", "y1"), ("1", "x1 y1 x1^-1 y1^-1", "y1 x1", "x1 x1", "x1"))
+
+
+def n_products(sizes, syllables):
+    """The alternating products of at most `syllables` factors, with
+    sizes[i] choices of a factor from spec i."""
+    ends = list(sizes)  # products of r factors by their last spec
+    total = sum(ends)
+    for _ in range(syllables - 1):
+        ends = [n * (sum(ends) - e) for n, e in zip(sizes, ends)]
+        total += sum(ends)
+    return total
+
+
+def fitting_syllables(data, lists):
+    """A drawn syllable count of 1 to 4, lowered until the products fit."""
+    syllables = data.draw(st.integers(1, 4), label="syllables")
+    while syllables > 1 and n_products([len(f) for f in lists], syllables) > PRODUCT_LIMIT:
+        syllables -= 1
+    return syllables
+
+
+def budgets_drawn(data, full):
+    """No budget and a drawn one; the full run's verdict is an event for
+    `pytest --hypothesis-show-statistics`."""
+    event(full[0])
+    return [None, data.draw(st.integers(0, full[1] + 1), label="max_products")]
+
+
+def assert_walk_hits(specs, bounds, screen, lists):
+    """_walk hands `hit` every product whose screened sums vanish, in order,
+    and no other: no prune drops a product the screen passes."""
+    seen = []
+    rep = _walk(specs, bounds, lambda g: g in screen, lambda w: seen.append(tuple(w)) or False,
+                GN3.alphabet)
+    assert rep.verdict == "pass"
+    assert seen == [w for _, w in products(lists, bounds.syllables) if zero_sum(w, screen)]
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_free_product_oracle_matches_brute_force_on_drawn_specs(data):
+    texts = data.draw(st.lists(st.lists(GN3_WORDS, min_size=1, max_size=2), min_size=2, max_size=3))
+    specs = [gn3_spec("ABC"[i], *ts) for i, ts in enumerate(texts)]
+    exp_range = data.draw(st.integers(1, 3), label="exp_range")
+    lists = [factor_list(spec_label(s.label), s.generators, exp_range) for s in specs]
+    syllables = fitting_syllables(data, lists)
+    hit = lambda w: not w or not nf(w, S3)
+    full = brute(lists, syllables, ALL_GN3, hit, None)
+    for b in budgets_drawn(data, full):
+        bounds = Bounds(syllables=syllables, exp_range=exp_range, max_products=b)
+        rep = free_product_oracle(specs, S3, bounds)
+        assert outcome(rep) == brute(lists, syllables, ALL_GN3, hit, b), b
+    assert_walk_hits(specs, Bounds(syllables, exp_range), ALL_GN3, lists)
+
+
+@settings(max_examples=60)
+@given(texts=st.lists(GN3_WORDS, min_size=1, max_size=2), max_len=st.integers(1, 4),
+       data=st.data())
+def test_bounded_intersection_probe_matches_brute_force_on_drawn_specs(texts, max_len, data):
+    spec = gn3_spec("P", *texts)
+    lists = [factor_list(spec_label("P"), spec.generators, max_len)]
+    screen = [g for g in ALL_GN3 if not is_base(g)]
+
+    def hit(w):
+        v = nf(w, S3)
+        return bool(v) and all(is_base(c) for c in v)
+
+    full = brute(lists, 1, screen, hit, None)
+    for b in budgets_drawn(data, full):
+        rep = bounded_intersection_probe(spec, S3, max_len, b)
+        assert outcome(rep) == brute(lists, 1, screen, hit, b), b
+    assert_walk_hits([spec], Bounds(1, max_len), screen, lists)
+
+
+@settings(max_examples=60)
+@given(texts=st.lists(E2_WORDS, max_size=2), exp_range=st.integers(1, 3), data=st.data())
+def test_free_factor_probe_matches_brute_force_on_drawn_specs(texts, exp_range, data):
+    hs = [E2.parse(t) for t in texts]
+    lists = [factor_list(spec_label("H"), hs, exp_range),
+             factor_list(t_label, [E2.parse("t")], exp_range)]
+    syllables = fitting_syllables(data, lists)
+    hit = lambda w: not w or braid_trivial(E2, w)
+    full = brute(lists, syllables, ALL_E2, hit, None)
+    for b in budgets_drawn(data, full):
+        rep = free_factor_probe(E2, hs, Bounds(syllables, exp_range, b))
+        assert outcome(rep) == brute(lists, syllables, ALL_E2, hit, b), b
+    specs = [SubgroupSpec("H", tuple(hs), frozenset({OUTER})),
+             SubgroupSpec("T", (E2.parse("t"),), frozenset({OUTER}))]
+    assert_walk_hits(specs, Bounds(syllables, exp_range), ALL_E2, lists)
