@@ -124,8 +124,25 @@ def phi_power(ext: SemidirectExtension, w: Word, k: int) -> Word:
 
 
 @lru_cache(maxsize=None)
+def _powers(ext: SemidirectExtension, c: int, sign: int) -> tuple[list[Word], list[int]]:
+    """The images of (c,) under the first powers of phi (sign 1) or
+    phi_inv (sign -1) built so far, and the letters phi_power counts up to
+    each; _pushed_letter extends both."""
+    return [(c,)], [0]
+
+
+@lru_cache(maxsize=None)
 def _pushed_letter(ext: SemidirectExtension, c: int, k: int) -> Word:
-    return phi_power(ext, (c,), k)
+    """phi_power(ext, (c,), k), each power built from the one before; it
+    raises PhiPowerCapExceeded exactly when phi_power would."""
+    images, built = _powers(ext, c, 1 if k > 0 else -1)
+    m, cap = (ext.phi if k > 0 else ext.phi_inv), words.WORD_CAP
+    while len(images) <= abs(k) and built[-1] <= cap:
+        images.append(m.apply(images[-1]))
+        built.append(built[-1] + len(images[-1]))
+    if built[min(abs(k), len(built) - 1)] > cap:
+        raise PhiPowerCapExceeded(cap)
+    return images[abs(k)]
 
 
 def semidirect_nf(ext: SemidirectExtension, w: Word) -> SemidirectElement:
@@ -555,26 +572,24 @@ def free_factor_probe(
 # x/y/t alphabet of the rank-n layer.
 # ---------------------------------------------------------------------------
 
-_AIJ_RE = re.compile(r"^A(\d+)_(\d+)$")
+# a whole term A{i}_{j} or A{i}_{j}^e of the word grammar, between separators
+_AIJ_RE = re.compile(r"(?<![^\s*])A(\d+)_(\d+)((?:\^[+-]?\d+)?)(?![^\s*])")
 
 
 def resolve_braid_names(text: str, n: int) -> str:
-    """Rewrite A{i}_{j} tokens into x/y/t names; other tokens pass through."""
-    out: list[str] = []
-    for token in text.replace("*", " ").split():
-        name, sep, exp = token.partition("^")
-        m = _AIJ_RE.match(name)
-        if m:
-            i, j = int(m.group(1)), int(m.group(2))
-            if j == n + 1 and 1 <= i < n:
-                name = f"x{i}"
-            elif j == n + 1 and i == n:
-                name = "t"
-            elif j == n and 1 <= i < n:
-                name = f"y{i}"
-            else:
-                raise ValueError(
-                    f"braid generator {token} lies outside the rank-{n} layer"
-                )
-        out.append(name + sep + exp)
-    return " ".join(out)
+    """Rewrite each A{i}_{j}[^e] term in place into x/y/t names, padded with
+    spaces to its own width; every other character stays as typed, so a
+    parse error names the column and the term of the text given."""
+    def name(m: re.Match) -> str:
+        i, j = int(m.group(1)), int(m.group(2))
+        if j == n + 1 and 1 <= i < n:
+            new = f"x{i}"
+        elif j == n + 1 and i == n:
+            new = "t"
+        elif j == n and 1 <= i < n:
+            new = f"y{i}"
+        else:
+            raise ValueError(f"braid generator {m.group(0)} lies outside the rank-{n} layer")
+        return (new + m.group(3)).ljust(len(m.group(0)))
+
+    return _AIJ_RE.sub(name, text)

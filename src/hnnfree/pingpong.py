@@ -24,6 +24,7 @@ from .words import (
     Alphabet,
     ExpRangeCapExceeded,
     GeneratorMap,
+    ProductCapExceeded,
     Word,
     format_word,
     free_reduce,
@@ -91,7 +92,8 @@ class Bounds:
 
     exp_range caps both the exponent of one run and the generator uses of
     one alternating factor.  max_products is the overall budget; exceeding
-    it yields an inconclusive verdict, never a pass.
+    it yields an inconclusive verdict, never a pass.  Without a budget below
+    words.PRODUCT_CAP, the walk stops at the cap with ProductCapExceeded.
     """
 
     syllables: int = 6
@@ -373,7 +375,10 @@ def _walk(
     count, then spec sequence, then each factor by total uses and then by
     its runs (generator index, |e|, positive first), so the first witness
     is minimal.  An exp_range above words.EXP_RANGE_CAP, read at call time,
-    raises ExpRangeCapExceeded before anything is built.
+    raises ExpRangeCapExceeded before anything is built.  Past
+    max_products products the report is inconclusive; past
+    words.PRODUCT_CAP, read at call time, when no smaller budget is given,
+    the walk raises ProductCapExceeded.
 
     A prefix carries its freely reduced word and its exponent sums on the
     generators of its letters for which `screen` holds.  Each such
@@ -387,7 +392,8 @@ def _walk(
     first hit fails the report, which spells its witness and factors in
     `alphabet`.
     """
-    e_max, limit = bounds.exp_range, bounds.max_products
+    e_max, budget, cap = bounds.exp_range, bounds.max_products, words.PRODUCT_CAP
+    limit = cap if budget is None else min(budget, cap)
     if e_max > words.EXP_RANGE_CAP:
         raise ExpRangeCapExceeded(words.EXP_RANGE_CAP)
     gen_words = [s.generators for s in specs]
@@ -451,7 +457,7 @@ def _walk(
 
     def count(amount: int) -> None:
         nonlocal checked
-        if limit is not None and checked + amount > limit:
+        if checked + amount > limit:
             raise _Budget
         checked += amount
 
@@ -518,6 +524,8 @@ def _walk(
                                     for i, made in zip(seq, runs_of))
                     return OracleReport(FAIL, checked, tuple(found), factors, alphabet=alphabet)
     except _Budget:
+        if limit == cap:
+            raise ProductCapExceeded(cap) from None
         return OracleReport(
             INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"
         )

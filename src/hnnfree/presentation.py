@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .words import (
     EPSILON,
@@ -91,8 +92,7 @@ def validate(p: HnnPresentation) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """A literal pattern -> replacement pair of one of the four kinds.
 
     kind 1: y^e y^-e -> 1          kind 3: x v^-1 y^e -> w^-1 y^e w x v^-1

@@ -52,46 +52,45 @@ def nu_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 class RuleSystem:
-    """A compiled rule set with its match indexes.
+    """A rule list and one index into it, from each lhs to its rule.
 
-    Rules are bucketed by the first letter of their lhs for `match_at`;
-    compile order makes bucket order equal (kind, id) order.  The leftmost
-    engine uses an lhs index instead: each distinct lhs maps to its first
-    rule, and each last letter to the lhs lengths ending in it, longest
-    first.  For the engine's runs of swaps it also keeps a floor per swap
-    rule a c -> c a (_swap_floors) and the letters a that end an lhs in
-    a a (_doubled).
+    Compiled rules never share an lhs (kind 3 begins with x, kind 4 with
+    x^-1, and validate forbids a base letter twice per stable letter); a
+    hand-made list that does raises ValueError.  match_at and redexes look
+    up every lhs length at a position.  The leftmost engine looks up the
+    lhs lengths ending in the letter just read, longest first (_ends), and
+    for its runs of swaps keeps a floor per swap rule a c -> c a
+    (_swap_floors) and the letters a that end an lhs in a a (_doubled).
     """
 
     def __init__(self, presentation: HnnPresentation, rules: list[RewriteRule] | None = None):
         self.presentation = presentation
         self.rules = compile_rules(presentation) if rules is None else list(rules)
-        self._rl = [(r.lhs, r.rhs, r.kind, r.rule_id) for r in self.rules]
-        self._by_first: dict[int, list[int]] = {}
         self._lhs_index: dict[Word, int] = {}
         ends: dict[int, set[int]] = {}
-        for idx, (lhs, _, _, _) in enumerate(self._rl):
-            self._by_first.setdefault(lhs[0], []).append(idx)
-            self._lhs_index.setdefault(lhs, idx)
-            ends.setdefault(lhs[-1], set()).add(len(lhs))
+        for idx, r in enumerate(self.rules):
+            if self._lhs_index.setdefault(r.lhs, idx) != idx:
+                raise ValueError(f"two rules share the lhs {format_word(r.lhs, presentation.alphabet)}")
+            ends.setdefault(r.lhs[-1], set()).add(len(r.lhs))
         self._ends = {c: sorted(ms, reverse=True) for c, ms in ends.items()}
+        self._sizes = sorted({m for ms in ends.values() for m in ms})
         # per rule: its rhs reversed (pushed back onto the pending letters),
         # the stable/outer letters in its lhs, the lhs that beat it, and
         # its floor if it is a swap
         wider = self._wider()
         floors = self._swap_floors(wider)
         self._engine = [
-            (rhs[::-1], sum([c & 1 for c in lhs]), wider.get(idx, ()), floors.get(idx, 0))
-            for idx, (lhs, rhs, _, _) in enumerate(self._rl)
+            (r.rhs[::-1], sum([c & 1 for c in r.lhs]), wider.get(idx, ()), floors.get(idx, 0))
+            for idx, r in enumerate(self.rules)
         ]
         # a run of one of these letters may not settle all at once
         self._doubled = frozenset(lhs[-1] for lhs in self._lhs_index if lhs[-2:-1] == lhs[-1:])
         # first letters of the non-cancellation lhs patterns; a freely reduced
         # word avoiding them all is already in normal form
         self.move_starts = frozenset(
-            lhs[0]
-            for lhs, rhs, _, _ in self._rl
-            if not (len(lhs) == 2 and lhs[1] == -lhs[0] and not rhs)
+            r.lhs[0]
+            for r in self.rules
+            if not (len(r.lhs) == 2 and r.lhs[1] == -r.lhs[0] and not r.rhs)
         )
 
     def _wider(self) -> dict[int, list[tuple]]:
@@ -104,9 +103,8 @@ class RuleSystem:
         Found by looking up every factor of every lhs in the lhs index."""
         out: dict[int, list[tuple]] = {}
         index = self._lhs_index
-        sizes = {len(lhs) for lhs in index}
         for lhs, idx2 in index.items():
-            for m in sizes:
+            for m in self._sizes:
                 for d in range(len(lhs) - m):
                     idx = index.get(lhs[d : d + m])
                     if idx is not None and (d or idx2 < idx):
@@ -129,7 +127,7 @@ class RuleSystem:
         so the swap matches again, whatever lies below the run."""
         out = {}
         for lhs, idx in self._lhs_index.items():
-            if len(lhs) == 2 and lhs[0] != lhs[1] and self._rl[idx][1] == lhs[::-1] \
+            if len(lhs) == 2 and lhs[0] != lhs[1] and self.rules[idx].rhs == lhs[::-1] \
                     and idx not in wider:
                 out[idx] = max(1, self._ends[lhs[1]][0] - 1)
         return out
@@ -137,7 +135,7 @@ class RuleSystem:
     @cached_property
     def _nus(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Per rule, for the traced loops: nu of its lhs and of its rhs."""
-        return [(nu(lhs), nu(rhs)) for lhs, rhs, _, _ in self._rl]
+        return [(nu(r.lhs), nu(r.rhs)) for r in self.rules]
 
     def encode(self, w: Word) -> list[int]:
         """The mutable form the rewrite loops work on."""
@@ -145,20 +143,20 @@ class RuleSystem:
 
     def _matches(self, ints, positions):
         """(position, rule index) of every lhs occurring at one of the
-        positions, in position order, then (kind, id) order."""
-        n = len(ints)
+        positions, in position order, then index order: one lookup in the
+        lhs index per lhs length that fits."""
+        get, n = self._lhs_index.get, len(ints)
         for pos in positions:
-            for idx in self._by_first.get(ints[pos], ()):
-                lhs = self._rl[idx][0]
-                if pos + len(lhs) <= n and all(ints[pos + k] == lhs[k] for k in range(1, len(lhs))):
-                    yield pos, idx
+            hits = [get(tuple(ints[pos : pos + m])) for m in self._sizes if pos + m <= n]
+            for idx in sorted(i for i in hits if i is not None):
+                yield pos, idx
 
     def match_at(self, ints, pos: int) -> int | None:
-        """Index of the first rule (kind, id order) whose lhs occurs at pos."""
+        """Index of the first rule whose lhs occurs at pos."""
         return next((idx for _, idx in self._matches(ints, (pos,))), None)
 
     def redexes(self, ints) -> list[tuple[int, int]]:
-        """All (position, rule index) pairs, position order then (kind, id)."""
+        """All (position, rule index) pairs, position order then index."""
         return list(self._matches(ints, range(len(ints))))
 
 
@@ -200,8 +198,8 @@ class RewriteTrace:
         prev_nu = self.nu_initial
         before = self.initial
         for e in self.entries:
-            lhs, rhs, _, _ = self.system._rl[e.rule_id]
-            cur[e.position : e.position + len(lhs)] = rhs
+            r = self.system.rules[e.rule_id]
+            cur[e.position : e.position + len(r.lhs)] = r.rhs
             after = tuple(cur)
             out.append(
                 RewriteStep(
@@ -228,7 +226,7 @@ class RewriteTrace:
 
 def find_redexes(w: Word, system: RuleSystem) -> list[tuple[int, int]]:
     """All (position, rule id) pairs where some lhs occurs as a substring."""
-    return [(pos, system._rl[idx][3]) for pos, idx in system.redexes(w)]
+    return [(pos, system.rules[idx].rule_id) for pos, idx in system.redexes(w)]
 
 
 def _splice_nu(vec: list[int], prefix, start: int, j: int, a: tuple, b: tuple) -> None:
@@ -274,7 +272,7 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
     The run under c is counted letter by letter, unless c is the first
     letter read after such a run settled, when its length is known.
     """
-    index, ends, engine, rl = system._lhs_index, system._ends, system._engine, system._rl
+    index, ends, engine, rules = system._lhs_index, system._ends, system._engine, system.rules
     doubled, cap, trace_cap = system._doubled, STEP_CAP, TRACE_CAP
     out: list[int] = []
     pending = list(w)[::-1]
@@ -318,7 +316,7 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
                 coords += k * len(vec)
                 if coords > trace_cap:
                     raise TraceCapExceeded(trace_cap)
-                (_, _, kind, rule_id), nus = rl[idx], system._nus[idx]
+                (kind, rule_id, _, _, _, _), nus = rules[idx], system._nus[idx]
                 for pos in range(start, start - k, -1):
                     _splice_nu(vec, out, pos, j, *nus)
                     entries.append(TraceEntry(pos, kind, rule_id, tuple(vec), j))
@@ -353,7 +351,7 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
             coords += len(vec)
             if coords > trace_cap:
                 raise TraceCapExceeded(trace_cap)
-            _, _, kind, rule_id = rl[idx]
+            kind, rule_id, _, _, _, _ = rules[idx]
             entries.append(TraceEntry(start, kind, rule_id, tuple(vec), odd))
     return out, steps
 
@@ -367,17 +365,17 @@ def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng):
         if not reds:
             return
         pos, idx = reds[rng.randrange(len(reds))]
-        lhs, rhs, kind, rule_id = system._rl[idx]
+        r = system.rules[idx]
         j = sum(c & 1 for c in ints[:pos])
         _splice_nu(vec, ints, pos, j, *system._nus[idx])
-        ints[pos : pos + len(lhs)] = rhs
+        ints[pos : pos + len(r.lhs)] = r.rhs
         steps += 1
         if steps > cap:
             raise StepCapExceeded(cap)
         coords += len(vec)
         if coords > trace_cap:
             raise TraceCapExceeded(trace_cap)
-        entries.append(TraceEntry(pos, kind, rule_id, tuple(vec), j))
+        entries.append(TraceEntry(pos, r.kind, r.rule_id, tuple(vec), j))
 
 
 def normal_form(
@@ -450,10 +448,10 @@ def critical_pairs(system: RuleSystem) -> list[CriticalPair]:
     """All overlaps and embeddings of two lhs patterns with their one-step
     reducts.  Offset 0 pairs are emitted once per unordered rule pair."""
     out: list[CriticalPair] = []
-    rl = system._rl
-    for i1, (l1, r1, _, id1) in enumerate(rl):
+    rules = system.rules
+    for i1, (_, id1, l1, r1, _, _) in enumerate(rules):
         for d in range(len(l1)):
-            for i2, (l2, r2, _, id2) in enumerate(rl):
+            for i2, (_, id2, l2, r2, _, _) in enumerate(rules):
                 if d == 0 and i2 <= i1:
                     continue
                 span = min(len(l1) - d, len(l2))

@@ -53,6 +53,17 @@ class ExpRangeCapExceeded(CapExceeded):
     template = "exponent range cap {} exceeded"
 
 
+# the most products an oracle walk checks when no smaller budget is given;
+# read at call time.  Above the largest unbudgeted count in the tests, the
+# scripts and perfbench (5,631,276 products, for criterion 09)
+PRODUCT_CAP = 10_000_000
+
+
+class ProductCapExceeded(CapExceeded):
+    """An oracle walk would check more than PRODUCT_CAP products."""
+    template = "oracle product cap {} exceeded"
+
+
 def base_gen(i: int) -> int:
     return 2 * i
 

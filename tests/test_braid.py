@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hnnfree import braid, words
 from hnnfree.braid import (
     T_WORD,
     BraidSplitting,
+    Group,
     XPartCapExceeded,
     braid_equal,
     braid_freeness_check,
@@ -39,6 +41,7 @@ from hnnfree.words import (
     stable_gen,
     OUTER,
     PhiPowerCapExceeded,
+    WordSyntaxError,
 )
 
 E2, E3, E4 = p2(2), p2(3), p2(4)
@@ -112,6 +115,49 @@ def test_push_moves_t_to_the_right():
     e = semidirect_nf(E3, E3.parse("t^3"))
     assert not e.g and e.k == 3
     assert semidirect_nf(E2, E2.parse("1")).is_identity
+
+
+def test_push_builds_each_power_from_the_one_before():
+    # each power built from the one before: about K^2 letters for depth K
+    braid._pushed_letter.cache_clear()
+    braid._powers.cache_clear()
+    w = E3.parse("t x1") * 300
+    t0 = time.perf_counter()
+    e = semidirect_nf(E3, w)
+    assert time.perf_counter() - t0 < 1.0
+    assert e.k == 300
+
+
+@given(st.lists(st.tuples(st.sampled_from([s * g for g in E3.base.base_gens
+                                           + E3.base.stable_gens for s in (1, -1)]),
+                          st.integers(-12, 12), st.integers(0, 400)), max_size=8))
+def test_pushed_letter_is_phi_power_whatever_the_powers_hold(calls):
+    # each call is a cache miss of _pushed_letter, under its own word cap,
+    # against powers that earlier calls (and examples) left built
+    for c, k, cap in calls:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words, "WORD_CAP", cap)
+            try:
+                expected = phi_power(E3, (c,), k)
+            except PhiPowerCapExceeded:
+                with pytest.raises(PhiPowerCapExceeded, match=f"cap {cap} exceeded"):
+                    braid._pushed_letter.__wrapped__(E3, c, k)
+            else:
+                assert braid._pushed_letter.__wrapped__(E3, c, k) == expected
+
+
+def test_push_agrees_with_phi_power_on_random_words():
+    rng = random.Random(11)
+    for _ in range(100):
+        w = rand_braid(rng, E3, 30)
+        k, parts = 0, []
+        for c in w:
+            if abs(c) == OUTER:
+                k += 1 if c > 0 else -1
+            else:
+                parts.extend(phi_power(E3, (c,), -k))
+        assert semidirect_nf(E3, w) == braid.SemidirectElement(
+            nf(free_reduce(parts), RuleSystem(E3.base)), k)
 
 
 def test_push_t_exponent_is_exp_sum():
@@ -455,9 +501,10 @@ def test_probe_budget_and_input_validation():
 # --- braid generator names -----------------------------------------------------------
 
 def test_resolve_braid_names():
-    assert resolve_braid_names("A1_4 A3_4^-1 A2_3^2", 3) == "x1 t^-1 y2^2"
-    assert resolve_braid_names("A1_3*A2_3", 2) == "x1 t"
-    assert resolve_braid_names("A1_2", 2) == "y1"
+    # each term is rewritten in place, padded to its own width
+    assert resolve_braid_names("A1_4 A3_4^-1 A2_3^2", 3) == "x1   t^-1    y2^2  "
+    assert resolve_braid_names("A1_3*A2_3", 2) == "x1  *t   "
+    assert resolve_braid_names("A1_2", 2) == "y1  "
     assert resolve_braid_names("x1 y2^-1", 3) == "x1 y2^-1"
     w = E3.parse(resolve_braid_names("A1_4 A1_3", 3))
     assert format_word(w) == "x1 y1"
@@ -465,3 +512,29 @@ def test_resolve_braid_names():
         resolve_braid_names("A1_2", 3)
     with pytest.raises(ValueError):
         resolve_braid_names("A9_99", 3)
+
+
+def test_resolve_braid_names_keeps_other_text_as_typed():
+    # a term that is not well formed, or not a whole term, stays as it is
+    for text in ("A1_4^x", "A1_4^2x", "zA1_4", " A1_4y ", "A1_4^^2"):
+        assert resolve_braid_names(text, 3) == text
+    assert resolve_braid_names(" \tA1_4 **A1_3^-2 ", 3) == " \tx1   **y1^-2   "
+
+
+RANK3_TERMS = [f"{name}{exp}" for name in ("A1_4", "A2_4", "A3_4", "A1_3", "A2_3")
+               for exp in ("", "^2", "^-1", "^+3")]
+SEPARATORS = st.text(alphabet=" *\t", min_size=1, max_size=3)
+
+
+@given(before=st.lists(st.tuples(st.sampled_from(RANK3_TERMS), SEPARATORS), max_size=4),
+       lead=st.text(alphabet=" *\t", max_size=2),
+       unknown=st.sampled_from(["zz", "zz^2", "A1_", "A4_4x"]),
+       after=st.lists(st.tuples(SEPARATORS, st.sampled_from(RANK3_TERMS)), max_size=3))
+def test_an_unknown_term_among_braid_names_is_reported_at_its_own_column(
+        before, lead, unknown, after):
+    head = lead + "".join(term + sep for term, sep in before)
+    text = head + unknown + "".join(sep + term for sep, term in after)
+    with pytest.raises(WordSyntaxError) as e:
+        Group(E3).parse(text)
+    assert e.value.column == len(head) + 1
+    assert repr(unknown.partition("^")[0]) in str(e.value)

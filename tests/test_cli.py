@@ -189,6 +189,14 @@ def test_file_source(tmp_path, capsys):
     assert "all joinable" in out
 
 
+def test_file_with_a_stable_letter_as_base_generator(tmp_path, capsys):
+    path = tmp_path / "pres.txt"
+    path.write_text("base y1\nstable x1 x2\nrel x1 : x2 ^ 1 = x2 ^ 1\n")
+    code, out, err = run(capsys, "rules", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert "x1:x2: unknown base generator x2" in err
+
+
 def test_file_preset_line_reaches_braid_layer(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text("preset p2 2\n")
@@ -639,6 +647,33 @@ def test_exp_range_cap_is_inconclusive(monkeypatch, capsys):
                  ("danilevich", "--preset", "p2", "2", "--h", "x1", "--exp-range", "5")):
         assert run(capsys, *argv) == (3, "", "inconclusive: exponent range cap 4 exceeded\n")
     assert run(capsys, *pair, "--exp-range", "4", "--syllables", "2")[0] == 0
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("eq", "--preset", "p2", "3", "A1_4   zz", "1"), "column 8: unknown generator 'zz'"),
+    (("nf", "--preset", "p2", "3", "x1  y1*zz"), "column 8: unknown generator 'zz'"),
+    (("nf", "--preset", "gn", "3", "x1  y1*zz"), "column 8: unknown generator 'zz'"),
+    (("eq", "--preset", "p2", "3", " zz", "1"), "column 2: unknown generator 'zz'"),
+    (("eq", "--preset", "p2", "3", "A1_4*A1_3  zz", "1"), "column 12: unknown generator 'zz'"),
+    (("nf", "--preset", "p2", "3", "A1_3 A2_3^x2"), "column 6: bad term 'A2_3^x2'"),
+    (("braid-phi", "--preset", "p2", "3", "A1_4^x"), "column 1: bad term 'A1_4^x'"),
+    (("nf", "--preset", "p2", "2", "A2_3"), "column 1: unknown generator 't'"),
+])
+def test_p2_parse_errors_name_the_text_as_typed(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"parse error: {err}\n")
+
+
+def test_product_cap_is_inconclusive(monkeypatch, capsys):
+    # without a smaller --max-products, every oracle walk stops at the cap
+    monkeypatch.setattr(hnnfree.words, "PRODUCT_CAP", 50)
+    pair = ("pingpong-oracle", *G3, "--spec", "A:x1:x1, y1 x1 y1^-1", "--spec", "B:x2:x2")
+    for argv in (pair, (*pair, "--max-products", "50"), (*pair, "--max-products", "51"),
+                 ("pingpong-certify", *G3, "--spec", "A1:x1:x1, y1 x1 y1^-1",
+                  "--evidence", "A1:probe:30"),
+                 ("danilevich", "--preset", "p2", "2", "--h", "x1", "--syllables", "6")):
+        assert run(capsys, *argv) == (3, "", "inconclusive: oracle product cap 50 exceeded\n")
+    code, out, _ = run(capsys, *pair, "--max-products", "49")
+    assert code == 3 and out.endswith("note: budget of 49 products exceeded\n")
 
 
 @pytest.mark.parametrize("argv", [("nf", "--preset", "gn", "6", "--trace", "x1^30 y2^30"),

@@ -74,8 +74,9 @@ def mostly(common, rare, odds: int = 19):
     return st.sampled_from([common] * odds + [rare]).flatmap(lambda strategy: strategy)
 
 
-# the exp_range cap while this module's tests run
+# the exp_range and product caps while this module's tests run
 EXP_RANGE_CAP = 3
+PRODUCT_CAP = 2_000
 
 EXPONENTS = st.sampled_from((1, 1, 1, -1, -1, 2, -2, 3, -3))
 # an unknown name, or a braid name A{i}_{j} inside or outside the layer
@@ -119,8 +120,11 @@ def past_cap(low: int, high: int):
 
 
 def bounds():
-    return (option("--syllables", small(1, 3)), option("--exp-range", past_cap(1, EXP_RANGE_CAP)),
-            st.integers(0, 300).map(lambda m: ["--max-products", str(m)]))
+    """Bounds options; a walk with no --max-products, or one past the
+    lowered product cap, stops at the cap."""
+    budget = mostly(st.integers(0, 300), st.integers(PRODUCT_CAP - 1, 10 ** 12), 4)
+    return (option("--syllables", small(1, 6)), option("--exp-range", past_cap(1, EXP_RANGE_CAP)),
+            option("--max-products", budget))
 
 
 def padded(u: str, x: str) -> str:
@@ -204,11 +208,13 @@ def argvs(draw):
 @pytest.fixture(scope="module", autouse=True)
 def low_caps():
     """A word cap far above every word the grammar spells, but one that a
-    phi power of any --k reaches within a hundred images; and an exp_range
-    cap that the grammar's larger --exp-range and probe:N values pass."""
+    phi power of any --k reaches within a hundred images; an exp_range cap
+    that the grammar's larger --exp-range and probe:N values pass; and a
+    product cap that keeps every oracle walk short."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hnnfree.words, "WORD_CAP", 10_000)
         mp.setattr(hnnfree.words, "EXP_RANGE_CAP", EXP_RANGE_CAP)
+        mp.setattr(hnnfree.words, "PRODUCT_CAP", PRODUCT_CAP)
         yield
 
 

@@ -20,7 +20,8 @@ from hnnfree.pingpong import (
     orbit_intersection_certificate,
     support_check,
 )
-from hnnfree.braid import braid_freeness_check
+from hnnfree import words
+from hnnfree.braid import braid_freeness_check, free_factor_probe
 from hnnfree.presentation import Association, HnnPresentation, gn, p2, parse_presentation
 from hnnfree.rewrite import RuleSystem, nf
 from hnnfree.words import (
@@ -28,6 +29,7 @@ from hnnfree.words import (
     Alphabet,
     GeneratorMap,
     OUTER,
+    ProductCapExceeded,
     base_gen,
     exp_sum,
     format_word,
@@ -101,6 +103,13 @@ def test_identity_descends_and_shift_does_not():
     shifted = GeneratorMap({**{g: (g,) for g in gens},
                             stable_gen(1): w3("x1 x2")})
     assert not descends_to_identity(shifted, GN3)
+
+
+def test_a_map_that_moves_a_base_letter_does_not_descend():
+    # y1 -> y1^2 keeps the stable projection of every generator
+    gens = GN3.base_gens + GN3.stable_gens
+    doubled = GeneratorMap({**{g: (g,) for g in gens}, base_gen(1): w3("y1^2")})
+    assert not descends_to_identity(doubled, GN3)
 
 
 def test_descends_needs_two_sided_match():
@@ -313,6 +322,25 @@ def test_oracle_budget_is_inconclusive():
     rep = free_product_oracle(specs, S3, Bounds(syllables=6, max_products=10))
     assert rep.verdict == INCONCLUSIVE
     assert "budget" in rep.note
+
+
+def test_product_cap_stops_a_walk_with_no_smaller_budget(monkeypatch):
+    specs, _ = certified_fixture()
+    unbounded = free_product_oracle(specs, S3, Bounds(syllables=4))
+    assert unbounded.verdict == "pass"
+    # the cap is read at call time; a walk that fits under it is unchanged
+    monkeypatch.setattr(words, "PRODUCT_CAP", unbounded.checked)
+    assert free_product_oracle(specs, S3, Bounds(syllables=4)) == unbounded
+    monkeypatch.setattr(words, "PRODUCT_CAP", 10)
+    for budget in (None, 10, 11, 10 ** 12):
+        with pytest.raises(ProductCapExceeded, match="oracle product cap 10 exceeded"):
+            free_product_oracle(specs, S3, Bounds(syllables=4, max_products=budget))
+    rep = free_product_oracle(specs, S3, Bounds(syllables=4, max_products=9))
+    assert (rep.verdict, rep.checked, rep.note) == (INCONCLUSIVE, 9, "budget of 9 products exceeded")
+    with pytest.raises(ProductCapExceeded):
+        bounded_intersection_probe(spec("A", ["x2"], "y1 x2", "x2 y2"), S3, max_len=8)
+    with pytest.raises(ProductCapExceeded):
+        free_factor_probe(EXT3, [w3("x1")], Bounds(syllables=4))
 
 
 def test_oracle_respects_is_trivial_hook():

@@ -90,6 +90,13 @@ def test_validate_duplicate_y():
     assert validate(stray) == ["unknown stable generator x2"]
 
 
+def test_validate_unknown_base_generator():
+    # x2 names a generator, but a stable one
+    with pytest.raises(PresentationSyntaxError) as e:
+        parse_presentation("base y1\nstable x1 x2\nrel x1 : x2 ^ 1 = x2 ^ 1\n")
+    assert str(e.value) == "line 1: x1:x2: unknown base generator x2"
+
+
 def test_validate_unreduced_conjugator():
     alphabet = Alphabet(("y1", "y2"), ("x1",))
     unreduced = parse_word("y2 y2^-1", default_alphabet(2, 1))

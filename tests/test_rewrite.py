@@ -10,6 +10,7 @@ from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_prese
 from hnnfree.rewrite import (
     RuleSystem,
     StepCapExceeded,
+    TraceCapExceeded,
     check_local_confluence,
     critical_pairs,
     equal,
@@ -196,6 +197,30 @@ def test_random_probe_small():
 
 def test_probe_zero_trials_vacuous():
     assert random_confluence_probe(S3, seed=0, trials=0, max_len=5).ok
+
+
+def test_random_probe_flags_a_rule_that_raises_nu():
+    # y1 x1 -> x1 y1 terminates, but moves a base letter into a later segment
+    y1, x1 = base_gen(1), stable_gen(1)
+    system = RuleSystem(GN3, [RewriteRule(1, 0, (y1, x1), (x1, y1))])
+    report = random_confluence_probe(system, seed=0, trials=30, max_len=20)
+    assert not report.ok and len(report.failures) == 15
+    for f in report.failures:
+        assert f.reason == "nu not decreasing"
+        assert is_subsequence((y1, x1), f.word)
+
+
+def test_trace_cap_trips_on_a_single_step(monkeypatch):
+    # no swap here, so each step stores its nu on its own
+    w = w3("y1 x1 x2 x2^-1 x1^-1 y1^-1")
+    _, trace = normal_form(w, S3)
+    coords = sum(len(e.nu_after) for e in trace.entries)
+    assert len(trace) == 3 and all(e.rule_kind in (1, 2) for e in trace.entries)
+    monkeypatch.setattr(rewrite, "TRACE_CAP", coords)
+    assert normal_form(w, S3)[0] == EPSILON
+    monkeypatch.setattr(rewrite, "TRACE_CAP", coords - 1)
+    with pytest.raises(TraceCapExceeded, match=f"cap {coords - 1} exceeded"):
+        normal_form(w, S3)
 
 
 # --- property tests --------------------------------------------------------------
@@ -393,6 +418,60 @@ def test_nested_prefix_rule_loses_to_its_extension():
     assert trace.steps[1].after[2:6] == p.parse("s^-1 y1 x1 y1^-1")
     assert res == p.parse("y1^-2 x1 s^-1 y1^3 s^2 x1^-1")
     assert (res, _entries(trace)) == rescan_leftmost(w, system.rules)
+
+
+def _scan(w, rules):
+    """(position, rule index) of every lhs in w, by a scan of the rule list."""
+    return [(pos, idx) for pos in range(len(w)) for idx, r in enumerate(rules)
+            if tuple(w[pos : pos + len(r.lhs)]) == r.lhs]
+
+
+def _pieces(system):
+    """Words of up to twelve pieces, each a letter or a whole lhs, so that
+    lhs overlap and an lhs sits inside a longer one."""
+    piece = st.one_of(st.sampled_from(_letters(system)).map(lambda g: (g,)),
+                      st.sampled_from([r.lhs for r in system.rules]))
+    return st.lists(piece, max_size=12).map(lambda ps: sum(ps, ()))
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_redexes_match_a_scan_of_the_rule_list(name, data):
+    system = ENGINE_SYSTEMS[name]
+    w = data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
+                                                      max_size=40).map(tuple)))
+    scan = _scan(w, system.rules)
+    assert system.redexes(w) == scan
+    assert find_redexes(w, system) == [(pos, system.rules[idx].rule_id) for pos, idx in scan]
+    for pos in range(len(w)):
+        assert system.match_at(w, pos) == next((idx for p, idx in scan if p == pos), None)
+    assert is_normal(w, system) == (not scan)
+
+
+def test_redexes_list_a_prefix_lhs_after_its_extension():
+    # 4/11 (s^-1 y1 x1 y1^-1) has the smaller index, but 4/12 (s^-1 y1 x1)
+    # is the shorter lhs at the same position
+    system = ENGINE_SYSTEMS["nested"]
+    w = system.presentation.parse("y1 s^-1 y1 x1 y1^-1")
+    assert [system.rules[i].lhs for i in (11, 12)] == [w[1:], w[1:4]]
+    assert system.redexes(w) == [(1, 11), (1, 12)]
+    assert system.match_at(w, 1) == 11
+
+
+def test_rules_sharing_an_lhs_raise():
+    rules = compile_rules(GN3)
+    extra = RewriteRule(2, len(rules), rules[0].lhs, ())
+    with pytest.raises(ValueError, match=r"two rules share the lhs y1 y1\^-1"):
+        RuleSystem(GN3, rules + [extra])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_compiled_rules_never_share_an_lhs(n):
+    for p in (gn(n), p2(n).base):
+        rules = compile_rules(p)
+        assert len({r.lhs for r in rules}) == len(rules)
+        assert RuleSystem(p).rules == rules
 
 
 def test_toy_earlier_start_wins():
