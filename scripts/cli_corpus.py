@@ -81,6 +81,8 @@ COMMANDS = [
     f"rules {G3}",
     "rules --file own.txt",
     f"confluence {G3}",
+    # 7,564 critical pairs, found through the lhs prefix index
+    "confluence --preset gn 32",
     "confluence --file nested.txt",
     f"confluence {G3} --random --seed 5 --trials 40",
     f"{CERTIFY} --evidence A1:orbit:x1 --evidence 'A2:orbit:y1 x2'",

@@ -350,6 +350,17 @@ def _push(stack: list[int], letters: Sequence[int]) -> list[int]:
     return out
 
 
+def _grow_powers(pw: dict, g: Word, step: list[int], top: int) -> None:
+    """Extend pw, which maps e to (the reduced word g^e, what it adds to
+    each exponent sum) for 1 <= |e| <= len(pw) / 2, up to |e| = top."""
+    built = len(pw) // 2
+    up, down = (pw[built][0], pw[-built][0]) if built else ([], [])
+    for mag in range(built + 1, top + 1):
+        up, down = _push(up, g), _push(down, invert(g))
+        pw[mag] = up, [mag * d for d in step]
+        pw[-mag] = down, [-mag * d for d in step]
+
+
 def _factor_desc(spec: SubgroupSpec, runs: Runs, alphabet: Alphabet) -> str:
     chunks = []
     for idx, e in runs:
@@ -428,7 +439,8 @@ def _walk(
 
     # per spec: rests[i][u][g] holds a set per coordinate, values[i] the
     # values of its factors per coordinate, powers[i][g][e] the reduced
-    # word g^e and what it adds to each sum, subtree[i][u] the run
+    # word g^e and what it adds to each sum, built (_grow_powers) when a
+    # run of g may first reach |e|, subtree[i][u] the run
     # sequences of u uses after a run and sizes[i] its factors.  The factors
     # of u uses are the 2n(2n-1)^(u-1) reduced words of u letters in its n
     # generators, and 2(n-1)(2n-1)^(u-1) of them avoid a given first one.
@@ -439,14 +451,7 @@ def _walk(
         rests.append([[[r[u][g] for r, _ in per_coord] for g in range(n)]
                       for u in range(e_max + 1)])
         values.append([vs for _, vs in per_coord])
-        powers.append([])
-        for g, st in zip(gens, sts):
-            pw, up, down = {}, [], []
-            for mag in range(1, e_max + 1):
-                up, down = _push(up, g), _push(down, invert(g))
-                pw[mag] = up, [mag * d for d in st]
-                pw[-mag] = down, [-mag * d for d in st]
-            powers[-1].append(pw)
+        powers.append([{} for _ in gens])
         grow = [(2 * n - 1) ** u for u in range(e_max)]
         subtree.append([1] + [2 * (n - 1) * q for q in grow])
         sizes.append(2 * n * sum(grow))
@@ -476,6 +481,8 @@ def _walk(
         for idx, pw in enumerate(powers[i]):
             if idx == last:
                 continue
+            if len(pw) < 2 * left:
+                _grow_powers(pw, gen_words[i][idx], steps[i][idx], left)
             for mag in range(1, left + 1):
                 rest = left - mag
                 if not subtree[i][rest]:

@@ -6,11 +6,17 @@ deterministic strategy is leftmost position, then smallest rule kind, then
 smallest rule id; one stack engine (_leftmost) runs it for every normal form,
 traced or not.  Confluence is machine-checked per rule system, so results do
 not depend on the strategy.
+
+A trace stores one record per step, or per batch of swaps the engine takes
+at once, and replays the nu vectors only when they are read.  TRACE_CAP
+bounds the nu coordinates that rendering the trace spells, one vector per
+step, not what the trace stores.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -20,7 +26,8 @@ from .words import CapExceeded, Word, base_gen, format_word, stable_gen
 
 # read by every rewrite loop when it starts, so tests can lower them
 STEP_CAP = 10_000_000
-# nu coordinates a trace may hold, summed over its steps
+# nu coordinates the rendering of a trace may spell, one vector per step,
+# summed over its steps; the trace itself stores a record per batch
 TRACE_CAP = 10_000_000
 
 
@@ -30,7 +37,7 @@ class StepCapExceeded(CapExceeded):
 
 
 class TraceCapExceeded(CapExceeded):
-    """A traced rewrite would store more than TRACE_CAP nu coordinates."""
+    """A traced rewrite would spell more than TRACE_CAP nu coordinates."""
     template = "rewrite trace cap {} exceeded"
 
 
@@ -181,45 +188,65 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class RewriteTrace:
+    """The steps of one rewrite as records (start, rule position, segment,
+    count): count steps of the rule at that position in system.rules, the
+    first with its redex at start, in that nu segment, and each further one
+    (a batch of swaps a c -> c a) one letter left of the one before.
+    length is the number of steps.  entries and steps expand the records
+    one step each, replaying the nu vectors as they go."""
     initial: Word
     final: Word
     nu_initial: tuple[int, ...]
-    entries: tuple[TraceEntry, ...]
+    records: tuple[tuple[int, int, int, int], ...]
+    length: int
     system: RuleSystem
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.length
+
+    def _replay(self):
+        """(position, rule position, segment, word after, nu after) per
+        step; the word and nu lists are updated in place as it goes."""
+        rules, nus = self.system.rules, self.system._nus
+        word, vec = list(self.initial), list(self.nu_initial)
+        for start, idx, j, count in self.records:
+            lhs, rhs = rules[idx].lhs, rules[idx].rhs
+            for pos in range(start, start - count, -1):
+                _splice_nu(vec, word, pos, j, *nus[idx])
+                word[pos : pos + len(lhs)] = rhs
+                yield pos, idx, j, word, vec
+                j -= lhs[0] & 1
+
+    @cached_property
+    def entries(self) -> tuple[TraceEntry, ...]:
+        """One TraceEntry per step, expanded from the records."""
+        rules = self.system.rules
+        return tuple(TraceEntry(pos, rules[idx].kind, rules[idx].rule_id, tuple(vec), j)
+                     for pos, idx, j, _, vec in self._replay())
 
     @cached_property
     def steps(self) -> list[RewriteStep]:
-        """Full before/after step records, replayed from the entry list."""
+        """Full before/after step records, replayed from the records."""
         out = []
-        cur = list(self.initial)
-        prev_nu = self.nu_initial
-        before = self.initial
-        for e in self.entries:
-            r = self.system.rules[e.rule_id]
-            cur[e.position : e.position + len(r.lhs)] = r.rhs
-            after = tuple(cur)
-            out.append(
-                RewriteStep(
-                    e.position, e.rule_kind, e.rule_id, before, after, prev_nu, e.nu_after
-                )
-            )
-            before, prev_nu = after, e.nu_after
+        before, nu_before, rules = self.initial, self.nu_initial, self.system.rules
+        for pos, idx, _, word, vec in self._replay():
+            after, nu_after = tuple(word), tuple(vec)
+            r = rules[idx]
+            out.append(RewriteStep(pos, r.kind, r.rule_id, before, after, nu_before, nu_after))
+            before, nu_before = after, nu_after
         return out
 
     def render(self, alphabet=None) -> str:
         """One line per step.  A step changes only the nu coordinates its
         lhs covers, from its segment on, so each line respells just those
         and joins the rest as the line before left them."""
-        nus, join = self.system._nus, ", ".join
+        rules, nus, join = self.system.rules, self.system._nus, ", ".join
         parts = list(map(str, self.nu_initial))
         lines = [f"initial: {format_word(self.initial, alphabet)}"]
-        for k, (position, kind, rule_id, nu_after, j) in enumerate(self.entries, 1):
-            a, b = nus[rule_id]
-            parts[j : j + len(a)] = map(str, nu_after[j : j + len(b)])
-            lines.append(f"#{k} pos={position} rule={kind}/{rule_id} nu=({join(parts)})")
+        for k, (pos, idx, j, _, vec) in enumerate(self._replay(), 1):
+            r, (a, b) = rules[idx], nus[idx]
+            parts[j : j + len(a)] = map(str, vec[j : j + len(b)])
+            lines.append(f"#{k} pos={pos} rule={r.kind}/{r.rule_id} nu=({join(parts)})")
         lines.append(f"final: {format_word(self.final, alphabet)}")
         return "\n".join(lines)
 
@@ -251,10 +278,11 @@ def _splice_nu(vec: list[int], prefix, start: int, j: int, a: tuple, b: tuple) -
     vec[j : j + p + 1] = b
 
 
-def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[int], int]:
+def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[int], int]:
     """The leftmost strategy on a stack; returns the normal form and the
-    number of steps, and appends a TraceEntry per step to entries if given
-    (at most TRACE_CAP nu coordinates in all).  A traced run takes the same
+    number of steps, and appends a RewriteTrace record per step, or per
+    batch of swaps, to records if given (while the steps' nu vectors hold
+    at most TRACE_CAP coordinates in all).  A traced run takes the same
     steps through the same code; it only records them.
 
     out is the irreducible prefix; the letters still to read sit reversed on
@@ -266,17 +294,18 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
 
     A swap a c -> c a on a run of a takes at once all the steps it takes
     while its floor of a stays under c (RuleSystem._swap_floors), counting
-    and recording each, and c goes back onto pending above the a it passed,
-    for the usual lookup.  If c settles and then the first of those a, the
-    rest settle too unless some lhs ends in a a, and go onto out together.
+    them and recording them as one batch, and c goes back onto pending above
+    the a it passed, for the usual lookup.  If c settles and then the first
+    of those a, the rest settle too unless some lhs ends in a a, and go onto
+    out together.
     The run under c is counted letter by letter, unless c is the first
     letter read after such a run settled, when its length is known.
     """
-    index, ends, engine, rules = system._lhs_index, system._ends, system._engine, system.rules
+    index, ends, engine = system._lhs_index, system._ends, system._engine
     doubled, cap, trace_cap = system._doubled, STEP_CAP, TRACE_CAP
     out: list[int] = []
     pending = list(w)[::-1]
-    vec = list(nu(w)) if entries is not None else None
+    width = len(nu(w)) if records is not None else 0  # nu coordinates of the word
     # odd: stable/outer letters in out, so the index of its last segment
     odd = steps = coords = 0
     held = ha = 0  # under the swapped letter, pending ends in held copies of ha
@@ -311,16 +340,12 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
                     i -= 1
                 r = start + 1 - i
             b = 1 + max(0, r - floor)
-            if entries is not None:  # each step up to the step cap, as one by one
-                j, k = odd - n_odd, min(b, cap - steps)
-                coords += k * len(vec)
+            if records is not None:  # the steps up to the step cap, each with its nu
+                k = min(b, cap - steps)
+                coords += k * width
                 if coords > trace_cap:
                     raise TraceCapExceeded(trace_cap)
-                (kind, rule_id, _, _, _, _), nus = rules[idx], system._nus[idx]
-                for pos in range(start, start - k, -1):
-                    _splice_nu(vec, out, pos, j, *nus)
-                    entries.append(TraceEntry(pos, kind, rule_id, tuple(vec), j))
-                    j -= a & 1
+                records.append((start, idx, odd - n_odd, k))
             steps += b
             if steps > cap:
                 raise StepCapExceeded(cap)
@@ -346,36 +371,46 @@ def _leftmost(w, system: RuleSystem, entries: list | None = None) -> tuple[list[
         steps += 1
         if steps > cap:
             raise StepCapExceeded(cap)
-        if entries is not None:
-            _splice_nu(vec, out, start, odd, *system._nus[idx])
-            coords += len(vec)
+        if records is not None:
+            lhs_nu, rhs_nu = system._nus[idx]
+            width += len(rhs_nu) - len(lhs_nu)
+            coords += width
             if coords > trace_cap:
                 raise TraceCapExceeded(trace_cap)
-            kind, rule_id, _, _, _, _ = rules[idx]
-            entries.append(TraceEntry(start, kind, rule_id, tuple(vec), odd))
+            records.append((start, idx, odd, 1))
     return out, steps
 
 
-def _apply_random(ints: list[int], system: RuleSystem, entries: list, rng):
+def _apply_random(ints: list[int], system: RuleSystem, records: list, rng) -> int:
+    """Rewrite ints in place at redexes drawn by rng from the list of all of
+    them, in position order, then index order; returns the number of steps
+    and appends a RewriteTrace record per step to records.
+
+    A step changes only the redexes that start less than the longest lhs
+    before its end in the new word, so only those positions are scanned
+    again; the redexes past them move by the change in length."""
     steps = coords = 0
     cap, trace_cap = STEP_CAP, TRACE_CAP
-    vec = list(nu(ints))
-    while True:
-        reds = system.redexes(ints)
-        if not reds:
-            return
+    width, back = len(nu(ints)), max(system._sizes, default=1) - 1
+    reds = system.redexes(ints)
+    while reds:
         pos, idx = reds[rng.randrange(len(reds))]
-        r = system.rules[idx]
-        j = sum(c & 1 for c in ints[:pos])
-        _splice_nu(vec, ints, pos, j, *system._nus[idx])
-        ints[pos : pos + len(r.lhs)] = r.rhs
+        lhs, rhs = system.rules[idx].lhs, system.rules[idx].rhs
+        records.append((pos, idx, sum([c & 1 for c in ints[:pos]]), 1))
+        ints[pos : pos + len(lhs)] = rhs
         steps += 1
         if steps > cap:
             raise StepCapExceeded(cap)
-        coords += len(vec)
+        lhs_nu, rhs_nu = system._nus[idx]
+        width += len(rhs_nu) - len(lhs_nu)
+        coords += width
         if coords > trace_cap:
             raise TraceCapExceeded(trace_cap)
-        entries.append(TraceEntry(pos, r.kind, r.rule_id, tuple(vec), j))
+        lo, shift = max(0, pos - back), len(rhs) - len(lhs)
+        keep, past = bisect_left(reds, (lo,)), bisect_left(reds, (pos + len(lhs),))
+        reds[keep:] = [*system._matches(ints, range(lo, pos + len(rhs))),
+                       *((p + shift, i) for p, i in reds[past:])]
+    return steps
 
 
 def normal_form(
@@ -386,16 +421,16 @@ def normal_form(
 ) -> tuple[Word, RewriteTrace]:
     """Rewrite to an irreducible word; the result is strategy-independent
     because termination is per-trace certified and confluence is checked."""
-    entries: list[TraceEntry] = []
+    records: list[tuple[int, int, int, int]] = []
     if strategy == "leftmost":
-        ints, _ = _leftmost(w, system, entries)
+        ints, steps = _leftmost(w, system, records)
     elif strategy == "random":
         ints = list(w)
-        _apply_random(ints, system, entries, random.Random(seed))
+        steps = _apply_random(ints, system, records, random.Random(seed))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     final = tuple(ints)
-    return final, RewriteTrace(w, final, nu(w), tuple(entries), system)
+    return final, RewriteTrace(w, final, nu(w), tuple(records), steps, system)
 
 
 def nf_ints(ints: list[int], system: RuleSystem) -> list[int]:
@@ -446,17 +481,26 @@ class CriticalPair:
 
 def critical_pairs(system: RuleSystem) -> list[CriticalPair]:
     """All overlaps and embeddings of two lhs patterns with their one-step
-    reducts.  Offset 0 pairs are emitted once per unordered rule pair."""
+    reducts, by first rule, offset d into its lhs l1, then second rule, in
+    list order.  Offset 0 pairs are emitted once per unordered rule pair.
+
+    The second lhs starts with the rest l1[d:] of the first, found in an
+    index of lhs prefixes, or is a proper prefix of that rest, found in the
+    lhs index."""
     out: list[CriticalPair] = []
-    rules = system.rules
+    rules, index = system.rules, system._lhs_index
+    starting: dict[Word, list[int]] = {}
+    for i2, r in enumerate(rules):
+        for m in range(1, len(r.lhs) + 1):
+            starting.setdefault(r.lhs[:m], []).append(i2)
     for i1, (_, id1, l1, r1, _, _) in enumerate(rules):
         for d in range(len(l1)):
-            for i2, (_, id2, l2, r2, _, _) in enumerate(rules):
+            rest = l1[d:]
+            inside = [index[rest[:m]] for m in range(1, len(rest)) if rest[:m] in index]
+            for i2 in sorted(inside + starting.get(rest, [])):
                 if d == 0 and i2 <= i1:
                     continue
-                span = min(len(l1) - d, len(l2))
-                if any(l1[d + k] != l2[k] for k in range(span)):
-                    continue
+                _, id2, l2, r2, _, _ = rules[i2]
                 peak = l1 + l2[len(l1) - d :]
                 left = r1 + peak[len(l1) :]
                 right = peak[:d] + r2 + peak[d + len(l2) :]

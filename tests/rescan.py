@@ -1,9 +1,11 @@
-"""Independent oracle for the leftmost rewriting strategy.
+"""Independent oracles for the rewriting engine in hnnfree.rewrite.
 
-A rescanning loop that shares no code with the engine in hnnfree.rewrite:
-it reads only the rule list, looks for the smallest position where some lhs
-occurs (then the first rule in list order), splices, steps back by the
-longest lhs and scans forward again.  Slow, but obviously leftmost.
+They share no code with it and read only the rule list.  rescan_leftmost
+looks for the smallest position where some lhs occurs (then the first rule
+in list order), splices, steps back by the longest lhs and scans forward
+again: slow, but obviously leftmost.  overlaps_by_scan compares every rule
+with every rule at every offset: quadratic, but obviously all the critical
+pairs.
 """
 
 from __future__ import annotations
@@ -45,3 +47,25 @@ def rescan_leftmost(w, rules, cap: int = 1_000_000):
         if len(trace) > cap:
             raise RuntimeError("rescan oracle: step cap exceeded")
         pos = max(0, pos - back)
+
+
+def overlaps_by_scan(rules):
+    """(peak, left reduct, right reduct, rule id 1, rule id 2, offset) of
+    every overlap and embedding of two lhs, by first rule, offset, then
+    second rule, in list order; at offset 0 once per unordered pair."""
+    out = []
+    for i1, r1 in enumerate(rules):
+        l1 = r1.lhs
+        for d in range(len(l1)):
+            for i2, r2 in enumerate(rules):
+                l2 = r2.lhs
+                if d == 0 and i2 <= i1:
+                    continue
+                span = min(len(l1) - d, len(l2))
+                if any(l1[d + k] != l2[k] for k in range(span)):
+                    continue
+                peak = l1 + l2[len(l1) - d :]
+                left = r1.rhs + peak[len(l1) :]
+                right = peak[:d] + r2.rhs + peak[d + len(l2) :]
+                out.append((peak, left, right, r1.rule_id, r2.rule_id, d))
+    return out

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from rescan import rescan_leftmost
+from rescan import overlaps_by_scan, rescan_leftmost
 
 from hnnfree import rewrite
 from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_presentation
@@ -208,6 +209,31 @@ def test_random_probe_flags_a_rule_that_raises_nu():
     for f in report.failures:
         assert f.reason == "nu not decreasing"
         assert is_subsequence((y1, x1), f.word)
+
+
+def test_trace_reads_rules_by_position_not_id():
+    # the one rule has id 7 at position 0
+    system = RuleSystem(GN3, [RewriteRule(1, 7, w3("y1 y1^-1"), ())])
+    for strategy in ("leftmost", "random"):
+        res, trace = normal_form(w3("y2 y1 y1^-1"), system, strategy=strategy, seed=0)
+        assert res == w3("y2")
+        assert trace.render(GN3.alphabet).splitlines() == [
+            "initial: y2 y1 y1^-1", "#1 pos=1 rule=1/7 nu=(1)", "final: y2"]
+        assert [(s.position, s.rule_id, s.after) for s in trace.steps] == [(1, 7, w3("y2"))]
+
+
+def test_trace_stores_a_record_per_batch_of_swaps():
+    w = w3("x1^100 y2^100")
+    tracemalloc.start()
+    try:
+        res, trace = normal_form(w, S3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == w3("y2^100 x1^100") and len(trace) == 10_000
+    # each y2 passes the 100 x1 in one batch
+    assert len(trace.records) == 100 and peak < 1_000_000
+    assert len(trace.entries) == 10_000 and trace.entries[-1].nu_after == (100,) + (0,) * 100
 
 
 def test_trace_cap_trips_on_a_single_step(monkeypatch):
@@ -535,3 +561,47 @@ def test_trace_renders_and_segments_as_from_scratch(name, strategy, data):
     # the segment of an entry is the number of odd letters before its redex
     for e, step in zip(trace.entries, trace.steps):
         assert e.segment == sum(c & 1 for c in step.before[: e.position])
+
+
+def _random_by_rescan(w, system, seed):
+    """(normal form, entries as tuples) of the random strategy when every
+    redex is found again by system.redexes after each step."""
+    rng, word, out = random.Random(seed), list(w), []
+    while reds := system.redexes(word):
+        pos, idx = reds[rng.randrange(len(reds))]
+        r = system.rules[idx]
+        segment = sum(c & 1 for c in word[:pos])
+        word[pos : pos + len(r.lhs)] = r.rhs
+        out.append((pos, r.kind, r.rule_id, nu(word), segment))
+    return tuple(word), out
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_random_strategy_draws_as_a_full_rescan(name, data):
+    system = ENGINE_SYSTEMS[name]
+    w = data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
+                                                      max_size=30).map(tuple)))
+    seed = data.draw(st.integers(0, 10_000))
+    res, trace = normal_form(w, system, strategy="random", seed=seed)
+    assert (res, [tuple(e) for e in trace.entries]) == _random_by_rescan(w, system, seed)
+
+
+CP_SYSTEMS = {
+    **ENGINE_SYSTEMS,
+    # at offset 1 into x1 y1 y2 y2, rule 0 begins with the rest y1 y2 y2
+    # and rule 1 is a proper prefix of it; the pairs follow index order
+    "overlap_order": RuleSystem(GN3, [RewriteRule(1, i, lhs, ()) for i, lhs in
+                                      enumerate([(Y1, Y2, Y2, Y1), (Y1, Y2), (X1, Y1, Y2, Y2)])]),
+    **{f"gn{n}": RuleSystem(gn(n)) for n in range(7, 13)},
+    **{f"p2_{n}_base": RuleSystem(p2(n).base) for n in range(5, 7)},
+}
+
+
+@pytest.mark.parametrize("name", list(CP_SYSTEMS))
+def test_critical_pairs_match_a_scan_of_every_rule_pair(name):
+    system = CP_SYSTEMS[name]
+    pairs = [(cp.peak, cp.left_reduct, cp.right_reduct, cp.rule1, cp.rule2, cp.offset)
+             for cp in critical_pairs(system)]
+    assert pairs == overlaps_by_scan(system.rules)
