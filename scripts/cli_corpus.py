@@ -49,6 +49,8 @@ rel s : x1 ^ y1^-1 = x1 ^ y1 x1
     "own-trivial.txt": "base a b\nstable p q\nrel p : a ^ 1 = a ^ 1\n",
     "bad-line.txt": "base y1\nstable x1\nrel x1 : zz ^ y1 = zz ^ y1\n",
     "duplicate.txt": "base a a\nstable s\n",
+    # kind 3 and 4 lhs of 2,002 letters
+    "long-conjugator.txt": "base a b\nstable p\nrel p : a ^ b^2000 = a ^ b^2000\n",
 }
 
 G3 = "--preset gn 3"
@@ -81,9 +83,10 @@ COMMANDS = [
     f"rules {G3}",
     "rules --file own.txt",
     f"confluence {G3}",
-    # 7,564 critical pairs, found through the lhs prefix index
+    # 7,564 critical pairs, found through the table of lhs by first letter
     "confluence --preset gn 32",
     "confluence --file nested.txt",
+    "confluence --file long-conjugator.txt",
     f"confluence {G3} --random --seed 5 --trials 40",
     f"{CERTIFY} --evidence A1:orbit:x1 --evidence 'A2:orbit:y1 x2'",
     f"pingpong-certify {G3} --spec A1:x1:x1",
@@ -110,6 +113,8 @@ COMMANDS = [
     f"braid-phi {P2_2} --k -1 x1",
     f"braid-phi {P2_3} A1_4",
     f"braid-phi {P2_2} --push 'x1 t y1'",
+    # 20,000 images of 1,201 letters each, past the 1,000,000 pushed letters
+    f"braid-phi {P2_2} --push 't^300 x1^20000'",
     f"braid-check-free {P2_3} --w 'y1 x1' --w x2",
     f"braid-check-free {P2_3} --w x1 --w x2 --strict",
     f"danilevich {P2_2} --h x1",

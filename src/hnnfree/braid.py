@@ -150,22 +150,20 @@ def semidirect_nf(ext: SemidirectExtension, w: Word) -> SemidirectElement:
 
     Sound: an identity result means the word is trivial in the extension.
     For n >= 3 the converse fails on some trivial words, so a nonzero
-    remainder should be settled with braid_trivial.
+    remainder should be settled with braid_trivial.  Past words.WORD_CAP
+    pushed letters, read at call time, it raises PhiPowerCapExceeded.
     """
-    k = 0
+    k, cap = 0, words.WORD_CAP
     parts: list[int] = []
     for c in w:
         if abs(c) == OUTER:
             k += 1 if c > 0 else -1
         else:
-            parts.extend(_pushed_letter(ext, c, -k))
+            parts += _pushed_letter(ext, c, -k)
+            if len(parts) > cap:
+                raise PhiPowerCapExceeded(cap)
     g = nf(free_reduce(parts), _system(ext.base))
     return SemidirectElement(g, k)
-
-
-def semidirect_equal(ext: SemidirectExtension, u: Word, v: Word) -> bool:
-    """Equality of pushed forms; agreement implies equality in the extension."""
-    return semidirect_nf(ext, u) == semidirect_nf(ext, v)
 
 
 # ---------------------------------------------------------------------------

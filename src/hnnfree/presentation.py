@@ -103,8 +103,6 @@ class RewriteRule(NamedTuple):
     rule_id: int
     lhs: Word
     rhs: Word
-    stable: int | None = None
-    assoc_index: int | None = None
 
 
 def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
@@ -119,8 +117,8 @@ def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
         raise ValueError("invalid presentation: " + "; ".join(bad))
     rules: list[RewriteRule] = []
 
-    def add(kind, lhs, rhs, stable=None, assoc_index=None):
-        rules.append(RewriteRule(kind, len(rules), lhs, rhs, stable, assoc_index))
+    def add(kind, lhs, rhs):
+        rules.append(RewriteRule(kind, len(rules), lhs, rhs))
 
     for g in p.base_gens:
         for s in (1, -1):
@@ -129,15 +127,15 @@ def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
         for s in (1, -1):
             add(2, (s * g, -s * g), EPSILON)
     for x in p.stable_gens:
-        for ai, a in enumerate(p.associations(x)):
+        for a in p.associations(x):
             for s in (1, -1):
                 y = (s * a.y,)
-                add(3, (x,) + invert(a.v) + y, invert(a.w) + y + a.w + (x,) + invert(a.v), x, ai)
+                add(3, (x,) + invert(a.v) + y, invert(a.w) + y + a.w + (x,) + invert(a.v))
     for x in p.stable_gens:
-        for ai, a in enumerate(p.associations(x)):
+        for a in p.associations(x):
             for s in (1, -1):
                 y = (s * a.y,)
-                add(4, (-x,) + invert(a.w) + y, invert(a.v) + y + a.v + (-x,) + invert(a.w), x, ai)
+                add(4, (-x,) + invert(a.w) + y, invert(a.v) + y + a.v + (-x,) + invert(a.w))
     return rules
 
 

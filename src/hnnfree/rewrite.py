@@ -8,9 +8,9 @@ traced or not.  Confluence is machine-checked per rule system, so results do
 not depend on the strategy.
 
 A trace stores one record per step, or per batch of swaps the engine takes
-at once, and replays the nu vectors only when they are read.  TRACE_CAP
-bounds the nu coordinates that rendering the trace spells, one vector per
-step, not what the trace stores.
+at once, and replays the nu vectors only when render or entries, its one
+per-step view, reads them.  TRACE_CAP bounds the nu coordinates that
+rendering the trace spells, one vector per step, not what the trace stores.
 """
 
 from __future__ import annotations
@@ -167,17 +167,6 @@ class RuleSystem:
         return list(self._matches(ints, range(len(ints))))
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    position: int
-    rule_kind: int
-    rule_id: int
-    before: Word
-    after: Word
-    nu_before: tuple[int, ...]
-    nu_after: tuple[int, ...]
-
-
 class TraceEntry(NamedTuple):
     position: int
     rule_kind: int
@@ -192,8 +181,8 @@ class RewriteTrace:
     count): count steps of the rule at that position in system.rules, the
     first with its redex at start, in that nu segment, and each further one
     (a batch of swaps a c -> c a) one letter left of the one before.
-    length is the number of steps.  entries and steps expand the records
-    one step each, replaying the nu vectors as they go."""
+    length is the number of steps.  entries expands the records one step
+    each, replaying the nu vectors as they go."""
     initial: Word
     final: Word
     nu_initial: tuple[int, ...]
@@ -205,8 +194,8 @@ class RewriteTrace:
         return self.length
 
     def _replay(self):
-        """(position, rule position, segment, word after, nu after) per
-        step; the word and nu lists are updated in place as it goes."""
+        """(position, rule position, segment, nu after) per step; the nu
+        list is updated in place as it goes."""
         rules, nus = self.system.rules, self.system._nus
         word, vec = list(self.initial), list(self.nu_initial)
         for start, idx, j, count in self.records:
@@ -214,7 +203,7 @@ class RewriteTrace:
             for pos in range(start, start - count, -1):
                 _splice_nu(vec, word, pos, j, *nus[idx])
                 word[pos : pos + len(lhs)] = rhs
-                yield pos, idx, j, word, vec
+                yield pos, idx, j, vec
                 j -= lhs[0] & 1
 
     @cached_property
@@ -222,19 +211,7 @@ class RewriteTrace:
         """One TraceEntry per step, expanded from the records."""
         rules = self.system.rules
         return tuple(TraceEntry(pos, rules[idx].kind, rules[idx].rule_id, tuple(vec), j)
-                     for pos, idx, j, _, vec in self._replay())
-
-    @cached_property
-    def steps(self) -> list[RewriteStep]:
-        """Full before/after step records, replayed from the records."""
-        out = []
-        before, nu_before, rules = self.initial, self.nu_initial, self.system.rules
-        for pos, idx, _, word, vec in self._replay():
-            after, nu_after = tuple(word), tuple(vec)
-            r = rules[idx]
-            out.append(RewriteStep(pos, r.kind, r.rule_id, before, after, nu_before, nu_after))
-            before, nu_before = after, nu_after
-        return out
+                     for pos, idx, j, vec in self._replay())
 
     def render(self, alphabet=None) -> str:
         """One line per step.  A step changes only the nu coordinates its
@@ -243,17 +220,12 @@ class RewriteTrace:
         rules, nus, join = self.system.rules, self.system._nus, ", ".join
         parts = list(map(str, self.nu_initial))
         lines = [f"initial: {format_word(self.initial, alphabet)}"]
-        for k, (pos, idx, j, _, vec) in enumerate(self._replay(), 1):
+        for k, (pos, idx, j, vec) in enumerate(self._replay(), 1):
             r, (a, b) = rules[idx], nus[idx]
             parts[j : j + len(a)] = map(str, vec[j : j + len(b)])
             lines.append(f"#{k} pos={pos} rule={r.kind}/{r.rule_id} nu=({join(parts)})")
         lines.append(f"final: {format_word(self.final, alphabet)}")
         return "\n".join(lines)
-
-
-def find_redexes(w: Word, system: RuleSystem) -> list[tuple[int, int]]:
-    """All (position, rule id) pairs where some lhs occurs as a substring."""
-    return [(pos, system.rules[idx].rule_id) for pos, idx in system.redexes(w)]
 
 
 def _splice_nu(vec: list[int], prefix, start: int, j: int, a: tuple, b: tuple) -> None:
@@ -450,10 +422,6 @@ def nf(w: Word, system: RuleSystem) -> Word:
     return tuple(_leftmost(w, system)[0])
 
 
-def is_normal(w: Word, system: RuleSystem) -> bool:
-    return all(system.match_at(w, p) is None for p in range(len(w)))
-
-
 def equal(u: Word, v: Word, system: RuleSystem) -> bool:
     """Word-problem equality: syntactic equality of normal forms."""
     return nf(u, system) == nf(v, system)
@@ -484,23 +452,23 @@ def critical_pairs(system: RuleSystem) -> list[CriticalPair]:
     reducts, by first rule, offset d into its lhs l1, then second rule, in
     list order.  Offset 0 pairs are emitted once per unordered rule pair.
 
-    The second lhs starts with the rest l1[d:] of the first, found in an
-    index of lhs prefixes, or is a proper prefix of that rest, found in the
-    lhs index."""
+    The second lhs starts with the rest l1[d:] of the first, found among
+    the lhs with its first letter, or is a proper prefix of that rest,
+    found in the lhs index at each lhs length."""
     out: list[CriticalPair] = []
-    rules, index = system.rules, system._lhs_index
-    starting: dict[Word, list[int]] = {}
+    rules, index, sizes = system.rules, system._lhs_index, system._sizes
+    first: dict[int, list[int]] = {}
     for i2, r in enumerate(rules):
-        for m in range(1, len(r.lhs) + 1):
-            starting.setdefault(r.lhs[:m], []).append(i2)
-    for i1, (_, id1, l1, r1, _, _) in enumerate(rules):
+        first.setdefault(r.lhs[0], []).append(i2)
+    for i1, (_, id1, l1, r1) in enumerate(rules):
         for d in range(len(l1)):
-            rest = l1[d:]
-            inside = [index[rest[:m]] for m in range(1, len(rest)) if rest[:m] in index]
-            for i2 in sorted(inside + starting.get(rest, [])):
+            rest, n = l1[d:], len(l1) - d
+            candidates = [index[rest[:m]] for m in sizes if m < n and rest[:m] in index]
+            candidates += [i2 for i2 in first.get(rest[0], ()) if rules[i2].lhs[:n] == rest]
+            for i2 in sorted(candidates):
                 if d == 0 and i2 <= i1:
                     continue
-                _, id2, l2, r2, _, _ = rules[i2]
+                _, id2, l2, r2 = rules[i2]
                 peak = l1 + l2[len(l1) - d :]
                 left = r1 + peak[len(l1) :]
                 right = peak[:d] + r2 + peak[d + len(l2) :]

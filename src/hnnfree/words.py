@@ -40,7 +40,7 @@ class CapExceeded(RuntimeError):
 
 
 class PhiPowerCapExceeded(CapExceeded):
-    """phi_power built more than WORD_CAP letters of images in all."""
+    """phi_power built, or semidirect_nf pushed, more than WORD_CAP letters."""
     template = "phi power cap {} exceeded"
 
 

@@ -30,8 +30,9 @@ def _match(word: list[int], pos: int, rules) -> int | None:
 
 
 def rescan_leftmost(w, rules, cap: int = 1_000_000):
-    """(normal form, [(position, kind, rule id, nu after)]) of the leftmost
-    strategy over the rules, in list order at equal positions."""
+    """(normal form, [(position, kind, rule id, nu after, segment)]) of the
+    leftmost strategy over the rules, in list order at equal positions; the
+    segment of a step is the number of odd letters before its redex."""
     word = list(w)
     back = max(len(r.lhs) for r in rules) - 1
     trace = []
@@ -42,8 +43,9 @@ def rescan_leftmost(w, rules, cap: int = 1_000_000):
         if pos >= len(word):
             return tuple(word), trace
         r = rules[_match(word, pos, rules)]
+        segment = sum(c % 2 for c in word[:pos])
         word[pos : pos + len(r.lhs)] = r.rhs
-        trace.append((pos, r.kind, r.rule_id, segment_lengths(word)))
+        trace.append((pos, r.kind, r.rule_id, segment_lengths(word), segment))
         if len(trace) > cap:
             raise RuntimeError("rescan oracle: step cap exceeded")
         pos = max(0, pos - back)

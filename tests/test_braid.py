@@ -18,7 +18,6 @@ from hnnfree.braid import (
     free_factor_probe,
     phi_power,
     resolve_braid_names,
-    semidirect_equal,
     semidirect_nf,
     split_nf,
     verify_braid_relations,
@@ -128,6 +127,21 @@ def test_push_builds_each_power_from_the_one_before():
     assert e.k == 300
 
 
+def test_push_cap_counts_the_pushed_letters(monkeypatch):
+    # each x1 pushes its image under phi_inv^3, so 10 of them push 10 L letters
+    w = E2.parse("t^3 x1^10")
+    size = 10 * len(phi_power(E2, E2.parse("x1"), -3))
+    expected = semidirect_nf(E2, w)
+    # build the images under the lowered cap, as a cached one skips its check
+    braid._pushed_letter.cache_clear()
+    braid._powers.cache_clear()
+    monkeypatch.setattr(words, "WORD_CAP", size)
+    assert semidirect_nf(E2, w) == expected
+    monkeypatch.setattr(words, "WORD_CAP", size - 1)
+    with pytest.raises(PhiPowerCapExceeded, match=f"cap {size - 1} exceeded"):
+        semidirect_nf(E2, w)
+
+
 @given(st.lists(st.tuples(st.sampled_from([s * g for g in E3.base.base_gens
                                            + E3.base.stable_gens for s in (1, -1)]),
                           st.integers(-12, 12), st.integers(0, 400)), max_size=8))
@@ -216,7 +230,7 @@ def test_center_of_rank_two_layer():
     z = E2.parse("y1 x1 t")
     for g in ("x1", "y1", "t"):
         u, v = z + E2.parse(g), E2.parse(g) + z
-        assert semidirect_equal(E2, u, v)
+        assert semidirect_nf(E2, u) == semidirect_nf(E2, v)
         assert braid_equal(E2, u, v)
 
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,16 @@ def test_confluence_random_probe(tmp_path, capsys):
         code, out, _ = run(capsys, "confluence", "--file", str(path), "--random", "--seed", seed)
         assert code == 1
         assert out == f"random probe: 200 trials x 5 strategies: {failures} failures\n"
+
+
+def test_confluence_on_a_long_conjugator_is_fast(tmp_path, capsys):
+    # the critical pairs come from lhs of 2,002 letters
+    path = tmp_path / "long.txt"
+    path.write_text("base a b\nstable p\nrel p : a ^ b^2000 = a ^ b^2000\n")
+    t0 = time.perf_counter()
+    assert run(capsys, "confluence", "--file", str(path)) == (
+        0, "critical pairs: 14 checked: all joinable\n", "")
+    assert time.perf_counter() - t0 < 2
 
 
 def test_file_source(tmp_path, capsys):
@@ -599,6 +610,14 @@ def test_phi_power_cap_is_inconclusive(monkeypatch, capsys):
                  ("braid-phi", "--preset", "p2", "3", "--k", str(10 ** 12), "x1")):
         assert run(capsys, *argv) == (3, "", "inconclusive: phi power cap 80 exceeded\n")
     assert run(capsys, "braid-phi", "--preset", "p2", "3", "--k", "6", "x1")[0] == 0
+
+
+def test_push_cap_is_inconclusive(capsys):
+    # x1's image at t-depth 300 has 1,201 letters: 833 of them pass 1,000,000
+    argv = ("braid-phi", "--preset", "p2", "2", "--push")
+    for word in ("t^300 x1^833", "t^300 x1^20000"):
+        assert run(capsys, *argv, word) == (3, "", "inconclusive: phi power cap 1000000 exceeded\n")
+    assert run(capsys, *argv, "t^300 x1^832")[0] == 0
 
 
 def test_word_cap_is_inconclusive(monkeypatch, capsys):
