@@ -115,6 +115,8 @@ COMMANDS = [
     f"braid-phi {P2_2} --push 'x1 t y1'",
     # 20,000 images of 1,201 letters each, past the 1,000,000 pushed letters
     f"braid-phi {P2_2} --push 't^300 x1^20000'",
+    # pushed after free reduction: 500 images that cancel count no letters
+    f"braid-phi {P2_2} --push 't^300 x1^500 x1^-500'",
     f"braid-check-free {P2_3} --w 'y1 x1' --w x2",
     f"braid-check-free {P2_3} --w x1 --w x2 --strict",
     f"danilevich {P2_2} --h x1",

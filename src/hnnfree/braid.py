@@ -1,28 +1,28 @@
 """The braid layer: extensions of the base presentations by an outer letter t.
 
-Two normal forms live side by side here.  semidirect_nf pushes every t
-through the word with the conjugation word maps and reduces the remainder
-with the base rewriting system; a trivial result proves the braid trivial,
-but for n >= 3 a nonzero remainder proves nothing, because the conjugation
-maps do not respect the base presentation's relations (verify_extension
-exhibits the failing relator images).  split_nf is the exact two-part
-normal form of the braid layer as a semidirect product of two free groups,
-pushing every base letter left through the stable-letter action; it is
-sound and complete, and acts as the authority whenever the push leaves a
-remainder.
-
-Triviality and equality in the braid layer are decided by one function,
-BraidSplitting.is_trivial, in this order:
+Every braid-layer verdict comes from one decider, BraidSplitting.is_trivial:
+triviality, equality, the freeness certificate, the relation check and the
+alternating-product probe.  It tries, in this order:
 
 1. the projection onto F(Y): a word whose base letters do not freely
    reduce to 1 is nontrivial, because F(X, t) is the normal factor;
 2. the exponent sums of the x_i and of t: the action of every base letter
    keeps them, so a word with a nonzero sum is nontrivial;
 3. only a word that passes both is split, cyclically reduced first, and it
-   is trivial iff its x-part reduces to 1.  The x-part can grow
-   exponentially in the word; an action step that leaves more than
-   X_PART_CAP letters raises XPartCapExceeded, which the CLI reports as
-   inconclusive.
+   is trivial iff its x-part reduces to 1.  split_nf is the exact two-part
+   normal form of the braid layer as a semidirect product of two free
+   groups, pushing every base letter left through the stable-letter action.
+   The x-part can grow exponentially in the word; an action step that
+   leaves more than X_PART_CAP letters raises XPartCapExceeded, which the
+   CLI reports as inconclusive.
+
+semidirect_nf, the push, decides nothing.  It moves every t to the right
+with the conjugation word maps and reduces the remainder with the base
+rewriting system; it is computed only where its value is printed
+(braid-phi --push, and the route column of braid-verify).  For n >= 3 the
+conjugation maps do not respect the base presentation's relations
+(verify_extension exhibits the failing relator images), so a nonzero
+remainder there proves nothing.
 """
 
 from __future__ import annotations
@@ -146,16 +146,15 @@ def _pushed_letter(ext: SemidirectExtension, c: int, k: int) -> Word:
 
 
 def semidirect_nf(ext: SemidirectExtension, w: Word) -> SemidirectElement:
-    """Push every t rightward, then reduce the remainder over the base rules.
-
-    Sound: an identity result means the word is trivial in the extension.
-    For n >= 3 the converse fails on some trivial words, so a nonzero
-    remainder should be settled with braid_trivial.  Past words.WORD_CAP
+    """Push every t of the free reduction of w rightward, then reduce the
+    remainder over the base rules.  It decides nothing: an identity result
+    means the word is trivial, but for n >= 3 some trivial words leave a
+    remainder, and braid_trivial settles every word.  Past words.WORD_CAP
     pushed letters, read at call time, it raises PhiPowerCapExceeded.
     """
     k, cap = 0, words.WORD_CAP
     parts: list[int] = []
-    for c in w:
+    for c in free_reduce(w):
         if abs(c) == OUTER:
             k += 1 if c > 0 else -1
         else:
@@ -458,11 +457,12 @@ class BraidVerification:
 def verify_braid_relations(n: int) -> BraidRelationReport:
     """Machine-check the two families of defining relations against each other.
 
-    Every relator of both the conjugation-action form and the rearranged
-    form is pushed through semidirect_nf; relators the push cannot finish
-    are settled by the exact splitting.  All of them are trivial in the
-    braid layer; which route settles each one is recorded, since the push
-    provably misses the mixed-index conjugation family for n >= 3.
+    The exact splitting decides every relator of both the conjugation-action
+    form and the rearranged form.  Each is also pushed through semidirect_nf
+    for the route column alone: settled_by is "push" where the push reaches
+    the identity pair and "split" where only the splitting proves the
+    relator trivial, since the push provably misses the mixed-index
+    conjugation family for n >= 3.
     """
     ext = p2(n)
     split = _splitting(n)
@@ -472,12 +472,8 @@ def verify_braid_relations(n: int) -> BraidRelationReport:
 
     def check(family: str, i: int | None, j: int | None, rel: Word) -> None:
         pushed = semidirect_nf(ext, rel)
-        if pushed.is_identity:
-            entries.append(RelationCheck(family, i, j, rel, pushed, "push", True))
-        else:
-            entries.append(
-                RelationCheck(family, i, j, rel, pushed, "split", split.is_trivial(rel))
-            )
+        route = "push" if pushed.is_identity else "split"
+        entries.append(RelationCheck(family, i, j, rel, pushed, route, split.is_trivial(rel)))
 
     for i in range(1, n):
         for j in range(i + 1, n):
@@ -510,14 +506,14 @@ def braid_freeness_check(
 
     Condition (1): w_i must carry nonzero exponent sum exactly in x_i, with
     zero t-exponent.  Condition (2): [w_i, t] must be nontrivial, decided by
-    the exact splitting.  Strict mode additionally pins each w_i inside the
+    BraidSplitting.is_trivial alone; nothing is pushed, so no base rule
+    system is compiled.  Strict mode additionally pins each w_i inside the
     letters {y_*} u {x_i}.
     """
     if len(words) != n - 1:
         raise ValueError(f"expected {n - 1} words, got {len(words)}")
-    ext = p2(n)
     split = _splitting(n)
-    alphabet = ext.alphabet
+    alphabet = p2(n).alphabet
     conds: list[Condition] = []
     for i, w in enumerate(words, start=1):
         exps = {f"x{j}": exp_sum(w, stable_gen(j)) for j in range(1, n)}
@@ -525,12 +521,8 @@ def braid_freeness_check(
         ok1 = all((e != 0) == (name == f"x{i}") for name, e in exps.items())
         table = ", ".join(f"{name}:{e}" for name, e in exps.items() if e or name == f"x{i}")
         conds.append(Condition(f"exponent_pattern[w{i}]", ok1, table))
-        comm = commutator(w, T_WORD)
-        nontrivial = not split.is_trivial(comm)
-        pushed = semidirect_nf(ext, comm)
-        witness = f"[{format_word(w, alphabet)}, t] "
-        witness += "is nontrivial" if nontrivial else "= 1"
-        witness += f"; push remainder {pushed.render(alphabet)}"
+        nontrivial = not split.is_trivial(commutator(w, T_WORD))
+        witness = f"[{format_word(w, alphabet)}, t] " + ("is nontrivial" if nontrivial else "= 1")
         conds.append(Condition(f"commutator_with_t_nontrivial[w{i}]", nontrivial, witness))
         if strict:
             bad = sorted(gen_name(abs(c)) for c in w if not is_base(c) and abs(c) != stable_gen(i))

@@ -179,10 +179,6 @@ class GeneratorMap:
             parts.extend(img if c > 0 else invert(img))
         return free_reduce(parts)
 
-    def then(self, after: "GeneratorMap") -> "GeneratorMap":
-        """Composite map: first self, then after (apply = after.apply . self.apply)."""
-        return GeneratorMap({g: after.apply(w) for g, w in self.images.items()})
-
 
 def identity_map(gens: Iterable[int]) -> GeneratorMap:
     return GeneratorMap({g: (g,) for g in gens})

@@ -174,6 +174,13 @@ def test_push_agrees_with_phi_power_on_random_words():
             nf(free_reduce(parts), RuleSystem(E3.base)), k)
 
 
+def test_push_counts_only_the_letters_of_the_reduced_word():
+    # t^300 x1^500 x1^-500 pushes nothing; as written, its 1,000 x1 letters
+    # would push about 1,000 images of 1,201 letters, past the cap
+    w = E2.parse("t^300 x1^500 x1^-500")
+    assert semidirect_nf(E2, w) == braid.SemidirectElement((), 300)
+
+
 def test_push_t_exponent_is_exp_sum():
     rng = random.Random(7)
     for _ in range(50):
@@ -441,6 +448,15 @@ def test_rank_three_kernel_witness():
     assert braid_trivial(E3, E3.parse(text))
 
 
+def test_relations_are_decided_by_the_splitting(monkeypatch):
+    # every rank-2 relator pushes to the identity pair, yet only the
+    # splitting's answer counts
+    monkeypatch.setattr(BraidSplitting, "is_trivial", lambda self, w: False)
+    rep = verify_braid_relations(2)
+    assert rep.all_push
+    assert not any(e.trivial for e in rep.entries) and not rep.ok
+
+
 def test_relations_confirmed_by_artin():
     for n, rep in ((2, verify_braid_relations(2)), (3, verify_braid_relations(3))):
         assert all(artin_trivial(e.relator, n) for e in rep.entries)
@@ -468,7 +484,36 @@ def test_freeness_refutes_the_direct_product_sample():
         "commutator_with_t_nontrivial[w1]",
         "commutator_with_t_nontrivial[w2]",
     ]
-    assert "[y1 x1, t] = 1" in bad[0].witness
+    assert bad[0].witness == "[y1 x1, t] = 1"
+
+
+def test_freeness_pushes_nothing(monkeypatch):
+    caches = (braid._system, braid._powers, braid._pushed_letter)
+    for cache in caches:
+        cache.cache_clear()
+    ws = [E3.parse("x1^50 y2"), E3.parse("x2")]
+    # no push, so no push cap: the splitting alone decides condition (2)
+    monkeypatch.setattr(words, "WORD_CAP", 0)
+    cert = braid_freeness_check(3, ws)
+    assert cert.verdict == "certified"
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
+
+
+@pytest.mark.parametrize("n", sorted(LAYERS))
+@given(data=st.data())
+def test_freeness_commutator_condition_agrees_with_artin(n, data):
+    # t-powers commute with t though they are nontrivial, so deciding w
+    # itself instead of [w, t] fails here
+    w = data.draw(st.one_of(
+        st.lists(st.sampled_from(layer_letters(n)), max_size=10).map(tuple),
+        st.lists(st.sampled_from((OUTER, -OUTER)), min_size=1, max_size=3).map(tuple),
+    ))
+    pad = [(stable_gen(i),) for i in range(2, n)]
+    cert = braid_freeness_check(n, [w, *pad])
+    (cond,) = [c for c in cert.conditions if c.name == "commutator_with_t_nontrivial[w1]"]
+    # [w, t] = 1 iff w t = t w; the oracle's images of the commutator itself
+    # grow exponentially in its twice longer word
+    assert cond.ok == (not artin_equal(w + T_WORD, T_WORD + w, n))
 
 
 def test_freeness_checks_word_count_and_strictness():

@@ -118,15 +118,6 @@ def test_apply_generator_map_missing_image():
         m.apply(w("y1"))
 
 
-def test_map_composition_matches_then():
-    m = phi22()
-    ident = identity_map([base_gen(1), base_gen(2), stable_gen(1), stable_gen(2)])
-    mm = m.then(m)
-    for text in ("x1", "y1", "x1 y2^-1 x2"):
-        assert mm.apply(w(text)) == m.apply(m.apply(w(text)))
-    assert ident.then(m).apply(w("x1 y1")) == m.apply(w("x1 y1"))
-
-
 def test_outer_letter_defaults_to_itself():
     m = phi22()
     assert m.apply(w("t")) == w("t")
