@@ -552,12 +552,14 @@ def free_product_oracle(
     spec's generators within bounds; order is syllable count, then spec
     sequence, then factor choice, so the first witness is minimal.  Exponent
     sums in every letter screen the products; the rest go to is_trivial,
-    which defaults to the rewriting normal form and must decide triviality
-    in the group the products live in.  The witness is spelled in the
+    which must decide triviality in the group the products live in.  By
+    default it is the rewriting normal form, run only on a product that
+    holds a redex (RuleSystem.is_normal_reduced): one that holds none is its
+    own normal form, and nontrivial.  The witness is spelled in the
     alphabet of the system's presentation.
     """
     if is_trivial is None:
-        is_trivial = lambda w: not nf(w, system)
+        is_trivial = lambda w: not system.is_normal_reduced(w) and not nf(w, system)
     # every generator, t included, is an exponent-sum invariant
     return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(tuple(w)),
                  system.presentation.alphabet)
@@ -574,11 +576,13 @@ def bounded_intersection_probe(
     Enumerates reduced words in the declared generators up to max_len uses;
     products that are trivial in the group are skipped, nontrivial ones must
     keep a stable letter in their normal form.  Only the non-base exponent
-    sums screen the products.
+    sums screen the products, and only a product that holds a redex
+    (RuleSystem.is_normal_reduced) is rewritten: one that holds none is its
+    own normal form.  Past max_products products the report is
+    inconclusive.
     """
     def pure_base(w: list[int]) -> bool:
-        # a reduced word with no first letter of a non-cancelling rule is normal
-        v = w if system.move_starts.isdisjoint(w) else nf_ints(list(w), system)
+        v = w if system.is_normal_reduced(w) else nf_ints(list(w), system)
         return bool(v) and all(is_base(c) for c in v)
 
     bounds = Bounds(syllables=1, exp_range=max_len, max_products=max_products)

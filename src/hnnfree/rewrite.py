@@ -68,6 +68,8 @@ class RuleSystem:
     lhs lengths ending in the letter just read, longest first (_ends), and
     for its runs of swaps keeps a floor per swap rule a c -> c a
     (_swap_floors) and the letters a that end an lhs in a a (_doubled).
+    is_normal_reduced finds the lhs of a freely reduced word by their first
+    two letters (_starts) or, for a one-letter lhs, by its letter (_singles).
     """
 
     def __init__(self, presentation: HnnPresentation, rules: list[RewriteRule] | None = None):
@@ -92,13 +94,11 @@ class RuleSystem:
         ]
         # a run of one of these letters may not settle all at once
         self._doubled = frozenset(lhs[-1] for lhs in self._lhs_index if lhs[-2:-1] == lhs[-1:])
-        # first letters of the non-cancellation lhs patterns; a freely reduced
-        # word avoiding them all is already in normal form
-        self.move_starts = frozenset(
-            r.lhs[0]
-            for r in self.rules
-            if not (len(r.lhs) == 2 and r.lhs[1] == -r.lhs[0] and not r.rhs)
-        )
+        # for is_normal_reduced: the one-letter lhs, and the first two
+        # letters of the longer ones a freely reduced word can hold
+        self._singles = frozenset(lhs[0] for lhs in self._lhs_index if len(lhs) == 1)
+        self._starts = frozenset(lhs[:2] for lhs in self._lhs_index
+                                 if len(lhs) > 1 and lhs[1] != -lhs[0])
 
     def _wider(self) -> dict[int, list[tuple]]:
         """For each rule, the lhs that contain its lhs at some offset d, run
@@ -165,6 +165,22 @@ class RuleSystem:
     def redexes(self, ints) -> list[tuple[int, int]]:
         """All (position, rule index) pairs, position order then index."""
         return list(self._matches(ints, range(len(ints))))
+
+    def is_normal_reduced(self, w) -> bool:
+        """Whether the freely reduced word w holds no lhs, so that nf(w) == w.
+
+        An lhs whose first two letters cancel never occurs in w, so only
+        the others are looked for: a one-letter lhs by its letter, a longer
+        one looked up in the lhs index only where an adjacent pair of w is
+        its first two letters."""
+        starts, singles = self._starts, self._singles
+        if not starts and not singles:
+            return True
+        if singles and not singles.isdisjoint(w):
+            return False
+        if starts.isdisjoint(zip(w, w[1:])):
+            return True
+        return not any(self._matches(w, [i for i, pair in enumerate(zip(w, w[1:])) if pair in starts]))
 
 
 class TraceEntry(NamedTuple):

@@ -23,7 +23,7 @@ from hnnfree.pingpong import (
     bounded_intersection_probe,
     free_product_oracle,
 )
-from hnnfree.presentation import gn, p2
+from hnnfree.presentation import gn, p2, parse_presentation
 from hnnfree.rewrite import RuleSystem, nf
 from hnnfree.words import (
     EPSILON,
@@ -158,29 +158,47 @@ def test_free_product_oracle_braid_layer_matches_brute_force():
         assert outcome(rep) == brute(lists, 4, ALL_E2, hit, b), b
 
 
+# the lhs s x1^-1 y1^{+-1} and s x1^-1 y1^-1 x1^{+-1} begin with the same two
+# letters, and so do s^-1 y1 x1^{+-1} and s^-1 y1 x1 y1^{+-1}
+SN = RuleSystem(parse_presentation("""\
+base y1 x1
+stable s
+rel s : y1 ^ x1^-1 y1^-1 = y1 ^ x1
+rel s : x1 ^ y1^-1 = x1 ^ y1 x1
+"""))
+
 PROBE_CASES = {
-    "orbit pair": (("x2", "y1 x2 y1^-1"), 5),
-    "two words": (("y1 x2", "x2 y2"), 4),
-    "pure base generator": (("y1",), 4),
-    "degenerate generator": (("1",), 4),
-    "empty": ((), 4),
+    "orbit pair": (S3, ("x2", "y1 x2 y1^-1"), 5),
+    "two words": (S3, ("y1 x2", "x2 y2"), 4),
+    "pure base generator": (S3, ("y1",), 4),
+    "degenerate generator": (S3, ("1",), 4),
+    "empty": (S3, (), 4),
+    # hits hold x2 y2^-1, the first two letters of the lhs x2 y2^-1 y1^{+-1},
+    # but never such an lhs
+    "pair without its lhs": (S3, ("x2", "y2 x2 y2^-1"), 5),
+    # hits with a redex, with the first two letters of an lhs but no lhs,
+    # and with neither
+    "nested lhs": (SN, ("s x1^-1 y1", "y1 s"), 4),
+    # x1 y2 x1^-1 = y2 holds a redex, and only its normal form is pure base
+    "base word after a rewrite": (S3, ("x2", "x1 y2 x1^-1"), 3),
 }
 
 
 @pytest.mark.parametrize("name", PROBE_CASES)
 def test_bounded_intersection_probe_matches_brute_force(name):
-    texts, max_len = PROBE_CASES[name]
-    spec = gn3_spec("P", *texts)
+    system, texts, max_len = PROBE_CASES[name]
+    p = system.presentation
+    spec = SubgroupSpec("P", tuple(p.parse(t) for t in texts), frozenset({OUTER}))
     lists = [factor_list(spec_label("P"), spec.generators, max_len)]
-    screen = [g for g in ALL_GN3 if not is_base(g)]
+    screen = [g for g in p.base_gens + p.stable_gens + [OUTER] if not is_base(g)]
 
     def hit(w):
-        v = nf(w, S3)
+        v = nf(w, system)
         return bool(v) and all(is_base(c) for c in v)
 
     full = brute(lists, 1, screen, hit, None)
     for b in budgets(full):
-        rep = bounded_intersection_probe(spec, S3, max_len, b)
+        rep = bounded_intersection_probe(spec, system, max_len, b)
         assert outcome(rep) == brute(lists, 1, screen, hit, b), (name, b)
 
 

@@ -621,3 +621,36 @@ def test_critical_pairs_match_a_scan_of_every_rule_pair(name):
     pairs = [(cp.peak, cp.left_reduct, cp.right_reduct, cp.rule1, cp.rule2, cp.offset)
              for cp in critical_pairs(system)]
     assert pairs == overlaps_by_scan(system.rules)
+
+
+# --- is_normal_reduced against the list of redexes ---------------------------------
+
+# a one-letter lhs y1, alone and beside an lhs x1 y2 that the pairs index keys
+ONE_LETTER = {
+    "one_letter": RuleSystem(GN3, [RewriteRule(1, 0, (Y1,), (Y2,))]),
+    "one_letter_and_pair": RuleSystem(GN3, [RewriteRule(1, 0, (Y1,), (Y2,)),
+                                            RewriteRule(1, 1, (X1, Y2), (Y2, X1))]),
+}
+NORMAL_SYSTEMS = {**ENGINE_SYSTEMS, **ONE_LETTER,
+                  **{k: CP_SYSTEMS[k] for k in ("long_conjugator", "overlap_order")}}
+
+
+@pytest.mark.parametrize("name", list(NORMAL_SYSTEMS))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_is_normal_reduced_means_no_redex(name, data):
+    system = NORMAL_SYSTEMS[name]
+    w = free_reduce(data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
+                                                                  max_size=40).map(tuple))))
+    assert system.is_normal_reduced(w) == (not system.redexes(w))
+    assert system.is_normal_reduced(list(w)) == (not system.redexes(w))
+
+
+@pytest.mark.parametrize("name", list(ONE_LETTER))
+@given(data=st.data())
+def test_a_one_letter_lhs_is_never_normal(name, data):
+    system = ONE_LETTER[name]
+    assert not system.is_normal_reduced((Y1, Y2))
+    w = free_reduce(tuple(data.draw(st.lists(st.sampled_from(_letters(system)), max_size=20))))
+    if Y1 in w:
+        assert not system.is_normal_reduced(w)
