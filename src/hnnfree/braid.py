@@ -34,15 +34,12 @@ from typing import Sequence
 
 from . import words
 from .pingpong import (
-    CERTIFIED,
-    FAIL,
-    PASS,
-    REFUTED,
     Bounds,
     Certificate,
     Condition,
     OracleReport,
     SubgroupSpec,
+    Verdict,
     conditions_doc,
     conditions_text,
     descends_to_identity,
@@ -109,14 +106,17 @@ def phi_power(ext: SemidirectExtension, w: Word, k: int) -> Word:
 
     Each image is about as long as the last plus a constant, so |k| steps
     cost about k^2 letters; past words.WORD_CAP letters of images in all,
-    read at call time, it raises PhiPowerCapExceeded."""
+    read at call time, it raises PhiPowerCapExceeded.  It returns as soon
+    as an image equals the word it came from, which every power fixes."""
     if OUTER in w or -OUTER in w:
         raise ValueError("phi_power expects a word without outer letters")
     m = ext.phi if k > 0 else ext.phi_inv
     cap, built = words.WORD_CAP, 0
     out = free_reduce(w)
     for _ in range(abs(k)):
-        out = m.apply(out)
+        out, last = m.apply(out), out
+        if out == last:  # a fixed word; phi and phi_inv fix the same ones
+            break
         built += len(out)
         if built > cap:
             raise PhiPowerCapExceeded(cap)
@@ -328,7 +328,7 @@ class Group:
         return (p or self.source).parse(text)
 
     def is_trivial(self, w: Word) -> bool:
-        return braid_trivial(self.braid, w) if self.braid else not nf(w, self.system)
+        return braid_trivial(self.braid, w) if self.braid else self.system.is_trivial_reduced(free_reduce(w))
 
     def equal(self, u: Word, v: Word) -> bool:
         return braid_equal(self.braid, u, v) if self.braid else equal(u, v, self.system)
@@ -439,8 +439,8 @@ class BraidVerification:
         self.extension, self.relations = extension, relations
 
     @property
-    def verdict(self) -> str:
-        return PASS if self.relations.ok else FAIL
+    def verdict(self) -> Verdict:
+        return Verdict.PASS if self.relations.ok else Verdict.FAIL
 
     def render(self) -> str:
         text = f"{self.extension.render()}\n{self.relations.render()}"
@@ -527,7 +527,7 @@ def braid_freeness_check(
         if strict:
             bad = sorted(gen_name(abs(c)) for c in w if not is_base(c) and abs(c) != stable_gen(i))
             conds.append(Condition(f"letters_within_support[w{i}]", not bad, ", ".join(bad) or None))
-    verdict = CERTIFIED if all(c.ok for c in conds) else REFUTED
+    verdict = Verdict.CERTIFIED if all(c.ok for c in conds) else Verdict.REFUTED
     return Certificate(verdict, "braid-free-rank", tuple(conds))
 
 

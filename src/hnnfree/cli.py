@@ -1,10 +1,11 @@
 """Command-line front end: one binary, subcommands per engine operation.
 
-Exit codes: 0 pass/true/certified, 1 fail/false/refuted, 2 usage or parse
-error, 3 inconclusive (also any CapExceeded).  The library and the handlers
-raise; main alone turns failures into messages and exit codes.  All
-commands take a presentation source (--preset gn N, --preset p2 N, or
---file PATH) and emit text or, with --json, a document with a schema field.
+Exit codes come from pingpong.Verdict: 0 pass/true/certified, 1
+fail/false/refuted, 3 inconclusive (also any CapExceeded); 2 is a usage or
+parse error.  The library and the handlers raise; main alone turns failures
+into messages and exit codes.  All commands take a presentation source
+(--preset gn N, --preset p2 N, or --file PATH) and emit text or, with
+--json, a document with a schema field.
 """
 
 from __future__ import annotations
@@ -26,13 +27,9 @@ from .braid import (
     verify_extension,
 )
 from .pingpong import (
-    CERTIFIED,
-    FAIL,
-    INCONCLUSIVE,
-    PASS,
-    REFUTED,
     Bounds,
     SubgroupSpec,
+    Verdict,
     bounded_intersection_probe,
     free_product_certificate,
     free_product_oracle,
@@ -60,14 +57,7 @@ from .words import (
     is_base,
 )
 
-EXIT_PASS = 0
-EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
-
-_VERDICT_EXIT = {CERTIFIED: EXIT_PASS, PASS: EXIT_PASS,
-                 REFUTED: EXIT_FAIL, FAIL: EXIT_FAIL,
-                 INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +122,7 @@ def _emit(args, text: str | None, doc: dict) -> None:
 def _report(args, rep, **fields) -> int:
     """Print a report as its text or its JSON document; exit by its verdict."""
     _emit(args, rep.render(), {**fields, **rep.doc()})
-    return _VERDICT_EXIT[rep.verdict]
+    return rep.verdict.exit
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +176,7 @@ def _cmd_nf(args, group) -> int:
         "normal_form": format_word(result, p.alphabet),
         "steps": steps,
     })
-    return EXIT_PASS
+    return Verdict.PASS.exit
 
 
 @_command("eq", "decide equality of two words", _arg("left"), _arg("right"))
@@ -198,7 +188,7 @@ def _cmd_eq(args, group) -> int:
         "right": format_word(v, group.alphabet),
         "equal": same,
     })
-    return EXIT_PASS if same else EXIT_FAIL
+    return (Verdict.PASS if same else Verdict.FAIL).exit
 
 
 @_command("rules", "list the compiled rewrite rules")
@@ -212,7 +202,7 @@ def _cmd_rules(args, group) -> int:
         lines.append(f"  kind {r.kind} #{r.rule_id}: {lhs} -> {rhs}")
         docs.append({"kind": r.kind, "id": r.rule_id, "lhs": lhs, "rhs": rhs})
     _emit(args, "\n".join(lines), {"count": len(rules), "rules": docs})
-    return EXIT_PASS
+    return Verdict.PASS.exit
 
 
 @_command("confluence", "critical-pair check or random probe",
@@ -243,7 +233,7 @@ def _cmd_confluence(args, group) -> int:
         doc = {"mode": "critical-pairs", "ok": ok,
                "pairs_checked": rep.pairs_checked, "failures": len(rep.failures)}
     _emit(args, text, doc)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return (Verdict.PASS if ok else Verdict.FAIL).exit
 
 
 def _parse_spec(text: str, group, p) -> SubgroupSpec:
@@ -351,12 +341,12 @@ def _cmd_braid_phi(args, group) -> int:
                              "x_part": format_word(sp.x_part, alphabet)},
                "trivial": sp.is_identity}
         _emit(args, text, doc)
-        return EXIT_PASS
+        return Verdict.PASS.exit
     img = phi_power(ext, w, args.k)
     _emit(args, format_word(img, alphabet), {
         "mode": "power", "k": args.k,
         "input": format_word(w, alphabet), "image": format_word(img, alphabet)})
-    return EXIT_PASS
+    return Verdict.PASS.exit
 
 
 @_command("braid-check-free", "freeness certificate for <w_1..w_{n-1}, t>",
@@ -431,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except CapExceeded as e:
         print(f"inconclusive: {e}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        return Verdict.INCONCLUSIVE.exit
 
 
 if __name__ == "__main__":

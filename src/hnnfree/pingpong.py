@@ -10,6 +10,7 @@ brute-force oracles independently confirm the conclusion up to bounds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from enum import Enum
 from functools import reduce
 from itertools import product
 from math import prod
@@ -35,12 +36,23 @@ from .words import (
     project_stable,
 )
 
-CERTIFIED = "certified"
-REFUTED = "refuted"
-INCONCLUSIVE = "inconclusive"
-# oracle verdicts; a budget overrun is INCONCLUSIVE
-PASS = "pass"
-FAIL = "fail"
+
+class Verdict(str, Enum):
+    """A verdict: its display word, which the member equals, hashes and
+    prints as, and exit, the code the CLI exits with on it."""
+
+    CERTIFIED = "certified", 0
+    PASS = "pass", 0
+    REFUTED = "refuted", 1
+    FAIL = "fail", 1
+    INCONCLUSIVE = "inconclusive", 3
+
+    def __new__(cls, word: str, code: int):
+        member = str.__new__(cls, word)
+        member._value_, member.exit = word, code
+        return member
+
+    __str__, __format__ = str.__str__, str.__format__
 
 
 class _Budget(Exception):
@@ -105,13 +117,13 @@ class Bounds:
 class Certificate:
     """Outcome of a freeness check: verdict, cited criterion, conditions."""
 
-    verdict: str
+    verdict: Verdict
     theorem: str
     conditions: tuple[Condition, ...]
 
     def __post_init__(self) -> None:
-        if self.verdict == CERTIFIED and not all(c.ok for c in self.conditions):
-            raise ValueError("certified verdict requires every condition to pass")
+        if (self.verdict == Verdict.CERTIFIED) != all(c.ok for c in self.conditions):
+            raise ValueError("a certificate is certified exactly when every condition passes")
 
     def render(self) -> str:
         return conditions_text(f"verdict: {self.verdict}  ({self.theorem})", self.conditions)
@@ -126,12 +138,16 @@ class OracleReport:
     """Result of a bounded enumeration: pass, fail with witness, or budget out.
     The witness is spelled in `alphabet`, that of the enumeration's system."""
 
-    verdict: str
+    verdict: Verdict
     checked: int
     witness: Word | None = None
     witness_factors: tuple[str, ...] | None = None
     note: str | None = None
     alphabet: Alphabet | None = None
+
+    def __post_init__(self) -> None:
+        if (self.verdict == Verdict.FAIL) != (self.witness is not None):
+            raise ValueError("an oracle report fails exactly when it carries a witness")
 
     def render(self) -> str:
         line = f"{self.verdict}  (products checked: {self.checked})"
@@ -237,7 +253,7 @@ def orbit_intersection_certificate(m: GeneratorMap, w: Word, p: HnnPresentation)
     )
     r = free_reduce(w)
     pure_base = bool(r) and all(is_base(c) for c in r)
-    verdict = CERTIFIED if px else REFUTED if pure_base else INCONCLUSIVE
+    verdict = Verdict.CERTIFIED if px else Verdict.REFUTED if pure_base else Verdict.INCONCLUSIVE
     return Certificate(verdict, "orbit-intersection", conds)
 
 
@@ -267,7 +283,7 @@ def orbit_evidence(
         return cert
     why = f"{format_word(missing[0], p.alphabet)} not in the orbit of {format_word(w, p.alphabet)}"
     covers = Condition(f"orbit_covers_generators[{spec.label}]", False, why)
-    return Certificate(INCONCLUSIVE, cert.theorem, (covers,) + cert.conditions)
+    return Certificate(Verdict.INCONCLUSIVE, cert.theorem, (covers,) + cert.conditions)
 
 
 def _projection_certifies(spec: SubgroupSpec, p: HnnPresentation) -> bool:
@@ -304,11 +320,9 @@ def free_product_certificate(
     """
     p = system.presentation
     conds: list[Condition] = []
-    hard_fail = False
     for i, spec in enumerate(specs):
-        for c in support_check(spec, specs[i + 1 :], strict=strict, alphabet=p.alphabet):
-            conds.append(c)
-            hard_fail |= not c.ok
+        conds += support_check(spec, specs[i + 1 :], strict=strict, alphabet=p.alphabet)
+    refuted = not all(c.ok for c in conds)
     for spec in specs:
         name = f"base_intersection_trivial[{spec.label}]"
         ev = evidence.get(spec.label)
@@ -317,22 +331,21 @@ def free_product_certificate(
         elif isinstance(ev, Certificate) and ev.theorem != "orbit-intersection":
             conds.append(Condition(name, False, f"{ev.theorem} certificate: not base-intersection evidence"))
         elif isinstance(ev, Certificate):
-            ok = ev.verdict == CERTIFIED
+            ok = ev.verdict == Verdict.CERTIFIED
             why = next((f" ({c.witness})" for c in ev.conditions if not c.ok), "")
             if ok and not _projection_certifies(spec, p):
                 ok, why = False, f" (no direct-product projection shows that {spec.label} meets the base trivially)"
             conds.append(Condition(name, ok, f"orbit certificate: {ev.verdict}{why}"))
         elif isinstance(ev, OracleReport):
             # Bounded evidence never certifies, but a failed probe refutes.
-            if ev.verdict == FAIL:
-                witness = format_word(ev.witness, p.alphabet) if ev.witness is not None else None
-                conds.append(Condition(name, False, f"probe found witness {witness}"))
-                hard_fail = True
+            if ev.verdict == Verdict.FAIL:
+                conds.append(Condition(name, False, f"probe found witness {format_word(ev.witness, p.alphabet)}"))
+                refuted = True
             else:
                 conds.append(Condition(name, False, f"bounded probe only: {ev.verdict}"))
         else:
             conds.append(Condition(name, True, f"declared: {ev}"))
-    verdict = REFUTED if hard_fail else CERTIFIED if all(c.ok for c in conds) else INCONCLUSIVE
+    verdict = Verdict.REFUTED if refuted else Verdict.CERTIFIED if all(c.ok for c in conds) else Verdict.INCONCLUSIVE
     return Certificate(verdict, "free-product-pingpong", tuple(conds))
 
 
@@ -529,14 +542,14 @@ def _walk(
                         runs_of[pos].append((idx, e))
                     factors = tuple(_factor_desc(specs[i], tuple(made), alphabet)
                                     for i, made in zip(seq, runs_of))
-                    return OracleReport(FAIL, checked, tuple(found), factors, alphabet=alphabet)
+                    return OracleReport(Verdict.FAIL, checked, tuple(found), factors, alphabet=alphabet)
     except _Budget:
         if limit == cap:
             raise ProductCapExceeded(cap) from None
         return OracleReport(
-            INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"
+            Verdict.INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"
         )
-    return OracleReport(PASS, checked)
+    return OracleReport(Verdict.PASS, checked)
 
 
 def free_product_oracle(
@@ -553,13 +566,12 @@ def free_product_oracle(
     sequence, then factor choice, so the first witness is minimal.  Exponent
     sums in every letter screen the products; the rest go to is_trivial,
     which must decide triviality in the group the products live in.  By
-    default it is the rewriting normal form, run only on a product that
-    holds a redex (RuleSystem.is_normal_reduced): one that holds none is its
-    own normal form, and nontrivial.  The witness is spelled in the
+    default it is the rewriting decider, RuleSystem.is_trivial_reduced, as
+    every product is freely reduced.  The witness is spelled in the
     alphabet of the system's presentation.
     """
     if is_trivial is None:
-        is_trivial = lambda w: not system.is_normal_reduced(w) and not nf(w, system)
+        is_trivial = system.is_trivial_reduced
     # every generator, t included, is an exponent-sum invariant
     return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(tuple(w)),
                  system.presentation.alphabet)

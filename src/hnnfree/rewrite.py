@@ -5,7 +5,8 @@ Words are tuples of signed ints in the code of the words module.  The
 deterministic strategy is leftmost position, then smallest rule kind, then
 smallest rule id; one stack engine (_leftmost) runs it for every normal form,
 traced or not.  Confluence is machine-checked per rule system, so results do
-not depend on the strategy.
+not depend on the strategy.  Every rewriting-layer triviality decision
+comes from one decider, RuleSystem.is_trivial_reduced.
 
 A trace stores one record per step, or per batch of swaps the engine takes
 at once, and replays the nu vectors only when render or entries, its one
@@ -181,6 +182,10 @@ class RuleSystem:
         if starts.isdisjoint(zip(w, w[1:])):
             return True
         return not any(self._matches(w, [i for i, pair in enumerate(zip(w, w[1:])) if pair in starts]))
+
+    def is_trivial_reduced(self, w) -> bool:
+        """Whether the freely reduced word w is trivial; only one holding an lhs is rewritten."""
+        return not w or not self.is_normal_reduced(w) and not nf(w, self)
 
 
 class TraceEntry(NamedTuple):

@@ -20,7 +20,9 @@ import hnnfree.words
 from artin import artin_equal
 from hnnfree.braid import braid_equal, braid_trivial, verify_braid_relations
 from hnnfree.cli import main
-from hnnfree.presentation import p2
+from hnnfree.pingpong import Bounds, SubgroupSpec, free_product_oracle
+from hnnfree.presentation import gn, p2
+from hnnfree.rewrite import RuleSystem
 from hnnfree.words import format_word, invert
 
 FILE_TEXT = """\
@@ -325,6 +327,29 @@ def test_oracle_pass_and_fail(capsys):
     assert "A1: (x1)" in out and "B1: (x1)^-1" in out
 
 
+@pytest.mark.parametrize("texts, runs", [
+    (("A:x1:x1, y1 x1 y1^-1", "B:x2:x2"), 0),
+    # the witness, the relator x1 y2 x1^-1 y2^-1, holds a redex
+    (("A:x1,x2:x1 y2", "B:x1,x2:y2 x1"), 1),
+])
+def test_oracle_cli_and_library_share_the_rewriting_decider(texts, runs, monkeypatch, capsys):
+    # Group.is_trivial and free_product_oracle's default both reach
+    # RuleSystem.is_trivial_reduced, so they run the engine equally often
+    calls, engine = [], hnnfree.rewrite._leftmost
+    monkeypatch.setattr(hnnfree.rewrite, "_leftmost", lambda *a: calls.append(a) or engine(*a))
+    code, out, _ = run(capsys, "pingpong-oracle", "--preset", "gn", "3",
+                       "--spec", texts[0], "--spec", texts[1])
+    by_cli = len(calls)
+    g3, specs = gn(3), []
+    for text in texts:
+        label, support, gens = text.split(":")
+        specs.append(SubgroupSpec(label, tuple(g3.parse(g) for g in gens.split(",")),
+                                  frozenset(g3.alphabet.gen(s) for s in support.split(","))))
+    rep = free_product_oracle(specs, RuleSystem(g3), Bounds())
+    assert (by_cli, len(calls) - by_cli) == (runs, runs)
+    assert (code, out) == (rep.verdict.exit, rep.render() + "\n")
+
+
 def test_oracle_budget_inconclusive(capsys):
     code, out, _ = run(capsys, "pingpong-oracle", "--preset", "gn", "3",
                        "--spec", "A1:x1:x1", "--spec", "A2:x2:y1 x2",
@@ -610,6 +635,16 @@ def test_phi_power_cap_is_inconclusive(monkeypatch, capsys):
                  ("braid-phi", "--preset", "p2", "3", "--k", str(10 ** 12), "x1")):
         assert run(capsys, *argv) == (3, "", "inconclusive: phi power cap 80 exceeded\n")
     assert run(capsys, "braid-phi", "--preset", "p2", "3", "--k", "6", "x1")[0] == 0
+
+
+def test_phi_power_of_a_fixed_word_returns_at_once(capsys):
+    # phi fixes the empty word and y1 x1, so every power gives them back
+    for k in (10 ** 12, -10 ** 12):
+        for word in ("1", "y1 x1"):
+            t0 = time.perf_counter()
+            argv = ("braid-phi", "--preset", "p2", "2", "--k", str(k), word)
+            assert run(capsys, *argv) == (0, word + "\n", "")
+            assert time.perf_counter() - t0 < 1.0
 
 
 def test_push_cap_is_inconclusive(capsys):

@@ -5,14 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hnnfree.pingpong import (
-    CERTIFIED,
-    INCONCLUSIVE,
-    REFUTED,
     Bounds,
     Certificate,
     Condition,
     OracleReport,
     SubgroupSpec,
+    Verdict,
     bounded_intersection_probe,
     descends_to_identity,
     free_product_certificate,
@@ -130,17 +128,17 @@ def test_descends_needs_two_sided_match():
 # --- orbit certificates ------------------------------------------------------------
 
 def test_orbit_certificate_verdicts():
-    assert orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3).verdict == CERTIFIED
-    assert orbit_intersection_certificate(EXT3.phi, w3("y1"), GN3).verdict == REFUTED
-    assert orbit_intersection_certificate(EXT3.phi, w3("x1 y2"), GN3).verdict == CERTIFIED
+    assert orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3).verdict == Verdict.CERTIFIED
+    assert orbit_intersection_certificate(EXT3.phi, w3("y1"), GN3).verdict == Verdict.REFUTED
+    assert orbit_intersection_certificate(EXT3.phi, w3("x1 y2"), GN3).verdict == Verdict.CERTIFIED
 
 
 def test_vanishing_stable_projection_refutes_only_a_pure_base_word():
     # every nonzero power of [x1, y1] keeps an x1, so <[x1, y1]> meets the base trivially
     for text in ("x1 y1 x1^-1 y1^-1", "x1 x1^-1", "1"):
-        assert orbit_intersection_certificate(EXT3.phi, w3(text), GN3).verdict == INCONCLUSIVE
+        assert orbit_intersection_certificate(EXT3.phi, w3(text), GN3).verdict == Verdict.INCONCLUSIVE
     # the freely reduced word decides: y1 x1 x1^-1 is the base word y1
-    assert orbit_intersection_certificate(EXT3.phi, w3("y1 x1 x1^-1"), GN3).verdict == REFUTED
+    assert orbit_intersection_certificate(EXT3.phi, w3("y1 x1 x1^-1"), GN3).verdict == Verdict.REFUTED
 
 
 def test_orbit_evidence_counts_only_for_generators_in_the_orbit():
@@ -150,19 +148,19 @@ def test_orbit_evidence_counts_only_for_generators_in_the_orbit():
     far = phi_inv.apply(phi_inv.apply(phi_inv.apply(w3("x1"))))
     covered = SubgroupSpec("A", (w3("x1 x1 x1^-1"), w3("y1 x1^-1 y1^-1"), far),
                            frozenset({stable_gen(1)}))
-    assert orbit_evidence(covered, w3("x1"), GN3, phi, phi_inv).verdict == CERTIFIED
+    assert orbit_evidence(covered, w3("x1"), GN3, phi, phi_inv).verdict == Verdict.CERTIFIED
     # the identity map's orbit of x1 is x1^{+-1} alone
     cert = orbit_evidence(covered, w3("x1"), GN3, ident, ident)
-    assert cert.verdict == INCONCLUSIVE
+    assert cert.verdict == Verdict.INCONCLUSIVE
     assert cert.conditions[0] == Condition(
         "orbit_covers_generators[A]", False, "y1 x1^-1 y1^-1 not in the orbit of x1")
     # phi^4(x1) lies past |k| <= 3
     beyond = phi.apply(phi.apply(phi.apply(phi.apply(w3("x1")))))
     spec4 = SubgroupSpec("A", (beyond,), frozenset({stable_gen(1)}))
-    assert orbit_evidence(spec4, w3("x1"), GN3, phi, phi_inv).verdict == INCONCLUSIVE
+    assert orbit_evidence(spec4, w3("x1"), GN3, phi, phi_inv).verdict == Verdict.INCONCLUSIVE
     # a covering orbit keeps the orbit certificate's own verdict
     y1 = spec("B", ["x1"], "y1")
-    assert orbit_evidence(y1, w3("y1"), GN3, ident, ident).verdict == REFUTED
+    assert orbit_evidence(y1, w3("y1"), GN3, ident, ident).verdict == Verdict.REFUTED
 
 
 def test_orbit_certificate_monotone_against_probe():
@@ -193,7 +191,7 @@ def certified_fixture():
 def test_free_product_certificate_certified():
     specs, evidence = certified_fixture()
     cert = free_product_certificate(specs, evidence, S3)
-    assert cert.verdict == CERTIFIED
+    assert cert.verdict == Verdict.CERTIFIED
     assert all(c.ok for c in cert.conditions)
 
 
@@ -201,14 +199,14 @@ def test_free_product_certificate_refuted_on_overlap():
     a = spec("A1", ["x1"], "x1")
     b = spec("A2", ["x1"], "x1 y1")
     cert = free_product_certificate([a, b], {}, S3)
-    assert cert.verdict == REFUTED
+    assert cert.verdict == Verdict.REFUTED
 
 
 def test_free_product_certificate_missing_evidence():
     specs, evidence = certified_fixture()
     del evidence["A2"]
     cert = free_product_certificate(specs, evidence, S3)
-    assert cert.verdict == INCONCLUSIVE
+    assert cert.verdict == Verdict.INCONCLUSIVE
     assert any("no evidence" in (c.witness or "") for c in cert.conditions)
 
 
@@ -216,14 +214,14 @@ def test_free_product_certificate_probe_not_enough():
     specs, evidence = certified_fixture()
     evidence["A2"] = bounded_intersection_probe(specs[1], S3, max_len=6)
     cert = free_product_certificate(specs, evidence, S3)
-    assert cert.verdict == INCONCLUSIVE
+    assert cert.verdict == Verdict.INCONCLUSIVE
 
 
 def test_orbit_evidence_never_refutes_the_free_product():
     a = spec("A", ["x1"], "y1")
     refuted = orbit_intersection_certificate(EXT3.phi, w3("y1"), GN3)
     cert = free_product_certificate([a], {"A": refuted}, S3)
-    assert cert.verdict == INCONCLUSIVE
+    assert cert.verdict == Verdict.INCONCLUSIVE
     assert cert.conditions[-1] == Condition(
         "base_intersection_trivial[A]", False,
         "orbit certificate: refuted (stable projection is empty)")
@@ -234,7 +232,7 @@ def test_orbit_certificate_counts_only_for_a_spec_it_covers():
     a = spec("A", ["x1"], "y1")
     orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
     cert = free_product_certificate([a], {"A": orbit}, S3)
-    assert cert.verdict == INCONCLUSIVE
+    assert cert.verdict == Verdict.INCONCLUSIVE
     assert cert.conditions[-1] == Condition(
         "base_intersection_trivial[A]", False, "orbit certificate: certified "
         "(no direct-product projection shows that A meets the base trivially)")
@@ -243,9 +241,9 @@ def test_orbit_certificate_counts_only_for_a_spec_it_covers():
 def test_certificate_of_another_theorem_is_not_evidence():
     a = spec("A", ["x1"], "y1")
     rank = braid_freeness_check(3, [EXT3.parse("x1"), EXT3.parse("x2")])
-    assert rank.verdict == CERTIFIED
+    assert rank.verdict == Verdict.CERTIFIED
     cert = free_product_certificate([a], {"A": rank}, S3)
-    assert cert.verdict == INCONCLUSIVE
+    assert cert.verdict == Verdict.INCONCLUSIVE
     assert cert.conditions[-1] == Condition(
         "base_intersection_trivial[A]", False,
         "braid-free-rank certificate: not base-intersection evidence")
@@ -268,7 +266,7 @@ def test_orbit_certificate_counts_when_the_projection_is_one_cycle(gens, counts)
     orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
     a = SubgroupSpec("A", gens, frozenset({stable_gen(1), stable_gen(2), OUTER}))
     cert = free_product_certificate([a], {"A": orbit}, S3, strict=False)
-    assert (cert.verdict == CERTIFIED) == counts
+    assert (cert.verdict == Verdict.CERTIFIED) == counts
 
 
 def test_orbit_certificate_needs_the_direct_product_projection():
@@ -277,13 +275,29 @@ def test_orbit_certificate_needs_the_direct_product_projection():
         Association(base_gen(1), EPSILON, (base_gen(2),)),)})
     orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
     a = SubgroupSpec("A", (w3("x1"),), frozenset({stable_gen(1)}))
-    assert free_product_certificate([a], {"A": orbit}, S3).verdict == CERTIFIED
-    assert free_product_certificate([a], {"A": orbit}, RuleSystem(p)).verdict == INCONCLUSIVE
+    assert free_product_certificate([a], {"A": orbit}, S3).verdict == Verdict.CERTIFIED
+    assert free_product_certificate([a], {"A": orbit}, RuleSystem(p)).verdict == Verdict.INCONCLUSIVE
 
 
 def test_certificate_constructor_guards_verdict():
     with pytest.raises(ValueError):
-        Certificate(CERTIFIED, "x", (Condition("c", False),))
+        Certificate(Verdict.CERTIFIED, "x", (Condition("c", False),))
+
+
+@pytest.mark.parametrize("make", [
+    # a certificate is certified exactly when every condition passes
+    lambda: Certificate(Verdict.REFUTED, "x", (Condition("c", True),)),
+    lambda: Certificate(Verdict.INCONCLUSIVE, "x", ()),
+    # an oracle report fails exactly when it carries a witness
+    lambda: OracleReport(Verdict.FAIL, 3),
+    lambda: OracleReport(Verdict.PASS, 3, witness=(1,)),
+    lambda: OracleReport(Verdict.INCONCLUSIVE, 3, witness=()),
+])
+def test_report_constructors_raise_on_a_broken_invariant(make):
+    with pytest.raises(ValueError):
+        make()
+    assert OracleReport(Verdict.FAIL, 3, witness=()).witness == ()
+    assert Certificate(Verdict.REFUTED, "x", (Condition("c", False),)).verdict == "refuted"
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -322,7 +336,7 @@ def test_oracle_spells_witness_in_the_presentations_own_names():
 def test_oracle_budget_is_inconclusive():
     specs, _ = certified_fixture()
     rep = free_product_oracle(specs, S3, Bounds(syllables=6, max_products=10))
-    assert rep.verdict == INCONCLUSIVE
+    assert rep.verdict == Verdict.INCONCLUSIVE
     assert "budget" in rep.note
 
 
@@ -336,7 +350,7 @@ def test_walk_builds_only_the_powers_it_reaches():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (rep.verdict, rep.checked) == (INCONCLUSIVE, 1)
+    assert (rep.verdict, rep.checked) == (Verdict.INCONCLUSIVE, 1)
     assert peak < 5_000_000
 
 
@@ -352,7 +366,7 @@ def test_product_cap_stops_a_walk_with_no_smaller_budget(monkeypatch):
         with pytest.raises(ProductCapExceeded, match="oracle product cap 10 exceeded"):
             free_product_oracle(specs, S3, Bounds(syllables=4, max_products=budget))
     rep = free_product_oracle(specs, S3, Bounds(syllables=4, max_products=9))
-    assert (rep.verdict, rep.checked, rep.note) == (INCONCLUSIVE, 9, "budget of 9 products exceeded")
+    assert (rep.verdict, rep.checked, rep.note) == (Verdict.INCONCLUSIVE, 9, "budget of 9 products exceeded")
     with pytest.raises(ProductCapExceeded):
         bounded_intersection_probe(spec("A", ["x2"], "y1 x2", "x2 y2"), S3, max_len=8)
     with pytest.raises(ProductCapExceeded):
@@ -390,7 +404,7 @@ def test_probe_budget():
     for gens, max_products in ((("y1 x2", "x2 y2"), 5), (("x2", "y1 x2 y1^-1"), 17)):
         rep = bounded_intersection_probe(spec("A", ["x2"], *gens), S3, max_len=8,
                                          max_products=max_products)
-        assert rep.verdict == INCONCLUSIVE
+        assert rep.verdict == Verdict.INCONCLUSIVE
         assert rep.checked == max_products
 
 
