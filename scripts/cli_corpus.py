@@ -113,8 +113,12 @@ COMMANDS = [
     f"braid-phi {P2_2} --k -1 x1",
     f"braid-phi {P2_3} A1_4",
     f"braid-phi {P2_2} --push 'x1 t y1'",
-    # 20,000 images of 1,201 letters each, past the 1,000,000 pushed letters
-    f"braid-phi {P2_2} --push 't^300 x1^20000'",
+    # two images of 500,001 letters, 1,000,001 held together: past the cap
+    f"braid-phi {P2_2} --push 't^125000 x1 t^-125000 x1 t^125000 x1'",
+    # phi fixes y1 x1, whatever the depth it is pushed from
+    f"braid-phi {P2_2} --push 't^2000 y1 x1 t^-2000'",
+    # a power in closed form: 3,999 letters
+    f"braid-phi {P2_3} --k 1000 x1",
     # pushed after free reduction: 500 images that cancel count no letters
     f"braid-phi {P2_2} --push 't^300 x1^500 x1^-500'",
     f"braid-check-free {P2_3} --w 'y1 x1' --w x2",

@@ -16,13 +16,14 @@ alternating-product probe.  It tries, in this order:
    leaves more than X_PART_CAP letters raises XPartCapExceeded, which the
    CLI reports as inconclusive.
 
-semidirect_nf, the push, decides nothing.  It moves every t to the right
-with the conjugation word maps and reduces the remainder with the base
-rewriting system; it is computed only where its value is printed
-(braid-phi --push, and the route column of braid-verify).  For n >= 3 the
-conjugation maps do not respect the base presentation's relations
-(verify_extension exhibits the failing relator images), so a nonzero
-remainder there proves nothing.
+semidirect_nf, the push, decides nothing.  It moves every t to the right,
+each base letter c after t^d becoming z^-d c z^d for the word z that t
+conjugates c by, and reduces the remainder with the base rewriting system;
+phi_power takes powers by the same closed form, linear in the power.  The
+push is computed only where its value is printed (braid-phi --push, and
+the route column of braid-verify).  For n >= 3 the conjugation maps do not
+respect the base presentation's relations (verify_extension exhibits the
+failing relator images), so a nonzero remainder there proves nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import words
 from .pingpong import (
@@ -101,68 +102,55 @@ def _system(p: HnnPresentation) -> RuleSystem:
     return RuleSystem(p)
 
 
-def phi_power(ext: SemidirectExtension, w: Word, k: int) -> Word:
-    """Apply the outer conjugation map (k > 0) or its inverse (k < 0) |k| times.
-
-    Each image is about as long as the last plus a constant, so |k| steps
-    cost about k^2 letters; past words.WORD_CAP letters of images in all,
-    read at call time, it raises PhiPowerCapExceeded.  It returns as soon
-    as an image equals the word it came from, which every power fixes."""
-    if OUTER in w or -OUTER in w:
-        raise ValueError("phi_power expects a word without outer letters")
-    m = ext.phi if k > 0 else ext.phi_inv
-    cap, built = words.WORD_CAP, 0
-    out = free_reduce(w)
-    for _ in range(abs(k)):
-        out, last = m.apply(out), out
-        if out == last:  # a fixed word; phi and phi_inv fix the same ones
-            break
-        built += len(out)
-        if built > cap:
+def _conjugated(ext: SemidirectExtension, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The free reduction of the product of the images t^-k c t^k =
+    z^k c z^-k, z = ext.conj[|c|], of the pairs (c, k) in turn.  It raises
+    PhiPowerCapExceeded past words.WORD_CAP letters held after an image, or
+    before building an image longer than that (the cap read at call time)."""
+    cap, out = words.WORD_CAP, []
+    for c, k in pairs:
+        z, zi = ext.conj_pairs[abs(c)]
+        if k < 0:
+            z, zi, k = zi, z, -k
+        if 2 * k * len(z) >= cap:
+            raise PhiPowerCapExceeded(cap)
+        for m in z * k + (c,) + zi * k:
+            if out and out[-1] == -m:
+                out.pop()
+            else:
+                out.append(m)
+        if len(out) > cap:
             raise PhiPowerCapExceeded(cap)
     return out
 
 
-@lru_cache(maxsize=None)
-def _powers(ext: SemidirectExtension, c: int, sign: int) -> tuple[list[Word], list[int]]:
-    """The images of (c,) under the first powers of phi (sign 1) or
-    phi_inv (sign -1) built so far, and the letters phi_power counts up to
-    each; _pushed_letter extends both."""
-    return [(c,)], [0]
-
-
-@lru_cache(maxsize=None)
-def _pushed_letter(ext: SemidirectExtension, c: int, k: int) -> Word:
-    """phi_power(ext, (c,), k), each power built from the one before; it
-    raises PhiPowerCapExceeded exactly when phi_power would."""
-    images, built = _powers(ext, c, 1 if k > 0 else -1)
-    m, cap = (ext.phi if k > 0 else ext.phi_inv), words.WORD_CAP
-    while len(images) <= abs(k) and built[-1] <= cap:
-        images.append(m.apply(images[-1]))
-        built.append(built[-1] + len(images[-1]))
-    if built[min(abs(k), len(built) - 1)] > cap:
-        raise PhiPowerCapExceeded(cap)
-    return images[abs(k)]
+def phi_power(ext: SemidirectExtension, w: Word, k: int) -> Word:
+    """phi^k(w) = t^-k w t^k for any integer k: each letter c maps to
+    z^k c z^-k, linear in |k|, under _conjugated's cap.  A word that phi
+    fixes is its own image under every power and returns at once."""
+    if OUTER in w or -OUTER in w:
+        raise ValueError("phi_power expects a word without outer letters")
+    out = free_reduce(w)
+    if not k or ext.phi.apply(out) == out:
+        return out
+    return tuple(_conjugated(ext, ((c, k) for c in out)))
 
 
 def semidirect_nf(ext: SemidirectExtension, w: Word) -> SemidirectElement:
     """Push every t of the free reduction of w rightward, then reduce the
     remainder over the base rules.  It decides nothing: an identity result
     means the word is trivial, but for n >= 3 some trivial words leave a
-    remainder, and braid_trivial settles every word.  Past words.WORD_CAP
-    pushed letters, read at call time, it raises PhiPowerCapExceeded.
-    """
-    k, cap = 0, words.WORD_CAP
-    parts: list[int] = []
+    remainder, and braid_trivial settles every word.  A letter c after t^d
+    pushes to t^d c t^-d, so the remainder is _conjugated over the pairs
+    (c, -d), under its cap."""
+    depth, pairs = 0, []
     for c in free_reduce(w):
         if abs(c) == OUTER:
-            k += 1 if c > 0 else -1
+            depth += 1 if c > 0 else -1
         else:
-            parts += _pushed_letter(ext, c, -k)
-            if len(parts) > cap:
-                raise PhiPowerCapExceeded(cap)
-    g = nf(free_reduce(parts), _system(ext.base))
-    return SemidirectElement(g, k)
+            pairs.append((c, -depth))
+    g = nf(tuple(_conjugated(ext, pairs)), _system(ext.base))
+    return SemidirectElement(g, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from operator import add, or_
 from typing import Callable, Mapping, Sequence
 
 from . import words
-from .presentation import HnnPresentation
+from .presentation import Association, HnnPresentation
 from .rewrite import RuleSystem, nf, nf_ints
 from .words import (
     OUTER,
@@ -207,19 +207,21 @@ def support_check(
     return conds
 
 
+def _two_conjugators(p: HnnPresentation) -> tuple[int, Association] | None:
+    """The first stable letter of p and its association with w != v, or None:
+    with w = v throughout, [x_i, y_j] = 1 gives the quotient F(X) x F(Y)."""
+    return next(((x, a) for x in p.stable_gens for a in p.associations(x) if a.w != a.v), None)
+
+
 def descends_to_identity(m: GeneratorMap, p: HnnPresentation) -> bool:
     """Whether m projects to the identity on both coordinates of F(X) x F(Y).
 
-    Defined only when every association has w = v, so that adding the
-    relations [x_i, y_j] = 1 gives the direct-product quotient.
+    Defined only when every association has w = v (_two_conjugators).
     """
-    for x in p.stable_gens:
-        for a in p.associations(x):
-            if a.w != a.v:
-                raise ValueError(
-                    "direct-product projection undefined: association "
-                    f"({p.alphabet.name(a.y)}) of {p.alphabet.name(x)} has two distinct conjugators"
-                )
+    if bad := _two_conjugators(p):
+        x, a = bad
+        raise ValueError("direct-product projection undefined: association "
+                         f"({p.alphabet.name(a.y)}) of {p.alphabet.name(x)} has two distinct conjugators")
     for g in p.base_gens + p.stable_gens:
         one = (g,)
         img = m.apply(one)
@@ -291,8 +293,7 @@ def _projection_certifies(spec: SubgroupSpec, p: HnnPresentation) -> bool:
     has w = v, making pi: x -> (x, 1), y -> (1, y) a homomorphism to F(X) x
     F(Y), and every generator, with no t, maps to (a, b)^{+-1} for one a != 1:
     then h in A and in the base has pi(h) = (a, b)^k = (1, h), so h = 1."""
-    if any(a.w != a.v for x in p.stable_gens for a in p.associations(x)) or any(
-            OUTER in map(abs, free_reduce(g)) for g in spec.generators):
+    if _two_conjugators(p) or any(OUTER in map(abs, free_reduce(g)) for g in spec.generators):
         return False
     pairs = ((project_stable(g), project_base(g)) for g in spec.generators)
     images = {min((a, b), (invert(a), invert(b))) for a, b in pairs}

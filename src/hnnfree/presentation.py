@@ -21,11 +21,9 @@ from .words import (
     GeneratorMap,
     Word,
     base_gen,
-    commutator,
     conjugate,
     default_alphabet,
     free_reduce,
-    gen_name,
     invert,
     is_base,
     parse_word,
@@ -175,23 +173,30 @@ def gn(n: int) -> HnnPresentation:
     return HnnPresentation(alphabet, assoc)
 
 
-@dataclass(frozen=True, eq=False)
 class SemidirectExtension:
-    """A base presentation plus an outer letter t acting by generator maps.
+    """A base presentation plus an outer letter t that conjugates each
+    generator g by a word z_g = conj[g] that it fixes: t^-1 g t = z_g g z_g^-1.
 
-    phi describes t^-1 g t and phi_inv describes t g t^-1 on base-presentation
-    generators; both are free-group word maps, mutually inverse under free
-    reduction alone.  Operations on extensions live in the braid module.
+    phi (g -> z_g g z_g^-1) describes t^-1 g t and phi_inv (g -> z_g^-1 g z_g)
+    describes t g t^-1.  The constructor raises ValueError unless phi fixes
+    every conjugator and the two maps are mutually inverse on generators;
+    then t^-k g t^k = z_g^k g z_g^-k for every k, the closed form by which
+    the braid module, where operations on extensions live, takes powers.
     """
 
-    base: HnnPresentation
-    phi: GeneratorMap
-    phi_inv: GeneratorMap
-
-    @property
-    def alphabet(self) -> Alphabet:
-        a = self.base.alphabet
-        return Alphabet(a.base_names, a.stable_names, "t")
+    def __init__(self, base: HnnPresentation, conj: dict[int, Word]):
+        self.base, self.conj = base, {g: free_reduce(z) for g, z in conj.items()}
+        self.conj_pairs = {g: (z, invert(z)) for g, z in self.conj.items()}  # (z_g, z_g^-1)
+        a = base.alphabet
+        self.alphabet = Alphabet(a.base_names, a.stable_names, "t")
+        self.phi = GeneratorMap({g: conjugate((g,), invert(z)) for g, z in self.conj.items()})
+        self.phi_inv = GeneratorMap({g: conjugate((g,), z) for g, z in self.conj.items()})
+        for g, z in self.conj.items():
+            if self.phi.apply(z) != z:
+                raise ValueError(f"phi moves the conjugator of {a.name(g)}")
+            one = (g,)
+            if self.phi.apply(self.phi_inv.apply(one)) != one or self.phi_inv.apply(self.phi.apply(one)) != one:
+                raise ValueError(f"phi and phi_inv are not mutually inverse at {a.name(g)}")
 
     @property
     def rank(self) -> int:
@@ -204,31 +209,16 @@ class SemidirectExtension:
 
 @lru_cache(maxsize=None)
 def p2(n: int) -> SemidirectExtension:
-    """The pure-braid kernel layer: gn(n) extended by t with
-    phi(x_i) = x_i^{y_i^-1}, phi(y_i) = y_i [x_i, y_i].
-
-    phi_inv is fixed to the closed forms phi_inv(y_i) = x_i^-1 y_i x_i and
-    phi_inv(x_i) = x_i^-1 y_i^-1 x_i y_i x_i, and the mutual-inverse identity
-    (a free-group fact) is re-verified here at load time.  Memoized like gn.
+    """The pure-braid kernel layer: gn(n) extended by t conjugating both
+    x_i and y_i by z_i = y_i x_i, so phi(x_i) = x_i^{y_i^-1} and
+    phi(y_i) = y_i [x_i, y_i].  Memoized like gn; gn raises on a rank above
+    RANK_CAP before any conjugator is built.
     """
     if n < 2:
         raise ValueError("p2 requires n >= 2")
     base = gn(n)
-    phi_images: dict[int, Word] = {}
-    inv_images: dict[int, Word] = {}
-    for i in range(1, n):
-        xi, yi = stable_gen(i), base_gen(i)
-        phi_images[xi] = (yi, xi, -yi)
-        phi_images[yi] = free_reduce((yi,) + commutator((xi,), (yi,)))
-        inv_images[yi] = (-xi, yi, xi)
-        inv_images[xi] = (-xi, -yi, xi, yi, xi)
-    phi = GeneratorMap(phi_images)
-    phi_inv = GeneratorMap(inv_images)
-    for g in phi_images:
-        one = (g,)
-        if phi.apply(phi_inv.apply(one)) != one or phi_inv.apply(phi.apply(one)) != one:
-            raise AssertionError(f"phi and phi_inv are not mutually inverse at {gen_name(g)}")
-    return SemidirectExtension(base, phi, phi_inv)
+    z = [(base_gen(i), stable_gen(i)) for i in range(1, n)]
+    return SemidirectExtension(base, {g: zi for zi in z for g in zi})
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artin import artin_equal, artin_trivial
@@ -28,7 +28,6 @@ from hnnfree.presentation import SemidirectExtension, gn, p2
 from hnnfree.rewrite import RuleSystem, nf
 from hnnfree.words import (
     EPSILON,
-    GeneratorMap,
     Word,
     base_gen,
     commutator,
@@ -89,13 +88,18 @@ def test_phi_power_round_trips():
 
 
 def test_phi_power_cap_counts_the_letters_of_every_image(monkeypatch):
-    # x1's images have 3, 7, 11, ... letters: 78 in all for k = 6
-    monkeypatch.setattr(words, "WORD_CAP", 78)
+    # phi^k(x1^j) = z^k x1^j z^-k, z = y1 x1, holds 4k + j - 2 letters
+    # reduced: 100 for k = 6 after the 78th image of x1, 101 after the 79th
+    monkeypatch.setattr(words, "WORD_CAP", 100)
+    assert len(phi_power(E3, E3.parse("x1^78"), 6)) == 100
+    with pytest.raises(PhiPowerCapExceeded, match="cap 100 exceeded"):
+        phi_power(E3, E3.parse("x1^79"), 6)
+    # an image of 4k + 1 letters, before reduction, past the cap is not built
     x1 = E3.parse("x1")
-    assert len(phi_power(E3, x1, 6)) == 23
-    with pytest.raises(PhiPowerCapExceeded, match="cap 78 exceeded"):
-        phi_power(E3, x1, 7)
-    # the cap stops a power far too large to compute, after a few images
+    assert len(phi_power(E3, x1, 24)) == 95
+    with pytest.raises(PhiPowerCapExceeded, match="cap 100 exceeded"):
+        phi_power(E3, x1, 25)
+    # so a power far too large to compute stops at once
     with pytest.raises(PhiPowerCapExceeded):
         phi_power(E3, x1, -10 ** 12)
 
@@ -118,9 +122,7 @@ def test_push_moves_t_to_the_right():
 
 
 def test_push_builds_each_power_from_the_one_before():
-    # each power built from the one before: about K^2 letters for depth K
-    braid._pushed_letter.cache_clear()
-    braid._powers.cache_clear()
+    # each image in closed form: linear in the depth K
     w = E3.parse("t x1") * 300
     t0 = time.perf_counter()
     e = semidirect_nf(E3, w)
@@ -129,36 +131,88 @@ def test_push_builds_each_power_from_the_one_before():
 
 
 def test_push_cap_counts_the_pushed_letters(monkeypatch):
-    # each x1 pushes its image under phi_inv^3, so 10 of them push 10 L letters
+    # the j-th x1 at t-depth 3 leaves z^-3 x1^j z^3, z = y1 x1, held: 12 + j
+    # letters, so 10 of them hold 22
     w = E2.parse("t^3 x1^10")
-    size = 10 * len(phi_power(E2, E2.parse("x1"), -3))
     expected = semidirect_nf(E2, w)
-    # build the images under the lowered cap, as a cached one skips its check
-    braid._pushed_letter.cache_clear()
-    braid._powers.cache_clear()
-    monkeypatch.setattr(words, "WORD_CAP", size)
+    monkeypatch.setattr(words, "WORD_CAP", 22)
     assert semidirect_nf(E2, w) == expected
-    monkeypatch.setattr(words, "WORD_CAP", size - 1)
-    with pytest.raises(PhiPowerCapExceeded, match=f"cap {size - 1} exceeded"):
+    monkeypatch.setattr(words, "WORD_CAP", 21)
+    with pytest.raises(PhiPowerCapExceeded, match="cap 21 exceeded"):
         semidirect_nf(E2, w)
 
 
-@given(st.lists(st.tuples(st.sampled_from([s * g for g in E3.base.base_gens
-                                           + E3.base.stable_gens for s in (1, -1)]),
-                          st.integers(-12, 12), st.integers(0, 400)), max_size=8))
-def test_pushed_letter_is_phi_power_whatever_the_powers_hold(calls):
-    # each call is a cache miss of _pushed_letter, under its own word cap,
-    # against powers that earlier calls (and examples) left built
-    for c, k, cap in calls:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(words, "WORD_CAP", cap)
-            try:
-                expected = phi_power(E3, (c,), k)
-            except PhiPowerCapExceeded:
-                with pytest.raises(PhiPowerCapExceeded, match=f"cap {cap} exceeded"):
-                    braid._pushed_letter.__wrapped__(E3, c, k)
-            else:
-                assert braid._pushed_letter.__wrapped__(E3, c, k) == expected
+# --- references: the iterated map and the letter-by-letter push ----------------------
+
+def iterated_phi_power(ext, w: Word, k: int) -> Word:
+    """phi^k(w) by |k| applications of phi or phi_inv, stopping at a fixed
+    word; past WORD_CAP letters of images in all it raises."""
+    m = ext.phi if k > 0 else ext.phi_inv
+    cap, built, out = words.WORD_CAP, 0, free_reduce(w)
+    for _ in range(abs(k)):
+        out, last = m.apply(out), out
+        if out == last:
+            break
+        built += len(out)
+        if built > cap:
+            raise PhiPowerCapExceeded(cap)
+    return out
+
+
+def letter_push(ext, w: Word) -> braid.SemidirectElement:
+    """Push each base letter c after t^d as iterated_phi_power(ext, (c,), -d);
+    past WORD_CAP pushed letters it raises."""
+    k, cap, parts = 0, words.WORD_CAP, []
+    for c in free_reduce(w):
+        if abs(c) == OUTER:
+            k += 1 if c > 0 else -1
+        else:
+            parts += iterated_phi_power(ext, (c,), -k)
+            if len(parts) > cap:
+                raise PhiPowerCapExceeded(cap)
+    return braid.SemidirectElement(nf(free_reduce(parts), RuleSystem(ext.base)), k)
+
+
+def one_image(depths) -> int:
+    # the longest image 2|k||z| + 1 of one letter, |z| = 2 in every p2(n)
+    return max((4 * abs(k) + 1 for k in depths), default=1)
+
+
+def under_cap(cap: int, f):
+    """f() with WORD_CAP at cap, or None where it raises past the cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "WORD_CAP", cap)
+        try:
+            return f()
+        except PhiPowerCapExceeded:
+            return None
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_closed_form_agrees_with_the_references(data):
+    # under a cap of a few hundred letters: wherever a reference answers
+    # with one image of headroom, phi_power and semidirect_nf give its answer
+    ext = p2(data.draw(st.integers(2, 5)))
+    base = [s * g for g in ext.base.base_gens + ext.base.stable_gens for s in (1, -1)]
+    w = tuple(data.draw(st.lists(st.sampled_from(base), max_size=12)))
+    k = data.draw(st.integers(-30, 30))
+    cap = data.draw(st.integers(100, 400))
+    expected = under_cap(cap - one_image([k]), lambda: iterated_phi_power(ext, w, k))
+    if expected is not None:
+        assert under_cap(cap, lambda: phi_power(ext, w, k)) == expected
+    # the pushed word starts at t-depth k
+    u = free_reduce((OUTER if k > 0 else -OUTER,) * abs(k) + tuple(
+        data.draw(st.lists(st.sampled_from(base + [OUTER, -OUTER]), max_size=12))))
+    depths, d = [], 0
+    for c in u:
+        if abs(c) == OUTER:
+            d += 1 if c > 0 else -1
+        else:
+            depths.append(d)
+    expected = under_cap(cap - one_image(depths), lambda: letter_push(ext, u))
+    if expected is not None:
+        assert under_cap(cap, lambda: semidirect_nf(ext, u)) == expected
 
 
 def test_push_agrees_with_phi_power_on_random_words():
@@ -404,12 +458,13 @@ def test_extension_report_fails_from_rank_three():
 
 
 def test_extension_negative_control():
-    base = gn(2)
-    phi_bad = GeneratorMap({base_gen(1): (base_gen(1), stable_gen(1)),
-                            stable_gen(1): (stable_gen(1),)})
-    rep = verify_extension(SemidirectExtension(base, phi_bad, E2.phi_inv))
-    assert not rep.ok
-    assert any(c.name == "maps_mutually_inverse" and not c.ok for c in rep.checks)
+    # t conjugating y1 by x1 and x1 by y1 moves x1 to y1 x1 y1^-1, so the
+    # powers of phi have no closed form
+    y1, x1 = base_gen(1), stable_gen(1)
+    with pytest.raises(ValueError, match="phi moves the conjugator of y1"):
+        SemidirectExtension(gn(2), {y1: (x1,), x1: (y1,)})
+    assert [c.name for c in verify_extension(E2).checks][-2:] == [
+        "maps_mutually_inverse", "projects_to_identity"]
 
 
 # --- the two relation families -------------------------------------------------------
@@ -489,15 +544,13 @@ def test_freeness_refutes_the_direct_product_sample():
 
 
 def test_freeness_pushes_nothing(monkeypatch):
-    caches = (braid._system, braid._powers, braid._pushed_letter)
-    for cache in caches:
-        cache.cache_clear()
+    braid._system.cache_clear()
     ws = [E3.parse("x1^50 y2"), E3.parse("x2")]
     # no push, so no push cap: the splitting alone decides condition (2)
     monkeypatch.setattr(words, "WORD_CAP", 0)
     cert = braid_freeness_check(3, ws)
     assert cert.verdict == "certified"
-    assert all(cache.cache_info().currsize == 0 for cache in caches)
+    assert braid._system.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", sorted(LAYERS))

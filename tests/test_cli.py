@@ -627,14 +627,16 @@ def test_caps_trip_inside_a_traced_batch_of_swaps(monkeypatch, n, capsys):
 
 
 def test_phi_power_cap_is_inconclusive(monkeypatch, capsys):
-    # x1's images under phi have 3, 7, 11, ... letters: 78 in all for
-    # k = 6, and 105 for k = 7, past a cap of 80
+    # phi^k(x1^j) = z^k x1^j z^-k, z = y1 x1, holds 4k + j - 2 letters: 80
+    # for k = 6 and j = 58; one image of x1 has 4k + 1 before reduction
     monkeypatch.setattr(hnnfree.words, "WORD_CAP", 80)
-    for argv in (("braid-phi", "--preset", "p2", "3", "--k", "7", "x1"),
+    for argv in (("braid-phi", "--preset", "p2", "3", "--k", "6", "x1^59"),
+                 ("braid-phi", "--preset", "p2", "3", "--k", "20", "x1"),
                  ("braid-phi", "--preset", "p2", "2", "--k", "-40", "x1"),
                  ("braid-phi", "--preset", "p2", "3", "--k", str(10 ** 12), "x1")):
         assert run(capsys, *argv) == (3, "", "inconclusive: phi power cap 80 exceeded\n")
-    assert run(capsys, "braid-phi", "--preset", "p2", "3", "--k", "6", "x1")[0] == 0
+    for k, word in (("6", "x1^58"), ("19", "x1")):
+        assert run(capsys, "braid-phi", "--preset", "p2", "3", "--k", k, word)[0] == 0
 
 
 def test_phi_power_of_a_fixed_word_returns_at_once(capsys):
@@ -648,11 +650,14 @@ def test_phi_power_of_a_fixed_word_returns_at_once(capsys):
 
 
 def test_push_cap_is_inconclusive(capsys):
-    # x1's image at t-depth 300 has 1,201 letters: 833 of them pass 1,000,000
+    # each t^300 x1 t^-300 x1 adds 1,202 letters and cancels 2 against the
+    # last: 999,602 held after 833 of them, 1,000,802 after 834
     argv = ("braid-phi", "--preset", "p2", "2", "--push")
-    for word in ("t^300 x1^833", "t^300 x1^20000"):
+    block = lambda m: " ".join(["t^300 x1 t^-300 x1"] * m)
+    # one image of 1,000,001 letters, before reduction, is not built
+    for word in (block(834), "t^250000 x1"):
         assert run(capsys, *argv, word) == (3, "", "inconclusive: phi power cap 1000000 exceeded\n")
-    assert run(capsys, *argv, "t^300 x1^832")[0] == 0
+    assert run(capsys, *argv, block(833))[0] == 0
 
 
 def test_word_cap_is_inconclusive(monkeypatch, capsys):
@@ -825,12 +830,11 @@ def test_base_support_letter_is_spelled_as_typed(tmp_path, capsys):
 
 def test_repeated_p2_commands_keep_the_braid_caches_bounded(capsys):
     argv = ("braid-phi", "--preset", "p2", "4", "--push", "x1 y2 t x3^-1 y1")
-    caches = (hnnfree.braid._system, hnnfree.braid._pushed_letter)
     assert run(capsys, *argv)[0] == 0
-    sizes = [c.cache_info().currsize for c in caches]
+    size = hnnfree.braid._system.cache_info().currsize
     for _ in range(300):
         run(capsys, *argv)
-    assert [c.cache_info().currsize for c in caches] == sizes
+    assert hnnfree.braid._system.cache_info().currsize == size
 
 
 def test_danilevich_rejects_outer_generator(capsys):
