@@ -9,8 +9,10 @@ not depend on the strategy.  Every rewriting-layer triviality decision
 comes from one decider, RuleSystem.is_trivial_reduced.
 
 A trace stores one record per step, or per batch of swaps the engine takes
-at once, and replays the nu vectors only when render or entries, its one
-per-step view, reads them.  TRACE_CAP bounds the nu coordinates that
+at once, and rebuilds the nu vectors only when render or entries, its one
+per-step view, reads them.  render spells a batch in which a base letter
+passes a run of stable letters in closed form, from one spelling of the nu
+vector the batch starts from.  TRACE_CAP bounds the nu coordinates that
 rendering the trace spells, one vector per step, not what the trace stores.
 """
 
@@ -20,6 +22,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .presentation import HnnPresentation, RewriteRule, compile_rules
@@ -203,7 +206,8 @@ class RewriteTrace:
     first with its redex at start, in that nu segment, and each further one
     (a batch of swaps a c -> c a) one letter left of the one before.
     length is the number of steps.  entries expands the records one step
-    each, replaying the nu vectors as they go."""
+    each, replaying the nu vectors as they go; render spells a batch from
+    the nu vector it starts from."""
     initial: Word
     final: Word
     nu_initial: tuple[int, ...]
@@ -235,16 +239,41 @@ class RewriteTrace:
                      for pos, idx, j, vec in self._replay())
 
     def render(self, alphabet=None) -> str:
-        """One line per step.  A step changes only the nu coordinates its
-        lhs covers, from its segment on, so each line respells just those
-        and joins the rest as the line before left them."""
+        """One line per step.  A record of one step changes only the nu
+        coordinates its lhs covers, from its segment j on, so its line
+        respells just those and joins the rest as the line before left
+        them.  A batch of swaps a c -> c a, a stable or outer and c a base
+        letter, is spelled in closed form: its s-th step moves c from
+        segment j + 1 to j + 1 - s, so its line is the batch's first nu V
+        with V[j + 1 - s] + 1 and V[j + 1] - 1 put into the spelling of V.
+        Other batches are replayed a step at a time."""
         rules, nus, join = self.system.rules, self.system._nus, ", ".join
-        parts = list(map(str, self.nu_initial))
+        word, vec = list(self.initial), list(self.nu_initial)
+        parts = list(map(str, vec))
         lines = [f"initial: {format_word(self.initial, alphabet)}"]
-        for k, (pos, idx, j, vec) in enumerate(self._replay(), 1):
-            r, (a, b) = rules[idx], nus[idx]
-            parts[j : j + len(a)] = map(str, vec[j : j + len(b)])
-            lines.append(f"#{k} pos={pos} rule={r.kind}/{r.rule_id} nu=({join(parts)})")
+        for start, idx, j, count in self.records:
+            r, (lhs_nu, rhs_nu) = rules[idx], nus[idx]
+            a, c = r.lhs[0], r.lhs[-1]
+            head = f"rule={r.kind}/{r.rule_id} nu=("
+            if count > 1 and a & 1 and not c & 1:
+                q, k, spelled = j + 1, len(lines), join(parts)
+                # coordinate i of spelled starts at at[i] and ends at at[i + 1] - 2
+                at = [0, *accumulate(len(p) + 2 for p in parts)]
+                tail = f"{vec[q] - 1}{spelled[at[q + 1] - 2 :]})"
+                lines += [f"#{k + s} pos={start - s} {head}{spelled[: at[i]]}{vec[i] + 1}"
+                          f"{spelled[at[i + 1] - 2 : at[q]]}{tail}"
+                          for s, i in enumerate(range(j, j - count, -1))]
+                vec[q - count] += 1
+                vec[q] -= 1
+                parts[q - count], parts[q] = str(vec[q - count]), str(vec[q])
+                word[start + 1 - count : start + 2] = [c, *[a] * count]
+                continue
+            for pos in range(start, start - count, -1):
+                _splice_nu(vec, word, pos, j, lhs_nu, rhs_nu)
+                word[pos : pos + len(r.lhs)] = r.rhs
+                parts[j : j + len(lhs_nu)] = map(str, vec[j : j + len(rhs_nu)])
+                lines.append(f"#{len(lines)} pos={pos} {head}{join(parts)})")
+                j -= a & 1
         lines.append(f"final: {format_word(self.final, alphabet)}")
         return "\n".join(lines)
 

@@ -353,17 +353,19 @@ def _toy_rules():
     return [RewriteRule(1, i, lhs, rhs) for i, (lhs, rhs) in enumerate(pairs)]
 
 
-def _swap_toy_rules(*others):
-    """The swap x1 y2 -> y2 x1, the cancellations of x1 and y2, then each
-    lhs in others rewritten to x2.  Every rule but the swap shortens the
-    word, and the swap only moves y2 left, so they terminate."""
-    y2, x1, x2 = base_gen(2), stable_gen(1), stable_gen(2)
-    pairs = [((x1, y2), (y2, x1)), ((x1, -x1), ()), ((-x1, x1), ()), ((y2, -y2), ()),
-             ((-y2, y2), ()), *((lhs, (x2,)) for lhs in others)]
+Y1, Y2, X1, X2 = base_gen(1), base_gen(2), stable_gen(1), stable_gen(2)
+
+
+def _swap_toy_rules(*others, swap=(X1, Y2)):
+    """The swap a c -> c a (x1 y2 -> y2 x1 unless swap names a c), the
+    cancellations of a and c, then each lhs in others rewritten to x2.
+    Every rule but the swap shortens the word, and the swap only moves c
+    left, so they terminate."""
+    a, c = swap
+    pairs = [((a, c), (c, a)), ((a, -a), ()), ((-a, a), ()), ((c, -c), ()),
+             ((-c, c), ()), *((lhs, (X2,)) for lhs in others)]
     return [RewriteRule(1, i, lhs, rhs) for i, (lhs, rhs) in enumerate(pairs)]
 
-
-Y1, Y2, X1 = base_gen(1), base_gen(2), stable_gen(1)
 
 ENGINE_SYSTEMS = {
     **{f"gn{n}": RuleSystem(gn(n)) for n in range(2, 7)},
@@ -380,6 +382,11 @@ ENGINE_SYSTEMS = {
     "swap_dac": RuleSystem(GN3, _swap_toy_rules((Y1, X1, Y2))),
     "swap_wider": RuleSystem(GN3, _swap_toy_rules((Y1, X1, Y2, Y1))),
     "swap_caa": RuleSystem(GN3, _swap_toy_rules((Y2, X1, X1))),
+    # swaps of the other parities: a base letter past a stable one, and two
+    # letters of one kind, which leave nu as it is
+    "swap_y2x1": RuleSystem(GN3, _swap_toy_rules(swap=(Y2, X1))),
+    "swap_y1y2": RuleSystem(GN3, _swap_toy_rules(swap=(Y1, Y2))),
+    "swap_x1x2": RuleSystem(GN3, _swap_toy_rules(swap=(X1, X2))),
 }
 
 
@@ -570,6 +577,31 @@ def test_trace_renders_and_segments_as_from_scratch(name, strategy, data):
     # the segment of an entry is the number of odd letters before its redex
     for e, before, _ in _replayed(trace):
         assert e.segment == sum(c & 1 for c in before[: e.position])
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
+@pytest.mark.parametrize("strategy", ["leftmost", "random"])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_trace_renders_runs_as_from_entries(name, strategy, data):
+    # long runs give the leftmost engine batches of swaps to spell
+    system = ENGINE_SYSTEMS[name]
+    w, seed = data.draw(_runs(system)), data.draw(st.integers(0, 10_000))
+    _, trace = normal_form(w, system, strategy=strategy, seed=seed)
+    alphabet = system.presentation.alphabet
+    assert trace.render(alphabet) == _render_from_scratch(trace, alphabet)
+
+
+def test_render_splices_nu_at_most_once_per_record(monkeypatch):
+    # each of the 100 batches of 100 swaps is spelled without a replay
+    calls = []
+    splice = rewrite._splice_nu
+    monkeypatch.setattr(rewrite, "_splice_nu", lambda *args: calls.append(args) or splice(*args))
+    _, trace = normal_form(w3("x1^100 y2^100"), S3)
+    lines = trace.render(GN3.alphabet).splitlines()
+    assert len(calls) <= len(trace.records) == 100
+    assert len(lines) == 10_002
+    assert lines[-2] == f"#10000 pos=99 rule=3/8 nu=(100{', 0' * 100})"
 
 
 def _random_by_rescan(w, system, seed):
