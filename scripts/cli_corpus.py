@@ -80,6 +80,12 @@ COMMANDS = [
     "nf --file handwritten.txt --trace 'x1^12 y2^-1 y3^-1 y1^12'",
     "eq --file handwritten.txt 'x1^12 y2^-1 y3^-1 y1^12' "
     "'x1^11 y3^-1 y2^-1 y1^12 y2 y3 x1 y2^-1 y3^-1'",
+    # unequal words whose images in F(X) x F(Y), or in F(X) and the
+    # exponent sums where the rules keep no F(Y), tell them apart: the
+    # last pair's y2 and y3 occur only inverted
+    "eq --preset gn 4 'x1^40 y2^40 x3 y3^-1' 'y2^40 x1^40 x3 y3^-1 y1'",
+    "eq --file handwritten.txt 'x1^12 y2^-1 y3^-1 y1^12' 'x1^12 y3^-1 y2^-1 y1^11'",
+    "eq --file handwritten.txt 'x1 y2^-2 y3^-1' 'x1 y2^-1 y3^-2'",
     "nf --file nested.txt 's^12 x1^-1 y1^12'",
     "eq --file nested.txt 's^-12 y1 x1^12' 's^-11 x1^-1 y1^-1 x1^12 y1 x1 s^-1 y1'",
     "nf --file own.txt 'p a b p^-1 c'",

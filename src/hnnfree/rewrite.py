@@ -8,6 +8,15 @@ traced or not.  Confluence is machine-checked per rule system, so results do
 not depend on the strategy.  Every rewriting-layer triviality decision
 comes from one decider, RuleSystem.is_trivial_reduced.
 
+equal refutes before it rewrites.  Each part of IMAGE_PARTS maps the free
+monoid on the letters homomorphically to a group: the free reduction of the
+stable/outer letters, F(X); of the base letters, F(Y); and the exponent sum
+of every generator.  RuleSystem.kept lists the parts on which every rule's
+lhs and rhs agree, checked rule by rule when equal first needs them; a step
+keeps those, so nf does too, and words with different images have
+different normal forms, confluent system or not.  The sums are compared
+only when F(X) or F(Y) is not kept, since the two fix them.
+
 A trace stores one record per step, or per batch of swaps the engine takes
 at once, and rebuilds the nu vectors only when render or entries, its one
 per-step view, reads them.  render spells a batch in which a base letter
@@ -26,13 +35,16 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .presentation import HnnPresentation, RewriteRule, compile_rules
-from .words import CapExceeded, Word, base_gen, format_word, stable_gen
+from .words import CapExceeded, Word, base_gen, exp_sums, format_word, stable_gen
 
 # read by every rewrite loop when it starts, so tests can lower them
 STEP_CAP = 10_000_000
 # nu coordinates the rendering of a trace may spell, one vector per step,
 # summed over its steps; the trace itself stores a record per batch
 TRACE_CAP = 10_000_000
+
+# the parts of image(w), in its order
+IMAGE_PARTS = ("F(X)", "F(Y)", "sums")
 
 
 class StepCapExceeded(CapExceeded):
@@ -43,6 +55,21 @@ class StepCapExceeded(CapExceeded):
 class TraceCapExceeded(CapExceeded):
     """A traced rewrite would spell more than TRACE_CAP nu coordinates."""
     template = "rewrite trace cap {} exceeded"
+
+
+def image(w, sums: bool = True) -> tuple:
+    """The parts of w's image, as IMAGE_PARTS names them: its stable/outer
+    letters and its base letters, each freely reduced, from one pass that
+    keeps them on two stacks, and its exponent sums (exp_sums) if sums.
+    Each part is a homomorphism from words to a group."""
+    stacks: tuple[list[int], list[int]] = ([], [])  # base, stable/outer
+    for c in w:
+        s = stacks[c & 1]
+        if s and s[-1] == -c:
+            s.pop()
+        else:
+            s.append(c)
+    return stacks[1], stacks[0], exp_sums(w) if sums else None
 
 
 def nu(w) -> tuple[int, ...]:
@@ -142,6 +169,23 @@ class RuleSystem:
                     and idx not in wider:
                 out[idx] = max(1, self._ends[lhs[1]][0] - 1)
         return out
+
+    @cached_property
+    def kept(self) -> tuple[str, ...]:
+        """The names of the parts of the image on which the lhs and rhs of
+        every rule agree, so that rewriting keeps them."""
+        sides = [(image(r.lhs), image(r.rhs)) for r in self.rules]
+        return tuple(name for i, name in enumerate(IMAGE_PARTS)
+                     if all(a[i] == b[i] for a, b in sides))
+
+    @cached_property
+    def _screen(self) -> list[int]:
+        """The positions in image() of the kept parts equal compares: the
+        sums only if F(X) or F(Y) is not kept, since the two fix them."""
+        kept = self.kept
+        if "F(X)" in kept and "F(Y)" in kept:
+            kept = kept[:2]
+        return [IMAGE_PARTS.index(name) for name in kept]
 
     @cached_property
     def _nus(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -473,7 +517,17 @@ def nf(w: Word, system: RuleSystem) -> Word:
 
 
 def equal(u: Word, v: Word, system: RuleSystem) -> bool:
-    """Word-problem equality: syntactic equality of normal forms."""
+    """Word-problem equality: u and v have the same normal form.
+
+    Rewriting keeps each part of the image in system.kept, so u and v are
+    first compared there, and a part that differs answers False without
+    rewriting; the answer is that of comparing normal forms either way."""
+    at = system._screen
+    if at:
+        sums = 2 in at  # IMAGE_PARTS[2]
+        iu, iv = image(u, sums), image(v, sums)
+        if any(iu[i] != iv[i] for i in at):
+            return False
     return nf(u, system) == nf(v, system)
 
 

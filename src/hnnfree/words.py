@@ -17,6 +17,7 @@ product.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -132,6 +133,13 @@ def exp_sum(w: Word, g: int) -> int:
     generator), hence well-defined on group elements.
     """
     return w.count(g) - w.count(-g)
+
+
+def exp_sums(w: Word) -> dict[int, int]:
+    """The nonzero exponent sums of w, by generator: exp_sum of every
+    generator that occurs in w, whichever its sign."""
+    counts = Counter(w)
+    return {g: s for g in {abs(c) for c in counts} if (s := counts[g] - counts[-g])}
 
 
 def project_stable(w: Word) -> Word:

@@ -592,6 +592,13 @@ def test_step_cap_is_inconclusive(monkeypatch, capsys):
     assert run(capsys, "nf", "--preset", "gn", "3", "x2 y2^-1 y1") == (3, "", msg.format(0))
 
 
+def test_eq_refuted_by_the_image_takes_no_step(monkeypatch, capsys):
+    # the x1 sums differ, so eq answers false before it rewrites, and no
+    # step cap can trip on the pair
+    monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 10)
+    assert run(capsys, "eq", "--preset", "gn", "3", "x1^20 y2^20", "y2^20 x1^21") == (1, "false\n", "")
+
+
 def test_trace_cap_is_inconclusive(monkeypatch, capsys):
     # x1^2 y2^2 takes 4 steps, each storing a nu of 3 coordinates: 12 in all
     monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", 11)

@@ -1,5 +1,8 @@
+import functools
 import random
 import tracemalloc
+from itertools import zip_longest
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +12,14 @@ from rescan import overlaps_by_scan, rescan_leftmost
 from hnnfree import rewrite
 from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_presentation
 from hnnfree.rewrite import (
+    IMAGE_PARTS,
     RuleSystem,
     StepCapExceeded,
     TraceCapExceeded,
     check_local_confluence,
     critical_pairs,
     equal,
+    image,
     is_subsequence,
     nf,
     nf_ints,
@@ -26,7 +31,19 @@ from hnnfree.rewrite import (
     random_word,
     stable_signature,
 )
-from hnnfree.words import EPSILON, base_gen, exp_sum, format_word, free_reduce, is_base, stable_gen
+from hnnfree.words import (
+    EPSILON,
+    base_gen,
+    exp_sum,
+    exp_sums,
+    format_word,
+    free_reduce,
+    invert,
+    is_base,
+    project_base,
+    project_stable,
+    stable_gen,
+)
 
 GN3 = gn(3)
 S3 = RuleSystem(GN3)
@@ -412,17 +429,102 @@ def _replayed(trace):
         word = after
 
 
+@functools.cache
 def _runs(system):
     """Words of up to four pieces, each a letter or the letters of an lhs,
     every letter raised to a power k <= 20: a swap meets long runs of one
-    letter and the lhs around them, which uniform letters rarely give it."""
-    def powered(letters):
-        runs = (st.integers(1, 20).map(lambda k, g=g: (g,) * k) for g in letters)
-        return st.tuples(*runs).map(lambda rs: sum(rs, ()))
+    letter and the lhs around them, which uniform letters rarely give it.
 
+    A piece is drawn as (letters, powers), its i-th letter raised to the
+    i-th power, or to 1 past the last: flat lists, which hypothesis draws
+    and shrinks without a flatmap.  One strategy per system, built once."""
+    longest = max(len(r.lhs) for r in system.rules)
     piece = st.one_of(st.sampled_from(_letters(system)).map(lambda g: (g,)),
-                      st.sampled_from([r.lhs for r in system.rules])).flatmap(powered)
-    return st.lists(piece, max_size=4).map(lambda ps: sum(ps, ()))
+                      st.sampled_from([r.lhs for r in system.rules]))
+    powers = st.lists(st.integers(1, 20), max_size=longest)
+    return st.lists(st.tuples(piece, powers), max_size=4).map(
+        lambda ps: tuple(g for letters, ks in ps
+                         for g, k in zip(letters, [*ks, *[1] * len(letters)]) for _ in range(k)))
+
+
+# --- equal compares images before it rewrites ---------------------------------------
+
+# the parts of the image that every rule of each system keeps
+KEPT = {
+    **dict.fromkeys([*(f"gn{n}" for n in range(2, 7)), *(f"p2_{n}_base" for n in range(2, 5)),
+                     "swap_y2x1"], ("F(X)", "F(Y)", "sums")),
+    **dict.fromkeys(["handwritten", "nested", "nested_swapped", "swap_y1y2"], ("F(X)", "sums")),
+    "swap_x1x2": ("F(Y)", "sums"),
+    "gn3_corrupted": ("F(X)",),
+    **dict.fromkeys(["toy", "swap_aac", "swap_dac", "swap_wider", "swap_caa"], ()),
+}
+
+
+def test_each_system_keeps_its_parts_of_the_image():
+    assert {name: system.kept for name, system in ENGINE_SYSTEMS.items()} == KEPT
+
+
+def _reference_image(w, system):
+    """The parts of w's image, by the words module's projections and one
+    exp_sum per generator of the presentation."""
+    p = system.presentation
+    return project_stable(w), project_base(w), {g: exp_sum(w, g) for g in p.base_gens + p.stable_gens}
+
+
+@given(st.lists(st.sampled_from(_letters(ENGINE_SYSTEMS["handwritten"])), max_size=40).map(tuple))
+def test_image_is_the_projections_and_the_sums(w):
+    assert image(w) == (list(project_stable(w)), list(project_base(w)), exp_sums(w))
+    assert image(w, sums=False)[:2] == image(w)[:2]
+
+
+def _pairs(system, data):
+    """(u, v): u a uniform or a _runs word, and v one drawn alike, or u
+    with up to three relators lhs rhs^-1 of the rules put in, then perhaps
+    one letter more.  In about half the pairs one generator is made to
+    occur only inverted in both words."""
+    letters = _letters(system)
+    words = st.one_of(st.lists(st.sampled_from(letters), max_size=30).map(tuple), _runs(system))
+    u = data.draw(words)
+    how = data.draw(st.sampled_from(["drawn", "decorated", "added"]))
+    if how == "drawn":
+        v = data.draw(words)
+    else:
+        v = u
+        rule, at = st.sampled_from(system.rules), st.integers(0, 1_000)
+        for r, i in data.draw(st.lists(st.tuples(rule, at), max_size=3)):
+            i %= len(v) + 1
+            v = v[:i] + r.lhs + invert(r.rhs) + v[i:]
+        if how == "added":
+            i = data.draw(st.integers(0, len(v)))
+            v = v[:i] + (data.draw(st.sampled_from(letters)),) + v[i:]
+    if data.draw(st.booleans()):
+        g = abs(data.draw(st.sampled_from(letters)))
+        u, v = (tuple(-g if c == g else c for c in w) for w in (u, v))
+    return u, v
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
+@given(data=st.data())
+def test_equal_answers_as_normal_forms_do(name, data):
+    system = ENGINE_SYSTEMS[name]
+    u, v = _pairs(system, data)
+    with patch.object(rewrite, "nf", wraps=nf) as rewrites:
+        same = equal(u, v, system)
+    assert same == (nf(u, system) == nf(v, system))
+    # a kept part that differs answers without a rewrite
+    iu, iv = _reference_image(u, system), _reference_image(v, system)
+    if any(iu[IMAGE_PARTS.index(part)] != iv[IMAGE_PARTS.index(part)] for part in system.kept):
+        assert not same and not rewrites.called
+
+
+def test_equal_refutes_by_the_sums_of_generators_that_occur_only_inverted():
+    # the x1 parts agree, and y2, y3 occur only inverted; the rules keep
+    # no F(Y), so only the sums tell the words apart
+    system = ENGINE_SYSTEMS["handwritten"]
+    u, v = (system.presentation.parse(t) for t in ("x1 y2^-2 y3^-1", "x1 y2^-1 y3^-2"))
+    with patch.object(rewrite, "nf", side_effect=AssertionError("equal rewrote")):
+        assert not equal(u, v, system)
+        assert not equal((-Y2,), (-base_gen(3),), system)
 
 
 @pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
@@ -562,6 +664,17 @@ def _render_from_scratch(trace, alphabet):
     return "\n".join(lines)
 
 
+def _first_difference(a, b):
+    """None if the texts a and b are equal, else the first line in which
+    they differ: (line number, a's line, b's line).  Asserted on in place
+    of a == b, which pytest explains by a diff of the two texts that can
+    take minutes for each failing example hypothesis tries."""
+    if a == b:
+        return None
+    pairs = enumerate(zip_longest(a.split("\n"), b.split("\n")))
+    return next((i, x, y) for i, (x, y) in pairs if x != y)
+
+
 @pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
 @pytest.mark.parametrize("strategy", ["leftmost", "random"])
 @settings(max_examples=50)
@@ -573,7 +686,7 @@ def test_trace_renders_and_segments_as_from_scratch(name, strategy, data):
     seed = data.draw(st.integers(0, 10_000))
     _, trace = normal_form(w, system, strategy=strategy, seed=seed)
     alphabet = system.presentation.alphabet
-    assert trace.render(alphabet) == _render_from_scratch(trace, alphabet)
+    assert _first_difference(trace.render(alphabet), _render_from_scratch(trace, alphabet)) is None
     # the segment of an entry is the number of odd letters before its redex
     for e, before, _ in _replayed(trace):
         assert e.segment == sum(c & 1 for c in before[: e.position])
@@ -589,7 +702,7 @@ def test_trace_renders_runs_as_from_entries(name, strategy, data):
     w, seed = data.draw(_runs(system)), data.draw(st.integers(0, 10_000))
     _, trace = normal_form(w, system, strategy=strategy, seed=seed)
     alphabet = system.presentation.alphabet
-    assert trace.render(alphabet) == _render_from_scratch(trace, alphabet)
+    assert _first_difference(trace.render(alphabet), _render_from_scratch(trace, alphabet)) is None
 
 
 def test_render_splices_nu_at_most_once_per_record(monkeypatch):

@@ -14,6 +14,7 @@ from hnnfree.words import (
     cyclic_reduce,
     default_alphabet,
     exp_sum,
+    exp_sums,
     format_word,
     free_reduce,
     identity_map,
@@ -180,6 +181,17 @@ def test_reduce_idempotent_and_clean(wd):
 @given(words_st, st.sampled_from(gens23))
 def test_exp_sum_reduction_invariant(wd, g):
     assert exp_sum(free_reduce(wd), g) == exp_sum(wd, g)
+
+
+@given(words_st)
+def test_exp_sums_are_the_nonzero_sums_of_every_generator(wd):
+    # a generator that occurs only inverted has its sum too
+    assert exp_sums(wd) == {g: exp_sum(wd, g) for g in gens23 if exp_sum(wd, g)}
+
+
+def test_exp_sums_example():
+    assert exp_sums(w("y1^-2 x1 y2 x1^-1 y2^-1")) == {base_gen(1): -2}
+    assert exp_sums(EPSILON) == {}
 
 
 @given(words_st)
