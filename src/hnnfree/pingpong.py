@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import words
 from .presentation import Association, HnnPresentation
-from .rewrite import RuleSystem, nf, nf_ints
+from .rewrite import RuleSystem, nf
 from .words import (
     OUTER,
     Alphabet,
@@ -27,13 +27,14 @@ from .words import (
     GeneratorMap,
     ProductCapExceeded,
     Word,
+    exp_sum,
     format_word,
     free_reduce,
     gen_name,
+    image,
     invert,
     is_base,
-    project_base,
-    project_stable,
+    reduce_onto,
 )
 
 
@@ -222,14 +223,8 @@ def descends_to_identity(m: GeneratorMap, p: HnnPresentation) -> bool:
         x, a = bad
         raise ValueError("direct-product projection undefined: association "
                          f"({p.alphabet.name(a.y)}) of {p.alphabet.name(x)} has two distinct conjugators")
-    for g in p.base_gens + p.stable_gens:
-        one = (g,)
-        img = m.apply(one)
-        if project_stable(img) != project_stable(one):
-            return False
-        if project_base(img) != project_base(one):
-            return False
-    return True
+    return all(image(m.apply((g,)), False)[:2] == image((g,), False)[:2]
+               for g in p.base_gens + p.stable_gens)
 
 
 def orbit_intersection_certificate(m: GeneratorMap, w: Word, p: HnnPresentation) -> Certificate:
@@ -244,7 +239,7 @@ def orbit_intersection_certificate(m: GeneratorMap, w: Word, p: HnnPresentation)
     """
     if not descends_to_identity(m, p):
         raise ValueError("map does not descend to the identity on the direct product")
-    px = project_stable(w)
+    px = image(w, False)[0]
     conds = (
         Condition("map_descends_to_identity", True),
         Condition(
@@ -295,7 +290,7 @@ def _projection_certifies(spec: SubgroupSpec, p: HnnPresentation) -> bool:
     then h in A and in the base has pi(h) = (a, b)^k = (1, h), so h = 1."""
     if _two_conjugators(p) or any(OUTER in map(abs, free_reduce(g)) for g in spec.generators):
         return False
-    pairs = ((project_stable(g), project_base(g)) for g in spec.generators)
+    pairs = (image(g, False)[:2] for g in spec.generators)
     images = {min((a, b), (invert(a), invert(b))) for a, b in pairs}
     return len(images) <= 1 and all(a for a, _ in images)
 
@@ -353,24 +348,13 @@ def free_product_certificate(
 Runs = tuple[tuple[int, int], ...]
 
 
-def _push(stack: list[int], letters: Sequence[int]) -> list[int]:
-    """A copy of the reduced word `stack`, extended by `letters` and freely reduced."""
-    out = stack.copy()
-    for c in letters:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return out
-
-
 def _grow_powers(pw: dict, g: Word, step: list[int], top: int) -> None:
     """Extend pw, which maps e to (the reduced word g^e, what it adds to
     each exponent sum) for 1 <= |e| <= len(pw) / 2, up to |e| = top."""
     built = len(pw) // 2
     up, down = (pw[built][0], pw[-built][0]) if built else ([], [])
     for mag in range(built + 1, top + 1):
-        up, down = _push(up, g), _push(down, invert(g))
+        up, down = reduce_onto(up.copy(), g), reduce_onto(down.copy(), invert(g))
         pw[mag] = up, [mag * d for d in step]
         pw[-mag] = down, [-mag * d for d in step]
 
@@ -423,7 +407,7 @@ def _walk(
         raise ExpRangeCapExceeded(words.EXP_RANGE_CAP)
     gen_words = [s.generators for s in specs]
     coords = sorted({abs(c) for gens in gen_words for g in gens for c in g if screen(abs(c))})
-    steps = [[[g.count(c) - g.count(-c) for c in coords] for g in gens] for gens in gen_words]
+    steps = [[[exp_sum(g, c) for c in coords] for g in gens] for gens in gen_words]
     # A set of values v of coordinate k is the int with the bits v + off[k],
     # off[k] bounding what one factor adds.  A sum s is carried as
     # s + bias[k], bias[k] bounding every sum, and a tail set T as the bits
@@ -511,7 +495,7 @@ def _walk(
                             break
                     else:
                         path.append((pos, idx, e))
-                        v = _push(w, letters)
+                        v = reduce_onto(w.copy(), letters)
                         if rest:
                             found = runs(pos, v, nxt, idx, rest)
                         elif pos < end:
@@ -589,13 +573,12 @@ def bounded_intersection_probe(
     Enumerates reduced words in the declared generators up to max_len uses;
     products that are trivial in the group are skipped, nontrivial ones must
     keep a stable letter in their normal form.  Only the non-base exponent
-    sums screen the products, and only a product that holds a redex
-    (RuleSystem.is_normal_reduced) is rewritten: one that holds none is its
-    own normal form.  Past max_products products the report is
-    inconclusive.
+    sums screen the products, and only a product that holds a redex is
+    rewritten (RuleSystem.nf_reduced): one that holds none is its own
+    normal form.  Past max_products products the report is inconclusive.
     """
     def pure_base(w: list[int]) -> bool:
-        v = w if system.is_normal_reduced(w) else nf_ints(list(w), system)
+        v = system.nf_reduced(w)
         return bool(v) and all(is_base(c) for c in v)
 
     bounds = Bounds(syllables=1, exp_range=max_len, max_products=max_products)

@@ -8,14 +8,15 @@ traced or not.  Confluence is machine-checked per rule system, so results do
 not depend on the strategy.  Every rewriting-layer triviality decision
 comes from one decider, RuleSystem.is_trivial_reduced.
 
-equal refutes before it rewrites.  Each part of IMAGE_PARTS maps the free
-monoid on the letters homomorphically to a group: the free reduction of the
-stable/outer letters, F(X); of the base letters, F(Y); and the exponent sum
-of every generator.  RuleSystem.kept lists the parts on which every rule's
-lhs and rhs agree, checked rule by rule when equal first needs them; a step
-keeps those, so nf does too, and words with different images have
-different normal forms, confluent system or not.  The sums are compared
-only when F(X) or F(Y) is not kept, since the two fix them.
+equal refutes before it rewrites, by the words' images (words.image).
+Each part of IMAGE_PARTS maps the free monoid on the letters
+homomorphically to a group: the free reduction of the stable/outer
+letters, F(X); of the base letters, F(Y); and the exponent sum of every
+generator.  RuleSystem.kept lists the parts on which every rule's lhs and
+rhs agree, checked rule by rule when equal first needs them; a step keeps
+those, so nf does too, and words with different images have different
+normal forms, confluent system or not.  The sums are compared only when
+F(X) or F(Y) is not kept, since the two fix them.
 
 A trace stores one record per step, or per batch of swaps the engine takes
 at once, and rebuilds the nu vectors only when render or entries, its one
@@ -35,16 +36,14 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .presentation import HnnPresentation, RewriteRule, compile_rules
-from .words import CapExceeded, Word, base_gen, exp_sums, format_word, stable_gen
+from . import words
+from .words import IMAGE_PARTS, CapExceeded, Word, base_gen, format_word, image, stable_gen
 
 # read by every rewrite loop when it starts, so tests can lower them
 STEP_CAP = 10_000_000
 # nu coordinates the rendering of a trace may spell, one vector per step,
 # summed over its steps; the trace itself stores a record per batch
 TRACE_CAP = 10_000_000
-
-# the parts of image(w), in its order
-IMAGE_PARTS = ("F(X)", "F(Y)", "sums")
 
 
 class StepCapExceeded(CapExceeded):
@@ -55,21 +54,6 @@ class StepCapExceeded(CapExceeded):
 class TraceCapExceeded(CapExceeded):
     """A traced rewrite would spell more than TRACE_CAP nu coordinates."""
     template = "rewrite trace cap {} exceeded"
-
-
-def image(w, sums: bool = True) -> tuple:
-    """The parts of w's image, as IMAGE_PARTS names them: its stable/outer
-    letters and its base letters, each freely reduced, from one pass that
-    keeps them on two stacks, and its exponent sums (exp_sums) if sums.
-    Each part is a homomorphism from words to a group."""
-    stacks: tuple[list[int], list[int]] = ([], [])  # base, stable/outer
-    for c in w:
-        s = stacks[c & 1]
-        if s and s[-1] == -c:
-            s.pop()
-        else:
-            s.append(c)
-    return stacks[1], stacks[0], exp_sums(w) if sums else None
 
 
 def nu(w) -> tuple[int, ...]:
@@ -230,9 +214,13 @@ class RuleSystem:
             return True
         return not any(self._matches(w, [i for i, pair in enumerate(zip(w, w[1:])) if pair in starts]))
 
+    def nf_reduced(self, w):
+        """nf(w) for a freely reduced word w: w itself if it holds no lhs."""
+        return w if self.is_normal_reduced(w) else nf(w, self)
+
     def is_trivial_reduced(self, w) -> bool:
         """Whether the freely reduced word w is trivial; only one holding an lhs is rewritten."""
-        return not w or not self.is_normal_reduced(w) and not nf(w, self)
+        return not self.nf_reduced(w)
 
 
 class TraceEntry(NamedTuple):
@@ -602,7 +590,11 @@ def check_local_confluence(system: RuleSystem) -> ConfluenceReport:
 def random_word(rng: random.Random, system: RuleSystem, max_len: int) -> Word:
     """Uniform letters with sign over base+stable; unreduced on purpose.
 
-    Draws a sign, then k in 1..B+S standing for y_k (k <= B) or x_{k-B}."""
+    Draws a sign, then k in 1..B+S standing for y_k (k <= B) or x_{k-B}.
+    A max_len above words.WORD_CAP, read at call time, raises CapExceeded
+    before anything is drawn."""
+    if max_len > words.WORD_CAP:
+        raise CapExceeded(words.WORD_CAP)
     a = system.presentation.alphabet
     n_base = len(a.base_names)
     n_codes = n_base + len(a.stable_names)

@@ -35,6 +35,7 @@ from hnnfree.words import (
     exp_sum,
     format_word,
     free_reduce,
+    image,
     invert,
     stable_gen,
     OUTER,
@@ -371,6 +372,14 @@ def test_trivial_agrees_with_split_and_artin(n, data):
     w = data.draw(layer_word(n, data.draw(st.sampled_from(KINDS))))
     ext = LAYERS[n]
     assert braid_trivial(ext, w) == split_nf(ext, w).is_identity == artin_trivial(w, n)
+
+
+@pytest.mark.parametrize("n", sorted(LAYERS))
+@given(data=st.data())
+def test_split_y_part_is_the_base_projection(n, data):
+    w = data.draw(layer_word(n, data.draw(st.sampled_from(KINDS))))
+    y_part = split_nf(LAYERS[n], w).y_part
+    assert y_part == image(w, False)[1] == free_reduce(c for c in w if not c & 1)
 
 
 @pytest.mark.parametrize("n", sorted(LAYERS))

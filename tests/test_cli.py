@@ -679,6 +679,14 @@ def test_word_cap_is_inconclusive(monkeypatch, capsys):
     assert run(capsys, "nf", *G3, "x1^5 y2^5") == (0, "y2^5 x1^5\n", "")
 
 
+def test_random_confluence_max_len_is_capped(monkeypatch, capsys):
+    # the cap stops the probe before it draws a word
+    monkeypatch.setattr(hnnfree.words, "WORD_CAP", 10)
+    argv = ("confluence", *G3, "--random", "--trials", "1", "--max-len")
+    assert run(capsys, *argv, "11") == (3, "", "inconclusive: word length cap 10 exceeded\n")
+    assert run(capsys, *argv, "10")[0] == 0
+
+
 def test_rank_cap_is_inconclusive(tmp_path, capsys):
     # the cap stops each rank before gn or p2 builds anything
     path = tmp_path / "huge.txt"

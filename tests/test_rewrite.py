@@ -12,14 +12,12 @@ from rescan import overlaps_by_scan, rescan_leftmost
 from hnnfree import rewrite
 from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_presentation
 from hnnfree.rewrite import (
-    IMAGE_PARTS,
     RuleSystem,
     StepCapExceeded,
     TraceCapExceeded,
     check_local_confluence,
     critical_pairs,
     equal,
-    image,
     is_subsequence,
     nf,
     nf_ints,
@@ -33,15 +31,15 @@ from hnnfree.rewrite import (
 )
 from hnnfree.words import (
     EPSILON,
+    IMAGE_PARTS,
     base_gen,
     exp_sum,
     exp_sums,
     format_word,
     free_reduce,
+    image,
     invert,
     is_base,
-    project_base,
-    project_stable,
     stable_gen,
 )
 
@@ -464,17 +462,22 @@ def test_each_system_keeps_its_parts_of_the_image():
     assert {name: system.kept for name, system in ENGINE_SYSTEMS.items()} == KEPT
 
 
+def _project(w, odd):
+    """The free reduction of the letters of w whose code has parity odd."""
+    return free_reduce(c for c in w if c & 1 == odd)
+
+
 def _reference_image(w, system):
-    """The parts of w's image, by the words module's projections and one
-    exp_sum per generator of the presentation."""
+    """The parts of w's image, each by its definition: the projections,
+    and one exp_sum per generator of the presentation."""
     p = system.presentation
-    return project_stable(w), project_base(w), {g: exp_sum(w, g) for g in p.base_gens + p.stable_gens}
+    return _project(w, 1), _project(w, 0), {g: exp_sum(w, g) for g in p.base_gens + p.stable_gens}
 
 
 @given(st.lists(st.sampled_from(_letters(ENGINE_SYSTEMS["handwritten"])), max_size=40).map(tuple))
 def test_image_is_the_projections_and_the_sums(w):
-    assert image(w) == (list(project_stable(w)), list(project_base(w)), exp_sums(w))
-    assert image(w, sums=False)[:2] == image(w)[:2]
+    assert image(w) == (_project(w, 1), _project(w, 0), exp_sums(w))
+    assert image(w, sums=False) == (*image(w)[:2], None)
 
 
 def _pairs(system, data):
@@ -789,6 +792,17 @@ def test_is_normal_reduced_means_no_redex(name, data):
                                                                   max_size=40).map(tuple))))
     assert system.is_normal_reduced(w) == (not system.redexes(w))
     assert system.is_normal_reduced(list(w)) == (not system.redexes(w))
+
+
+@pytest.mark.parametrize("name", list(NORMAL_SYSTEMS))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_nf_reduced_is_the_normal_form(name, data):
+    system = NORMAL_SYSTEMS[name]
+    w = free_reduce(data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
+                                                                  max_size=40).map(tuple))))
+    assert system.nf_reduced(w) == nf(w, system)
+    assert system.is_trivial_reduced(w) == (not nf(w, system))
 
 
 @pytest.mark.parametrize("name", list(ONE_LETTER))

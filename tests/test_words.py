@@ -18,10 +18,10 @@ from hnnfree.words import (
     format_word,
     free_reduce,
     identity_map,
+    image,
     invert,
     parse_word,
-    project_base,
-    project_stable,
+    reduce_onto,
     stable_gen,
 )
 
@@ -88,10 +88,11 @@ def test_exp_sum():
 # --- projections -----------------------------------------------------------
 
 def test_projections():
-    assert project_stable(w("y1 x1 y2 x2")) == w("x1 x2")
-    assert project_stable(w("y1 x1 y2 x1^-1")) == EPSILON
-    assert project_base(w("y1 x1 y2 x1^-1")) == w("y1 y2")
-    assert project_stable(w("y1 t x1")) == w("t x1")  # outer letters survive pi_X
+    assert image(w("y1 x1 y2 x2"), False)[0] == w("x1 x2")
+    assert image(w("y1 x1 y2 x1^-1"), False)[0] == EPSILON
+    assert image(w("y1 x1 y2 x1^-1"), False)[1] == w("y1 y2")
+    assert image(w("y1 t x1"), False)[0] == w("t x1")  # outer letters survive pi_X
+    assert image(w("y1 x1 y1^-1 x1"), False) == (w("x1^2"), EPSILON, None)
 
 
 # --- generator maps --------------------------------------------------------
@@ -196,8 +197,14 @@ def test_exp_sums_example():
 
 @given(words_st)
 def test_projection_commutes_with_reduction(wd):
-    assert project_base(free_reduce(wd)) == project_base(wd)
-    assert project_stable(free_reduce(wd)) == project_stable(wd)
+    assert image(free_reduce(wd)) == image(wd)
+
+
+@given(words_st, words_st)
+def test_reduce_onto_extends_a_reduced_word_in_place(u, v):
+    r = list(free_reduce(u))
+    out = reduce_onto(r, v)
+    assert out is r and out == list(free_reduce(u + v))
 
 
 @given(words_st)
