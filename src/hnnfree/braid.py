@@ -236,6 +236,11 @@ class BraidSplitting:
 
     def nf(self, w: Word) -> SplitNormalForm:
         """(q | u): q = pi_Y(w), u the x/t letters with each base letter pushed left."""
+        return SplitNormalForm(image(w, False)[1], tuple(self.x_part(w)))
+
+    def x_part(self, w: Word) -> list[int]:
+        """The x-part u of nf(w): the reduced x/t word left when each base
+        letter of w is pushed left past the x/t letters before it."""
         cap = X_PART_CAP
         u: list[int] = []
         for c in w:
@@ -248,7 +253,7 @@ class BraidSplitting:
                 u = self.act(c, u)
                 if len(u) > cap:
                     raise XPartCapExceeded(cap)
-        return SplitNormalForm(image(w, False)[1], tuple(u))
+        return u
 
     def is_trivial(self, w: Word) -> bool:
         """Triviality in the braid layer: refute by the F(Y) projection and
@@ -256,7 +261,7 @@ class BraidSplitting:
         passes both, since a conjugate of w is trivial iff w is."""
         if image(w, False)[1] or any(exp_sum(w, g) for g in {abs(c) for c in w if c & 1}):
             return False
-        return self.nf(cyclic_reduce(w)).is_identity
+        return not self.x_part(cyclic_reduce(w))
 
 
 @lru_cache(maxsize=None)

@@ -79,8 +79,9 @@ class RuleSystem:
     Compiled rules never share an lhs (kind 3 begins with x, kind 4 with
     x^-1, and validate forbids a base letter twice per stable letter); a
     hand-made list that does raises ValueError.  match_at and redexes look
-    up every lhs length at a position.  The leftmost engine looks up the
-    lhs lengths ending in the letter just read, longest first (_ends), and
+    up every lhs length at a position.  The leftmost engine reads its
+    letters through the Aho-Corasick automaton of the lhs (_automaton),
+    whose state names the longest lhs ending in the letter just read, and
     for its runs of swaps keeps a floor per swap rule a c -> c a
     (_swap_floors) and the letters a that end an lhs in a a (_doubled).
     is_normal_reduced finds the lhs of a freely reduced word by their first
@@ -91,13 +92,10 @@ class RuleSystem:
         self.presentation = presentation
         self.rules = compile_rules(presentation) if rules is None else list(rules)
         self._lhs_index: dict[Word, int] = {}
-        ends: dict[int, set[int]] = {}
         for idx, r in enumerate(self.rules):
             if self._lhs_index.setdefault(r.lhs, idx) != idx:
                 raise ValueError(f"two rules share the lhs {format_word(r.lhs, presentation.alphabet)}")
-            ends.setdefault(r.lhs[-1], set()).add(len(r.lhs))
-        self._ends = {c: sorted(ms, reverse=True) for c, ms in ends.items()}
-        self._sizes = sorted({m for ms in ends.values() for m in ms})
+        self._sizes = sorted({len(lhs) for lhs in self._lhs_index})
         # per rule: its rhs reversed (pushed back onto the pending letters),
         # the stable/outer letters in its lhs, the lhs that beat it, and
         # its floor if it is a swap
@@ -147,12 +145,46 @@ class RuleSystem:
         fits in the run.  After each swap, while at least floor letters a
         stay under c, every lhs ending in c reads some a^(m-1) c that fits,
         so the swap matches again, whatever lies below the run."""
+        longest: dict[int, int] = {}
+        for lhs in self._lhs_index:
+            longest[lhs[-1]] = max(longest.get(lhs[-1], 0), len(lhs))
         out = {}
         for lhs, idx in self._lhs_index.items():
             if len(lhs) == 2 and lhs[0] != lhs[1] and self.rules[idx].rhs == lhs[::-1] \
                     and idx not in wider:
-                out[idx] = max(1, self._ends[lhs[1]][0] - 1)
+                out[idx] = max(1, longest[lhs[1]] - 1)
         return out
+
+    @cached_property
+    def _automaton(self) -> tuple[list[dict[int, int]], list[int], list[tuple[int, int] | None]]:
+        """The Aho-Corasick automaton of the lhs, (moves, fail, hits), on
+        the states of the trie of the lhs, the root 0 the empty word.
+        fail[s] is the longest proper suffix of s's word that is a state,
+        and hits[s] (rule index, length) of the longest lhs ending s's word,
+        or None.  moves[s] holds the trie edges out of s, and each other
+        transition once _move has taken it."""
+        moves: list[dict[int, int]] = [{}]
+        hits: list[tuple[int, int] | None] = [None]
+        for idx, r in enumerate(self.rules):
+            s = 0
+            for c in r.lhs:
+                t = moves[s].get(c)
+                if t is None:
+                    t = moves[s][c] = len(moves)
+                    moves.append({})
+                    hits.append(None)
+                s = t
+            hits[s] = (idx, len(r.lhs))
+        fail = [0] * len(moves)
+        order = [0]  # breadth first, so fail[s] is done before s
+        for s in order:
+            for c, t in moves[s].items():
+                order.append(t)
+                if s:
+                    fail[t] = _move(moves, fail, fail[s], c)
+                    if hits[t] is None:
+                        hits[t] = hits[fail[t]]
+        return moves, fail, hits
 
     @cached_property
     def kept(self) -> tuple[str, ...]:
@@ -332,6 +364,18 @@ def _splice_nu(vec: list[int], prefix, start: int, j: int, a: tuple, b: tuple) -
     vec[j : j + p + 1] = b
 
 
+def _move(moves: list[dict[int, int]], fail: list[int], s: int, c: int) -> int:
+    """The transition of the lhs automaton (RuleSystem._automaton) from s on
+    c, stored in moves[s]: the move on c of the first state from s along the
+    failure links that has one, else the root."""
+    f, t = s, moves[s].get(c)
+    while t is None and f:
+        f = fail[f]
+        t = moves[f].get(c)
+    moves[s][c] = t = 0 if t is None else t
+    return t
+
+
 def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[int], int]:
     """The leftmost strategy on a stack; returns the normal form and the
     number of steps, and appends a RewriteTrace record per step, or per
@@ -340,10 +384,13 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
     steps through the same code; it only records them.
 
     out is the irreducible prefix; the letters still to read sit reversed on
-    pending.  A new redex must end at the letter just pushed, so one lookup
-    per lhs length ending in it finds the one that starts first.  Only a
-    redex that contains it and runs on into pending can start as early, and
-    each rule lists those (RuleSystem._wider); the first that matches wins.
+    pending.  states[k] is the state of the lhs automaton
+    (RuleSystem._automaton) after out[:k], so every cut of out cuts states
+    to match.  A new redex must end at the letter just pushed, so the state
+    that letter moves to names the longest lhs ending in it, the redex that
+    starts first among those.  Only a redex that contains it and runs on
+    into pending can start as early, and each rule lists those
+    (RuleSystem._wider); the first that matches wins.
     A step cuts out back to the redex start and pushes the rhs onto pending.
 
     A swap a c -> c a on a run of a takes at once all the steps it takes
@@ -351,13 +398,16 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
     them and recording them as one batch, and c goes back onto pending above
     the a it passed, for the usual lookup.  If c settles and then the first
     of those a, the rest settle too unless some lhs ends in a a, and go onto
-    out together.
+    out together; so do their states, which stop changing within the
+    longest lhs.
     The run under c is counted letter by letter, unless c is the first
     letter read after such a run settled, when its length is known.
     """
-    index, ends, engine = system._lhs_index, system._ends, system._engine
+    moves, fail, hits = system._automaton
+    engine = system._engine
     doubled, cap, trace_cap = system._doubled, STEP_CAP, TRACE_CAP
     out: list[int] = []
+    states, s = [0], 0  # states[k]: the automaton's state after out[:k]; s = states[-1]
     pending = list(w)[::-1]
     width = len(nu(w)) if records is not None else 0  # nu coordinates of the word
     # odd: stable/outer letters in out, so the index of its last segment
@@ -368,20 +418,30 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
         c = pending.pop()
         out.append(c)
         odd += c & 1
-        top = len(out)
-        for m in ends.get(c, ()):
-            if m <= top:
-                idx = index.get(tuple(out[top - m :]))
-                if idx is not None:
-                    break
-        else:
+        try:
+            s = moves[s][c]
+        except KeyError:
+            s = _move(moves, fail, s, c)
+        states.append(s)
+        hit = hits[s]
+        if hit is None:
             if held and c == ha:  # the first ha settled, so the rest do too
                 k = len(pending) - held + 1
                 out += pending[k:]
                 del pending[k:]
                 odd += (ha & 1) * (held - 1)
+                # their states one at a time, until reading ha leaves the
+                # state as it is, as it does after the longest lhs at most
+                for i in range(held - 1):
+                    t = _move(moves, fail, s, ha)
+                    if t == s:
+                        states += [s] * (held - 1 - i)
+                        break
+                    states.append(s := t)
                 run, run_at, held = held, (steps, len(out)), 0
             continue
+        idx, m = hit
+        top = len(out)
         start = top - m
         rrhs, n_odd, wider, floor = engine[idx]
         if floor:  # c swaps past b letters a of the run below it
@@ -404,6 +464,8 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
             if steps > cap:
                 raise StepCapExceeded(cap)
             del out[top - 1 - b :]
+            del states[top - b :]
+            s = states[-1]
             odd -= (c & 1) + b * (a & 1)
             pending += [a] * b
             pending.append(c)
@@ -420,6 +482,8 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
                 del pending[-t:]
                 break
         del out[start:]
+        del states[start + 1 :]
+        s = states[-1]
         odd -= n_odd
         pending += rrhs
         steps += 1

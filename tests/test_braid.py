@@ -404,9 +404,9 @@ def test_screens_refute_before_the_splitting():
     calls = []
 
     class Counting(BraidSplitting):
-        def nf(self, w):
+        def x_part(self, w):
             calls.append(w)
-            return super().nf(w)
+            return super().x_part(w)
 
     split = Counting(3)
     # the F(Y) projection refutes the first word, the x1 and t sums the others

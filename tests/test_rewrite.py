@@ -530,20 +530,6 @@ def test_equal_refutes_by_the_sums_of_generators_that_occur_only_inverted():
         assert not equal((-Y2,), (-base_gen(3),), system)
 
 
-@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
-@given(data=st.data())
-def test_engine_matches_rescanning_oracle(name, data):
-    system = ENGINE_SYSTEMS[name]
-    _check_engine(system, tuple(data.draw(st.lists(st.sampled_from(_letters(system)), max_size=40))))
-
-
-@pytest.mark.parametrize("name", list(ENGINE_SYSTEMS))
-@given(data=st.data())
-def test_engine_matches_rescanning_oracle_on_runs(name, data):
-    system = ENGINE_SYSTEMS[name]
-    _check_engine(system, data.draw(_runs(system)))
-
-
 def _check_engine(system, w):
     ref, ref_trace = rescan_leftmost(w, system.rules)
     res, trace = normal_form(w, system)
@@ -803,6 +789,39 @@ def test_nf_reduced_is_the_normal_form(name, data):
                                                                   max_size=40).map(tuple))))
     assert system.nf_reduced(w) == nf(w, system)
     assert system.is_trivial_reduced(w) == (not nf(w, system))
+
+
+# the engine's lhs automaton on every system of NORMAL_SYSTEMS: an lhs of
+# one letter, lhs of 62 letters whose failure links run deep, and lhs that
+# overlap or sit inside a longer one, which _pieces reads
+@pytest.mark.parametrize("name", list(NORMAL_SYSTEMS))
+@given(data=st.data())
+def test_engine_matches_rescanning_oracle(name, data):
+    system = NORMAL_SYSTEMS[name]
+    _check_engine(system, data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
+                                                                        max_size=40).map(tuple))))
+
+
+@pytest.mark.parametrize("name", list(NORMAL_SYSTEMS))
+@given(data=st.data())
+def test_engine_matches_rescanning_oracle_on_runs(name, data):
+    system = NORMAL_SYSTEMS[name]
+    _check_engine(system, data.draw(_runs(system)))
+
+
+@pytest.mark.parametrize("name", list(NORMAL_SYSTEMS))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_automaton_names_the_longest_lhs_ending_each_prefix(name, data):
+    system = NORMAL_SYSTEMS[name]
+    w = data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
+                                                      max_size=40).map(tuple)))
+    moves, fail, hits = system._automaton
+    s = 0
+    for k, c in enumerate(w, 1):
+        s = rewrite._move(moves, fail, s, c)
+        ending = [(len(r.lhs), idx) for idx, r in enumerate(system.rules) if w[:k][-len(r.lhs):] == r.lhs]
+        assert hits[s] == (max(ending)[::-1] if ending else None)
 
 
 @pytest.mark.parametrize("name", list(ONE_LETTER))

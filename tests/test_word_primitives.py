@@ -19,7 +19,7 @@ INLINE = {
     "words.reduce_onto",
     "words.image",
     "braid.BraidSplitting.act",
-    "braid.BraidSplitting.nf",
+    "braid.BraidSplitting.x_part",
 }
 
 
