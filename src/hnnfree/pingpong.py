@@ -415,7 +415,6 @@ def _walk(
     # a factor's set F exactly when (T >> s + bias[k]) & F is not 0.
     off = [e_max * max((abs(st[k]) for sts in steps for st in sts), default=0)
            for k in range(len(coords))]
-    bias = [bounds.syllables * o for o in off]
 
     def shift(bits: int, v: int) -> int:
         return bits << v if v >= 0 else bits >> -v
@@ -453,6 +452,12 @@ def _walk(
         grow = [(2 * n - 1) ** u for u in range(e_max)]
         subtree.append([1] + [2 * (n - 1) * q for q in grow])
         sizes.append(2 * n * sum(grow))
+    # a non-empty spec has 2 factors or more, so with two or more of them
+    # the 2^(r+1) - 4 or more products of fewer than r syllables are counted
+    # before r is reached; with one, only r = 1 has products
+    reach = max(1, (limit + 4).bit_length() - 2) if sum(map(bool, sizes)) > 1 else 1
+    syllables = min(bounds.syllables, reach)
+    bias = [syllables * o for o in off]
     # the tail set of every spec sequence walked so far, the empty one first
     tails = {(): [1 << b + o for b, o in zip(bias, off)]}
     path: list[tuple[int, int, int]] = []
@@ -509,7 +514,7 @@ def _walk(
         return None
 
     try:
-        for r in range(1, bounds.syllables + 1):
+        for r in range(1, syllables + 1):
             for seq in product(range(len(specs)), repeat=r):
                 if not all(sizes[i] for i in seq) or any(a == b for a, b in zip(seq, seq[1:])):
                     continue

@@ -19,11 +19,11 @@ normal forms, confluent system or not.  The sums are compared only when
 F(X) or F(Y) is not kept, since the two fix them.
 
 A trace stores one record per step, or per batch of swaps the engine takes
-at once, and rebuilds the nu vectors only when render or entries, its one
-per-step view, reads them.  render spells a batch in which a base letter
-passes a run of stable letters in closed form, from one spelling of the nu
-vector the batch starts from.  TRACE_CAP bounds the nu coordinates that
-rendering the trace spells, one vector per step, not what the trace stores.
+at once, and rebuilds the nu vectors and segments only when render or
+entries, its one per-step view, reads them.  render spells a batch in which
+a base letter passes a run of stable letters in closed form, from one
+spelling of the nu vector the batch starts from.  TRACE_CAP bounds the nu
+coordinates that rendering the trace spells, one vector per step.
 """
 
 from __future__ import annotations
@@ -97,14 +97,11 @@ class RuleSystem:
                 raise ValueError(f"two rules share the lhs {format_word(r.lhs, presentation.alphabet)}")
         self._sizes = sorted({len(lhs) for lhs in self._lhs_index})
         # per rule: its rhs reversed (pushed back onto the pending letters),
-        # the stable/outer letters in its lhs, the lhs that beat it, and
-        # its floor if it is a swap
+        # the lhs that beat it, and its floor if it is a swap
         wider = self._wider()
         floors = self._swap_floors(wider)
-        self._engine = [
-            (r.rhs[::-1], sum([c & 1 for c in r.lhs]), wider.get(idx, ()), floors.get(idx, 0))
-            for idx, r in enumerate(self.rules)
-        ]
+        self._engine = [(r.rhs[::-1], wider.get(idx, ()), floors.get(idx, 0))
+                        for idx, r in enumerate(self.rules)]
         # a run of one of these letters may not settle all at once
         self._doubled = frozenset(lhs[-1] for lhs in self._lhs_index if lhs[-2:-1] == lhs[-1:])
         # for is_normal_reduced: the one-letter lhs, and the first two
@@ -117,8 +114,8 @@ class RuleSystem:
         """For each rule, the lhs that contain its lhs at some offset d, run
         on past its end, and win over it: they start earlier (d > 0), or at
         the same place with a smaller index.  Entries are (d, rule index,
-        the d letters before, the letters past the end reversed, the
-        stable/outer letters up to the end), sorted by start, then index.
+        the d letters before, the letters past the end reversed), sorted
+        by start, then index.
 
         Found by looking up every factor of every lhs in the lhs index."""
         out: dict[int, list[tuple]] = {}
@@ -128,10 +125,8 @@ class RuleSystem:
                 for d in range(len(lhs) - m):
                     idx = index.get(lhs[d : d + m])
                     if idx is not None and (d or idx2 < idx):
-                        out.setdefault(idx, []).append((
-                            d, idx2, list(lhs[:d]), list(lhs[d + m :][::-1]),
-                            sum([c & 1 for c in lhs[: d + m]]),
-                        ))
+                        out.setdefault(idx, []).append(
+                            (d, idx2, list(lhs[:d]), list(lhs[d + m :][::-1])))
         for entries in out.values():
             entries.sort(key=lambda e: (-e[0], e[1]))
         return out
@@ -265,17 +260,17 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class RewriteTrace:
-    """The steps of one rewrite as records (start, rule position, segment,
-    count): count steps of the rule at that position in system.rules, the
-    first with its redex at start, in that nu segment, and each further one
-    (a batch of swaps a c -> c a) one letter left of the one before.
-    length is the number of steps.  entries expands the records one step
-    each, replaying the nu vectors as they go; render spells a batch from
-    the nu vector it starts from."""
+    """The steps of one rewrite as records (start, rule position, count):
+    count steps of the rule at that position in system.rules, the first
+    with its redex at start, and each further one (a batch of swaps
+    a c -> c a) one letter left of the one before.  length is the number
+    of steps.  entries expands the records one step each, replaying the nu
+    vectors, and render spells a batch from the nu vector it starts from;
+    both find a record's segment in that vector (_segment)."""
     initial: Word
     final: Word
     nu_initial: tuple[int, ...]
-    records: tuple[tuple[int, int, int, int], ...]
+    records: tuple[tuple[int, int, int], ...]
     length: int
     system: RuleSystem
 
@@ -286,14 +281,13 @@ class RewriteTrace:
         """(position, rule position, segment, nu after) per step; the nu
         list is updated in place as it goes."""
         rules, nus = self.system.rules, self.system._nus
-        word, vec = list(self.initial), list(self.nu_initial)
-        for start, idx, j, count in self.records:
-            lhs, rhs = rules[idx].lhs, rules[idx].rhs
+        vec = list(self.nu_initial)
+        for start, idx, count in self.records:
+            a, j = rules[idx].lhs[0], _segment(vec, start)
             for pos in range(start, start - count, -1):
-                _splice_nu(vec, word, pos, j, *nus[idx])
-                word[pos : pos + len(lhs)] = rhs
+                _splice_nu(vec, pos, j, *nus[idx])
                 yield pos, idx, j, vec
-                j -= lhs[0] & 1
+                j -= a & 1
 
     @cached_property
     def entries(self) -> tuple[TraceEntry, ...]:
@@ -312,12 +306,12 @@ class RewriteTrace:
         with V[j + 1 - s] + 1 and V[j + 1] - 1 put into the spelling of V.
         Other batches are replayed a step at a time."""
         rules, nus, join = self.system.rules, self.system._nus, ", ".join
-        word, vec = list(self.initial), list(self.nu_initial)
+        vec = list(self.nu_initial)
         parts = list(map(str, vec))
         lines = [f"initial: {format_word(self.initial, alphabet)}"]
-        for start, idx, j, count in self.records:
+        for start, idx, count in self.records:
             r, (lhs_nu, rhs_nu) = rules[idx], nus[idx]
-            a, c = r.lhs[0], r.lhs[-1]
+            a, c, j = r.lhs[0], r.lhs[-1], _segment(vec, start)
             head = f"rule={r.kind}/{r.rule_id} nu=("
             if count > 1 and a & 1 and not c & 1:
                 q, k, spelled = j + 1, len(lines), join(parts)
@@ -330,11 +324,9 @@ class RewriteTrace:
                 vec[q - count] += 1
                 vec[q] -= 1
                 parts[q - count], parts[q] = str(vec[q - count]), str(vec[q])
-                word[start + 1 - count : start + 2] = [c, *[a] * count]
                 continue
             for pos in range(start, start - count, -1):
-                _splice_nu(vec, word, pos, j, lhs_nu, rhs_nu)
-                word[pos : pos + len(r.lhs)] = r.rhs
+                _splice_nu(vec, pos, j, lhs_nu, rhs_nu)
                 parts[j : j + len(lhs_nu)] = map(str, vec[j : j + len(rhs_nu)])
                 lines.append(f"#{len(lines)} pos={pos} {head}{join(parts)})")
                 j -= a & 1
@@ -342,22 +334,28 @@ class RewriteTrace:
         return "\n".join(lines)
 
 
-def _splice_nu(vec: list[int], prefix, start: int, j: int, a: tuple, b: tuple) -> None:
+def _segment(vec: list[int], start: int) -> int:
+    """The nu coordinate that position start of a word with nu vector vec
+    lies in: the number of stable/outer letters before it."""
+    j = 0
+    while start > vec[j]:  # segment j and the letter after it fill vec[j] + 1
+        start -= vec[j] + 1
+        j += 1
+    return j
+
+
+def _splice_nu(vec: list[int], start: int, j: int, a: tuple, b: tuple) -> None:
     """Turn vec = nu(word) into nu of the word after one step, in place.
 
     The step replaces a rule's lhs at start by its rhs, and a, b are their
-    nu vectors (RuleSystem._nus); j is the segment start lies in, and
-    prefix holds at least word[:start].  Only the segments the lhs covers
-    change."""
+    nu vectors (RuleSystem._nus); j is the segment start lies in, which
+    begins at sum(vec[:j]) + j.  Only the segments the lhs covers change."""
     b = list(b)
     p = len(a) - 1
     if p:
         left, right = vec[j] - a[0], vec[j + p] - a[-1]
     else:  # the lhs lies inside one segment; split it only if rhs must
-        left = 0
-        if len(b) > 1:
-            while left < start and not prefix[start - left - 1] & 1:
-                left += 1
+        left = start - sum(vec[:j]) - j if len(b) > 1 else 0
         right = vec[j] - a[0] - left
     b[0] += left
     b[-1] += right
@@ -381,7 +379,7 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
     number of steps, and appends a RewriteTrace record per step, or per
     batch of swaps, to records if given (while the steps' nu vectors hold
     at most TRACE_CAP coordinates in all).  A traced run takes the same
-    steps through the same code; it only records them.
+    steps through the same code; it only records them, with no segment.
 
     out is the irreducible prefix; the letters still to read sit reversed on
     pending.  states[k] is the state of the lhs automaton
@@ -410,14 +408,12 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
     states, s = [0], 0  # states[k]: the automaton's state after out[:k]; s = states[-1]
     pending = list(w)[::-1]
     width = len(nu(w)) if records is not None else 0  # nu coordinates of the word
-    # odd: stable/outer letters in out, so the index of its last segment
-    odd = steps = coords = 0
+    steps = coords = 0
     held = ha = 0  # under the swapped letter, pending ends in held copies of ha
     run = run_at = None  # the last run that settled, and (steps, len(out)) after it
     while pending:
         c = pending.pop()
         out.append(c)
-        odd += c & 1
         try:
             s = moves[s][c]
         except KeyError:
@@ -429,7 +425,6 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
                 k = len(pending) - held + 1
                 out += pending[k:]
                 del pending[k:]
-                odd += (ha & 1) * (held - 1)
                 # their states one at a time, until reading ha leaves the
                 # state as it is, as it does after the longest lhs at most
                 for i in range(held - 1):
@@ -443,7 +438,7 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
         idx, m = hit
         top = len(out)
         start = top - m
-        rrhs, n_odd, wider, floor = engine[idx]
+        rrhs, wider, floor = engine[idx]
         if floor:  # c swaps past b letters a of the run below it
             a = out[start]
             if run_at == (steps, start + 1):  # c came right after a run of a settled
@@ -459,32 +454,30 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
                 coords += k * width
                 if coords > trace_cap:
                     raise TraceCapExceeded(trace_cap)
-                records.append((start, idx, odd - n_odd, k))
+                records.append((start, idx, k))
             steps += b
             if steps > cap:
                 raise StepCapExceeded(cap)
             del out[top - 1 - b :]
             del states[top - b :]
             s = states[-1]
-            odd -= (c & 1) + b * (a & 1)
             pending += [a] * b
             pending.append(c)
             held = 0 if a in doubled else b + (held if a == ha else 0)
             ha = a
             continue
         held = 0
-        for d, idx2, head, rtail, odd2 in wider:
+        for d, idx2, head, rtail in wider:
             t = len(rtail)
             if d <= start and t <= len(pending) and pending[-t:] == rtail \
                     and out[start - d : start] == head:
-                start, idx, n_odd = start - d, idx2, odd2
+                start, idx = start - d, idx2
                 rrhs = engine[idx2][0]
                 del pending[-t:]
                 break
         del out[start:]
         del states[start + 1 :]
         s = states[-1]
-        odd -= n_odd
         pending += rrhs
         steps += 1
         if steps > cap:
@@ -495,14 +488,14 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
             coords += width
             if coords > trace_cap:
                 raise TraceCapExceeded(trace_cap)
-            records.append((start, idx, odd, 1))
+            records.append((start, idx, 1))
     return out, steps
 
 
 def _apply_random(ints: list[int], system: RuleSystem, records: list, rng) -> int:
     """Rewrite ints in place at redexes drawn by rng from the list of all of
     them, in position order, then index order; returns the number of steps
-    and appends a RewriteTrace record per step to records.
+    and appends a RewriteTrace record (position, rule, 1) per step.
 
     A step changes only the redexes that start less than the longest lhs
     before its end in the new word, so only those positions are scanned
@@ -514,7 +507,7 @@ def _apply_random(ints: list[int], system: RuleSystem, records: list, rng) -> in
     while reds:
         pos, idx = reds[rng.randrange(len(reds))]
         lhs, rhs = system.rules[idx].lhs, system.rules[idx].rhs
-        records.append((pos, idx, sum([c & 1 for c in ints[:pos]]), 1))
+        records.append((pos, idx, 1))
         ints[pos : pos + len(lhs)] = rhs
         steps += 1
         if steps > cap:
@@ -539,7 +532,7 @@ def normal_form(
 ) -> tuple[Word, RewriteTrace]:
     """Rewrite to an irreducible word; the result is strategy-independent
     because termination is per-trace certified and confluence is checked."""
-    records: list[tuple[int, int, int, int]] = []
+    records: list[tuple[int, int, int]] = []
     if strategy == "leftmost":
         ints, steps = _leftmost(w, system, records)
     elif strategy == "random":

@@ -431,6 +431,29 @@ def test_x_part_cap_applies_only_to_the_splitting(monkeypatch):
         split_nf(E3, E3.parse("x1 y1"))
 
 
+def _closed_form_tables(n):
+    """BraidSplitting's action tables from P = x_j t and Q = t x_j:
+    y_j^-1 g y_j is P g P^-1 for g = x_j, t, (P Q^-1) g (P Q^-1)^-1 for
+    g = x_i, i > j, and g for x_i, i < j; y_j g y_j^-1 is the same with
+    P^-1 for P and P^-1 Q for P Q^-1."""
+    t, tables = OUTER, {}
+    for j in range(1, n):
+        xj = stable_gen(j)
+        p, q = (xj, t), (t, xj)
+        for y, c, d in ((base_gen(j), p, p + invert(q)), (-base_gen(j), invert(p), invert(p) + q)):
+            table = {x: (x,) if x < xj else conjugate((x,), invert(c if x == xj else d))
+                     for x in map(stable_gen, range(1, n))}
+            table[t] = conjugate((t,), invert(c))
+            table.update({-g: invert(img) for g, img in table.items()})
+            tables[y] = table
+    return tables
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_action_tables_are_conjugations_by_p_and_q(n):
+    assert BraidSplitting(n)._tables == _closed_form_tables(n)
+
+
 def test_action_tables_must_keep_exponent_sums():
     # x2 -> x2 t and x2 -> x2 t^-1 are mutually inverse, but change the sums
     split = BraidSplitting(3)

@@ -342,16 +342,18 @@ def test_oracle_budget_is_inconclusive():
 
 def test_walk_builds_only_the_powers_it_reaches():
     # a budget of one product stops the walk among the first powers of each
-    # generator, so the powers up to exp_range 1000 are never built
+    # generator, so the powers up to exp_range 1000 are never built, nor
+    # are sums biased for syllables it cannot reach
     specs = [spec("A", ["x1"], "x1", "y1 x1 y1^-1"), spec("B", ["x2"], "x2")]
-    tracemalloc.start()
-    try:
-        rep = free_product_oracle(specs, S3, Bounds(exp_range=1000, max_products=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (rep.verdict, rep.checked) == (Verdict.INCONCLUSIVE, 1)
-    assert peak < 5_000_000
+    for bounds in (Bounds(exp_range=1000, max_products=1), Bounds(syllables=10**7, max_products=1)):
+        tracemalloc.start()
+        try:
+            rep = free_product_oracle(specs, S3, bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.verdict, rep.checked) == (Verdict.INCONCLUSIVE, 1)
+        assert peak < 5_000_000
 
 
 def test_product_cap_stops_a_walk_with_no_smaller_budget(monkeypatch):
