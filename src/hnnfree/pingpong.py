@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import reduce
-from itertools import product
 from math import prod
-from operator import add, or_
+from operator import add, or_, sub
 from typing import Callable, Mapping, Sequence
 
 from . import words
@@ -34,7 +33,7 @@ from .words import (
     image,
     invert,
     is_base,
-    reduce_onto,
+    join_reduced,
 )
 
 
@@ -348,15 +347,17 @@ def free_product_certificate(
 Runs = tuple[tuple[int, int], ...]
 
 
-def _grow_powers(pw: dict, g: Word, step: list[int], top: int) -> None:
-    """Extend pw, which maps e to (the reduced word g^e, what it adds to
-    each exponent sum) for 1 <= |e| <= len(pw) / 2, up to |e| = top."""
-    built = len(pw) // 2
-    up, down = (pw[built][0], pw[-built][0]) if built else ([], [])
-    for mag in range(built + 1, top + 1):
-        up, down = reduce_onto(up.copy(), g), reduce_onto(down.copy(), invert(g))
-        pw[mag] = up, [mag * d for d in step]
-        pw[-mag] = down, [-mag * d for d in step]
+def _alternating(live: Sequence[int], r: int, before: int):
+    """The sequences of r items of live with no two neighbours equal and
+    the first not equal to before, in the order itertools.product lists
+    them; only these are generated."""
+    if not r:
+        yield ()
+        return
+    for i in live:
+        if i != before:
+            for rest in _alternating(live, r - 1, i):
+                yield (i,) + rest
 
 
 def _factor_desc(spec: SubgroupSpec, runs: Runs, alphabet: Alphabet) -> str:
@@ -371,7 +372,7 @@ def _walk(
     specs: Sequence[SubgroupSpec],
     bounds: Bounds,
     screen: Callable[[int], bool],
-    hit: Callable[[list[int]], bool],
+    hit: Callable[[Word], bool],
     alphabet: Alphabet,
 ) -> OracleReport:
     """Depth-first walk over the alternating products of the specs.
@@ -397,9 +398,21 @@ def _walk(
     Once a sum is no longer the negation of a value of the two sets added
     together, no completion brings it back to zero (parity and non-empty
     factors included), and the whole subtree is counted as checked without
-    being visited.  A product whose sums vanish goes to `hit`, and the
-    first hit fails the report, which spells its witness and factors in
-    `alphabet`.
+    being visited.  A run that ends the last factor must bring every sum
+    to zero, so it is settled by comparing what it adds with what the
+    prefix lacks: a run that fails counts as its one product, and its
+    word is never built.  A product whose sums vanish goes to `hit` as a
+    tuple, and the first hit fails the report, which spells its witness
+    and factors in `alphabet`.
+
+    The runs that may come next in a factor depend only on the spec, its
+    uses left and the generator of the run before, so each such triple
+    reads them from one list, built the first time the walk reaches it:
+    every allowed run in walk order with its word, its step in the sums
+    and its rest sets, leaving out a run that no run could follow.  Only
+    the alternating sequences of non-empty specs are walked.  A prefix
+    word and a run's word are both freely reduced, so they are joined at
+    the seam (words.join_reduced).
     """
     e_max, budget, cap = bounds.exp_range, bounds.max_products, words.PRODUCT_CAP
     limit = cap if budget is None else min(budget, cap)
@@ -436,7 +449,7 @@ def _walk(
 
     # per spec: rests[i][u][g] holds a set per coordinate, values[i] the
     # values of its factors per coordinate, powers[i][g][e] the reduced
-    # word g^e and what it adds to each sum, built (_grow_powers) when a
+    # word g^e and what it adds to each sum, built (candidates) when a
     # run of g may first reach |e|, subtree[i][u] the run
     # sequences of u uses after a run and sizes[i] its factors.  The factors
     # of u uses are the 2n(2n-1)^(u-1) reduced words of u letters in its n
@@ -455,69 +468,89 @@ def _walk(
     # a non-empty spec has 2 factors or more, so with two or more of them
     # the 2^(r+1) - 4 or more products of fewer than r syllables are counted
     # before r is reached; with one, only r = 1 has products
-    reach = max(1, (limit + 4).bit_length() - 2) if sum(map(bool, sizes)) > 1 else 1
+    live = [i for i, size in enumerate(sizes) if size]
+    reach = max(1, (limit + 4).bit_length() - 2) if len(live) > 1 else 1
     syllables = min(bounds.syllables, reach)
     bias = [syllables * o for o in off]
     # the tail set of every spec sequence walked so far, the empty one first
     tails = {(): [1 << b + o for b, o in zip(bias, off)]}
+    # the runs of a spec that may come next, given its uses left and the
+    # generator of the run before (-1: none), each as (idx, e, g^e, what it
+    # adds to the sums, uses left after it, the run sequences after it, the
+    # rest sets after it), in walk order; built when first needed
+    cands: dict[tuple[int, int, int], list[tuple]] = {}
     path: list[tuple[int, int, int]] = []
     checked = 0
 
-    def count(amount: int) -> None:
-        nonlocal checked
-        if checked + amount > limit:
-            raise _Budget
-        checked += amount
+    def candidates(i: int, left: int, last: int) -> list[tuple]:
+        out = []
+        for idx, pw in enumerate(powers[i]):
+            if idx == last:
+                continue
+            built = len(pw) // 2
+            if built < left:  # extend pw to |e| = left, g^e freely reduced
+                g, st = free_reduce(gen_words[i][idx]), steps[i][idx]
+                up, down = (pw[built][0], pw[-built][0]) if built else ((), ())
+                for mag in range(built + 1, left + 1):
+                    up, down = join_reduced(up, g), join_reduced(down, invert(g))
+                    pw[mag], pw[-mag] = (up, [mag * d for d in st]), (down, [-mag * d for d in st])
+            for mag in range(1, left + 1):
+                rest = left - mag
+                if subtree[i][rest]:  # else no run can follow this one
+                    for e in (mag, -mag):
+                        out.append((idx, e, *pw[e], rest, subtree[i][rest], rests[i][rest][idx]))
+        return out
 
     # factor() picks the factor of slot pos, runs() extends it run by run;
     # seq, tail and tail_size belong to the spec sequence being walked, and
     # path holds the runs (slot, generator index, exponent) of the prefix
-    def factor(pos: int, w: list[int], sums: list[int]):
+    def factor(pos: int, w: Word, sums: list[int]):
         for total in range(1, e_max + 1):
             found = runs(pos, w, sums, -1, total)
             if found is not None:
                 return found
         return None
 
-    def runs(pos: int, w: list[int], sums: list[int], last: int, left: int):
-        i, ts = seq[pos], tail[pos]
-        for idx, pw in enumerate(powers[i]):
-            if idx == last:
-                continue
-            if len(pw) < 2 * left:
-                _grow_powers(pw, gen_words[i][idx], steps[i][idx], left)
-            for mag in range(1, left + 1):
-                rest = left - mag
-                if not subtree[i][rest]:
-                    continue  # no run can follow this one
-                fs = rests[i][rest][idx]
-                for e in (mag, -mag):
-                    letters, step = pw[e]
-                    nxt = list(map(add, sums, step))
-                    for s, f, t in zip(nxt, fs, ts):
-                        if not t >> s & f:
-                            count(subtree[i][rest] * tail_size[pos])
-                            break
-                    else:
-                        path.append((pos, idx, e))
-                        v = reduce_onto(w.copy(), letters)
-                        if rest:
-                            found = runs(pos, v, nxt, idx, rest)
-                        elif pos < end:
-                            found = factor(pos + 1, v, nxt)
-                        else:  # a whole product, whose sums vanish
-                            count(1)
-                            found = v if hit(v) else None
-                        if found is not None:
-                            return found
-                        path.pop()
+    def runs(pos: int, w: Word, sums: list[int], last: int, left: int):
+        nonlocal checked
+        key = seq[pos], left, last
+        todo = cands.get(key)
+        if todo is None:
+            todo = cands[key] = candidates(*key)
+        ts, size = tail[pos], tail_size[pos]
+        # a run that ends the last factor must bring every sum to bias
+        need = list(map(sub, bias, sums)) if pos == end else None
+        for idx, e, letters, step, rest, after, fs in todo:
+            if rest or need is None:
+                nxt = list(map(add, sums, step))
+                for s, f, t in zip(nxt, fs, ts):
+                    if not t >> s & f:
+                        if checked + after * size > limit:
+                            raise _Budget
+                        checked += after * size
+                        break
+                else:
+                    path.append((pos, idx, e))
+                    v = join_reduced(w, letters)
+                    found = runs(pos, v, nxt, idx, rest) if rest else factor(pos + 1, v, nxt)
+                    if found is not None:
+                        return found
+                    path.pop()
+            else:  # a whole product, whose sums vanish exactly when step == need
+                if checked >= limit:
+                    raise _Budget
+                checked += 1
+                if step == need:
+                    path.append((pos, idx, e))
+                    v = join_reduced(w, letters)
+                    if hit(v):
+                        return v
+                    path.pop()
         return None
 
     try:
         for r in range(1, syllables + 1):
-            for seq in product(range(len(specs)), repeat=r):
-                if not all(sizes[i] for i in seq) or any(a == b for a, b in zip(seq, seq[1:])):
-                    continue
+            for seq in _alternating(live, r, -1):
                 # the suffixes of seq are walked sequences, so only seq is new
                 tails[seq] = [
                     reduce(or_, (shift(t, -v) for v in vs), 0)
@@ -525,14 +558,14 @@ def _walk(
                 ]
                 tail, end = [tails[seq[pos + 1 :]] for pos in range(r)], r - 1
                 tail_size = [prod(sizes[i] for i in seq[pos + 1 :]) for pos in range(r)]
-                found = factor(0, [], bias)
+                found = factor(0, (), bias)
                 if found is not None:
                     runs_of = [[] for _ in seq]
                     for pos, idx, e in path:
                         runs_of[pos].append((idx, e))
                     factors = tuple(_factor_desc(specs[i], tuple(made), alphabet)
                                     for i, made in zip(seq, runs_of))
-                    return OracleReport(Verdict.FAIL, checked, tuple(found), factors, alphabet=alphabet)
+                    return OracleReport(Verdict.FAIL, checked, found, factors, alphabet=alphabet)
     except _Budget:
         if limit == cap:
             raise ProductCapExceeded(cap) from None
@@ -563,7 +596,7 @@ def free_product_oracle(
     if is_trivial is None:
         is_trivial = system.is_trivial_reduced
     # every generator, t included, is an exponent-sum invariant
-    return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(tuple(w)),
+    return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(w),
                  system.presentation.alphabet)
 
 
@@ -582,7 +615,7 @@ def bounded_intersection_probe(
     rewritten (RuleSystem.nf_reduced): one that holds none is its own
     normal form.  Past max_products products the report is inconclusive.
     """
-    def pure_base(w: list[int]) -> bool:
+    def pure_base(w: Word) -> bool:
         v = system.nf_reduced(w)
         return bool(v) and all(is_base(c) for c in v)
 

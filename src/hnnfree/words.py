@@ -101,6 +101,16 @@ def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:
     return out
 
 
+def join_reduced(u: Word, v: Word) -> Word:
+    """The freely reduced word of u v, for freely reduced u and v: only the
+    letters that meet at the seam can cancel, so they are cut and the rest
+    is joined."""
+    k, most = 0, min(len(u), len(v))
+    while k < most and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:] if k else u + v
+
+
 def free_reduce(w: Iterable[int]) -> Word:
     """The unique reduced word freely equal to w (classical cancellation)."""
     return tuple(reduce_onto([], w))

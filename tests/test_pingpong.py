@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from hnnfree.pingpong import (
     OracleReport,
     SubgroupSpec,
     Verdict,
+    _alternating,
     bounded_intersection_probe,
     descends_to_identity,
     free_product_certificate,
@@ -36,6 +38,7 @@ from hnnfree.words import (
     free_reduce,
     stable_gen,
 )
+from test_oracle_bruteforce import ORACLE_CASES
 
 GN3 = gn(3)
 S3 = RuleSystem(GN3)
@@ -354,6 +357,43 @@ def test_walk_builds_only_the_powers_it_reaches():
             tracemalloc.stop()
         assert (rep.verdict, rep.checked) == (Verdict.INCONCLUSIVE, 1)
         assert peak < 5_000_000
+
+
+def test_walk_to_every_total_holds_its_powers_and_runs_in_bounds():
+    # one generator: every total up to 1000 has the two runs x1^{+-total},
+    # so the walk builds each power and each list of candidate runs once
+    tracemalloc.start()
+    try:
+        rep = free_product_oracle([spec("A", ["x1"], "x1")], S3, Bounds(syllables=1, exp_range=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.verdict, rep.checked) == (Verdict.PASS, 2000)
+    assert peak < 12_000_000
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_an_empty_spec_leaves_every_report_as_it_was(name):
+    specs, syllables, exp_range = ORACLE_CASES[name]
+    empty = SubgroupSpec("Z0", (), frozenset({OUTER}))
+    for budget in (None, 7, 40):
+        bounds = Bounds(syllables=syllables, exp_range=exp_range, max_products=budget)
+        rep = free_product_oracle(specs, S3, bounds)
+        for at in range(len(specs) + 1):
+            assert free_product_oracle(specs[:at] + [empty] + specs[at:], S3, bounds) == rep, (at, budget)
+
+
+def test_an_empty_spec_keeps_the_spec_sequences_alternating(monkeypatch):
+    # only the alternating sequences of non-empty specs are generated, so an
+    # empty spec adds no sequence: listing all 3^r and dropping most would
+    # not finish at the 18 syllables this cap allows
+    assert list(_alternating([0, 2], 40, -1)) == [(0, 2) * 20, (2, 0) * 20]
+    assert list(_alternating([0, 1, 2], 3, -1)) == [
+        s for s in itertools.product(range(3), repeat=3) if s[0] != s[1] != s[2]]
+    monkeypatch.setattr(words, "PRODUCT_CAP", 10 ** 6)
+    specs = [spec("A", ["x1"], "x1"), spec("B", ["x2"], "x2"), SubgroupSpec("C", (), frozenset({stable_gen(1)}))]
+    with pytest.raises(ProductCapExceeded):
+        free_product_oracle(specs, S3, Bounds(syllables=25, exp_range=1))
 
 
 def test_product_cap_stops_a_walk_with_no_smaller_budget(monkeypatch):

@@ -20,6 +20,7 @@ from hnnfree.words import (
     identity_map,
     image,
     invert,
+    join_reduced,
     parse_word,
     reduce_onto,
     stable_gen,
@@ -205,6 +206,14 @@ def test_reduce_onto_extends_a_reduced_word_in_place(u, v):
     r = list(free_reduce(u))
     out = reduce_onto(r, v)
     assert out is r and out == list(free_reduce(u + v))
+
+
+@given(words_st, words_st, words_st)
+def test_join_reduced_cancels_only_at_the_seam(u, v, c):
+    # c and its inverse meet at the seam, so whole stretches cancel there
+    a, b = free_reduce(u + c), free_reduce(invert(c) + v)
+    assert join_reduced(a, b) == free_reduce(a + b)
+    assert join_reduced(a, invert(a)) == EPSILON
 
 
 @given(words_st)
