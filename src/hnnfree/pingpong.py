@@ -572,6 +572,8 @@ def _walk(
         return OracleReport(
             Verdict.INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"
         )
+    finally:  # runs and factor reach themselves through their closure cells
+        runs = factor = None
     return OracleReport(Verdict.PASS, checked)
 
 
@@ -617,7 +619,7 @@ def bounded_intersection_probe(
     """
     def pure_base(w: Word) -> bool:
         v = system.nf_reduced(w)
-        return bool(v) and all(is_base(c) for c in v)
+        return bool(v) and all(map(is_base, v))
 
     bounds = Bounds(syllables=1, exp_range=max_len, max_products=max_products)
     return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.presentation.alphabet)

@@ -83,7 +83,7 @@ class RuleSystem:
     letters through the Aho-Corasick automaton of the lhs (_automaton),
     whose state names the longest lhs ending in the letter just read, and
     for its runs of swaps keeps a floor per swap rule a c -> c a
-    (_swap_floors) and the letters a that end an lhs in a a (_doubled).
+    (_swap_floors).
     is_normal_reduced finds the lhs of a freely reduced word by their first
     two letters (_starts) or, for a one-letter lhs, by its letter (_singles).
     """
@@ -102,8 +102,6 @@ class RuleSystem:
         floors = self._swap_floors(wider)
         self._engine = [(r.rhs[::-1], wider.get(idx, ()), floors.get(idx, 0))
                         for idx, r in enumerate(self.rules)]
-        # a run of one of these letters may not settle all at once
-        self._doubled = frozenset(lhs[-1] for lhs in self._lhs_index if lhs[-2:-1] == lhs[-1:])
         # for is_normal_reduced: the one-letter lhs, and the first two
         # letters of the longer ones a freely reduced word can hold
         self._singles = frozenset(lhs[0] for lhs in self._lhs_index if len(lhs) == 1)
@@ -393,24 +391,28 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
 
     A swap a c -> c a on a run of a takes at once all the steps it takes
     while its floor of a stays under c (RuleSystem._swap_floors), counting
-    them and recording them as one batch, and c goes back onto pending above
-    the a it passed, for the usual lookup.  If c settles and then the first
-    of those a, the rest settle too unless some lhs ends in a a, and go onto
-    out together; so do their states, which stop changing within the
-    longest lhs.
+    them and recording them as one batch.  c then reads its state where it
+    stands, under the a it passed, and takes the swaps that match there, a
+    batch at a time, until no swap ends at it.  It lands there in place:
+    it trades places with the top letter if it passed one run, else the
+    letters it passed move up one place, with their states.  A state
+    depends only on the letters of the longest lhs before it, so only the
+    letters above c up to the first whose state reads as before, within
+    the longest lhs, are read again, and the top letter, which changed.
+    If an lhs ends at c or at one of them, out is cut back to that letter,
+    which is read again from pending, as after any step.
     The run under c is counted letter by letter, unless c is the first
-    letter read after such a run settled, when its length is known.
+    letter read after a c landed under that run, when its length is known.
     """
     moves, fail, hits = system._automaton
     engine = system._engine
-    doubled, cap, trace_cap = system._doubled, STEP_CAP, TRACE_CAP
+    cap, trace_cap = STEP_CAP, TRACE_CAP
     out: list[int] = []
     states, s = [0], 0  # states[k]: the automaton's state after out[:k]; s = states[-1]
     pending = list(w)[::-1]
     width = len(nu(w)) if records is not None else 0  # nu coordinates of the word
     steps = coords = 0
-    held = ha = 0  # under the swapped letter, pending ends in held copies of ha
-    run = run_at = None  # the last run that settled, and (steps, len(out)) after it
+    run = run_at = None  # the run on top of out when c last landed, and (steps, len(out)) then
     while pending:
         c = pending.pop()
         out.append(c)
@@ -421,52 +423,68 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
         states.append(s)
         hit = hits[s]
         if hit is None:
-            if held and c == ha:  # the first ha settled, so the rest do too
-                k = len(pending) - held + 1
-                out += pending[k:]
-                del pending[k:]
-                # their states one at a time, until reading ha leaves the
-                # state as it is, as it does after the longest lhs at most
-                for i in range(held - 1):
-                    t = _move(moves, fail, s, ha)
-                    if t == s:
-                        states += [s] * (held - 1 - i)
-                        break
-                    states.append(s := t)
-                run, run_at, held = held, (steps, len(out)), 0
             continue
         idx, m = hit
         top = len(out)
         start = top - m
         rrhs, wider, floor = engine[idx]
-        if floor:  # c swaps past b letters a of the run below it
-            a = out[start]
-            if run_at == (steps, start + 1):  # c came right after a run of a settled
-                r = run
-            else:
-                i = start
-                while i and out[i - 1] == a:
-                    i -= 1
-                r = start + 1 - i
-            b = 1 + max(0, r - floor)
-            if records is not None:  # the steps up to the step cap, each with its nu
-                k = min(b, cap - steps)
-                coords += k * width
-                if coords > trace_cap:
-                    raise TraceCapExceeded(trace_cap)
-                records.append((start, idx, k))
-            steps += b
-            if steps > cap:
-                raise StepCapExceeded(cap)
-            del out[top - 1 - b :]
-            del states[top - b :]
+        if floor:  # c swaps down past runs of letters a, in batches, and lands at p
+            p, r = top - 1, (run if run_at == (steps, top - 1) else 0)
+            while True:
+                if not r:  # count the run of letters a = out[p - 1] under c
+                    a, i = out[p - 1], p - 1
+                    while i and out[i - 1] == a:
+                        i -= 1
+                    r = p - i
+                if p == top - 1:  # the run that lies on top of out once c lands
+                    run = r
+                b = r - floor + 1 if r > floor else 1
+                if records is not None:  # the steps up to the step cap, each with its nu
+                    k = min(b, cap - steps)
+                    coords += k * width
+                    if coords > trace_cap:
+                        raise TraceCapExceeded(trace_cap)
+                    records.append((p - 1, idx, k))
+                steps += b
+                if steps > cap:
+                    raise StepCapExceeded(cap)
+                p -= b
+                r -= b
+                t = _move(moves, fail, states[p], c)
+                hit = hits[t]
+                if hit is None or not engine[hit[0]][2]:
+                    break
+                idx = hit[0]
+                floor = engine[idx][2]
+            if p >= top - 1 - run:  # c passed one run: it trades places with the top letter
+                out[p], out[-1] = c, out[p]
+                states[p + 1] = t
+            else:  # the letters c passed move up one place, with their states
+                out.insert(p, c)
+                out.pop()
+                states.insert(p + 1, t)
+                states.pop()
+            # read again the letters above c that it changed, within the
+            # longest lhs, up to the first that reads as before; then the top
+            k = p
+            while hits[t] is None:
+                k += 1
+                if k == top:
+                    break
+                t = _move(moves, fail, states[k], out[k])
+                if t == states[k + 1]:  # and so do the letters above it, but the top one
+                    k = max(k, top - 2)
+                else:
+                    states[k + 1] = t
+            else:  # an lhs ends at out[k]: read it again, as after any step
+                pending.extend(reversed(out[k:]))
+                del out[k:]
+                del states[k + 1 :]
+                s = states[k]
+                continue
+            run_at = steps, top
             s = states[-1]
-            pending += [a] * b
-            pending.append(c)
-            held = 0 if a in doubled else b + (held if a == ha else 0)
-            ha = a
             continue
-        held = 0
         for d, idx2, head, rtail in wider:
             t = len(rtail)
             if d <= start and t <= len(pending) and pending[-t:] == rtail \

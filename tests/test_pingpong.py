@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -448,6 +449,27 @@ def test_probe_budget():
                                          max_products=max_products)
         assert rep.verdict == Verdict.INCONCLUSIVE
         assert rep.checked == max_products
+
+
+def test_a_walk_leaves_no_cyclic_garbage():
+    # a pass, a fail and a budget report each free their walk's state when
+    # they return, with no collection
+    specs, _ = certified_fixture()
+    reports = [
+        lambda: bounded_intersection_probe(spec("A", ["x1"], "x1", "y1 x1 y1^-1"), S3, max_len=10),
+        lambda: bounded_intersection_probe(spec("B", ["x1"], "y1"), S3, max_len=4),
+        lambda: bounded_intersection_probe(spec("A", ["x2"], "x2", "y1 x2 y1^-1"), S3, max_len=8,
+                                           max_products=17),
+        lambda: free_product_oracle(specs, S3, Bounds(syllables=4)),
+        lambda: free_product_oracle(specs, S3, Bounds(syllables=4), is_trivial=lambda _w: True),
+        lambda: free_product_oracle(specs, S3, Bounds(syllables=4, max_products=9)),
+    ]
+    verdicts = []
+    for report in reports:
+        gc.collect()
+        verdicts.append(report().verdict)
+        assert gc.collect() == 0
+    assert verdicts == ["pass", "fail", "inconclusive"] * 2
 
 
 # --- prescreen soundness (exp-sum cross-check) -----------------------------------------

@@ -617,7 +617,7 @@ def test_toy_earlier_start_wins():
         assert (res, _entries(trace)) == rescan_leftmost(w, system.rules)
 
 
-@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("n", [3, 4, 6])
 def test_step_cap_inside_a_batch_of_swaps(monkeypatch, n):
     # each y2 passes x1^200 in one batch, on gn(6) (floor 2) but one swap
     system = RuleSystem(gn(n))
@@ -628,6 +628,29 @@ def test_step_cap_inside_a_batch_of_swaps(monkeypatch, n):
         monkeypatch.setattr(rewrite, "STEP_CAP", cap)
         with pytest.raises(StepCapExceeded, match=f"cap {cap} exceeded"):
             nf(w, system)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_caps_inside_the_single_swap_after_a_batch(monkeypatch, n, m):
+    # on gn(4) and gn(6) (floor 2) each y2 passes x1^(r-1) in one batch and
+    # the last x1 in a single swap, which is the last step of the word
+    system, r = RuleSystem(gn(n)), 30
+    w = gn(n).parse(f"x1^{r} y2^{m}")
+    _, trace = normal_form(w, system)
+    assert [count for _, _, count in trace.records] == [r - 1, 1] * m
+    steps, coords = r * m, r * m * len(nu(w))
+    monkeypatch.setattr(rewrite, "STEP_CAP", steps)
+    monkeypatch.setattr(rewrite, "TRACE_CAP", coords)
+    assert normal_form(w, system)[0] == nf(w, system) == gn(n).parse(f"y2^{m} x1^{r}")
+    monkeypatch.setattr(rewrite, "TRACE_CAP", coords - 1)
+    with pytest.raises(TraceCapExceeded, match=f"cap {coords - 1} exceeded"):
+        normal_form(w, system)
+    assert nf_steps(w, system)[1] == steps  # untraced runs have no trace cap
+    monkeypatch.setattr(rewrite, "STEP_CAP", steps - 1)
+    for run in (lambda: nf(w, system), lambda: normal_form(w, system)):
+        with pytest.raises(StepCapExceeded, match=f"cap {steps - 1} exceeded"):
+            run()
 
 
 @pytest.mark.parametrize("name", ["gn3", "gn4", "handwritten", "nested", "toy"])
@@ -807,6 +830,51 @@ def test_engine_matches_rescanning_oracle(name, data):
 def test_engine_matches_rescanning_oracle_on_runs(name, data):
     system = NORMAL_SYSTEMS[name]
     _check_engine(system, data.draw(_runs(system)))
+
+
+def _swaps(system):
+    """{c: [a, ...]}: the letters a that c swaps with by a rule a c -> c a."""
+    out = {}
+    for r in system.rules:
+        if len(r.lhs) == 2 and r.lhs[0] != r.lhs[1] and r.rhs == r.lhs[::-1]:
+            out.setdefault(r.lhs[1], []).append(r.lhs[0])
+    return out
+
+
+# systems with swaps of floor 1 (gn3) and 2 (gn4, gn6), where c meets runs
+# of two letters it swaps with (x1 and x2 for y3 at gn4); beside a swap, an
+# lhs a a c, d a c and c a a, and a wider lhs that beats the swap
+LANDING_SYSTEMS = ["gn3", "gn4", "gn6", "swap_aac", "swap_dac", "swap_caa",
+                   "swap_wider"]
+
+
+@pytest.mark.parametrize("name", LANDING_SYSTEMS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_a_swapped_letter_lands_as_a_rescan_finds(name, data):
+    # u a'^j a^r c^m v: c passes a run of a, then perhaps one of a', and
+    # lands, where u ends in the rest of an lhs ending in c, under it
+    system = ENGINE_SYSTEMS[name]
+    swaps = _swaps(system)
+    c = data.draw(st.sampled_from(sorted(swaps)))
+    a, a1 = data.draw(st.sampled_from(swaps[c])), data.draw(st.sampled_from(swaps[c]))
+    j, r, m = (data.draw(st.integers(low, 60)) for low in (0, 1, 1))
+    lhs = [rule.lhs for rule in system.rules]
+    piece = st.one_of(st.sampled_from(_letters(system)).map(lambda g: (g,)), st.sampled_from(lhs))
+    few = st.lists(piece, max_size=3).map(lambda ps: sum(ps, ()))
+    under = st.sampled_from([()] + [l[:-1] for l in lhs if l[-1] == c])
+    u, v = data.draw(few) + data.draw(under), data.draw(few)
+    _check_engine(system, u + (a1,) * j + (a,) * r + (c,) * m + v)
+
+
+def test_a_swapped_letter_passes_two_runs_in_place():
+    # y3 passes x1^r and then x2^j at gn(4), each in one batch (floor 1)
+    for j, r, m in ((1, 1, 1), (5, 3, 4), (40, 60, 30)):
+        w = GN4.parse(f"x2^{j} x1^{r} y3^{m}")
+        res, trace = normal_form(w, S4)
+        assert res == GN4.parse(f"y3^{m} x2^{j} x1^{r}")
+        assert [count for _, _, count in trace.records] == [r, j] * m
+        assert (res, _entries(trace)) == rescan_leftmost(w, S4.rules)
 
 
 @pytest.mark.parametrize("name", list(NORMAL_SYSTEMS))
