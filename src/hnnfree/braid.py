@@ -312,7 +312,7 @@ class Group:
         return (p or self.source).parse(text)
 
     def is_trivial(self, w: Word) -> bool:
-        return braid_trivial(self.braid, w) if self.braid else self.system.is_trivial_reduced(free_reduce(w))
+        return braid_trivial(self.braid, w) if self.braid else self.system.is_trivial_reduced(w)
 
     def equal(self, u: Word, v: Word) -> bool:
         return braid_equal(self.braid, u, v) if self.braid else equal(u, v, self.system)

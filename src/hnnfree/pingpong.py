@@ -591,9 +591,9 @@ def free_product_oracle(
     sequence, then factor choice, so the first witness is minimal.  Exponent
     sums in every letter screen the products; the rest go to is_trivial,
     which must decide triviality in the group the products live in.  By
-    default it is the rewriting decider, RuleSystem.is_trivial_reduced, as
-    every product is freely reduced.  The witness is spelled in the
-    alphabet of the system's presentation.
+    default it is the rewriting decider, RuleSystem.is_trivial_reduced,
+    which rewrites only a product that holds an lhs.  The witness is
+    spelled in the alphabet of the system's presentation.
     """
     if is_trivial is None:
         is_trivial = system.is_trivial_reduced
@@ -613,9 +613,9 @@ def bounded_intersection_probe(
     Enumerates reduced words in the declared generators up to max_len uses;
     products that are trivial in the group are skipped, nontrivial ones must
     keep a stable letter in their normal form.  Only the non-base exponent
-    sums screen the products, and only a product that holds a redex is
-    rewritten (RuleSystem.nf_reduced): one that holds none is its own
-    normal form.  Past max_products products the report is inconclusive.
+    sums screen the products, and only a product in which the lhs automaton
+    finds a redex is rewritten (RuleSystem.nf_reduced): one that holds none
+    is its own normal form.  Past max_products products are inconclusive.
     """
     def pure_base(w: Word) -> bool:
         v = system.nf_reduced(w)

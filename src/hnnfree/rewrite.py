@@ -78,14 +78,14 @@ class RuleSystem:
 
     Compiled rules never share an lhs (kind 3 begins with x, kind 4 with
     x^-1, and validate forbids a base letter twice per stable letter); a
-    hand-made list that does raises ValueError.  match_at and redexes look
-    up every lhs length at a position.  The leftmost engine reads its
-    letters through the Aho-Corasick automaton of the lhs (_automaton),
-    whose state names the longest lhs ending in the letter just read, and
-    for its runs of swaps keeps a floor per swap rule a c -> c a
+    hand-made list that does raises ValueError.  The lhs index is read only
+    to compare lhs with lhs when the system is built.  Every scan of a word
+    for an lhs reads the Aho-Corasick automaton of the lhs (_automaton):
+    the leftmost engine by the longest lhs ending in the letter just read,
+    redexes, match_at and the random strategy by every lhs ending there
+    (_matches), and is_normal_reduced by whether one does.  For its runs
+    of swaps the engine keeps a floor per swap rule a c -> c a
     (_swap_floors).
-    is_normal_reduced finds the lhs of a freely reduced word by their first
-    two letters (_starts) or, for a one-letter lhs, by its letter (_singles).
     """
 
     def __init__(self, presentation: HnnPresentation, rules: list[RewriteRule] | None = None):
@@ -102,11 +102,6 @@ class RuleSystem:
         floors = self._swap_floors(wider)
         self._engine = [(r.rhs[::-1], wider.get(idx, ()), floors.get(idx, 0))
                         for idx, r in enumerate(self.rules)]
-        # for is_normal_reduced: the one-letter lhs, and the first two
-        # letters of the longer ones a freely reduced word can hold
-        self._singles = frozenset(lhs[0] for lhs in self._lhs_index if len(lhs) == 1)
-        self._starts = frozenset(lhs[:2] for lhs in self._lhs_index
-                                 if len(lhs) > 1 and lhs[1] != -lhs[0])
 
     def _wider(self) -> dict[int, list[tuple]]:
         """For each rule, the lhs that contain its lhs at some offset d, run
@@ -149,15 +144,16 @@ class RuleSystem:
         return out
 
     @cached_property
-    def _automaton(self) -> tuple[list[dict[int, int]], list[int], list[tuple[int, int] | None]]:
-        """The Aho-Corasick automaton of the lhs, (moves, fail, hits), on
-        the states of the trie of the lhs, the root 0 the empty word.
-        fail[s] is the longest proper suffix of s's word that is a state,
-        and hits[s] (rule index, length) of the longest lhs ending s's word,
+    def _automaton(self) -> tuple[list[dict[int, int]], list[int], list, list[tuple]]:
+        """The Aho-Corasick automaton of the lhs, (moves, fail, hits, ends),
+        on the states of the trie of the lhs, the root 0 the empty word.
+        fail[s] is the longest proper suffix of s's word that is a state;
+        ends[s] is (rule index, length) of every lhs ending s's word, longest
+        first: s's own lhs, if any, then those of fail[s]; hits[s] is ends[s][0]
         or None.  moves[s] holds the trie edges out of s, and each other
         transition once _move has taken it."""
         moves: list[dict[int, int]] = [{}]
-        hits: list[tuple[int, int] | None] = [None]
+        own: list[tuple[int, int] | None] = [None]
         for idx, r in enumerate(self.rules):
             s = 0
             for c in r.lhs:
@@ -165,19 +161,19 @@ class RuleSystem:
                 if t is None:
                     t = moves[s][c] = len(moves)
                     moves.append({})
-                    hits.append(None)
+                    own.append(None)
                 s = t
-            hits[s] = (idx, len(r.lhs))
+            own[s] = (idx, len(r.lhs))
         fail = [0] * len(moves)
+        ends: list[tuple] = [()] * len(moves)
         order = [0]  # breadth first, so fail[s] is done before s
         for s in order:
             for c, t in moves[s].items():
                 order.append(t)
                 if s:
                     fail[t] = _move(moves, fail, fail[s], c)
-                    if hits[t] is None:
-                        hits[t] = hits[fail[t]]
-        return moves, fail, hits
+                ends[t] = ends[fail[t]] if own[t] is None else (own[t], *ends[fail[t]])
+        return moves, fail, [e[0] if e else None for e in ends], ends
 
     @cached_property
     def kept(self) -> tuple[str, ...]:
@@ -205,46 +201,50 @@ class RuleSystem:
         """The mutable form the rewrite loops work on."""
         return list(w)
 
-    def _matches(self, ints, positions):
-        """(position, rule index) of every lhs occurring at one of the
-        positions, in position order, then index order: one lookup in the
-        lhs index per lhs length that fits."""
-        get, n = self._lhs_index.get, len(ints)
-        for pos in positions:
-            hits = [get(tuple(ints[pos : pos + m])) for m in self._sizes if pos + m <= n]
-            for idx in sorted(i for i in hits if i is not None):
-                yield pos, idx
+    def _matches(self, ints, lo: int, hi: int) -> list[tuple[int, int]]:
+        """(position, rule index) of every lhs starting in [lo, hi), by position,
+        then index: one walk of the lhs automaton from lo, on past hi by the
+        longest lhs less one, listing every lhs that ends at a letter (ends)."""
+        moves, fail, _, ends = self._automaton
+        out, s = [], 0
+        for k, c in enumerate(ints[lo : hi + max(self._sizes, default=1) - 1], lo + 1):
+            try:
+                s = moves[s][c]
+            except KeyError:
+                s = _move(moves, fail, s, c)
+            out += [(k - m, idx) for idx, m in ends[s] if k - m < hi]
+        out.sort()
+        return out
 
     def match_at(self, ints, pos: int) -> int | None:
         """Index of the first rule whose lhs occurs at pos."""
-        return next((idx for _, idx in self._matches(ints, (pos,))), None)
+        return next((idx for _, idx in self._matches(ints, pos, pos + 1)), None)
 
     def redexes(self, ints) -> list[tuple[int, int]]:
         """All (position, rule index) pairs, position order then index."""
-        return list(self._matches(ints, range(len(ints))))
+        return self._matches(ints, 0, len(ints))
 
     def is_normal_reduced(self, w) -> bool:
-        """Whether the freely reduced word w holds no lhs, so that nf(w) == w.
-
-        An lhs whose first two letters cancel never occurs in w, so only
-        the others are looked for: a one-letter lhs by its letter, a longer
-        one looked up in the lhs index only where an adjacent pair of w is
-        its first two letters."""
-        starts, singles = self._starts, self._singles
-        if not starts and not singles:
-            return True
-        if singles and not singles.isdisjoint(w):
-            return False
-        if starts.isdisjoint(zip(w, w[1:])):
-            return True
-        return not any(self._matches(w, [i for i, pair in enumerate(zip(w, w[1:])) if pair in starts]))
+        """Whether w holds no lhs, so that nf(w) == w: a walk of the lhs
+        automaton that stops at the first state an lhs ends.  It sees every
+        lhs, a cancelling pair y y^-1 too, so w need not be freely reduced."""
+        moves, fail, hits, _ = self._automaton
+        s = 0
+        for c in w:
+            try:
+                s = moves[s][c]
+            except KeyError:
+                s = _move(moves, fail, s, c)
+            if hits[s] is not None:
+                return False
+        return True
 
     def nf_reduced(self, w):
-        """nf(w) for a freely reduced word w: w itself if it holds no lhs."""
+        """nf(w), or w itself if it holds no lhs (is_normal_reduced)."""
         return w if self.is_normal_reduced(w) else nf(w, self)
 
     def is_trivial_reduced(self, w) -> bool:
-        """Whether the freely reduced word w is trivial; only one holding an lhs is rewritten."""
+        """Whether w is trivial; only a word holding an lhs is rewritten."""
         return not self.nf_reduced(w)
 
 
@@ -401,10 +401,11 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
     the longest lhs, are read again, and the top letter, which changed.
     If an lhs ends at c or at one of them, out is cut back to that letter,
     which is read again from pending, as after any step.
-    The run under c is counted letter by letter, unless c is the first
-    letter read after a c landed under that run, when its length is known.
+    c lands only under a whole run, so the letters above it are the runs it
+    passed, in order.  The next letter read meets them first, so if it swaps
+    at once it reuses their lengths; other runs are counted letter by letter.
     """
-    moves, fail, hits = system._automaton
+    moves, fail, hits, _ = system._automaton
     engine = system._engine
     cap, trace_cap = STEP_CAP, TRACE_CAP
     out: list[int] = []
@@ -412,7 +413,7 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
     pending = list(w)[::-1]
     width = len(nu(w)) if records is not None else 0  # nu coordinates of the word
     steps = coords = 0
-    run = run_at = None  # the run on top of out when c last landed, and (steps, len(out)) then
+    runs, run_at = [], None  # the runs the last letter to land passed, and (steps, len(out)) then
     while pending:
         c = pending.pop()
         out.append(c)
@@ -429,15 +430,18 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
         start = top - m
         rrhs, wider, floor = engine[idx]
         if floor:  # c swaps down past runs of letters a, in batches, and lands at p
-            p, r = top - 1, (run if run_at == (steps, top - 1) else 0)
+            p, r = top - 1, 0
+            known, runs = (runs if run_at == (steps, p) else ()), []
             while True:
-                if not r:  # count the run of letters a = out[p - 1] under c
-                    a, i = out[p - 1], p - 1
-                    while i and out[i - 1] == a:
-                        i -= 1
-                    r = p - i
-                if p == top - 1:  # the run that lies on top of out once c lands
-                    run = r
+                if not r:  # the next run of letters a = out[p - 1] under c
+                    if len(runs) < len(known):
+                        r = known[len(runs)]
+                    else:
+                        a, i = out[p - 1], p - 1
+                        while i and out[i - 1] == a:
+                            i -= 1
+                        r = p - i
+                    runs.append(r)
                 b = r - floor + 1 if r > floor else 1
                 if records is not None:  # the steps up to the step cap, each with its nu
                     k = min(b, cap - steps)
@@ -456,7 +460,7 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
                     break
                 idx = hit[0]
                 floor = engine[idx][2]
-            if p >= top - 1 - run:  # c passed one run: it trades places with the top letter
+            if len(runs) == 1:  # c passed one run: it trades places with the top letter
                 out[p], out[-1] = c, out[p]
                 states[p + 1] = t
             else:  # the letters c passed move up one place, with their states
@@ -537,7 +541,7 @@ def _apply_random(ints: list[int], system: RuleSystem, records: list, rng) -> in
             raise TraceCapExceeded(trace_cap)
         lo, shift = max(0, pos - back), len(rhs) - len(lhs)
         keep, past = bisect_left(reds, (lo,)), bisect_left(reds, (pos + len(lhs),))
-        reds[keep:] = [*system._matches(ints, range(lo, pos + len(rhs))),
+        reds[keep:] = [*system._matches(ints, lo, pos + len(rhs)),
                        *((p + shift, i) for p, i in reds[past:])]
     return steps
 

@@ -683,3 +683,18 @@ def test_an_unknown_term_among_braid_names_is_reported_at_its_own_column(
         Group(E3).parse(text)
     assert e.value.column == len(head) + 1
     assert repr(unknown.partition("^")[0]) in str(e.value)
+
+
+GN3_GROUP = Group(gn(3))
+GN3_LETTERS = [s * g for g in gn(3).base_gens + gn(3).stable_gens for s in (1, -1)]
+
+
+@given(u=st.lists(st.sampled_from(GN3_LETTERS), max_size=12),
+       pairs=st.lists(st.tuples(st.integers(0, 24), st.sampled_from(GN3_LETTERS)), max_size=4))
+def test_group_is_trivial_on_unreduced_words_is_not_nf(u, pairs):
+    # cancelling pairs g g^-1 put into u and into the trivial u u^-1; the
+    # rewriting decider reads them without a free reduction first
+    for w in (list(u), list(u) + list(invert(tuple(u)))):
+        for at, g in pairs:
+            w[at:at] = [g, -g]
+        assert GN3_GROUP.is_trivial(tuple(w)) == (not nf(tuple(w), GN3_GROUP.system))

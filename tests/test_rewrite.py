@@ -47,6 +47,8 @@ GN3 = gn(3)
 S3 = RuleSystem(GN3)
 GN4 = gn(4)
 S4 = RuleSystem(GN4)
+GN5 = gn(5)
+S5 = RuleSystem(GN5)
 
 
 def w3(text):
@@ -91,6 +93,8 @@ def test_find_redexes_cancellation():
     redexes = S3.redexes(w3("x1 x1^-1"))
     assert len(redexes) == 1
     assert S3.rules[redexes[0][1]].kind == 2
+    assert not S3.is_normal_reduced(w3("y1 y1^-1"))
+    assert S3.nf_reduced(w3("y1 y1^-1")) == EPSILON
 
 
 def test_is_normal():
@@ -814,6 +818,27 @@ def test_nf_reduced_is_the_normal_form(name, data):
     assert system.is_trivial_reduced(w) == (not nf(w, system))
 
 
+def _unreduced(system):
+    """Words as _pieces draws them with cancelling pairs g g^-1 put in
+    between their letters."""
+    pair = st.sampled_from(_letters(system)).map(lambda g: (g, -g))
+    return st.lists(st.tuples(_pieces(system), st.lists(pair, max_size=3)), min_size=1, max_size=3).map(
+        lambda ps: sum((w[:1] + sum(pairs, ()) + w[1:] for w, pairs in ps), ()))
+
+
+@pytest.mark.parametrize("name", list(NORMAL_SYSTEMS))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_normality_needs_no_free_reduction(name, data):
+    # the automaton sees every lhs, so a cancelling pair needs no free
+    # reduction first
+    system = NORMAL_SYSTEMS[name]
+    w = data.draw(_unreduced(system))
+    assert system.is_normal_reduced(w) == (not system.redexes(w))
+    assert system.nf_reduced(w) == nf(w, system)
+    assert system.is_trivial_reduced(w) == (not nf(w, system))
+
+
 # the engine's lhs automaton on every system of NORMAL_SYSTEMS: an lhs of
 # one letter, lhs of 62 letters whose failure links run deep, and lhs that
 # overlap or sit inside a longer one, which _pieces reads
@@ -867,6 +892,18 @@ def test_a_swapped_letter_lands_as_a_rescan_finds(name, data):
     _check_engine(system, u + (a1,) * j + (a,) * r + (c,) * m + v)
 
 
+def test_a_swapped_letter_passes_three_runs_as_a_rescan_finds():
+    # y4 passes x1^c, x2^b and x3^a at gn(5), each in one batch (floor 1);
+    # each y4 after the first reads the lengths of the runs the one before
+    # it passed
+    for a, b, c, m in ((1, 1, 1, 2), (3, 5, 2, 4), (20, 1, 30, 25), (30, 40, 25, 20)):
+        w = GN5.parse(f"x3^{a} x2^{b} x1^{c} y4^{m}")
+        res, trace = normal_form(w, S5)
+        assert res == GN5.parse(f"y4^{m} x3^{a} x2^{b} x1^{c}")
+        assert [count for _, _, count in trace.records] == [c, b, a] * m
+        assert (res, _entries(trace)) == rescan_leftmost(w, S5.rules)
+
+
 def test_a_swapped_letter_passes_two_runs_in_place():
     # y3 passes x1^r and then x2^j at gn(4), each in one batch (floor 1)
     for j, r, m in ((1, 1, 1), (5, 3, 4), (40, 60, 30)):
@@ -884,12 +921,15 @@ def test_automaton_names_the_longest_lhs_ending_each_prefix(name, data):
     system = NORMAL_SYSTEMS[name]
     w = data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
                                                       max_size=40).map(tuple)))
-    moves, fail, hits = system._automaton
+    moves, fail, hits, ends = system._automaton
     s = 0
     for k, c in enumerate(w, 1):
         s = rewrite._move(moves, fail, s, c)
-        ending = [(len(r.lhs), idx) for idx, r in enumerate(system.rules) if w[:k][-len(r.lhs):] == r.lhs]
-        assert hits[s] == (max(ending)[::-1] if ending else None)
+        # every lhs ending w[:k], longest first, by a scan of the rule list
+        ending = sorted(((len(r.lhs), idx) for idx, r in enumerate(system.rules)
+                         if w[:k][-len(r.lhs):] == r.lhs), reverse=True)
+        assert ends[s] == tuple(e[::-1] for e in ending)
+        assert hits[s] == (ending[0][::-1] if ending else None)
 
 
 @pytest.mark.parametrize("name", list(ONE_LETTER))

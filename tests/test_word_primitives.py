@@ -1,6 +1,9 @@
 """Each word primitive has one implementation, in hnnfree.words: the free
 reduction loop is reduce_onto, and the projection onto F(X) x F(Y) is
-image.  A new hand-written copy of the loop elsewhere fails here.
+image.  A new hand-written copy of the loop elsewhere fails here.  A word
+is scanned for left-hand sides only by the lhs automaton of
+hnnfree.rewrite.RuleSystem: its lhs index is read only where lhs are
+compared with lhs as the system is built (LHS_INDEX).
 
 The package's source is read with ast, without importing it.  The loop is
 found by its test `s and s[-1] == -c`: a name, and its last item equal to
@@ -31,8 +34,9 @@ def _is_reduction_test(node) -> bool:
     return isinstance(node, ast.BoolOp) and _REDUCTION_TEST.fullmatch(ast.unparse(node)) is not None
 
 
-def _holders(tree, module: str) -> set[str]:
-    """The qualified names of the functions whose own body holds the test."""
+def _holders(tree, module: str, found=_is_reduction_test) -> set[str]:
+    """The qualified names of the functions whose own body holds a node
+    that found accepts, by default the free-reduction test."""
     out = set()
 
     def visit(node, scope):
@@ -40,7 +44,7 @@ def _holders(tree, module: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if _is_reduction_test(child):
+            if found(child):
                 out.add(".".join(scope))
             visit(child, scope)
 
@@ -77,3 +81,24 @@ def filtered_reductions(src: str = SRC) -> list[str]:
 
 def test_image_is_the_only_projection():
     assert filtered_reductions() == []
+
+
+# the functions that compare lhs with lhs while a RuleSystem is built
+LHS_INDEX = {
+    "rewrite.RuleSystem.__init__",
+    "rewrite.RuleSystem._wider",
+    "rewrite.RuleSystem._swap_floors",
+    "rewrite.critical_pairs",
+}
+
+
+def lhs_index_readers(src: str = SRC) -> set[str]:
+    """Every function of the package that reads an attribute _lhs_index."""
+    def found(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_lhs_index"
+
+    return set().union(*(_holders(tree, module, found) for module, tree in _modules(src)))
+
+
+def test_the_lhs_index_is_read_only_where_lhs_meet_lhs():
+    assert lhs_index_readers() == LHS_INDEX
