@@ -1,4 +1,5 @@
-"""The braid layer: extensions of the base presentations by an outer letter t.
+"""The braid layer p2(n): gn(n) extended by an outer letter t
+(presentation.SemidirectExtension), decided by the splitting of that layer.
 
 Every braid-layer verdict comes from one decider, BraidSplitting.is_trivial:
 triviality, equality, the freeness certificate, the relation check and the
@@ -286,10 +287,11 @@ def braid_equal(ext: SemidirectExtension, u: Word, v: Word) -> bool:
 
 class Group:
     """The group a presentation source presents, and the engine that decides
-    in it: a p2 source is the braid layer (braid), decided by the splitting;
-    any other source decides by rewriting.  hnn is the HNN presentation that
-    rewriting, the rules and the ping-pong theorem speak of, a p2 source's
-    base gN; maps are (phi, phi_inv), or the identity map twice."""
+    in it: a SemidirectExtension source is the braid layer p2(n) (braid),
+    decided by the splitting of rank n; any other source decides by
+    rewriting.  hnn is the HNN presentation that rewriting, the rules and
+    the ping-pong theorem speak of, a p2 source's base gN; maps are
+    (phi, phi_inv), or the identity map twice."""
 
     def __init__(self, source: HnnPresentation | SemidirectExtension):
         self.source, self.alphabet = source, source.alphabet

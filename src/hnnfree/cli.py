@@ -287,6 +287,8 @@ def _cmd_pingpong_certify(args, group) -> int:
         label, kind, value = (s.strip() for s in parts)
         if label not in by_label:
             raise ValueError(f"evidence label {label!r} matches no --spec")
+        if label in evidence:
+            raise ValueError(f"--evidence label {label!r} is repeated")
         if kind == "declared":
             evidence[label] = value
         elif kind == "orbit":

@@ -24,7 +24,7 @@ from hnnfree.braid import (
     verify_extension,
 )
 from hnnfree.pingpong import Bounds
-from hnnfree.presentation import SemidirectExtension, gn, p2
+from hnnfree.presentation import SemidirectExtension, gn, p2, relators
 from hnnfree.rewrite import RuleSystem, nf
 from hnnfree.words import (
     EPSILON,
@@ -73,7 +73,8 @@ def test_phi_images():
 
 
 def test_phi_fixes_the_products_yi_xi():
-    for ext, n in ((E2, 2), (E3, 3)):
+    for n in range(2, 9):
+        ext = p2(n)
         for i in range(1, n):
             w = ext.parse(f"y{i} x{i}")
             # a power far past the phi power cap stops at the first image
@@ -277,6 +278,29 @@ def test_push_identity_is_sound():
         if e.is_identity:
             assert artin_trivial(w, 3)
         assert braid_trivial(E3, w) and artin_trivial(w, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_push_never_calls_a_nontrivial_word_trivial(data):
+    # words w = u r1^c1 ... v with conjugated relators r put in, so that some
+    # are trivial (v = u^-1) and the rest mostly not: the push may miss a
+    # trivial word from rank 3 on, but an identity push is always trivial,
+    # and at rank 2 the push is complete
+    n = data.draw(st.integers(2, 4))
+    ext, rng = p2(n), random.Random(data.draw(st.integers(0, 10 ** 6)))
+    rels = [e.relator for e in verify_braid_relations(n).entries] + relators(ext.base)
+    u = rand_braid(rng, ext, 6)
+    w = list(u)
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = rng.randint(0, len(w))
+        w[at:at] = conjugate(rng.choice(rels), rand_braid(rng, ext, 3))
+    w = free_reduce(tuple(w) + (invert(u) if data.draw(st.booleans()) else ()))
+    pushed = semidirect_nf(ext, w).is_identity
+    if pushed:
+        assert braid_trivial(ext, w)
+    if n == 2:
+        assert pushed == braid_trivial(ext, w)
 
 
 def test_push_misses_a_trivial_word_from_rank_three_on():
@@ -489,12 +513,14 @@ def test_extension_report_fails_from_rank_three():
         assert "FAIL" in rep.render()
 
 
-def test_extension_negative_control():
-    # t conjugating y1 by x1 and x1 by y1 moves x1 to y1 x1 y1^-1, so the
-    # powers of phi have no closed form
-    y1, x1 = base_gen(1), stable_gen(1)
-    with pytest.raises(ValueError, match="phi moves the conjugator of y1"):
-        SemidirectExtension(gn(2), {y1: (x1,), x1: (y1,)})
+def test_extension_takes_only_its_rank():
+    # an extension whose t commutes with everything cannot be built, so no
+    # group is decided with p2's splitting in its place
+    with pytest.raises(TypeError):
+        SemidirectExtension(gn(2), {base_gen(1): (), stable_gen(1): ()})
+    g = Group(SemidirectExtension(2))
+    assert not g.equal(g.parse("t x1"), g.parse("x1 t"))
+    assert g.equal(g.parse("t y1 x1"), g.parse("y1 x1 t"))
     assert [c.name for c in verify_extension(E2).checks][-2:] == [
         "maps_mutually_inverse", "projects_to_identity"]
 

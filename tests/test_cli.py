@@ -512,6 +512,9 @@ TWO_SPECS = ("pingpong-oracle", *G3, "--spec", "A:x1:x1", "--spec", "B:x2:x2")
     (("confluence", *G3, "--random", "--max-len", "0"), "--max-len must be at least 1, got 0"),
     (("pingpong-certify", *G3, "--spec", "A:x1:x1", "--evidence", "A:probe:0"),
      "probe evidence needs a length bound, got '0'"),
+    (("pingpong-certify", *G3, "--spec", "A1:x1:x1", "--spec", "B:x2:y1",
+      "--evidence", "A1:orbit:x1", "--evidence", "B:probe:4", "--evidence", "B:declared:ok"),
+     "--evidence label 'B' is repeated"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

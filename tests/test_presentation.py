@@ -158,11 +158,23 @@ def test_p2_phi_images():
 
 
 def test_p2_maps_mutually_inverse_freely():
-    for n in (2, 3, 5):
+    for n in range(2, 9):
         ext = p2(n)
         for g in ext.base.base_gens + ext.base.stable_gens:
             assert ext.phi.apply(ext.phi_inv.apply((g,))) == (g,)
             assert ext.phi_inv.apply(ext.phi.apply((g,))) == (g,)
+
+
+def test_extension_is_built_from_its_rank():
+    for n in (2, 3, 5):
+        ext = SemidirectExtension(n)
+        assert ext is not p2(n) and p2(n) is p2(n)
+        assert ext.rank == n and ext.base is gn(n)
+        assert ext.conj == p2(n).conj
+        assert ext.alphabet == p2(n).alphabet
+        for g in ext.base.base_gens + ext.base.stable_gens:
+            assert ext.phi.apply((g,)) == p2(n).phi.apply((g,))
+            assert ext.phi_inv.apply((g,)) == p2(n).phi_inv.apply((g,))
 
 
 def test_p2_alphabet_has_outer():
