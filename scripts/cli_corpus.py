@@ -135,6 +135,9 @@ COMMANDS = [
     f"braid-phi {P2_2} --push 't^300 x1^500 x1^-500'",
     f"braid-check-free {P2_3} --w 'y1 x1' --w x2",
     f"braid-check-free {P2_3} --w x1 --w x2 --strict",
+    # free, though a hypothesis fails: inconclusive, as no [w_i, t] = 1
+    f"braid-check-free {P2_2} --w 'x1 t'",
+    f"braid-check-free {P2_3} --w 'x1 x2' --w x2",
     f"danilevich {P2_2} --h x1",
     f"danilevich {P2_2} --h 'y1 x1'",
     f"danilevich {P2_2} --h x1 --max-products 3",

@@ -177,15 +177,15 @@ class BraidSplitting:
     """Per-letter action tables for the splitting of the rank-n braid layer.
 
     For each base letter y_j^{+-1} the table gives the conjugate y_j^-1 g y_j
-    (and y_j g y_j^-1) of every signed x/t letter g as an x/t word.  Mutual
-    inverseness of the two tables, and that every image keeps the x/t
-    exponent sums of its letter, are re-verified at construction.
+    (and y_j g y_j^-1) of every signed x/t letter g as an x/t word.  The
+    tables are constants: the tests prove them equal to Artin's closed form
+    (conjugation by P = x_j t and Q = t x_j), mutually inverse, and keeping
+    the x/t exponent sums of each letter, for n = 2..8.
     """
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("splitting requires n >= 2")
-        self.n = n
         t = OUTER
         self._tables: dict[int, dict[int, Word]] = {}
         for j in range(1, n):
@@ -208,20 +208,6 @@ class BraidSplitting:
                 table.update({-g: invert(img) for g, img in table.items()})
             self._tables[base_gen(j)] = fwd
             self._tables[-base_gen(j)] = bwd
-        self._check_tables()
-
-    def _check_tables(self) -> None:
-        odd = [stable_gen(i) for i in range(1, self.n)] + [OUTER]
-        for y, table in self._tables.items():
-            for g, img in table.items():
-                if self.act(-y, self.act(y, [g])) != [g]:
-                    raise AssertionError(
-                        f"action tables not mutually inverse at {gen_name(abs(y))}, {gen_name(abs(g))}"
-                    )
-                if any(exp_sum(img, h) != exp_sum((g,), h) for h in odd):
-                    raise AssertionError(
-                        f"action table at {gen_name(abs(y))} changes the exponent sums of {gen_name(abs(g))}"
-                    )
 
     def act(self, y: int, u: list[int]) -> list[int]:
         """The reduced x/t word y^-1 u y, for a signed base letter y."""
@@ -494,13 +480,16 @@ def braid_freeness_check(
     zero t-exponent.  Condition (2): [w_i, t] must be nontrivial, decided by
     BraidSplitting.is_trivial alone; nothing is pushed, so no base rule
     system is compiled.  Strict mode additionally pins each w_i inside the
-    letters {y_*} u {x_i}.
+    letters {y_*} u {x_i}.  Certified when every condition holds; refuted
+    only when some [w_i, t] = 1, a relation among the generators; any other
+    failed condition is a failed hypothesis, so the answer is inconclusive.
     """
     if len(words) != n - 1:
         raise ValueError(f"expected {n - 1} words, got {len(words)}")
     split = _splitting(n)
     alphabet = p2(n).alphabet
     conds: list[Condition] = []
+    related = False
     for i, w in enumerate(words, start=1):
         exps = {f"x{j}": exp_sum(w, stable_gen(j)) for j in range(1, n)}
         exps["t"] = exp_sum(w, OUTER)
@@ -508,12 +497,13 @@ def braid_freeness_check(
         table = ", ".join(f"{name}:{e}" for name, e in exps.items() if e or name == f"x{i}")
         conds.append(Condition(f"exponent_pattern[w{i}]", ok1, table))
         nontrivial = not split.is_trivial(commutator(w, T_WORD))
+        related |= not nontrivial
         witness = f"[{format_word(w, alphabet)}, t] " + ("is nontrivial" if nontrivial else "= 1")
         conds.append(Condition(f"commutator_with_t_nontrivial[w{i}]", nontrivial, witness))
         if strict:
             bad = sorted(gen_name(abs(c)) for c in w if not is_base(c) and abs(c) != stable_gen(i))
             conds.append(Condition(f"letters_within_support[w{i}]", not bad, ", ".join(bad) or None))
-    verdict = Verdict.CERTIFIED if all(c.ok for c in conds) else Verdict.REFUTED
+    verdict = Verdict.REFUTED if related else Verdict.CERTIFIED if all(c.ok for c in conds) else Verdict.INCONCLUSIVE
     return Certificate(verdict, "braid-free-rank", tuple(conds))
 
 

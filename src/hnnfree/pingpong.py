@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import words
 from .presentation import Association, HnnPresentation
-from .rewrite import RuleSystem, nf
+from .rewrite import RuleSystem
 from .words import (
     OUTER,
     Alphabet,
@@ -169,24 +169,20 @@ class OracleReport:
         }
 
 
-def in_base_subgroup(w: Word, system: RuleSystem) -> bool:
-    """Membership in the pure-base subgroup: the normal form uses base letters only."""
-    return all(is_base(c) for c in nf(w, system))
-
-
 def support_check(
     spec: SubgroupSpec,
     disjoint_with: Sequence[SubgroupSpec] = (),
     strict: bool = True,
-    alphabet: Alphabet | None = None,
+    *,
+    alphabet: Alphabet,
 ) -> list[Condition]:
     """Support conditions for one spec against the others.
 
     Checks non-emptiness, pairwise disjointness, and in strict mode that
     every generator word stays inside base letters plus the support.
-    Witnesses spell generators in `alphabet` (default names without one).
+    Witnesses spell generators in `alphabet`.
     """
-    name = gen_name if alphabet is None else alphabet.name
+    name = alphabet.name
     conds = [Condition(f"support_nonempty[{spec.label}]", bool(spec.support))]
     for other in disjoint_with:
         overlap = spec.support & other.support

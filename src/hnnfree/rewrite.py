@@ -598,16 +598,6 @@ def equal(u: Word, v: Word, system: RuleSystem) -> bool:
     return nf(u, system) == nf(v, system)
 
 
-def stable_signature(w: Word) -> Word:
-    """The sequence of stable/outer letters of w, in order."""
-    return tuple(c for c in w if c & 1)
-
-
-def is_subsequence(sub: tuple, full: tuple) -> bool:
-    it = iter(full)
-    return all(any(s == f for f in it) for s in sub)
-
-
 @dataclass(frozen=True)
 class CriticalPair:
     peak: Word

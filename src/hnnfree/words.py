@@ -268,11 +268,10 @@ class Alphabet:
         return self._by_code.get(g) or gen_name(g)  # type: ignore[attr-defined]
 
 
-def default_alphabet(n_base: int, n_stable: int, outer: bool = False) -> Alphabet:
+def default_alphabet(n_base: int, n_stable: int) -> Alphabet:
     return Alphabet(
         tuple(f"y{i}" for i in range(1, n_base + 1)),
         tuple(f"x{i}" for i in range(1, n_stable + 1)),
-        "t" if outer else None,
     )
 
 

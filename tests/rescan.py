@@ -5,7 +5,9 @@ looks for the smallest position where some lhs occurs (then the first rule
 in list order), splices, steps back by the longest lhs and scans forward
 again: slow, but obviously leftmost.  overlaps_by_scan compares every rule
 with every rule at every offset: quadratic, but obviously all the critical
-pairs.
+pairs.  stable_signature and is_subsequence state the invariant of
+criterion 04: rewriting only deletes stable/outer letters, never adds or
+reorders them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ def segment_lengths(w) -> tuple[int, ...]:
         else:
             coords[-1] += 1
     return tuple(coords)
+
+
+def stable_signature(w) -> tuple[int, ...]:
+    """The sequence of stable/outer letters of w, in order."""
+    return tuple(c for c in w if c & 1)
+
+
+def is_subsequence(sub: tuple, full: tuple) -> bool:
+    it = iter(full)
+    return all(any(s == f for f in it) for s in sub)
 
 
 def _match(word: list[int], pos: int, rules) -> int | None:

@@ -9,6 +9,7 @@ deliberately redundant with it.
 import random
 import time
 
+from rescan import is_subsequence, stable_signature
 from hnnfree.braid import (
     braid_freeness_check,
     braid_trivial,
@@ -31,13 +32,11 @@ from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_prese
 from hnnfree.rewrite import (
     RuleSystem,
     check_local_confluence,
-    is_subsequence,
     nf,
     normal_form,
     nu_less,
     random_confluence_probe,
     random_word,
-    stable_signature,
 )
 from hnnfree.words import (
     OUTER,

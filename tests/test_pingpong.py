@@ -18,7 +18,6 @@ from hnnfree.pingpong import (
     descends_to_identity,
     free_product_certificate,
     free_product_oracle,
-    in_base_subgroup,
     orbit_evidence,
     orbit_intersection_certificate,
     support_check,
@@ -55,35 +54,27 @@ def spec(label, support_names, *gen_texts):
     return SubgroupSpec(label, tuple(w3(t) for t in gen_texts), support)
 
 
-# --- in_base_subgroup ---------------------------------------------------------
-
-def test_in_base_subgroup():
-    assert in_base_subgroup(w3("y1 x2 x2^-1 y2"), S3)
-    assert not in_base_subgroup(w3("x1"), S3)
-    assert not in_base_subgroup(w3("x2 y2^-1 y1"), S3)
-
-
 # --- support_check --------------------------------------------------------------
 
 def test_support_disjointness():
     a = spec("A", ["x1"], "x1")
     b = spec("B", ["x2"], "y1 x2")
-    assert all(c.ok for c in support_check(a, [b]))
+    assert all(c.ok for c in support_check(a, [b], alphabet=GN3.alphabet))
     clash = spec("B", ["x1"], "x1")
-    conds = support_check(a, [clash])
+    conds = support_check(a, [clash], alphabet=GN3.alphabet)
     assert any(not c.ok and "disjoint" in c.name for c in conds)
 
 
 def test_support_nonempty():
     bad = SubgroupSpec("Z", (w3("y1"),), frozenset())
-    assert any(not c.ok and "nonempty" in c.name for c in support_check(bad, []))
+    assert any(not c.ok and "nonempty" in c.name for c in support_check(bad, [], alphabet=GN3.alphabet))
 
 
 def test_support_strict_containment():
     stray = spec("A", ["x1"], "x2 y1")
-    conds = support_check(stray, [], strict=True)
+    conds = support_check(stray, [], strict=True, alphabet=GN3.alphabet)
     assert any(not c.ok and "contains" in c.name for c in conds)
-    lax = support_check(stray, [], strict=False)
+    lax = support_check(stray, [], strict=False, alphabet=GN3.alphabet)
     assert all(c.ok for c in lax)
 
 

@@ -7,7 +7,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from rescan import overlaps_by_scan, rescan_leftmost
+from rescan import is_subsequence, overlaps_by_scan, rescan_leftmost, stable_signature
 
 from hnnfree import rewrite
 from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_presentation
@@ -18,7 +18,6 @@ from hnnfree.rewrite import (
     check_local_confluence,
     critical_pairs,
     equal,
-    is_subsequence,
     nf,
     nf_ints,
     nf_steps,
@@ -27,7 +26,6 @@ from hnnfree.rewrite import (
     nu_less,
     random_confluence_probe,
     random_word,
-    stable_signature,
 )
 from hnnfree.words import (
     EPSILON,

@@ -3,7 +3,9 @@ reduction loop is reduce_onto, and the projection onto F(X) x F(Y) is
 image.  A new hand-written copy of the loop elsewhere fails here.  A word
 is scanned for left-hand sides only by the lhs automaton of
 hnnfree.rewrite.RuleSystem: its lhs index is read only where lhs are
-compared with lhs as the system is built (LHS_INDEX).
+compared with lhs as the system is built (LHS_INDEX).  Every public name
+the package defines has a reader in the package, its scripts or the
+benchmark, so no code is kept for tests alone.
 
 The package's source is read with ast, without importing it.  The loop is
 found by its test `s and s[-1] == -c`: a name, and its last item equal to
@@ -16,7 +18,8 @@ import ast
 import os
 import re
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "hnnfree")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "hnnfree")
 
 INLINE = {
     "words.reduce_onto",
@@ -102,3 +105,50 @@ def lhs_index_readers(src: str = SRC) -> set[str]:
 
 def test_the_lhs_index_is_read_only_where_lhs_meet_lhs():
     assert lhs_index_readers() == LHS_INDEX
+
+
+def _binds(stmt) -> set[str]:
+    """The public names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return {n for n in names if not n.startswith("_")}
+
+
+def _reads(node, strings: bool) -> list[str]:
+    """The names a node reads: a loaded name, an attribute, or with strings
+    each part of a string that is a dotted name, as perfbench names what it
+    traces.  An import reads nothing, so a re-export in __init__ is no
+    reader."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        parts = node.value.split(".")
+        return parts if all(p.isidentifier() for p in parts) else []
+    return []
+
+
+def unread_public_names(root: str = ROOT) -> set[str]:
+    """Every public top-level name of the package at root/src/hnnfree that
+    nothing reads outside its own definition: not the package, not
+    root/scripts, not root/perfbench."""
+    package, defined, read = os.path.join("src", "hnnfree"), set(), set()
+    for where in (package, "scripts", "perfbench"):
+        for _, tree in _modules(os.path.join(root, where)):
+            for stmt in tree.body:
+                own = _binds(stmt)
+                if where == package:
+                    defined |= own
+                read.update(name for node in ast.walk(stmt)
+                            for name in _reads(node, where == "perfbench") if name not in own)
+    return defined - read
+
+
+def test_every_public_name_has_a_reader():
+    assert unread_public_names() == set()

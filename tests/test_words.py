@@ -27,7 +27,7 @@ from hnnfree.words import (
 )
 
 A23 = default_alphabet(2, 2)
-A23T = default_alphabet(2, 2, outer=True)
+A23T = Alphabet(A23.base_names, A23.stable_names, "t")  # as a p2 layer spells t
 
 
 def w(text, alphabet=A23T):
