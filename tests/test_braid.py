@@ -35,6 +35,7 @@ from hnnfree.words import (
     exp_sum,
     format_word,
     free_reduce,
+    gen_name,
     image,
     invert,
     stable_gen,
@@ -473,17 +474,42 @@ def _closed_form_tables(n):
     return tables
 
 
+def _table_faults(split, n):
+    """Where the two tables of some y_j are not mutually inverse, or an image
+    changes the x/t exponent sums of its letter (the screens of is_trivial
+    rely on both)."""
+    odd = [OUTER] + [stable_gen(i) for i in range(1, n)]
+    faults = []
+    for y, table in split._tables.items():
+        for g, img in table.items():
+            if split.act(-y, split.act(y, [g])) != [g]:
+                faults.append(f"not mutually inverse at {gen_name(abs(y))}, {gen_name(abs(g))}")
+            if any(exp_sum(img, h) != exp_sum((g,), h) for h in odd):
+                faults.append(f"changes the exponent sums of {gen_name(abs(g))}")
+    return faults
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_action_tables_are_conjugations_by_p_and_q(n):
     split = BraidSplitting(n)
     assert split._tables == _closed_form_tables(n)
-    # the two tables of y_j are mutually inverse, and every image keeps the
-    # x/t exponent sums of its letter, which the screens of is_trivial rely on
-    odd = [OUTER] + [stable_gen(i) for i in range(1, n)]
-    for y, table in split._tables.items():
-        for g, img in table.items():
-            assert split.act(-y, split.act(y, [g])) == [g]
-            assert [exp_sum(img, h) for h in odd] == [exp_sum((g,), h) for h in odd]
+    assert _table_faults(split, n) == []
+
+
+def test_action_tables_must_keep_exponent_sums():
+    # x2 -> x2 t and x2 -> x2 t^-1 are mutually inverse, but change the sums
+    split = BraidSplitting(3)
+    y, x2 = base_gen(1), stable_gen(2)
+    fwd = {g: (g,) for g in split._tables[y]}
+    bwd = dict(fwd)
+    fwd[x2], fwd[-x2] = (x2, OUTER), (-OUTER, -x2)
+    bwd[x2], bwd[-x2] = (x2, -OUTER), (OUTER, -x2)
+    split._tables[y], split._tables[-y] = fwd, bwd
+    faults = _table_faults(split, 3)
+    assert "changes the exponent sums of x2" in faults
+    assert not any(f.startswith("not mutually inverse") for f in faults)
+    bwd[x2] = (x2,)
+    assert "not mutually inverse at y1, x2" in _table_faults(split, 3)
 
 
 def test_splitting_is_built_without_acting():
