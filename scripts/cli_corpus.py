@@ -119,6 +119,8 @@ COMMANDS = [
     f"pingpong-oracle {P2_3} --spec W1:x1:x1 --spec W2:x2:x2 --spec T:t:t --syllables 4",
     f"pingpong-oracle {G3} --spec 'A:x1:x1, y1 x1 y1^-1' --spec B:x2:x2 --exp-range 3 "
     "--max-products 7",
+    # a product with a trivial factor, (x1) (x1)^-1, is no witness
+    f"pingpong-oracle {G3} --spec A:x1:x1,x1 --spec B:x2:x2",
     f"braid-verify {P2_2}",
     f"braid-verify {P2_3}",
     f"braid-phi {P2_2} x1",
@@ -141,6 +143,7 @@ COMMANDS = [
     f"danilevich {P2_2} --h x1",
     f"danilevich {P2_2} --h 'y1 x1'",
     f"danilevich {P2_2} --h x1 --max-products 3",
+    f"danilevich {P2_2} --h x1 --h x1",
     f"eq {P2_2} 't^-1 y1 t' 'y1 x1 y1 x1^-1 y1^-1'",
     f"eq {P2_3} 'y1^-1 x2 x1^-1 y1 x1 x2^-1 x1^-1 y1^-1 x1 y1' 1",
     f"nf {P2_2} 't y1 t^-1'",

@@ -481,30 +481,31 @@ def braid_freeness_check(
     BraidSplitting.is_trivial alone; nothing is pushed, so no base rule
     system is compiled.  Strict mode additionally pins each w_i inside the
     letters {y_*} u {x_i}.  Certified when every condition holds; refuted
-    only when some [w_i, t] = 1, a relation among the generators; any other
-    failed condition is a failed hypothesis, so the answer is inconclusive.
+    only when some [w_i, t] = 1, a relation among the generators, the first
+    of which is the witness; any other failed condition is a failed
+    hypothesis, so the answer is inconclusive.
     """
     if len(words) != n - 1:
         raise ValueError(f"expected {n - 1} words, got {len(words)}")
     split = _splitting(n)
     alphabet = p2(n).alphabet
     conds: list[Condition] = []
-    related = False
+    witness = None
     for i, w in enumerate(words, start=1):
         exps = {f"x{j}": exp_sum(w, stable_gen(j)) for j in range(1, n)}
         exps["t"] = exp_sum(w, OUTER)
         ok1 = all((e != 0) == (name == f"x{i}") for name, e in exps.items())
         table = ", ".join(f"{name}:{e}" for name, e in exps.items() if e or name == f"x{i}")
         conds.append(Condition(f"exponent_pattern[w{i}]", ok1, table))
-        nontrivial = not split.is_trivial(commutator(w, T_WORD))
-        related |= not nontrivial
-        witness = f"[{format_word(w, alphabet)}, t] " + ("is nontrivial" if nontrivial else "= 1")
-        conds.append(Condition(f"commutator_with_t_nontrivial[w{i}]", nontrivial, witness))
+        nontrivial = not split.is_trivial(c := commutator(w, T_WORD))
+        if not nontrivial and witness is None:
+            witness = c
+        why = f"[{format_word(w, alphabet)}, t] " + ("is nontrivial" if nontrivial else "= 1")
+        conds.append(Condition(f"commutator_with_t_nontrivial[w{i}]", nontrivial, why))
         if strict:
             bad = sorted(gen_name(abs(c)) for c in w if not is_base(c) and abs(c) != stable_gen(i))
             conds.append(Condition(f"letters_within_support[w{i}]", not bad, ", ".join(bad) or None))
-    verdict = Verdict.REFUTED if related else Verdict.CERTIFIED if all(c.ok for c in conds) else Verdict.INCONCLUSIVE
-    return Certificate(verdict, "braid-free-rank", tuple(conds))
+    return Certificate("braid-free-rank", tuple(conds), witness)
 
 
 def free_factor_probe(

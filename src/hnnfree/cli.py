@@ -1,7 +1,7 @@
 """Command-line front end: one binary, subcommands per engine operation.
 
 Exit codes come from pingpong.Verdict: 0 pass/true/certified, 1
-fail/false/refuted, 3 inconclusive (also any CapExceeded); 2 is a usage or
+fail/false/refuted, 3 inconclusive (also any Inconclusive); 2 is a usage or
 parse error.  The library and the handlers raise; main alone turns failures
 into messages and exit codes.  All commands take a presentation source
 (--preset gn N, --preset p2 N, or --file PATH) and emit text or, with
@@ -51,7 +51,7 @@ from .rewrite import (
     random_confluence_probe,
 )
 from .words import (
-    CapExceeded,
+    Inconclusive,
     WordSyntaxError,
     format_word,
     is_base,
@@ -421,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    except CapExceeded as e:
+    except Inconclusive as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return Verdict.INCONCLUSIVE.exit
 

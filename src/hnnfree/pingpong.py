@@ -115,15 +115,19 @@ class Bounds:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a freeness check: verdict, cited criterion, conditions."""
+    """Outcome of a freeness check: cited criterion, conditions and the
+    witness that refutes it, if any.  Refuted with a witness, else certified
+    when every condition holds, else inconclusive."""
 
-    verdict: Verdict
     theorem: str
     conditions: tuple[Condition, ...]
+    witness: Word | None = None
 
-    def __post_init__(self) -> None:
-        if (self.verdict == Verdict.CERTIFIED) != all(c.ok for c in self.conditions):
-            raise ValueError("a certificate is certified exactly when every condition passes")
+    @property
+    def verdict(self) -> Verdict:
+        if self.witness is not None:
+            return Verdict.REFUTED
+        return Verdict.CERTIFIED if all(c.ok for c in self.conditions) else Verdict.INCONCLUSIVE
 
     def render(self) -> str:
         return conditions_text(f"verdict: {self.verdict}  ({self.theorem})", self.conditions)
@@ -135,19 +139,18 @@ class Certificate:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Result of a bounded enumeration: pass, fail with witness, or budget out.
-    The witness is spelled in `alphabet`, that of the enumeration's system."""
+    """Result of a bounded enumeration: fail with a witness, inconclusive
+    with a note (budget out), else pass; the witness is spelled in `alphabet`."""
 
-    verdict: Verdict
     checked: int
     witness: Word | None = None
     witness_factors: tuple[str, ...] | None = None
     note: str | None = None
     alphabet: Alphabet | None = None
 
-    def __post_init__(self) -> None:
-        if (self.verdict == Verdict.FAIL) != (self.witness is not None):
-            raise ValueError("an oracle report fails exactly when it carries a witness")
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.FAIL if self.witness is not None else Verdict.INCONCLUSIVE if self.note else Verdict.PASS
 
     def render(self) -> str:
         line = f"{self.verdict}  (products checked: {self.checked})"
@@ -170,11 +173,7 @@ class OracleReport:
 
 
 def support_check(
-    spec: SubgroupSpec,
-    disjoint_with: Sequence[SubgroupSpec] = (),
-    strict: bool = True,
-    *,
-    alphabet: Alphabet,
+    spec: SubgroupSpec, disjoint_with: Sequence[SubgroupSpec], strict: bool, *, alphabet: Alphabet
 ) -> list[Condition]:
     """Support conditions for one spec against the others.
 
@@ -245,8 +244,7 @@ def orbit_intersection_certificate(m: GeneratorMap, w: Word, p: HnnPresentation)
     )
     r = free_reduce(w)
     pure_base = bool(r) and all(is_base(c) for c in r)
-    verdict = Verdict.CERTIFIED if px else Verdict.REFUTED if pure_base else Verdict.INCONCLUSIVE
-    return Certificate(verdict, "orbit-intersection", conds)
+    return Certificate("orbit-intersection", conds, r if pure_base else None)
 
 
 def orbit_evidence(
@@ -275,7 +273,7 @@ def orbit_evidence(
         return cert
     why = f"{format_word(missing[0], p.alphabet)} not in the orbit of {format_word(w, p.alphabet)}"
     covers = Condition(f"orbit_covers_generators[{spec.label}]", False, why)
-    return Certificate(Verdict.INCONCLUSIVE, cert.theorem, (covers,) + cert.conditions)
+    return Certificate(cert.theorem, (covers,) + cert.conditions)
 
 
 def _projection_certifies(spec: SubgroupSpec, p: HnnPresentation) -> bool:
@@ -305,15 +303,15 @@ def free_product_certificate(
     base-intersection evidence.  A certified orbit certificate for which
     _projection_certifies holds, or a declared external proof, is
     proof-grade; any other certificate and a bounded probe pass
-    leave the verdict inconclusive.  Only failed support conditions and a
-    probe witness refute.  Witnesses are spelled in the alphabet of the
-    system's presentation.
+    leave the verdict inconclusive, and so does a failed support condition,
+    a failed hypothesis.  Only a probe witness refutes.  Witnesses are
+    spelled in the alphabet of the system's presentation.
     """
     p = system.presentation
     conds: list[Condition] = []
     for i, spec in enumerate(specs):
-        conds += support_check(spec, specs[i + 1 :], strict=strict, alphabet=p.alphabet)
-    refuted = not all(c.ok for c in conds)
+        conds += support_check(spec, specs[i + 1 :], strict, alphabet=p.alphabet)
+    witness = None
     for spec in specs:
         name = f"base_intersection_trivial[{spec.label}]"
         ev = evidence.get(spec.label)
@@ -329,18 +327,14 @@ def free_product_certificate(
             conds.append(Condition(name, ok, f"orbit certificate: {ev.verdict}{why}"))
         elif isinstance(ev, OracleReport):
             # Bounded evidence never certifies, but a failed probe refutes.
-            if ev.verdict == Verdict.FAIL:
+            if ev.witness is not None:
                 conds.append(Condition(name, False, f"probe found witness {format_word(ev.witness, p.alphabet)}"))
-                refuted = True
+                witness = ev.witness
             else:
                 conds.append(Condition(name, False, f"bounded probe only: {ev.verdict}"))
         else:
             conds.append(Condition(name, True, f"declared: {ev}"))
-    verdict = Verdict.REFUTED if refuted else Verdict.CERTIFIED if all(c.ok for c in conds) else Verdict.INCONCLUSIVE
-    return Certificate(verdict, "free-product-pingpong", tuple(conds))
-
-
-Runs = tuple[tuple[int, int], ...]
+    return Certificate("free-product-pingpong", tuple(conds), witness)
 
 
 def _alternating(live: Sequence[int], r: int, before: int):
@@ -356,7 +350,7 @@ def _alternating(live: Sequence[int], r: int, before: int):
                 yield (i,) + rest
 
 
-def _factor_desc(spec: SubgroupSpec, runs: Runs, alphabet: Alphabet) -> str:
+def _factor_desc(spec: SubgroupSpec, runs: list[tuple[int, int]], alphabet: Alphabet) -> str:
     chunks = []
     for idx, e in runs:
         base = format_word(spec.generators[idx], alphabet)
@@ -370,6 +364,7 @@ def _walk(
     screen: Callable[[int], bool],
     hit: Callable[[Word], bool],
     alphabet: Alphabet,
+    trivial: Callable[[Word], bool],
 ) -> OracleReport:
     """Depth-first walk over the alternating products of the specs.
 
@@ -398,8 +393,9 @@ def _walk(
     to zero, so it is settled by comparing what it adds with what the
     prefix lacks: a run that fails counts as its one product, and its
     word is never built.  A product whose sums vanish goes to `hit` as a
-    tuple, and the first hit fails the report, which spells its witness
-    and factors in `alphabet`.
+    tuple.  A hit is a witness only if `trivial` holds for none of its
+    factors, whose words are built for hits alone; the first witness fails
+    the report, which spells it and its factors in `alphabet`.
 
     The runs that may come next in a factor depend only on the spec, its
     uses left and the generator of the run before, so each such triple
@@ -478,6 +474,13 @@ def _walk(
     path: list[tuple[int, int, int]] = []
     checked = 0
 
+    def slots() -> list[list[tuple[int, int]]]:
+        """The runs (generator index, exponent) of each factor on path."""
+        out = [[] for _ in seq]
+        for pos, idx, e in path:
+            out[pos].append((idx, e))
+        return out
+
     def candidates(i: int, left: int, last: int) -> list[tuple]:
         out = []
         for idx, pw in enumerate(powers[i]):
@@ -539,7 +542,9 @@ def _walk(
                 if step == need:
                     path.append((pos, idx, e))
                     v = join_reduced(w, letters)
-                    if hit(v):
+                    if hit(v) and not any(
+                            trivial(reduce(join_reduced, (powers[i][idx][e][0] for idx, e in made)))
+                            for i, made in zip(seq, slots())):
                         return v
                     path.pop()
         return None
@@ -556,21 +561,16 @@ def _walk(
                 tail_size = [prod(sizes[i] for i in seq[pos + 1 :]) for pos in range(r)]
                 found = factor(0, (), bias)
                 if found is not None:
-                    runs_of = [[] for _ in seq]
-                    for pos, idx, e in path:
-                        runs_of[pos].append((idx, e))
-                    factors = tuple(_factor_desc(specs[i], tuple(made), alphabet)
-                                    for i, made in zip(seq, runs_of))
-                    return OracleReport(Verdict.FAIL, checked, found, factors, alphabet=alphabet)
+                    factors = tuple(_factor_desc(specs[i], made, alphabet)
+                                    for i, made in zip(seq, slots()))
+                    return OracleReport(checked, found, factors, alphabet=alphabet)
     except _Budget:
         if limit == cap:
             raise ProductCapExceeded(cap) from None
-        return OracleReport(
-            Verdict.INCONCLUSIVE, max(limit, 0), note=f"budget of {limit} products exceeded"
-        )
+        return OracleReport(max(limit, 0), note=f"budget of {limit} products exceeded")
     finally:  # runs and factor reach themselves through their closure cells
         runs = factor = None
-    return OracleReport(Verdict.PASS, checked)
+    return OracleReport(checked)
 
 
 def free_product_oracle(
@@ -588,14 +588,15 @@ def free_product_oracle(
     sums in every letter screen the products; the rest go to is_trivial,
     which must decide triviality in the group the products live in.  By
     default it is the rewriting decider, RuleSystem.is_trivial_reduced,
-    which rewrites only a product that holds an lhs.  The witness is
-    spelled in the alphabet of the system's presentation.
+    which rewrites only a product that holds an lhs.  A trivial product is
+    a witness only if is_trivial finds each of its factors nontrivial.  The
+    witness is spelled in the alphabet of the system's presentation.
     """
     if is_trivial is None:
         is_trivial = system.is_trivial_reduced
+    trivial = lambda w: not w or is_trivial(w)
     # every generator, t included, is an exponent-sum invariant
-    return _walk(specs, bounds, lambda g: True, lambda w: not w or is_trivial(w),
-                 system.presentation.alphabet)
+    return _walk(specs, bounds, lambda g: True, trivial, system.presentation.alphabet, trivial)
 
 
 def bounded_intersection_probe(
@@ -618,4 +619,6 @@ def bounded_intersection_probe(
         return bool(v) and all(map(is_base, v))
 
     bounds = Bounds(syllables=1, exp_range=max_len, max_products=max_products)
-    return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.presentation.alphabet)
+    # a hit's one factor is itself, which pure_base shows is nontrivial
+    return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.presentation.alphabet,
+                 lambda f: False)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .presentation import HnnPresentation, RewriteRule, compile_rules
 from . import words
-from .words import IMAGE_PARTS, CapExceeded, Word, base_gen, format_word, image, stable_gen
+from .words import IMAGE_PARTS, CapExceeded, Inconclusive, Word, base_gen, format_word, image, stable_gen
 
 # read by every rewrite loop when it starts, so tests can lower them
 STEP_CAP = 10_000_000
@@ -176,6 +176,12 @@ class RuleSystem:
         return moves, fail, [e[0] if e else None for e in ends], ends
 
     @cached_property
+    def confluent(self) -> bool:
+        """Whether every critical pair is joinable (check_local_confluence):
+        only then do distinct normal forms prove two words unequal."""
+        return check_local_confluence(self).ok
+
+    @cached_property
     def kept(self) -> tuple[str, ...]:
         """The names of the parts of the image on which the lhs and rhs of
         every rule agree, so that rewriting keeps them."""
@@ -244,8 +250,13 @@ class RuleSystem:
         return w if self.is_normal_reduced(w) else nf(w, self)
 
     def is_trivial_reduced(self, w) -> bool:
-        """Whether w is trivial; only a word holding an lhs is rewritten."""
-        return not self.nf_reduced(w)
+        """Whether w is trivial; only a word holding an lhs is rewritten.  A
+        nonempty normal form proves w nontrivial only on a confluent system;
+        elsewhere equal decides, by the kept image parts or not at all."""
+        v = self.nf_reduced(w)
+        if v and not self.confluent:
+            return equal(w, (), self)
+        return not v
 
 
 class TraceEntry(NamedTuple):
@@ -588,14 +599,20 @@ def equal(u: Word, v: Word, system: RuleSystem) -> bool:
 
     Rewriting keeps each part of the image in system.kept, so u and v are
     first compared there, and a part that differs answers False without
-    rewriting; the answer is that of comparing normal forms either way."""
+    rewriting, on any system.  Equal normal forms answer True; distinct
+    ones answer False only on a confluent system, and raise Inconclusive
+    on any other."""
     at = system._screen
     if at:
         sums = 2 in at  # IMAGE_PARTS[2]
         iu, iv = image(u, sums), image(v, sums)
         if any(iu[i] != iv[i] for i in at):
             return False
-    return nf(u, system) == nf(v, system)
+    if nf(u, system) == nf(v, system):
+        return True
+    if system.confluent:
+        return False
+    raise Inconclusive("distinct normal forms, and the rules are not confluent")
 
 
 @dataclass(frozen=True)

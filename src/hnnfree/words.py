@@ -30,7 +30,12 @@ EPSILON: Word = ()
 WORD_CAP = 1_000_000
 
 
-class CapExceeded(RuntimeError):
+class Inconclusive(RuntimeError):
+    """A question the program cannot decide: a precondition of every decider
+    failed, or (CapExceeded) a computation ran past a cap."""
+
+
+class CapExceeded(Inconclusive):
     """A computation ran past a cap, so its answer is inconclusive.  A bare
     one is parse_word's word length cap; each other cap is a subclass that
     words its message once, as its own template."""

@@ -690,10 +690,14 @@ def test_freeness_refutes_only_by_a_relation_artin_confirms(n, data):
     related = [i for i, w in enumerate(ws, start=1)
                if not next(c.ok for c in cert.conditions
                            if c.name == f"commutator_with_t_nontrivial[w{i}]")]
-    assert (cert.verdict == "refuted") == bool(related)
+    assert (cert.verdict == "refuted") == bool(related) == (cert.witness is not None)
     # [w, t] = 1 iff w t = t w, which the oracle decides on the short words
     for i in related:
         assert artin_equal(ws[i - 1] + T_WORD, T_WORD + ws[i - 1], n)
+    # the witness is the first such [w_i, t], and the oracle confirms it
+    if cert.witness is not None:
+        w = next(w for w in ws if commutator(w, T_WORD) == cert.witness)
+        assert w == ws[related[0] - 1] and artin_equal(w + T_WORD, T_WORD + w, n)
 
 
 # --- alternating-product probe -------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hnnfree.braid
@@ -22,7 +22,7 @@ from hnnfree.braid import braid_equal, braid_trivial, verify_braid_relations
 from hnnfree.cli import main
 from hnnfree.pingpong import Bounds, SubgroupSpec, free_product_oracle
 from hnnfree.presentation import gn, p2
-from hnnfree.rewrite import RuleSystem
+from hnnfree.rewrite import RuleSystem, critical_pairs
 from hnnfree.words import format_word, invert
 
 FILE_TEXT = """\
@@ -154,6 +154,56 @@ def test_p2_eq_agrees_with_braid_equal_and_artin(n, data):
     assert (code, out.getvalue()) == ((0, "true\n") if same else (1, "false\n"))
 
 
+# p2(2) as an HNN extension of F(x1, t) with the stable letter y1, whose
+# rules are not confluent: 3 of its 24 critical pairs are not joinable
+BH2 = """\
+base x1 t
+stable y1
+rel y1 : x1 ^ 1 = x1 ^ t^-1 x1^-1
+rel y1 : t ^ 1 = t ^ x1^-1
+"""
+INCONCLUSIVE_EQ = "inconclusive: distinct normal forms, and the rules are not confluent\n"
+
+
+def test_eq_on_a_non_confluent_system_says_false_only_by_an_image(tmp_path, capsys):
+    nested, bh2 = tmp_path / "nested.txt", tmp_path / "bh2.txt"
+    nested.write_text(NESTED)
+    bh2.write_text(BH2)
+    # the two reducts of one critical peak, and t and its conjugate by y1 x1,
+    # which p2(2) shows equal
+    assert run(capsys, "eq", "--file", str(nested), "y1 x1", "s x1^-1 y1^-1 x1 y1 x1 s^-1 y1") == (
+        3, "", INCONCLUSIVE_EQ)
+    assert run(capsys, "eq", "--file", str(bh2), "t", "y1 x1 t x1^-1 y1^-1") == (3, "", INCONCLUSIVE_EQ)
+    assert run(capsys, "eq", "--preset", "p2", "2", "t", "y1 x1 t x1^-1 y1^-1") == (0, "true\n", "")
+    # equal normal forms, and a kept image part (here F(X)) that differs, decide
+    assert run(capsys, "eq", "--file", str(nested), "s^-12 y1 x1^12",
+               "s^-11 x1^-1 y1^-1 x1^12 y1 x1 s^-1 y1") == (0, "true\n", "")
+    assert run(capsys, "eq", "--file", str(nested), "s", "s^2") == (1, "false\n", "")
+
+
+@pytest.fixture(scope="module")
+def bh2_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bh2") / "bh2.txt"
+    path.write_text(BH2)
+    return str(path)
+
+
+# words of p2(2) in its letters t, y1 and x1, whose names bh2.txt shares
+P2_2_WORDS = st.lists(st.sampled_from([s * g for g in (1, 2, 3) for s in (1, -1)]), max_size=6).map(tuple)
+
+
+@given(u=P2_2_WORDS, k=st.integers(0, 6), inserted=st.one_of(st.sampled_from(P2_RELATORS[2]), P2_2_WORDS))
+@example(u=(1,), k=0, inserted=(2, 3, 1, -3, -2, -1))  # [y1 x1, t] t = y1 x1 t x1^-1 y1^-1
+def test_bh2_eq_never_contradicts_the_braid_layer(bh2_path, u, k, inserted):
+    v = u[:k] + inserted + u[k:]
+    same = braid_equal(p2(2), u, v)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eq", "--file", bh2_path, *(format_word(w, p2(2).alphabet) for w in (u, v))])
+    assert out.getvalue() != ("false\n" if same else "true\n")
+    assert (code, err.getvalue()) == ((3, INCONCLUSIVE_EQ) if code == 3 else (1 - same, ""))
+
+
 def test_rules_counts(capsys):
     code, out, _ = run(capsys, "rules", "--preset", "gn", "3")
     assert code == 0
@@ -243,11 +293,23 @@ def test_certify_probe_evidence_stays_inconclusive(capsys):
 
 
 def test_certify_overlapping_support_is_refuted(capsys):
+    # only by a witness: the probe's hit y1 in <y1>
     code, out, _ = run(capsys, "pingpong-certify", "--preset", "gn", "3",
-                       "--spec", "A1:x1:x1", "--spec", "A2:x1:x1",
-                       "--evidence", "A1:declared:external", "--evidence", "A2:declared:external")
+                       "--spec", "A1:x1:x1", "--spec", "B:x1:y1",
+                       "--evidence", "A1:declared:external", "--evidence", "B:probe:4")
     assert code == 1
-    assert "refuted" in out
+    assert out.startswith("verdict: refuted") and "[probe found witness y1]" in out
+    # the overlap alone is a failed hypothesis: <x1> and <x2> generate their
+    # free product, though their supports overlap; no witness is searched
+    # for <x1> twice either
+    for second in ("B:x1,x2:x2", "A2:x1:x1"):
+        label = second.split(":")[0]
+        code, out, _ = run(capsys, "pingpong-certify", "--preset", "gn", "3",
+                           "--spec", "A1:x1:x1", "--spec", second,
+                           "--evidence", "A1:declared:external", "--evidence", f"{label}:declared:external")
+        assert code == 3
+        assert out.startswith("verdict: inconclusive")
+        assert f"FAIL support_disjoint[A1,{label}]  [x1]\n" in out
 
 
 def test_certify_json_document(capsys):
@@ -329,12 +391,16 @@ def test_oracle_pass_and_fail(capsys):
 
 @pytest.mark.parametrize("texts, runs", [
     (("A:x1:x1, y1 x1 y1^-1", "B:x2:x2"), 0),
-    # the witness, the relator x1 y2 x1^-1 y2^-1, holds a redex
-    (("A:x1,x2:x1 y2", "B:x1,x2:y2 x1"), 1),
+    # the witness, the relator x1 y2 x1^-1 y2^-1, holds a redex, and so
+    # do its factors x1 y2 and (y2 x1)^-1
+    (("A:x1,x2:x1 y2", "B:x1,x2:y2 x1"), 3),
 ])
 def test_oracle_cli_and_library_share_the_rewriting_decider(texts, runs, monkeypatch, capsys):
     # Group.is_trivial and free_product_oracle's default both reach
-    # RuleSystem.is_trivial_reduced, so they run the engine equally often
+    # RuleSystem.is_trivial_reduced, so they run the engine equally often:
+    # twice per critical pair, when the first nonempty normal form asks
+    # whether the rules are confluent, and once per product holding a redex
+    runs += 2 * len(critical_pairs(RuleSystem(gn(3))))
     calls, engine = [], hnnfree.rewrite._leftmost
     monkeypatch.setattr(hnnfree.rewrite, "_leftmost", lambda *a: calls.append(a) or engine(*a))
     code, out, _ = run(capsys, "pingpong-oracle", "--preset", "gn", "3",
@@ -812,7 +878,7 @@ def test_file_generator_names_reach_every_message(tmp_path, capsys):
     path.write_text("base a b\nstable p q\nrel p : a ^ 1 = a ^ 1\n")
     code, out, _ = run(capsys, "pingpong-certify", "--file", str(path),
                        "--spec", "A:p:p", "--spec", "B:p:q")
-    assert code == 1
+    assert code == 3
     assert "FAIL support_disjoint[A,B]  [p]\n" in out
     assert "FAIL support_contains_generators[B]  [q in q]\n" in out
     code, out, _ = run(capsys, "pingpong-certify", "--file", str(path),

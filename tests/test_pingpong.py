@@ -30,6 +30,7 @@ from hnnfree.words import (
     EPSILON,
     Alphabet,
     GeneratorMap,
+    Inconclusive,
     OUTER,
     ProductCapExceeded,
     base_gen,
@@ -59,22 +60,22 @@ def spec(label, support_names, *gen_texts):
 def test_support_disjointness():
     a = spec("A", ["x1"], "x1")
     b = spec("B", ["x2"], "y1 x2")
-    assert all(c.ok for c in support_check(a, [b], alphabet=GN3.alphabet))
+    assert all(c.ok for c in support_check(a, [b], True, alphabet=GN3.alphabet))
     clash = spec("B", ["x1"], "x1")
-    conds = support_check(a, [clash], alphabet=GN3.alphabet)
+    conds = support_check(a, [clash], True, alphabet=GN3.alphabet)
     assert any(not c.ok and "disjoint" in c.name for c in conds)
 
 
 def test_support_nonempty():
     bad = SubgroupSpec("Z", (w3("y1"),), frozenset())
-    assert any(not c.ok and "nonempty" in c.name for c in support_check(bad, [], alphabet=GN3.alphabet))
+    assert any(not c.ok and "nonempty" in c.name for c in support_check(bad, [], True, alphabet=GN3.alphabet))
 
 
 def test_support_strict_containment():
     stray = spec("A", ["x1"], "x2 y1")
-    conds = support_check(stray, [], strict=True, alphabet=GN3.alphabet)
+    conds = support_check(stray, [], True, alphabet=GN3.alphabet)
     assert any(not c.ok and "contains" in c.name for c in conds)
-    lax = support_check(stray, [], strict=False, alphabet=GN3.alphabet)
+    lax = support_check(stray, [], False, alphabet=GN3.alphabet)
     assert all(c.ok for c in lax)
 
 
@@ -126,6 +127,22 @@ def test_orbit_certificate_verdicts():
     assert orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3).verdict == Verdict.CERTIFIED
     assert orbit_intersection_certificate(EXT3.phi, w3("y1"), GN3).verdict == Verdict.REFUTED
     assert orbit_intersection_certificate(EXT3.phi, w3("x1 y2"), GN3).verdict == Verdict.CERTIFIED
+
+
+@given(st.lists(st.sampled_from(["x1", "x1^-1", "x2", "y1", "y1^-1", "y2"]), max_size=6))
+def test_a_refuted_orbit_certificate_carries_its_pure_base_word(letters):
+    w = w3(" ".join(letters) or "1")
+    cert = orbit_intersection_certificate(EXT3.phi, w, GN3)
+    reduced = []
+    for c in w:  # free reduction, by hand
+        if reduced and reduced[-1] == -c:
+            reduced.pop()
+        else:
+            reduced.append(c)
+    pure_base = bool(reduced) and all(GN3.alphabet.name(abs(c))[0] == "y" for c in reduced)
+    assert (cert.verdict == Verdict.REFUTED) == (cert.witness is not None) == pure_base
+    if pure_base:  # the witness is w itself, a nontrivial element of <w> in the base
+        assert cert.witness == tuple(reduced)
 
 
 def test_vanishing_stable_projection_refutes_only_a_pure_base_word():
@@ -191,10 +208,20 @@ def test_free_product_certificate_certified():
 
 
 def test_free_product_certificate_refuted_on_overlap():
+    # overlapping supports are refuted only by a witness, here the probe's
+    # hit y1, which the certificate carries
     a = spec("A1", ["x1"], "x1")
+    c = spec("B", ["x1"], "y1")
+    evidence = {"A1": "external", "B": bounded_intersection_probe(c, S3, 2)}
+    cert = free_product_certificate([a, c], evidence, S3)
+    assert (cert.verdict, cert.witness) == (Verdict.REFUTED, w3("y1"))
+    # the overlap alone is a failed hypothesis: <x1> and <x1 y1> generate
+    # their free product (the oracle passes every product at small bounds)
     b = spec("A2", ["x1"], "x1 y1")
-    cert = free_product_certificate([a, b], {}, S3)
-    assert cert.verdict == Verdict.REFUTED
+    cert = free_product_certificate([a, b], {"A1": "external", "A2": "external"}, S3)
+    assert (cert.verdict, cert.witness) == (Verdict.INCONCLUSIVE, None)
+    assert [c.name for c in cert.conditions if not c.ok] == ["support_disjoint[A1,A2]"]
+    assert free_product_oracle([a, b], S3, Bounds(syllables=4)).verdict == Verdict.PASS
 
 
 def test_free_product_certificate_missing_evidence():
@@ -274,25 +301,25 @@ def test_orbit_certificate_needs_the_direct_product_projection():
     assert free_product_certificate([a], {"A": orbit}, RuleSystem(p)).verdict == Verdict.INCONCLUSIVE
 
 
-def test_certificate_constructor_guards_verdict():
-    with pytest.raises(ValueError):
-        Certificate(Verdict.CERTIFIED, "x", (Condition("c", False),))
+OK, BAD = Condition("c", True), Condition("c", False)
 
 
-@pytest.mark.parametrize("make", [
-    # a certificate is certified exactly when every condition passes
-    lambda: Certificate(Verdict.REFUTED, "x", (Condition("c", True),)),
-    lambda: Certificate(Verdict.INCONCLUSIVE, "x", ()),
-    # an oracle report fails exactly when it carries a witness
-    lambda: OracleReport(Verdict.FAIL, 3),
-    lambda: OracleReport(Verdict.PASS, 3, witness=(1,)),
-    lambda: OracleReport(Verdict.INCONCLUSIVE, 3, witness=()),
+@pytest.mark.parametrize("report,verdict", [
+    # a witness refutes, whatever the conditions; an empty word is a witness too
+    (Certificate("x", (OK,), witness=(2,)), Verdict.REFUTED),
+    (Certificate("x", (BAD,), witness=()), Verdict.REFUTED),
+    # without one: certified when every condition holds, else inconclusive
+    (Certificate("x", (OK, OK)), Verdict.CERTIFIED),
+    (Certificate("x", ()), Verdict.CERTIFIED),
+    (Certificate("x", (OK, BAD)), Verdict.INCONCLUSIVE),
+    # a witness fails, even beside a note; else a note is inconclusive
+    (OracleReport(3, witness=(2,), note="budget of 3 products exceeded"), Verdict.FAIL),
+    (OracleReport(3, witness=()), Verdict.FAIL),
+    (OracleReport(3, note="budget of 3 products exceeded"), Verdict.INCONCLUSIVE),
+    (OracleReport(3), Verdict.PASS),
 ])
-def test_report_constructors_raise_on_a_broken_invariant(make):
-    with pytest.raises(ValueError):
-        make()
-    assert OracleReport(Verdict.FAIL, 3, witness=()).witness == ()
-    assert Certificate(Verdict.REFUTED, "x", (Condition("c", False),)).verdict == "refuted"
+def test_a_report_derives_its_verdict_from_its_evidence(report, verdict):
+    assert report.verdict is verdict
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -407,17 +434,41 @@ def test_product_cap_stops_a_walk_with_no_smaller_budget(monkeypatch):
         free_factor_probe(EXT3, [w3("x1")], Bounds(syllables=4))
 
 
+# wrongly declares trivial every word longer than a factor of
+# certified_fixture at exp_range 2, (y1 x2)^2, and no factor
+LONGER_THAN_A_FACTOR = lambda w: len(w) > 4
+
+
 def test_oracle_respects_is_trivial_hook():
-    # a hook that wrongly declares everything trivial must fail on the first
-    # product that survives the exponent-sum screen; that needs 4 syllables
+    # a hook that wrongly declares products trivial must fail on the first
+    # one that survives the exponent-sum screen; that needs 4 syllables
     # (commutator shape), shorter products all have a nonzero exponent sum
     specs, _ = certified_fixture()
-    rep = free_product_oracle(specs, S3, Bounds(syllables=4),
-                              is_trivial=lambda _w: True)
+    rep = free_product_oracle(specs, S3, Bounds(syllables=4), is_trivial=LONGER_THAN_A_FACTOR)
     assert rep.verdict == "fail"
-    rep2 = free_product_oracle(specs, S3, Bounds(syllables=2),
-                               is_trivial=lambda _w: True)
+    rep2 = free_product_oracle(specs, S3, Bounds(syllables=2), is_trivial=LONGER_THAN_A_FACTOR)
     assert rep2.verdict == "pass"
+    # the hook decides the factors too: a witness needs each one nontrivial
+    rep3 = free_product_oracle(specs, S3, Bounds(syllables=4), is_trivial=lambda _w: True)
+    assert rep3.verdict == "pass"
+
+
+def test_oracle_on_a_non_confluent_system_decides_only_by_an_image():
+    # nested lhs make these rules non-confluent; they keep F(X), the free
+    # reduction of the stable letter s
+    nested = RuleSystem(parse_presentation(
+        "base y1 x1\nstable s\nrel s : y1 ^ x1^-1 y1^-1 = y1 ^ x1\nrel s : x1 ^ y1^-1 = x1 ^ y1 x1\n"))
+    p, s = nested.presentation, frozenset({OUTER})
+
+    def nspec(label, *texts):
+        return SubgroupSpec(label, tuple(p.parse(t) for t in texts), s)
+
+    # s s^-1 is trivial, and F(X) shows each factor nontrivial
+    rep = free_product_oracle([nspec("A", "s"), nspec("B", "s")], nested, Bounds(syllables=2))
+    assert (rep.verdict, rep.witness, rep.witness_factors) == ("fail", (), ("A: (s)", "B: (s)^-1"))
+    # y1 x1 y1^-1 x1^-1 has a nonempty normal form, which proves nothing here
+    with pytest.raises(Inconclusive, match="not confluent"):
+        free_product_oracle([nspec("A", "y1"), nspec("B", "x1")], nested, Bounds())
 
 
 # --- bounded probes ------------------------------------------------------------------
@@ -452,7 +503,7 @@ def test_a_walk_leaves_no_cyclic_garbage():
         lambda: bounded_intersection_probe(spec("A", ["x2"], "x2", "y1 x2 y1^-1"), S3, max_len=8,
                                            max_products=17),
         lambda: free_product_oracle(specs, S3, Bounds(syllables=4)),
-        lambda: free_product_oracle(specs, S3, Bounds(syllables=4), is_trivial=lambda _w: True),
+        lambda: free_product_oracle(specs, S3, Bounds(syllables=4), is_trivial=LONGER_THAN_A_FACTOR),
         lambda: free_product_oracle(specs, S3, Bounds(syllables=4, max_products=9)),
     ]
     verdicts = []
