@@ -100,6 +100,7 @@ COMMANDS = [
     "confluence --file nested.txt",
     "confluence --file long-conjugator.txt",
     f"confluence {G3} --random --seed 5 --trials 40",
+    f"confluence {G3} --random --seed 5 --trials 10 --max-len 6",
     f"{CERTIFY} --evidence A1:orbit:x1 --evidence 'A2:orbit:y1 x2'",
     f"pingpong-certify {G3} --spec A1:x1:x1",
     f"pingpong-certify {G3} --spec A1:x1:x1 --evidence A1:probe:4",
@@ -107,6 +108,9 @@ COMMANDS = [
     "--evidence A1:declared:external --evidence A2:declared:external",
     f"pingpong-certify {P2_3} --spec 'A:x1:y1 x1 y1^-1, x1^-1' --evidence A:orbit:x1",
     "pingpong-certify --file own-trivial.txt --spec A:p:p --spec B:p:q",
+    # the support holds the free reduction x1 of the generator
+    f"pingpong-certify {G3} --spec 'A:x1:x1 x2 x2^-1' --spec B:x2:x2 "
+    "--evidence A:orbit:x1 --evidence B:orbit:x2",
     f"pingpong-oracle {G3} --spec A1:x1:x1 --spec 'A2:x2:y1 x2' --syllables 4",
     f"pingpong-oracle {G3} --spec A1:x1:x1 --spec B1:x1:x1 --syllables 4",
     f"pingpong-oracle {G3} --spec A1:x1:x1 --spec 'A2:x2:y1 x2' --max-products 5",
@@ -121,6 +125,9 @@ COMMANDS = [
     "--max-products 7",
     # a product with a trivial factor, (x1) (x1)^-1, is no witness
     f"pingpong-oracle {G3} --spec A:x1:x1,x1 --spec B:x2:x2",
+    # y1 x1 y1^-1 x1^-1 has a normal form of its own, which on these
+    # non-confluent rules proves nothing: the walk stops on it
+    "pingpong-oracle --file nested.txt --spec A:s:y1 --spec B:s:x1",
     f"braid-verify {P2_2}",
     f"braid-verify {P2_3}",
     f"braid-phi {P2_2} x1",
@@ -144,6 +151,7 @@ COMMANDS = [
     f"danilevich {P2_2} --h 'y1 x1'",
     f"danilevich {P2_2} --h x1 --max-products 3",
     f"danilevich {P2_2} --h x1 --h x1",
+    f"danilevich {P2_2} --h x1 --syllables 4 --exp-range 1",
     f"eq {P2_2} 't^-1 y1 t' 'y1 x1 y1 x1^-1 y1^-1'",
     f"eq {P2_3} 'y1^-1 x2 x1^-1 y1 x1 x2^-1 x1^-1 y1^-1 x1 y1' 1",
     f"nf {P2_2} 't y1 t^-1'",

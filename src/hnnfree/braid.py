@@ -52,6 +52,7 @@ from .presentation import HnnPresentation, SemidirectExtension, p2, relators
 from .rewrite import RuleSystem, equal, nf
 from .words import (
     OUTER,
+    Alphabet,
     CapExceeded,
     PhiPowerCapExceeded,
     Word,
@@ -96,7 +97,7 @@ class SemidirectElement:
     def is_identity(self) -> bool:
         return not self.g and self.k == 0
 
-    def render(self, alphabet=None) -> str:
+    def render(self, alphabet: Alphabet) -> str:
         return f"({format_word(self.g, alphabet)}, t^{self.k})"
 
 
@@ -169,7 +170,7 @@ class SplitNormalForm:
     def is_identity(self) -> bool:
         return not self.y_part and not self.x_part
 
-    def render(self, alphabet=None) -> str:
+    def render(self, alphabet: Alphabet) -> str:
         return f"({format_word(self.y_part, alphabet)} | {format_word(self.x_part, alphabet)})"
 
 
@@ -387,9 +388,10 @@ class BraidRelationReport:
 
     def render(self) -> str:
         lines = [f"relation check at n={self.n}: {'all trivial' if self.ok else 'FAILURES'}"]
+        alphabet = p2(self.n).alphabet
         for e in self.entries:
             mark = "ok" if e.trivial else "FAIL"
-            extra = "" if e.settled_by == "push" else f"  (push remainder {e.pushed.render()})"
+            extra = "" if e.settled_by == "push" else f"  (push remainder {e.pushed.render(alphabet)})"
             lines.append(f"  {mark:4} {e.label():10} via {e.settled_by}{extra}")
         return "\n".join(lines)
 

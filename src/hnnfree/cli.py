@@ -150,7 +150,7 @@ def _command(name: str, summary: str, *arguments: tuple):
 _BOUNDS = (
     _arg("--syllables", type=int, default=6),
     _arg("--exp-range", type=int, default=2),
-    _arg("--max-products", type=int, default=None),
+    _arg("--max-products", type=int),
 )
 
 
@@ -158,7 +158,7 @@ _BOUNDS = (
           _arg("word"),
           _arg("--trace", action="store_true", help="print the rewrite trace"),
           _arg("--strategy", choices=("leftmost", "random"), default="leftmost"),
-          _arg("--seed", type=int, default=None))
+          _arg("--seed", type=int))
 def _cmd_nf(args, group) -> int:
     # normal forms are gN's, where t is no letter
     p, system = group.hnn, group.system
@@ -170,7 +170,7 @@ def _cmd_nf(args, group) -> int:
     else:
         result, steps = nf_steps(w, system)
     text = None if args.json else (
-        trace.render(p.alphabet) if args.trace else format_word(result, p.alphabet))
+        trace.render() if args.trace else format_word(result, p.alphabet))
     _emit(args, text, {
         "input": format_word(w, p.alphabet),
         "normal_form": format_word(result, p.alphabet),
@@ -214,7 +214,7 @@ def _cmd_confluence(args, group) -> int:
     _at_least(1, trials=args.trials, max_len=args.max_len)
     p, system = group.hnn, group.system
     if args.random:
-        rep = random_confluence_probe(system, seed=args.seed or 0,
+        rep = random_confluence_probe(system, seed=args.seed,
                                       trials=args.trials, max_len=args.max_len)
         ok = rep.ok
         text = (f"random probe: {rep.trials} trials x {rep.strategies} strategies: "
@@ -272,12 +272,11 @@ def _specs(args, group, p) -> dict[str, SubgroupSpec]:
           _arg("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS",
                help="subgroup spec; SUPPORT and GENWORDS comma-separated"),
           _arg("--evidence", action="append", metavar="LABEL:KIND:VALUE",
-               help="base-intersection evidence: orbit:WORD, declared:TEXT, probe:MAXLEN"),
-          _arg("--lax", action="store_true",
-               help="accept declared support without the syntactic letter check"))
+               help="base-intersection evidence: orbit:WORD, declared:TEXT, probe:MAXLEN"))
 def _cmd_pingpong_certify(args, group) -> int:
-    # the theorem speaks of the presented group, whose letters exclude t
-    p, system = group.hnn, group.system
+    # the theorem speaks of the presented group, whose letters exclude t;
+    # only probe evidence needs its rules
+    p = group.hnn
     by_label = _specs(args, group, p)
     evidence = {}
     for ev in args.evidence or []:
@@ -300,10 +299,10 @@ def _cmd_pingpong_certify(args, group) -> int:
         elif kind == "probe":
             if not value.isdigit() or int(value) < 1:
                 raise ValueError(f"probe evidence needs a length bound, got {value!r}")
-            evidence[label] = bounded_intersection_probe(by_label[label], system, int(value))
+            evidence[label] = bounded_intersection_probe(by_label[label], group.system, int(value))
         else:
             raise ValueError(f"unknown evidence kind {kind!r} (orbit/declared/probe)")
-    cert = free_product_certificate(list(by_label.values()), evidence, system, strict=not args.lax)
+    cert = free_product_certificate(list(by_label.values()), evidence, p)
     return _report(args, cert)
 
 

@@ -24,7 +24,7 @@ from .words import (
     Alphabet,
     ExpRangeCapExceeded,
     GeneratorMap,
-    ProductCapExceeded,
+    Inconclusive,
     Word,
     exp_sum,
     format_word,
@@ -53,10 +53,6 @@ class Verdict(str, Enum):
         return member
 
     __str__, __format__ = str.__str__, str.__format__
-
-
-class _Budget(Exception):
-    """Raised internally when an oracle exhausts its product budget."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ class Bounds:
     exp_range caps both the exponent of one run and the generator uses of
     one alternating factor.  max_products is the overall budget; exceeding
     it yields an inconclusive verdict, never a pass.  Without a budget below
-    words.PRODUCT_CAP, the walk stops at the cap with ProductCapExceeded.
+    words.PRODUCT_CAP, the walk stops at the cap, inconclusive too.
     """
 
     syllables: int = 6
@@ -140,7 +136,8 @@ class Certificate:
 @dataclass(frozen=True)
 class OracleReport:
     """Result of a bounded enumeration: fail with a witness, inconclusive
-    with a note (budget out), else pass; the witness is spelled in `alphabet`."""
+    with a note (a budget or cap spent, or a product left undecided), else
+    pass; the witness is spelled in `alphabet`."""
 
     checked: int
     witness: Word | None = None
@@ -173,13 +170,13 @@ class OracleReport:
 
 
 def support_check(
-    spec: SubgroupSpec, disjoint_with: Sequence[SubgroupSpec], strict: bool, *, alphabet: Alphabet
+    spec: SubgroupSpec, disjoint_with: Sequence[SubgroupSpec], alphabet: Alphabet
 ) -> list[Condition]:
     """Support conditions for one spec against the others.
 
-    Checks non-emptiness, pairwise disjointness, and in strict mode that
-    every generator word stays inside base letters plus the support.
-    Witnesses spell generators in `alphabet`.
+    Checks non-emptiness, pairwise disjointness, and that the free
+    reduction of every generator word stays inside base letters plus the
+    support.  Witnesses spell generators in `alphabet`.
     """
     name = alphabet.name
     conds = [Condition(f"support_nonempty[{spec.label}]", bool(spec.support))]
@@ -187,18 +184,14 @@ def support_check(
         overlap = spec.support & other.support
         witness = ", ".join(sorted(name(g) for g in overlap)) or None
         conds.append(Condition(f"support_disjoint[{spec.label},{other.label}]", not overlap, witness))
-    if strict:
-        bad: list[str] = []
-        for w in spec.generators:
-            for c in w:
-                if not is_base(c) and abs(c) not in spec.support:
-                    bad.append(f"{name(abs(c))} in {format_word(w, alphabet)}")
-                    break
-        conds.append(Condition(f"support_contains_generators[{spec.label}]", not bad,
-                               "; ".join(bad) or None))
-    else:
-        conds.append(Condition(f"support_containment_declared[{spec.label}]", True,
-                               "lax mode: containment accepted as declared"))
+    bad: list[str] = []
+    for w in spec.generators:
+        for c in free_reduce(w):
+            if not is_base(c) and abs(c) not in spec.support:
+                bad.append(f"{name(abs(c))} in {format_word(w, alphabet)}")
+                break
+    conds.append(Condition(f"support_contains_generators[{spec.label}]", not bad,
+                           "; ".join(bad) or None))
     return conds
 
 
@@ -294,23 +287,22 @@ Evidence = Certificate | OracleReport | str
 def free_product_certificate(
     specs: Sequence[SubgroupSpec],
     evidence: Mapping[str, Evidence],
-    system: RuleSystem,
-    strict: bool = True,
+    p: HnnPresentation,
 ) -> Certificate:
-    """Certify that the given subgroups generate their free product.
+    """Certify that the given subgroups of the group p presents generate
+    their free product.
 
-    Supports must be pairwise disjoint and non-empty; each spec needs
-    base-intersection evidence.  A certified orbit certificate for which
-    _projection_certifies holds, or a declared external proof, is
-    proof-grade; any other certificate and a bounded probe pass
-    leave the verdict inconclusive, and so does a failed support condition,
-    a failed hypothesis.  Only a probe witness refutes.  Witnesses are
-    spelled in the alphabet of the system's presentation.
+    Supports must be pairwise disjoint and non-empty and contain the
+    generators (support_check); each spec needs base-intersection evidence.
+    A certified orbit certificate for which _projection_certifies holds, or
+    a declared external proof, is proof-grade; any other certificate and a
+    bounded probe pass leave the verdict inconclusive, and so does a failed
+    support condition, a failed hypothesis.  Only a probe witness refutes.
+    Witnesses are spelled in p's alphabet.
     """
-    p = system.presentation
     conds: list[Condition] = []
     for i, spec in enumerate(specs):
-        conds += support_check(spec, specs[i + 1 :], strict, alphabet=p.alphabet)
+        conds += support_check(spec, specs[i + 1 :], p.alphabet)
     witness = None
     for spec in specs:
         name = f"base_intersection_trivial[{spec.label}]"
@@ -331,7 +323,8 @@ def free_product_certificate(
                 conds.append(Condition(name, False, f"probe found witness {format_word(ev.witness, p.alphabet)}"))
                 witness = ev.witness
             else:
-                conds.append(Condition(name, False, f"bounded probe only: {ev.verdict}"))
+                note = f" ({ev.note})" if ev.note else ""
+                conds.append(Condition(name, False, f"bounded probe only: {ev.verdict}{note}"))
         else:
             conds.append(Condition(name, True, f"declared: {ev}"))
     return Certificate("free-product-pingpong", tuple(conds), witness)
@@ -376,10 +369,12 @@ def _walk(
     count, then spec sequence, then each factor by total uses and then by
     its runs (generator index, |e|, positive first), so the first witness
     is minimal.  An exp_range above words.EXP_RANGE_CAP, read at call time,
-    raises ExpRangeCapExceeded before anything is built.  Past
-    max_products products the report is inconclusive; past
-    words.PRODUCT_CAP, read at call time, when no smaller budget is given,
-    the walk raises ProductCapExceeded.
+    raises ExpRangeCapExceeded before anything is built.  Every other stop
+    is an inconclusive report with a note: past max_products products, or
+    past words.PRODUCT_CAP, read at call time, when no smaller budget is
+    given, it counts that many products checked; a words.Inconclusive that
+    `hit` or `trivial` raises counts the products decided before the one
+    it was given.
 
     A prefix carries its freely reduced word and its exponent sums on the
     generators of its letters for which `screen` holds.  Each such
@@ -408,6 +403,8 @@ def _walk(
     """
     e_max, budget, cap = bounds.exp_range, bounds.max_products, words.PRODUCT_CAP
     limit = cap if budget is None else min(budget, cap)
+    # returned up the walk, in place of a witness, once the limit is spent
+    stop = f"oracle product cap {cap} exceeded" if limit == cap else f"budget of {limit} products exceeded"
     if e_max > words.EXP_RANGE_CAP:
         raise ExpRangeCapExceeded(words.EXP_RANGE_CAP)
     gen_words = [s.generators for s in specs]
@@ -525,7 +522,7 @@ def _walk(
                 for s, f, t in zip(nxt, fs, ts):
                     if not t >> s & f:
                         if checked + after * size > limit:
-                            raise _Budget
+                            return stop
                         checked += after * size
                         break
                 else:
@@ -537,7 +534,7 @@ def _walk(
                     path.pop()
             else:  # a whole product, whose sums vanish exactly when step == need
                 if checked >= limit:
-                    raise _Budget
+                    return stop
                 checked += 1
                 if step == need:
                     path.append((pos, idx, e))
@@ -560,14 +557,14 @@ def _walk(
                 tail, end = [tails[seq[pos + 1 :]] for pos in range(r)], r - 1
                 tail_size = [prod(sizes[i] for i in seq[pos + 1 :]) for pos in range(r)]
                 found = factor(0, (), bias)
+                if found is stop:
+                    return OracleReport(max(limit, 0), note=stop)
                 if found is not None:
                     factors = tuple(_factor_desc(specs[i], made, alphabet)
                                     for i, made in zip(seq, slots()))
                     return OracleReport(checked, found, factors, alphabet=alphabet)
-    except _Budget:
-        if limit == cap:
-            raise ProductCapExceeded(cap) from None
-        return OracleReport(max(limit, 0), note=f"budget of {limit} products exceeded")
+    except Inconclusive as e:  # the product just counted is left undecided
+        return OracleReport(checked - 1, note=str(e))
     finally:  # runs and factor reach themselves through their closure cells
         runs = factor = None
     return OracleReport(checked)
@@ -589,8 +586,10 @@ def free_product_oracle(
     which must decide triviality in the group the products live in.  By
     default it is the rewriting decider, RuleSystem.is_trivial_reduced,
     which rewrites only a product that holds an lhs.  A trivial product is
-    a witness only if is_trivial finds each of its factors nontrivial.  The
-    witness is spelled in the alphabet of the system's presentation.
+    a witness only if is_trivial finds each of its factors nontrivial; a
+    product it cannot decide (words.Inconclusive) stops the walk with an
+    inconclusive report.  The witness is spelled in the alphabet of the
+    system's presentation.
     """
     if is_trivial is None:
         is_trivial = system.is_trivial_reduced
@@ -599,12 +598,7 @@ def free_product_oracle(
     return _walk(specs, bounds, lambda g: True, trivial, system.presentation.alphabet, trivial)
 
 
-def bounded_intersection_probe(
-    spec: SubgroupSpec,
-    system: RuleSystem,
-    max_len: int,
-    max_products: int | None = None,
-) -> OracleReport:
+def bounded_intersection_probe(spec: SubgroupSpec, system: RuleSystem, max_len: int) -> OracleReport:
     """Check that no short nontrivial element of the subgroup is a pure base word.
 
     Enumerates reduced words in the declared generators up to max_len uses;
@@ -612,13 +606,14 @@ def bounded_intersection_probe(
     keep a stable letter in their normal form.  Only the non-base exponent
     sums screen the products, and only a product in which the lhs automaton
     finds a redex is rewritten (RuleSystem.nf_reduced): one that holds none
-    is its own normal form.  Past max_products products are inconclusive.
+    is its own normal form.  Past words.PRODUCT_CAP products, or on a
+    product it cannot decide, the report is inconclusive.
     """
     def pure_base(w: Word) -> bool:
         v = system.nf_reduced(w)
         return bool(v) and all(map(is_base, v))
 
-    bounds = Bounds(syllables=1, exp_range=max_len, max_products=max_products)
+    bounds = Bounds(syllables=1, exp_range=max_len)
     # a hit's one factor is itself, which pure_base shows is nontrivial
     return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.presentation.alphabet,
                  lambda f: False)

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
-from .presentation import HnnPresentation, RewriteRule, compile_rules
+from .presentation import HnnPresentation, compile_rules
 from . import words
 from .words import IMAGE_PARTS, CapExceeded, Inconclusive, Word, base_gen, format_word, image, stable_gen
 
@@ -76,9 +76,10 @@ def nu_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 class RuleSystem:
     """A rule list and one index into it, from each lhs to its rule.
 
-    Compiled rules never share an lhs (kind 3 begins with x, kind 4 with
-    x^-1, and validate forbids a base letter twice per stable letter); a
-    hand-made list that does raises ValueError.  The lhs index is read only
+    The rules are the presentation's compiled rules, which never share an
+    lhs (kind 3 begins with x, kind 4 with x^-1, and validate forbids a
+    base letter twice per stable letter); a list that did would raise
+    ValueError as the index is built.  The lhs index is read only
     to compare lhs with lhs when the system is built.  Every scan of a word
     for an lhs reads the Aho-Corasick automaton of the lhs (_automaton):
     the leftmost engine by the longest lhs ending in the letter just read,
@@ -88,9 +89,9 @@ class RuleSystem:
     (_swap_floors).
     """
 
-    def __init__(self, presentation: HnnPresentation, rules: list[RewriteRule] | None = None):
+    def __init__(self, presentation: HnnPresentation):
         self.presentation = presentation
-        self.rules = compile_rules(presentation) if rules is None else list(rules)
+        self.rules = compile_rules(presentation)
         self._lhs_index: dict[Word, int] = {}
         for idx, r in enumerate(self.rules):
             if self._lhs_index.setdefault(r.lhs, idx) != idx:
@@ -252,10 +253,11 @@ class RuleSystem:
     def is_trivial_reduced(self, w) -> bool:
         """Whether w is trivial; only a word holding an lhs is rewritten.  A
         nonempty normal form proves w nontrivial only on a confluent system;
-        elsewhere equal decides, by the kept image parts or not at all."""
+        elsewhere equal decides on v, by the kept image parts, which
+        rewriting keeps, or not at all."""
         v = self.nf_reduced(w)
         if v and not self.confluent:
-            return equal(w, (), self)
+            return equal(v, (), self)
         return not v
 
 
@@ -305,8 +307,9 @@ class RewriteTrace:
         return tuple(TraceEntry(pos, rules[idx].kind, rules[idx].rule_id, tuple(vec), j)
                      for pos, idx, j, vec in self._replay())
 
-    def render(self, alphabet=None) -> str:
-        """One line per step.  A record of one step changes only the nu
+    def render(self) -> str:
+        """One line per step, spelled in the alphabet of the system's
+        presentation.  A record of one step changes only the nu
         coordinates its lhs covers, from its segment j on, so its line
         respells just those and joins the rest as the line before left
         them.  A batch of swaps a c -> c a, a stable or outer and c a base
@@ -315,6 +318,7 @@ class RewriteTrace:
         with V[j + 1 - s] + 1 and V[j + 1] - 1 put into the spelling of V.
         Other batches are replayed a step at a time."""
         rules, nus, join = self.system.rules, self.system._nus, ", ".join
+        alphabet = self.system.presentation.alphabet
         vec = list(self.nu_initial)
         parts = list(map(str, vec))
         lines = [f"initial: {format_word(self.initial, alphabet)}"]
@@ -703,16 +707,15 @@ class ProbeFailure:
 class ProbeReport:
     ok: bool
     trials: int
-    strategies: int
     failures: tuple[ProbeFailure, ...]
+    strategies = 5  # random strategies per word: a class constant, not a field
 
 
-def random_confluence_probe(
-    system: RuleSystem, seed: int, trials: int, max_len: int, strategies: int = 5
-) -> ProbeReport:
-    """Normalize random words under several random strategies and the
-    deterministic one; assert identical results and nu-decreasing traces."""
-    rng = random.Random(seed)
+def random_confluence_probe(system: RuleSystem, seed: int, trials: int, max_len: int) -> ProbeReport:
+    """Normalize random words under ProbeReport.strategies random strategies
+    and the deterministic one; assert identical results and nu-decreasing
+    traces."""
+    rng, strategies = random.Random(seed), ProbeReport.strategies
     failures: list[ProbeFailure] = []
     for trial in range(trials):
         w = random_word(rng, system, max_len)
@@ -729,4 +732,4 @@ def random_confluence_probe(
                 prev = e.nu_after
         if any(r != reference for r in results):
             failures.append(ProbeFailure(trial, w, tuple(results), "strategy disagreement"))
-    return ProbeReport(not failures, trials, strategies, tuple(failures))
+    return ProbeReport(not failures, trials, tuple(failures))

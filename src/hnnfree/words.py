@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 Word = tuple[int, ...]
@@ -63,11 +63,6 @@ class ExpRangeCapExceeded(CapExceeded):
 # read at call time.  Above the largest unbudgeted count in the tests, the
 # scripts and perfbench (5,631,276 products, for criterion 09)
 PRODUCT_CAP = 10_000_000
-
-
-class ProductCapExceeded(CapExceeded):
-    """An oracle walk would check more than PRODUCT_CAP products."""
-    template = "oracle product cap {} exceeded"
 
 
 def base_gen(i: int) -> int:
@@ -181,38 +176,18 @@ def image(w: Word, sums: bool = True) -> tuple:
     return tuple(stacks[1]), tuple(stacks[0]), exp_sums(w) if sums else None
 
 
-class MissingImageError(KeyError):
-    def __init__(self, gen: int):
-        super().__init__(gen_name(gen))
-        self.gen = gen
-
-    def __str__(self) -> str:
-        return f"generator map has no image for {gen_name(self.gen)}"
-
-
 @dataclass(frozen=True)
 class GeneratorMap:
-    """A map from generators to words, applied by substitution.
+    """A map from generators to words, applied by substitution; every
+    generator a word it is applied to holds must have an image."""
 
-    Unmapped outer letters default to themselves; unmapped base/stable
-    letters raise MissingImageError.
-    """
-
-    images: dict[int, Word] = field(default_factory=dict)
-
-    def image(self, g: int) -> Word:
-        try:
-            return self.images[g]
-        except KeyError:
-            if g == OUTER:
-                return (OUTER,)
-            raise MissingImageError(g) from None
+    images: dict[int, Word]
 
     def apply(self, w: Word) -> Word:
         """Substitute images (inverted for inverse letters), then freely reduce."""
-        parts: list[int] = []
+        images, parts = self.images, []
         for c in w:
-            img = self.image(abs(c))
+            img = images[abs(c)]
             parts.extend(img if c > 0 else invert(img))
         return free_reduce(parts)
 

@@ -10,6 +10,7 @@ import random
 import time
 
 from rescan import is_subsequence, stable_signature
+from test_rewrite import hand_made
 from hnnfree.braid import (
     braid_freeness_check,
     braid_trivial,
@@ -74,7 +75,7 @@ def test_criterion_01_confluence_certification():
         else:
             rules.append(r)
     assert corrupted
-    neg = check_local_confluence(RuleSystem(gn(3), rules))
+    neg = check_local_confluence(hand_made(rules))
     assert not neg.ok and neg.failures, "corrupted rule set was not flagged"
     print("criterion 01: PASS - local confluence certified for gn(2..5) and a "
           "hand-written system; corrupted rules flagged non-joinable")
@@ -99,7 +100,7 @@ def test_criterion_02_termination_certification():
 
 def test_criterion_03_strategy_independence():
     t0 = time.monotonic()
-    rep = random_confluence_probe(S4, seed=24003, trials=1_000, max_len=25, strategies=5)
+    rep = random_confluence_probe(S4, seed=24003, trials=1_000, max_len=25)
     dt = time.monotonic() - t0
     assert rep.ok, f"{len(rep.failures)} strategy disagreements"
     assert rep.trials == 1_000 and rep.strategies == 5
@@ -200,7 +201,7 @@ def test_criterion_08_certificate_oracle_coupling():
         "A1": orbit_intersection_certificate(p2(3).phi, gn3.parse("x1"), gn3),
         "A2": orbit_intersection_certificate(p2(3).phi, gn3.parse("y1 x2"), gn3),
     }
-    assert free_product_certificate([a1, a2], evidence, sys3).verdict == "certified"
+    assert free_product_certificate([a1, a2], evidence, gn3).verdict == "certified"
     instances = [("subgroups of gn(3)", None, [a1, a2], sys3)]
 
     braid_words = {3: (["x1", "x2"], ["x1 y2", "x2^2"], ["x2 x1 x2^-1", "x2"]),

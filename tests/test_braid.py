@@ -116,9 +116,9 @@ def test_phi_power_rejects_outer_letters():
 
 def test_push_moves_t_to_the_right():
     # t^-1 g t realizes phi, t g t^-1 realizes its inverse
-    assert semidirect_nf(E2, E2.parse("t^-1 x1 t")).render() == "(y1 x1 y1^-1, t^0)"
-    assert semidirect_nf(E2, E2.parse("t x1 t^-1")).render() == "(x1^-1 y1^-1 x1 y1 x1, t^0)"
-    assert semidirect_nf(E2, E2.parse("x1 t y1")).render() == "(y1 x1, t^1)"
+    assert semidirect_nf(E2, E2.parse("t^-1 x1 t")).render(E2.alphabet) == "(y1 x1 y1^-1, t^0)"
+    assert semidirect_nf(E2, E2.parse("t x1 t^-1")).render(E2.alphabet) == "(x1^-1 y1^-1 x1 y1 x1, t^0)"
+    assert semidirect_nf(E2, E2.parse("x1 t y1")).render(E2.alphabet) == "(y1 x1, t^1)"
     e = semidirect_nf(E3, E3.parse("t^3"))
     assert not e.g and e.k == 3
     assert semidirect_nf(E2, E2.parse("1")).is_identity
@@ -325,8 +325,8 @@ def test_center_of_rank_two_layer():
 # --- the exact splitting -----------------------------------------------------------
 
 def test_split_fixtures():
-    assert split_nf(E2, E2.parse("y1 x1")).render() == "(y1 | x1)"
-    assert split_nf(E2, E2.parse("x1 y1")).render() == "(y1 | x1 t x1 t^-1 x1^-1)"
+    assert split_nf(E2, E2.parse("y1 x1")).render(E2.alphabet) == "(y1 | x1)"
+    assert split_nf(E2, E2.parse("x1 y1")).render(E2.alphabet) == "(y1 | x1 t x1 t^-1 x1^-1)"
     assert split_nf(E2, E2.parse("1")).is_identity
     assert not split_nf(E2, E2.parse("t")).is_identity
 
@@ -570,7 +570,7 @@ def test_relations_rank_three_needs_the_splitting():
     assert len(rep.entries) == 12
     settled = [e for e in rep.entries if e.settled_by == "split"]
     assert [e.label() for e in settled] == ["R3(i=2, j=1)"]
-    assert settled[0].pushed.render() == (
+    assert settled[0].pushed.render(p2(3).alphabet) == (
         "(y1^-1 x2 x1^-1 y1 x1 x2^-1 x1^-1 y1^-1 x1 y1, t^0)"
     )
     assert "via split" in rep.render()

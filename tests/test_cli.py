@@ -770,14 +770,14 @@ def test_rank_cap_is_inconclusive(tmp_path, capsys):
 def test_x_part_cap_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(hnnfree.braid, "X_PART_CAP", 10)
     for argv in (("braid-phi", "--preset", "p2", "3", "--push", "x1 y1^3"),
-                 ("braid-check-free", "--preset", "p2", "3", "--w", "x1 y1^3", "--w", "x2"),
-                 ("danilevich", "--preset", "p2", "3", "--h", "x1 y1 y1"),
+                 ("braid-check-free", "--preset", "p2", "3", "--w", "x1 y1^3", "--w", "x2")):
+        assert run(capsys, *argv) == (3, "", "inconclusive: splitting x-part cap 10 exceeded\n")
+    # an oracle walk that stops on it reports the products decided before
+    for argv in (("danilevich", "--preset", "p2", "3", "--h", "x1 y1 y1"),
                  ("pingpong-oracle", "--preset", "p2", "3",
                   "--spec", "H:x1:x1 y1 y1", "--spec", "T:t:t")):
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err == "inconclusive: splitting x-part cap 10 exceeded\n"
+        assert run(capsys, *argv) == (3, "inconclusive  (products checked: 207)\n"
+                                         "  note: splitting x-part cap 10 exceeded\n", "")
 
 
 def test_exp_range_cap_is_inconclusive(monkeypatch, capsys):
@@ -807,14 +807,19 @@ def test_p2_parse_errors_name_the_text_as_typed(capsys, argv, err):
 
 
 def test_product_cap_is_inconclusive(monkeypatch, capsys):
-    # without a smaller --max-products, every oracle walk stops at the cap
+    # without a smaller --max-products, every oracle walk stops at the cap,
+    # and prints its report
     monkeypatch.setattr(hnnfree.words, "PRODUCT_CAP", 50)
     pair = ("pingpong-oracle", *G3, "--spec", "A:x1:x1, y1 x1 y1^-1", "--spec", "B:x2:x2")
+    capped = "inconclusive  (products checked: 50)\n  note: oracle product cap 50 exceeded\n"
     for argv in (pair, (*pair, "--max-products", "50"), (*pair, "--max-products", "51"),
-                 ("pingpong-certify", *G3, "--spec", "A1:x1:x1, y1 x1 y1^-1",
-                  "--evidence", "A1:probe:30"),
                  ("danilevich", "--preset", "p2", "2", "--h", "x1", "--syllables", "6")):
-        assert run(capsys, *argv) == (3, "", "inconclusive: oracle product cap 50 exceeded\n")
+        assert run(capsys, *argv) == (3, capped, "")
+    code, out, err = run(capsys, "pingpong-certify", *G3, "--spec", "A1:x1:x1, y1 x1 y1^-1",
+                         "--evidence", "A1:probe:30")
+    assert (code, err) == (3, "")
+    assert out.endswith("  FAIL base_intersection_trivial[A1]  "
+                        "[bounded probe only: inconclusive (oracle product cap 50 exceeded)]\n")
     code, out, _ = run(capsys, *pair, "--max-products", "49")
     assert code == 3 and out.endswith("note: budget of 49 products exceeded\n")
 

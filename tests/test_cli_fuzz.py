@@ -171,7 +171,7 @@ OPTIONS = {
         option("--trials", small(1, 5)), option("--max-len", small(1, 8))),
     # the theorem speaks of the presented group, which has no t
     "pingpong-certify": lambda base, stable: (
-        specs(base, tuple(s for s in stable if s != "t"), evidence=True), flag("--lax")),
+        specs(base, tuple(s for s in stable if s != "t"), evidence=True),),
     "pingpong-oracle": lambda base, stable: (specs(base, stable, evidence=False), *bounds()),
     "braid-verify": lambda base, stable: (),
     "braid-phi": lambda base, stable: (

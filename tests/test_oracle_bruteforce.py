@@ -15,6 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from hnnfree import words
 from hnnfree.braid import braid_trivial, free_factor_probe
 from hnnfree.pingpong import (
     Bounds,
@@ -192,6 +193,15 @@ PROBE_CASES = {
 }
 
 
+def capped_probe(spec, system, max_len, cap):
+    """bounded_intersection_probe under a product cap lowered to cap, if
+    one is given: the probe's one budget."""
+    with pytest.MonkeyPatch.context() as m:
+        if cap is not None:
+            m.setattr(words, "PRODUCT_CAP", cap)
+        return bounded_intersection_probe(spec, system, max_len)
+
+
 @pytest.mark.parametrize("name", PROBE_CASES)
 def test_bounded_intersection_probe_matches_brute_force(name):
     system, texts, max_len = PROBE_CASES[name]
@@ -206,7 +216,7 @@ def test_bounded_intersection_probe_matches_brute_force(name):
 
     full = brute(lists, 1, screen, hit, None, NEVER)
     for b in budgets(full):
-        rep = bounded_intersection_probe(spec, system, max_len, b)
+        rep = capped_probe(spec, system, max_len, b)
         assert outcome(rep) == brute(lists, 1, screen, hit, b, NEVER), (name, b)
 
 
@@ -317,7 +327,7 @@ def test_bounded_intersection_probe_matches_brute_force_on_drawn_specs(texts, ma
 
     full = brute(lists, 1, screen, hit, None, NEVER)
     for b in budgets_drawn(data, full):
-        rep = bounded_intersection_probe(spec, S3, max_len, b)
+        rep = capped_probe(spec, S3, max_len, b)
         assert outcome(rep) == brute(lists, 1, screen, hit, b, NEVER), b
     assert_walk_hits([spec], Bounds(1, max_len), screen, lists)
 

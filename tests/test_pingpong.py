@@ -3,7 +3,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hnnfree.pingpong import (
@@ -30,16 +30,17 @@ from hnnfree.words import (
     EPSILON,
     Alphabet,
     GeneratorMap,
-    Inconclusive,
     OUTER,
-    ProductCapExceeded,
     base_gen,
     exp_sum,
     format_word,
     free_reduce,
+    identity_map,
+    invert,
+    is_base,
     stable_gen,
 )
-from test_oracle_bruteforce import ORACLE_CASES
+from test_oracle_bruteforce import ORACLE_CASES, capped_probe
 
 GN3 = gn(3)
 S3 = RuleSystem(GN3)
@@ -60,23 +61,24 @@ def spec(label, support_names, *gen_texts):
 def test_support_disjointness():
     a = spec("A", ["x1"], "x1")
     b = spec("B", ["x2"], "y1 x2")
-    assert all(c.ok for c in support_check(a, [b], True, alphabet=GN3.alphabet))
+    assert all(c.ok for c in support_check(a, [b], GN3.alphabet))
     clash = spec("B", ["x1"], "x1")
-    conds = support_check(a, [clash], True, alphabet=GN3.alphabet)
+    conds = support_check(a, [clash], GN3.alphabet)
     assert any(not c.ok and "disjoint" in c.name for c in conds)
 
 
 def test_support_nonempty():
     bad = SubgroupSpec("Z", (w3("y1"),), frozenset())
-    assert any(not c.ok and "nonempty" in c.name for c in support_check(bad, [], True, alphabet=GN3.alphabet))
+    assert any(not c.ok and "nonempty" in c.name for c in support_check(bad, [], GN3.alphabet))
 
 
 def test_support_strict_containment():
     stray = spec("A", ["x1"], "x2 y1")
-    conds = support_check(stray, [], True, alphabet=GN3.alphabet)
-    assert any(not c.ok and "contains" in c.name for c in conds)
-    lax = support_check(stray, [], False, alphabet=GN3.alphabet)
-    assert all(c.ok for c in lax)
+    conds = support_check(stray, [], GN3.alphabet)
+    assert conds[-1] == Condition("support_contains_generators[A]", False, "x2 in x2 y1")
+    # containment is read on the free reduction: x1 x2 x2^-1 is x1
+    cancelled = spec("A", ["x1"], "x1 x2 x2^-1", "y1 x1 y1^-1")
+    assert all(c.ok for c in support_check(cancelled, [], GN3.alphabet))
 
 
 def test_support_rejects_base_letters():
@@ -202,7 +204,7 @@ def certified_fixture():
 
 def test_free_product_certificate_certified():
     specs, evidence = certified_fixture()
-    cert = free_product_certificate(specs, evidence, S3)
+    cert = free_product_certificate(specs, evidence, GN3)
     assert cert.verdict == Verdict.CERTIFIED
     assert all(c.ok for c in cert.conditions)
 
@@ -213,12 +215,12 @@ def test_free_product_certificate_refuted_on_overlap():
     a = spec("A1", ["x1"], "x1")
     c = spec("B", ["x1"], "y1")
     evidence = {"A1": "external", "B": bounded_intersection_probe(c, S3, 2)}
-    cert = free_product_certificate([a, c], evidence, S3)
+    cert = free_product_certificate([a, c], evidence, GN3)
     assert (cert.verdict, cert.witness) == (Verdict.REFUTED, w3("y1"))
     # the overlap alone is a failed hypothesis: <x1> and <x1 y1> generate
     # their free product (the oracle passes every product at small bounds)
     b = spec("A2", ["x1"], "x1 y1")
-    cert = free_product_certificate([a, b], {"A1": "external", "A2": "external"}, S3)
+    cert = free_product_certificate([a, b], {"A1": "external", "A2": "external"}, GN3)
     assert (cert.verdict, cert.witness) == (Verdict.INCONCLUSIVE, None)
     assert [c.name for c in cert.conditions if not c.ok] == ["support_disjoint[A1,A2]"]
     assert free_product_oracle([a, b], S3, Bounds(syllables=4)).verdict == Verdict.PASS
@@ -227,7 +229,7 @@ def test_free_product_certificate_refuted_on_overlap():
 def test_free_product_certificate_missing_evidence():
     specs, evidence = certified_fixture()
     del evidence["A2"]
-    cert = free_product_certificate(specs, evidence, S3)
+    cert = free_product_certificate(specs, evidence, GN3)
     assert cert.verdict == Verdict.INCONCLUSIVE
     assert any("no evidence" in (c.witness or "") for c in cert.conditions)
 
@@ -235,14 +237,14 @@ def test_free_product_certificate_missing_evidence():
 def test_free_product_certificate_probe_not_enough():
     specs, evidence = certified_fixture()
     evidence["A2"] = bounded_intersection_probe(specs[1], S3, max_len=6)
-    cert = free_product_certificate(specs, evidence, S3)
+    cert = free_product_certificate(specs, evidence, GN3)
     assert cert.verdict == Verdict.INCONCLUSIVE
 
 
 def test_orbit_evidence_never_refutes_the_free_product():
     a = spec("A", ["x1"], "y1")
     refuted = orbit_intersection_certificate(EXT3.phi, w3("y1"), GN3)
-    cert = free_product_certificate([a], {"A": refuted}, S3)
+    cert = free_product_certificate([a], {"A": refuted}, GN3)
     assert cert.verdict == Verdict.INCONCLUSIVE
     assert cert.conditions[-1] == Condition(
         "base_intersection_trivial[A]", False,
@@ -253,7 +255,7 @@ def test_orbit_certificate_counts_only_for_a_spec_it_covers():
     # A = <y1> is the base itself; a certificate for the orbit of x1 says nothing of it
     a = spec("A", ["x1"], "y1")
     orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
-    cert = free_product_certificate([a], {"A": orbit}, S3)
+    cert = free_product_certificate([a], {"A": orbit}, GN3)
     assert cert.verdict == Verdict.INCONCLUSIVE
     assert cert.conditions[-1] == Condition(
         "base_intersection_trivial[A]", False, "orbit certificate: certified "
@@ -264,7 +266,7 @@ def test_certificate_of_another_theorem_is_not_evidence():
     a = spec("A", ["x1"], "y1")
     rank = braid_freeness_check(3, [EXT3.parse("x1"), EXT3.parse("x2")])
     assert rank.verdict == Verdict.CERTIFIED
-    cert = free_product_certificate([a], {"A": rank}, S3)
+    cert = free_product_certificate([a], {"A": rank}, GN3)
     assert cert.verdict == Verdict.INCONCLUSIVE
     assert cert.conditions[-1] == Condition(
         "base_intersection_trivial[A]", False,
@@ -287,7 +289,7 @@ def test_certificate_of_another_theorem_is_not_evidence():
 def test_orbit_certificate_counts_when_the_projection_is_one_cycle(gens, counts):
     orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
     a = SubgroupSpec("A", gens, frozenset({stable_gen(1), stable_gen(2), OUTER}))
-    cert = free_product_certificate([a], {"A": orbit}, S3, strict=False)
+    cert = free_product_certificate([a], {"A": orbit}, GN3)
     assert (cert.verdict == Verdict.CERTIFIED) == counts
 
 
@@ -297,8 +299,57 @@ def test_orbit_certificate_needs_the_direct_product_projection():
         Association(base_gen(1), EPSILON, (base_gen(2),)),)})
     orbit = orbit_intersection_certificate(EXT3.phi, w3("x1"), GN3)
     a = SubgroupSpec("A", (w3("x1"),), frozenset({stable_gen(1)}))
-    assert free_product_certificate([a], {"A": orbit}, S3).verdict == Verdict.CERTIFIED
-    assert free_product_certificate([a], {"A": orbit}, RuleSystem(p)).verdict == Verdict.INCONCLUSIVE
+    assert free_product_certificate([a], {"A": orbit}, GN3).verdict == Verdict.CERTIFIED
+    assert free_product_certificate([a], {"A": orbit}, p).verdict == Verdict.INCONCLUSIVE
+
+
+@st.composite
+def gn_specs(draw):
+    """n in 2..4 and two or three specs over gn(n) of one or two generators
+    of one to three letters, each (label, generators, support names).  A
+    spec's first generator is a stable letter of its own, the next in a
+    drawn order, or its inverse, among base letters; a second one is the
+    first, its inverse, which the first one's orbit evidence covers, or any
+    word.  Either every support is drawn, its own letter first among the
+    stable letters it is drawn from, or each is None, the stable letters of
+    the generators.  gn(2), whose one stable letter no two supports can
+    share, is drawn last."""
+    n = draw(st.sampled_from((3, 4, 2)))
+    p = gn(n)
+    signed = lambda gens: [s * g for g in gens for s in (1, -1)]
+    base = st.lists(st.sampled_from(signed(p.base_gens)), max_size=2)
+    word = st.lists(st.sampled_from(signed(p.base_gens + p.stable_gens)), min_size=1, max_size=3)
+    derived = draw(st.booleans())
+    specs, homes = [], draw(st.permutations(p.stable_gens))
+    for i, label in enumerate("ABC"[: draw(st.integers(2, 3))]):
+        order = homes[i % len(homes):] + homes[: i % len(homes)]
+        around, x = draw(base), draw(st.sampled_from((order[0], -order[0])))
+        at = draw(st.integers(0, len(around)))
+        g = tuple(around[:at] + [x] + around[at:])
+        more = draw(st.sampled_from([(), (g,), (invert(g),), (tuple(draw(word)),)]))
+        names = st.lists(st.sampled_from([p.alphabet.name(h) for h in order]), min_size=1, unique=True)
+        specs.append((label, (g, *more), None if derived else draw(names)))
+    return n, specs
+
+
+@settings(max_examples=300)
+@given(gn_specs())
+# <x2> would pass every other condition, and x2 x2^-1 is trivial
+@example((3, [("A", ((stable_gen(2),),), ["x1"]), ("B", ((stable_gen(2),),), ["x2"])]))
+def test_a_certificate_never_contradicts_the_oracle(drawn):
+    n, drawn_specs = drawn
+    p = gn(n)
+    ident = identity_map(p.base_gens + p.stable_gens)
+    specs, evidence = [], {}
+    for label, gens, names in drawn_specs:
+        support = ({abs(c) for g in gens for c in g if not is_base(c)} if names is None
+                   else {p.alphabet.gen(name) for name in names})
+        specs.append(SubgroupSpec(label, gens, frozenset(support)))
+        # the orbit evidence the CLI builds from the first generator
+        evidence[label] = orbit_evidence(specs[-1], gens[0], p, ident, ident)
+    if free_product_certificate(specs, evidence, p).verdict == Verdict.CERTIFIED:
+        rep = free_product_oracle(specs, RuleSystem(p), Bounds(syllables=4, exp_range=2))
+        assert rep.verdict != Verdict.FAIL, rep.render()
 
 
 OK, BAD = Condition("c", True), Condition("c", False)
@@ -411,8 +462,9 @@ def test_an_empty_spec_keeps_the_spec_sequences_alternating(monkeypatch):
         s for s in itertools.product(range(3), repeat=3) if s[0] != s[1] != s[2]]
     monkeypatch.setattr(words, "PRODUCT_CAP", 10 ** 6)
     specs = [spec("A", ["x1"], "x1"), spec("B", ["x2"], "x2"), SubgroupSpec("C", (), frozenset({stable_gen(1)}))]
-    with pytest.raises(ProductCapExceeded):
-        free_product_oracle(specs, S3, Bounds(syllables=25, exp_range=1))
+    rep = free_product_oracle(specs, S3, Bounds(syllables=25, exp_range=1))
+    assert (rep.verdict, rep.checked, rep.note) == (
+        Verdict.INCONCLUSIVE, 10 ** 6, "oracle product cap 1000000 exceeded")
 
 
 def test_product_cap_stops_a_walk_with_no_smaller_budget(monkeypatch):
@@ -423,15 +475,15 @@ def test_product_cap_stops_a_walk_with_no_smaller_budget(monkeypatch):
     monkeypatch.setattr(words, "PRODUCT_CAP", unbounded.checked)
     assert free_product_oracle(specs, S3, Bounds(syllables=4)) == unbounded
     monkeypatch.setattr(words, "PRODUCT_CAP", 10)
+    capped = (Verdict.INCONCLUSIVE, 10, "oracle product cap 10 exceeded")
     for budget in (None, 10, 11, 10 ** 12):
-        with pytest.raises(ProductCapExceeded, match="oracle product cap 10 exceeded"):
-            free_product_oracle(specs, S3, Bounds(syllables=4, max_products=budget))
+        rep = free_product_oracle(specs, S3, Bounds(syllables=4, max_products=budget))
+        assert (rep.verdict, rep.checked, rep.note) == capped
     rep = free_product_oracle(specs, S3, Bounds(syllables=4, max_products=9))
     assert (rep.verdict, rep.checked, rep.note) == (Verdict.INCONCLUSIVE, 9, "budget of 9 products exceeded")
-    with pytest.raises(ProductCapExceeded):
-        bounded_intersection_probe(spec("A", ["x2"], "y1 x2", "x2 y2"), S3, max_len=8)
-    with pytest.raises(ProductCapExceeded):
-        free_factor_probe(EXT3, [w3("x1")], Bounds(syllables=4))
+    for rep in (bounded_intersection_probe(spec("A", ["x2"], "y1 x2", "x2 y2"), S3, max_len=8),
+                free_factor_probe(EXT3, [w3("x1")], Bounds(syllables=4))):
+        assert (rep.verdict, rep.checked, rep.note) == capped
 
 
 # wrongly declares trivial every word longer than a factor of
@@ -453,22 +505,26 @@ def test_oracle_respects_is_trivial_hook():
     assert rep3.verdict == "pass"
 
 
+# nested lhs make these rules non-confluent; they keep F(X), the free
+# reduction of the stable letter s
+NESTED = RuleSystem(parse_presentation(
+    "base y1 x1\nstable s\nrel s : y1 ^ x1^-1 y1^-1 = y1 ^ x1\nrel s : x1 ^ y1^-1 = x1 ^ y1 x1\n"))
+
+
+def nested_spec(label, *texts):
+    p = NESTED.presentation
+    return SubgroupSpec(label, tuple(p.parse(t) for t in texts), frozenset({OUTER}))
+
+
 def test_oracle_on_a_non_confluent_system_decides_only_by_an_image():
-    # nested lhs make these rules non-confluent; they keep F(X), the free
-    # reduction of the stable letter s
-    nested = RuleSystem(parse_presentation(
-        "base y1 x1\nstable s\nrel s : y1 ^ x1^-1 y1^-1 = y1 ^ x1\nrel s : x1 ^ y1^-1 = x1 ^ y1 x1\n"))
-    p, s = nested.presentation, frozenset({OUTER})
-
-    def nspec(label, *texts):
-        return SubgroupSpec(label, tuple(p.parse(t) for t in texts), s)
-
     # s s^-1 is trivial, and F(X) shows each factor nontrivial
-    rep = free_product_oracle([nspec("A", "s"), nspec("B", "s")], nested, Bounds(syllables=2))
+    rep = free_product_oracle([nested_spec("A", "s"), nested_spec("B", "s")], NESTED, Bounds(syllables=2))
     assert (rep.verdict, rep.witness, rep.witness_factors) == ("fail", (), ("A: (s)", "B: (s)^-1"))
-    # y1 x1 y1^-1 x1^-1 has a nonempty normal form, which proves nothing here
-    with pytest.raises(Inconclusive, match="not confluent"):
-        free_product_oracle([nspec("A", "y1"), nspec("B", "x1")], nested, Bounds())
+    # y1 x1 y1^-1 x1^-1, product 174, has a nonempty normal form, which
+    # proves nothing here: the walk stops on it, with 173 products decided
+    rep = free_product_oracle([nested_spec("A", "y1"), nested_spec("B", "x1")], NESTED, Bounds())
+    assert (rep.verdict, rep.checked, rep.witness, rep.note) == (
+        Verdict.INCONCLUSIVE, 173, None, "distinct normal forms, and the rules are not confluent")
 
 
 # --- bounded probes ------------------------------------------------------------------
@@ -485,33 +541,33 @@ def test_probe_fixtures():
 
 
 def test_probe_budget():
-    # the second budget runs out inside a subtree the exponent sums rule out
-    for gens, max_products in ((("y1 x2", "x2 y2"), 5), (("x2", "y1 x2 y1^-1"), 17)):
-        rep = bounded_intersection_probe(spec("A", ["x2"], *gens), S3, max_len=8,
-                                         max_products=max_products)
+    # the second cap runs out inside a subtree the exponent sums rule out
+    for gens, cap in ((("y1 x2", "x2 y2"), 5), (("x2", "y1 x2 y1^-1"), 17)):
+        rep = capped_probe(spec("A", ["x2"], *gens), S3, 8, cap)
         assert rep.verdict == Verdict.INCONCLUSIVE
-        assert rep.checked == max_products
+        assert rep.checked == cap
 
 
 def test_a_walk_leaves_no_cyclic_garbage():
-    # a pass, a fail and a budget report each free their walk's state when
+    # a pass, a fail and an inconclusive report (the product cap, a budget,
+    # a product the test cannot decide) each free their walk's state when
     # they return, with no collection
     specs, _ = certified_fixture()
     reports = [
         lambda: bounded_intersection_probe(spec("A", ["x1"], "x1", "y1 x1 y1^-1"), S3, max_len=10),
         lambda: bounded_intersection_probe(spec("B", ["x1"], "y1"), S3, max_len=4),
-        lambda: bounded_intersection_probe(spec("A", ["x2"], "x2", "y1 x2 y1^-1"), S3, max_len=8,
-                                           max_products=17),
+        lambda: capped_probe(spec("A", ["x2"], "x2", "y1 x2 y1^-1"), S3, 8, 17),
         lambda: free_product_oracle(specs, S3, Bounds(syllables=4)),
         lambda: free_product_oracle(specs, S3, Bounds(syllables=4), is_trivial=LONGER_THAN_A_FACTOR),
         lambda: free_product_oracle(specs, S3, Bounds(syllables=4, max_products=9)),
+        lambda: free_product_oracle([nested_spec("A", "y1"), nested_spec("B", "x1")], NESTED, Bounds()),
     ]
     verdicts = []
     for report in reports:
         gc.collect()
         verdicts.append(report().verdict)
         assert gc.collect() == 0
-    assert verdicts == ["pass", "fail", "inconclusive"] * 2
+    assert verdicts == ["pass", "fail", "inconclusive"] * 2 + ["inconclusive"]
 
 
 # --- prescreen soundness (exp-sum cross-check) -----------------------------------------

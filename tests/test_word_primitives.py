@@ -5,11 +5,15 @@ is scanned for left-hand sides only by the lhs automaton of
 hnnfree.rewrite.RuleSystem: its lhs index is read only where lhs are
 compared with lhs as the system is built (LHS_INDEX).  Every public name
 the package defines has a reader in the package, its scripts or the
-benchmark, so no code is kept for tests alone.
+benchmark, and every parameter default is overridden by some call there,
+so no code or switch is kept for tests alone.  Every option of a CLI
+subcommand occurs in a case of scripts/cli_corpus.py, whose output
+tests/cli_corpus.txt pins.
 
-The package's source is read with ast, without importing it.  The loop is
-found by its test `s and s[-1] == -c`: a name, and its last item equal to
-the negation of a letter.  A few per-letter loops stay inline because
+The package's source is read with ast, without importing it; only the
+option check imports the CLI, to read its registry of subcommands.  The
+loop is found by its test `s and s[-1] == -c`: a name, and its last item
+equal to the negation of a letter.  A few per-letter loops stay inline because
 reduce_onto measured slower there (see the comment at each); they are
 listed in INLINE.  A projection is found as a free reduction of a
 filtered comprehension."""
@@ -17,6 +21,8 @@ filtered comprehension."""
 import ast
 import os
 import re
+import runpy
+import shlex
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "hnnfree")
@@ -152,3 +158,78 @@ def unread_public_names(root: str = ROOT) -> set[str]:
 
 def test_every_public_name_has_a_reader():
     assert unread_public_names() == set()
+
+
+def _defaulted(tree, module: str):
+    """(qualified name, name calls use, offset, parameter, position or
+    None) of each parameter with a default of each function of a module.
+    A method is called by its name, __init__ by its class's, and a call
+    passes a method's parameters from offset 1, after self."""
+    def visit(node, scope, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, scope + [child.name], child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a, name = child.args, ".".join(scope + [child.name])
+                called = cls if cls and child.name == "__init__" else child.name
+                offset = 1 if cls and not any(getattr(d, "id", None) == "staticmethod"
+                                              for d in child.decorator_list) else 0
+                positional = a.posonlyargs + a.args
+                for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
+                                        len(positional) - len(a.defaults)):
+                    yield name, called, offset, arg.arg, i
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield name, called, offset, arg.arg, None
+                yield from visit(child, scope + [child.name], None)
+
+    yield from visit(tree, [module], None)
+
+
+def unpassed_defaults(root: str = ROOT) -> set[str]:
+    """Every parameter with a default, of a function of the package at
+    root/src/hnnfree, that no call in the package, root/scripts or
+    root/perfbench passes, by keyword or by position: a default no caller
+    overrides is a constant, and its parameter a switch nobody sets.  A
+    call is matched by the name it calls; one with *args or **kwargs passes
+    every parameter, and is listed as None."""
+    package, defaults = os.path.join("src", "hnnfree"), []
+    calls: dict[str, list[tuple[int, set[str]] | None]] = {}
+    for where in (package, "scripts", "perfbench"):
+        for module, tree in _modules(os.path.join(root, where)):
+            if where == package:
+                defaults += _defaulted(tree, module)
+            for n in ast.walk(tree):
+                if isinstance(n, ast.Call):
+                    name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                    spread = any(isinstance(a, ast.Starred) for a in n.args) or \
+                        any(k.arg is None for k in n.keywords)
+                    calls.setdefault(name, []).append(
+                        None if spread else (len(n.args), {k.arg for k in n.keywords}))
+    return {f"{name}({param})" for name, called, offset, param, i in defaults
+            if not any(c is None or param in c[1] or (i is not None and c[0] + offset > i)
+                       for c in calls.get(called, []))}
+
+
+def test_every_default_is_overridden_by_a_caller():
+    assert unpassed_defaults() == set()
+
+
+def options_missing_from_corpus(root: str = ROOT) -> set[str]:
+    """Every option that a subcommand registers in hnnfree.cli._COMMANDS
+    and that no case of that subcommand in root/scripts/cli_corpus.py
+    gives, so that its output is pinned nowhere."""
+    from hnnfree.cli import _COMMANDS
+
+    given: dict[str, set[str]] = {}
+    for case in runpy.run_path(os.path.join(root, "scripts", "cli_corpus.py"))["CASES"]:
+        argv = shlex.split(case)
+        if argv:
+            given.setdefault(argv[0], set()).update(a for a in argv if a.startswith("--"))
+    return {f"{command} {option}" for command, (_, _, arguments) in _COMMANDS.items()
+            for names, _ in arguments for option in names
+            if option.startswith("--") and option not in given.get(command, ())}
+
+
+def test_every_cli_option_occurs_in_the_corpus():
+    assert options_missing_from_corpus() == set()
