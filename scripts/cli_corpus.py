@@ -111,6 +111,9 @@ COMMANDS = [
     # the support holds the free reduction x1 of the generator
     f"pingpong-certify {G3} --spec 'A:x1:x1 x2 x2^-1' --spec B:x2:x2 "
     "--evidence A:orbit:x1 --evidence B:orbit:x2",
+    # the orbits of x1 and x2 miss the generator y1 of each spec
+    f"pingpong-certify {G3} --spec A:x1:y1 --spec B:x2:y1 "
+    "--evidence A:orbit:x1 --evidence B:orbit:x2",
     f"pingpong-oracle {G3} --spec A1:x1:x1 --spec 'A2:x2:y1 x2' --syllables 4",
     f"pingpong-oracle {G3} --spec A1:x1:x1 --spec B1:x1:x1 --syllables 4",
     f"pingpong-oracle {G3} --spec A1:x1:x1 --spec 'A2:x2:y1 x2' --max-products 5",
@@ -140,6 +143,8 @@ COMMANDS = [
     f"braid-phi {P2_2} --push 't^2000 y1 x1 t^-2000'",
     # a power in closed form: 3,999 letters
     f"braid-phi {P2_3} --k 1000 x1",
+    # phi fixes y1 x1, so any power gives it back at once
+    f"braid-phi {P2_2} --k 1000000000000 'y1 x1'",
     # pushed after free reduction: 500 images that cancel count no letters
     f"braid-phi {P2_2} --push 't^300 x1^500 x1^-500'",
     f"braid-check-free {P2_3} --w 'y1 x1' --w x2",
@@ -154,6 +159,8 @@ COMMANDS = [
     f"danilevich {P2_2} --h x1 --syllables 4 --exp-range 1",
     f"eq {P2_2} 't^-1 y1 t' 'y1 x1 y1 x1^-1 y1^-1'",
     f"eq {P2_3} 'y1^-1 x2 x1^-1 y1 x1 x2^-1 x1^-1 y1^-1 x1 y1' 1",
+    # the braid names of t and of y1
+    f"eq {P2_3} 'A3_4 A1_3' 't y1'",
     f"nf {P2_2} 't y1 t^-1'",
 ]
 
@@ -187,6 +194,18 @@ ERRORS = [
     f"pingpong-certify {P2_2} --spec A:x1:x1 --evidence A:orbit:t",
     "pingpong-certify --file own.txt --spec A:p:p --evidence A:orbit:p",
     f"pingpong-oracle {G3} --spec A:x1:x1 --spec A:x2:x2",
+    f"pingpong-oracle {G3} --spec A:x1:x1 --syllables 0",
+    f"pingpong-oracle {G3} --spec :x1:x1",
+    f"pingpong-oracle {G3} --spec A:zz:x1",
+    f"pingpong-oracle {G3} --spec A:y1:x1",
+    f"pingpong-oracle {G3}",
+    f"pingpong-certify {G3} --spec A1:x1:x1 --evidence A1:orbit",
+    f"pingpong-certify {G3} --spec A1:x1:x1 --evidence B:declared:external",
+    f"pingpong-certify {G3} --spec A1:x1:x1 --evidence A1:declared:a --evidence A1:declared:b",
+    f"pingpong-certify {G3} --spec A1:x1:x1 --evidence A1:probe:0",
+    f"braid-check-free {P2_2}",
+    f"braid-check-free {P2_3} --w x1",
+    f"braid-phi {P2_2} t",
     f"danilevich {P2_2} --h 'x1 t'",
 ]
 

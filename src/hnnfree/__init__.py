@@ -23,7 +23,6 @@ from .words import (
 from .presentation import (
     Association,
     HnnPresentation,
-    RankCapExceeded,
     RewriteRule,
     SemidirectExtension,
     compile_rules,
@@ -34,7 +33,6 @@ from .presentation import (
 )
 from .rewrite import (
     RuleSystem,
-    StepCapExceeded,
     check_local_confluence,
     critical_pairs,
     equal,
@@ -65,7 +63,6 @@ from .braid import (
     Group,
     SemidirectElement,
     SplitNormalForm,
-    XPartCapExceeded,
     braid_equal,
     braid_freeness_check,
     braid_trivial,

@@ -15,7 +15,7 @@ alternating-product probe.  It tries, in this order:
    groups, pushing every base letter left through the stable-letter action;
    its y-part is the projection of step 1.  The x-part can grow
    exponentially in the word; an action step that leaves more than
-   X_PART_CAP letters raises XPartCapExceeded, which the CLI reports as
+   X_PART_CAP letters raises words.CapExceeded, which the CLI reports as
    inconclusive.
 
 semidirect_nf, the push, decides nothing.  It moves every t to the right,
@@ -54,7 +54,6 @@ from .words import (
     OUTER,
     Alphabet,
     CapExceeded,
-    PhiPowerCapExceeded,
     Word,
     base_gen,
     commutator,
@@ -63,7 +62,6 @@ from .words import (
     exp_sum,
     format_word,
     free_reduce,
-    gen_name,
     identity_map,
     image,
     invert,
@@ -79,11 +77,6 @@ T_WORD = (OUTER,)
 # tests, the scripts and perfbench reach (93,106 letters, for a random
 # length-40 p2(4) word); one step past it builds at most nine times as many.
 X_PART_CAP = 1_000_000
-
-
-class XPartCapExceeded(CapExceeded):
-    """An action step of the splitting left more than X_PART_CAP letters."""
-    template = "splitting x-part cap {} exceeded"
 
 
 @dataclass(frozen=True)
@@ -109,7 +102,7 @@ def _system(p: HnnPresentation) -> RuleSystem:
 def _conjugated(ext: SemidirectExtension, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """The free reduction of the product of the images t^-k c t^k =
     z^k c z^-k, z = ext.conj[|c|], of the pairs (c, k) in turn.  It raises
-    PhiPowerCapExceeded past words.WORD_CAP letters held after an image, or
+    CapExceeded past words.WORD_CAP letters held after an image, or
     before building an image longer than that (the cap read at call time)."""
     cap, out = words.WORD_CAP, []
     for c, k in pairs:
@@ -117,9 +110,9 @@ def _conjugated(ext: SemidirectExtension, pairs: Iterable[tuple[int, int]]) -> l
         if k < 0:
             z, zi, k = zi, z, -k
         if 2 * k * len(z) >= cap:
-            raise PhiPowerCapExceeded(cap)
+            raise CapExceeded("phi power", cap)
         if len(reduce_onto(out, z * k + (c,) + zi * k)) > cap:
-            raise PhiPowerCapExceeded(cap)
+            raise CapExceeded("phi power", cap)
     return out
 
 
@@ -240,7 +233,7 @@ class BraidSplitting:
             else:
                 u = self.act(c, u)
                 if len(u) > cap:
-                    raise XPartCapExceeded(cap)
+                    raise CapExceeded("splitting x-part", cap)
         return u
 
     def is_trivial(self, w: Word) -> bool:
@@ -396,9 +389,10 @@ class BraidRelationReport:
         return "\n".join(lines)
 
     def doc(self) -> dict:
+        alphabet = p2(self.n).alphabet
         entries = [
             {"family": e.family, "i": e.i, "j": e.j, "settled_by": e.settled_by,
-             "trivial": e.trivial, "push_remainder": format_word(e.pushed.g),
+             "trivial": e.trivial, "push_remainder": format_word(e.pushed.g, alphabet),
              "push_t_exponent": e.pushed.k}
             for e in self.entries
         ]
@@ -491,13 +485,14 @@ def braid_freeness_check(
         raise ValueError(f"expected {n - 1} words, got {len(words)}")
     split = _splitting(n)
     alphabet = p2(n).alphabet
+    name = alphabet.name
     conds: list[Condition] = []
     witness = None
     for i, w in enumerate(words, start=1):
-        exps = {f"x{j}": exp_sum(w, stable_gen(j)) for j in range(1, n)}
-        exps["t"] = exp_sum(w, OUTER)
-        ok1 = all((e != 0) == (name == f"x{i}") for name, e in exps.items())
-        table = ", ".join(f"{name}:{e}" for name, e in exps.items() if e or name == f"x{i}")
+        xi = stable_gen(i)
+        exps = {g: exp_sum(w, g) for g in [*map(stable_gen, range(1, n)), OUTER]}
+        ok1 = all((e != 0) == (g == xi) for g, e in exps.items())
+        table = ", ".join(f"{name(g)}:{e}" for g, e in exps.items() if e or g == xi)
         conds.append(Condition(f"exponent_pattern[w{i}]", ok1, table))
         nontrivial = not split.is_trivial(c := commutator(w, T_WORD))
         if not nontrivial and witness is None:
@@ -505,7 +500,7 @@ def braid_freeness_check(
         why = f"[{format_word(w, alphabet)}, t] " + ("is nontrivial" if nontrivial else "= 1")
         conds.append(Condition(f"commutator_with_t_nontrivial[w{i}]", nontrivial, why))
         if strict:
-            bad = sorted(gen_name(abs(c)) for c in w if not is_base(c) and abs(c) != stable_gen(i))
+            bad = sorted(name(abs(c)) for c in w if not is_base(c) and abs(c) != xi)
             conds.append(Condition(f"letters_within_support[w{i}]", not bad, ", ".join(bad) or None))
     return Certificate("braid-free-rank", tuple(conds), witness)
 

@@ -148,8 +148,8 @@ def _command(name: str, summary: str, *arguments: tuple):
 
 
 _BOUNDS = (
-    _arg("--syllables", type=int, default=6),
-    _arg("--exp-range", type=int, default=2),
+    _arg("--syllables", type=int, default=Bounds.syllables),
+    _arg("--exp-range", type=int, default=Bounds.exp_range),
     _arg("--max-products", type=int),
 )
 

@@ -22,14 +22,13 @@ from .rewrite import RuleSystem
 from .words import (
     OUTER,
     Alphabet,
-    ExpRangeCapExceeded,
+    CapExceeded,
     GeneratorMap,
     Inconclusive,
     Word,
     exp_sum,
     format_word,
     free_reduce,
-    gen_name,
     image,
     invert,
     is_base,
@@ -60,7 +59,8 @@ class SubgroupSpec:
     """A labelled subgroup: generator words plus a declared support.
 
     The support is the set of stable (or outer) letters the subgroup is
-    allowed to use on top of the base letters.
+    allowed to use on top of the base letters; a base letter in it is a
+    ValueError, which names no letter, as a spec knows no alphabet.
     """
 
     label: str
@@ -68,9 +68,8 @@ class SubgroupSpec:
     support: frozenset[int]
 
     def __post_init__(self) -> None:
-        for g in self.support:
-            if is_base(g):
-                raise ValueError(f"support must consist of stable letters, got {gen_name(g)}")
+        if any(map(is_base, self.support)):
+            raise ValueError("support must consist of stable letters")
 
 
 @dataclass(frozen=True)
@@ -369,7 +368,7 @@ def _walk(
     count, then spec sequence, then each factor by total uses and then by
     its runs (generator index, |e|, positive first), so the first witness
     is minimal.  An exp_range above words.EXP_RANGE_CAP, read at call time,
-    raises ExpRangeCapExceeded before anything is built.  Every other stop
+    raises CapExceeded before anything is built.  Every other stop
     is an inconclusive report with a note: past max_products products, or
     past words.PRODUCT_CAP, read at call time, when no smaller budget is
     given, it counts that many products checked; a words.Inconclusive that
@@ -406,7 +405,7 @@ def _walk(
     # returned up the walk, in place of a witness, once the limit is spent
     stop = f"oracle product cap {cap} exceeded" if limit == cap else f"budget of {limit} products exceeded"
     if e_max > words.EXP_RANGE_CAP:
-        raise ExpRangeCapExceeded(words.EXP_RANGE_CAP)
+        raise CapExceeded("exponent range", words.EXP_RANGE_CAP)
     gen_words = [s.generators for s in specs]
     coords = sorted({abs(c) for gens in gen_words for g in gens for c in g if screen(abs(c))})
     steps = [[[exp_sum(g, c) for c in coords] for g in gens] for gens in gen_words]
@@ -458,8 +457,8 @@ def _walk(
     # the 2^(r+1) - 4 or more products of fewer than r syllables are counted
     # before r is reached; with one, only r = 1 has products
     live = [i for i, size in enumerate(sizes) if size]
-    reach = max(1, (limit + 4).bit_length() - 2) if len(live) > 1 else 1
-    syllables = min(bounds.syllables, reach)
+    reachable = max(1, (limit + 4).bit_length() - 2) if len(live) > 1 else 1
+    syllables = min(bounds.syllables, reachable)
     bias = [syllables * o for o in off]
     # the tail set of every spec sequence walked so far, the empty one first
     tails = {(): [1 << b + o for b, o in zip(bias, off)]}

@@ -141,11 +141,6 @@ def compile_rules(p: HnnPresentation) -> list[RewriteRule]:
 RANK_CAP = 32
 
 
-class RankCapExceeded(CapExceeded):
-    """A gn or p2 preset of a rank above RANK_CAP was asked for."""
-    template = "preset rank cap {} exceeded"
-
-
 @lru_cache(maxsize=None)
 def gn(n: int) -> HnnPresentation:
     """The group with [x_i, y_j] = 1 for i < j and [x_i, y_j^{y_i}] = 1 for i > j.
@@ -154,12 +149,12 @@ def gn(n: int) -> HnnPresentation:
     (y_j, 1, 1) for j > i and (y_j, y_i, y_i) for j < i, ordered by j.
     All conjugators satisfy w = v, so the projection to F(X) x F(Y) exists.
     Memoized, so caches keyed by presentations stay bounded by the ranks;
-    a rank above RANK_CAP raises RankCapExceeded before anything is built.
+    a rank above RANK_CAP raises CapExceeded before anything is built.
     """
     if n < 2:
         raise ValueError("gn requires n >= 2")
     if n > RANK_CAP:
-        raise RankCapExceeded(RANK_CAP)
+        raise CapExceeded("preset rank", RANK_CAP)
     alphabet = default_alphabet(n - 1, n - 1)
     assoc: dict[int, tuple[Association, ...]] = {}
     for i in range(1, n):
@@ -215,7 +210,7 @@ def p2(n: int) -> SemidirectExtension:
 #   base y1 y2 ...
 #   stable x1 x2 ...
 #   rel <stable> : <y> ^ <w-word> = <y> ^ <v-word>
-#   preset gn <n> | preset p2 <n>
+# The gN and p2 presets have no directive: the CLI names them with --preset.
 # ---------------------------------------------------------------------------
 
 
@@ -236,8 +231,9 @@ def _parse_rel_side(text: str, alphabet: Alphabet, lineno: int) -> tuple[int, Wo
     return alphabet.gen(toks[0]), parse_word(" ".join(toks[2:]), alphabet)
 
 
-def parse_presentation(text: str) -> HnnPresentation | SemidirectExtension:
-    """Parse the presentation file format; presets return ready-made objects."""
+def parse_presentation(text: str) -> HnnPresentation:
+    """Parse the presentation file format into an HnnPresentation whose
+    alphabet is the file's own names."""
     base_names: list[str] = []
     stable_names: list[str] = []
     rel_lines: list[tuple[int, str]] = []
@@ -246,16 +242,7 @@ def parse_presentation(text: str) -> HnnPresentation | SemidirectExtension:
         if not line:
             continue
         ws = line.split()
-        if ws[0] == "preset":
-            if len(ws) != 3 or ws[1] not in ("gn", "p2") or not ws[2].isdigit():
-                raise PresentationSyntaxError("preset gn <n> | preset p2 <n>", lineno)
-            if base_names or stable_names or rel_lines:
-                raise PresentationSyntaxError("preset must stand alone", lineno)
-            n = int(ws[2])
-            if n < 2:
-                raise PresentationSyntaxError("preset requires n >= 2", lineno)
-            return gn(n) if ws[1] == "gn" else p2(n)
-        elif ws[0] in ("base", "stable"):
+        if ws[0] in ("base", "stable"):
             for name in ws[1:]:
                 if name in base_names or name in stable_names:
                     raise PresentationSyntaxError(f"duplicate generator name {name!r}", lineno)

@@ -39,21 +39,13 @@ from .presentation import HnnPresentation, compile_rules
 from . import words
 from .words import IMAGE_PARTS, CapExceeded, Inconclusive, Word, base_gen, format_word, image, stable_gen
 
-# read by every rewrite loop when it starts, so tests can lower them
+# read by every rewrite loop when it starts, so tests can lower them; every
+# step shortens nu (criterion 02), so reaching STEP_CAP means a long rewrite
 STEP_CAP = 10_000_000
 # nu coordinates the rendering of a trace may spell, one vector per step,
 # summed over its steps; the trace itself stores a record per batch
 TRACE_CAP = 10_000_000
-
-
-class StepCapExceeded(CapExceeded):
-    """A rewrite ran past STEP_CAP steps; termination bug suspected."""
-    template = "rewrite step cap {} exceeded; termination bug suspected"
-
-
-class TraceCapExceeded(CapExceeded):
-    """A traced rewrite would spell more than TRACE_CAP nu coordinates."""
-    template = "rewrite trace cap {} exceeded"
+_NOT_CONFLUENT = "distinct normal forms, and the rules are not confluent"
 
 
 def nu(w) -> tuple[int, ...]:
@@ -192,8 +184,8 @@ class RuleSystem:
 
     @cached_property
     def _screen(self) -> list[int]:
-        """The positions in image() of the kept parts equal compares: the
-        sums only if F(X) or F(Y) is not kept, since the two fix them."""
+        """Positions in image() of the kept parts _images_differ compares:
+        the sums only if F(X) or F(Y) is not kept, since the two fix them."""
         kept = self.kept
         if "F(X)" in kept and "F(Y)" in kept:
             kept = kept[:2]
@@ -250,15 +242,25 @@ class RuleSystem:
         """nf(w), or w itself if it holds no lhs (is_normal_reduced)."""
         return w if self.is_normal_reduced(w) else nf(w, self)
 
+    def _images_differ(self, u: Word, v: Word) -> bool:
+        """Whether u and v differ in a kept image part (_screen), which
+        proves them unequal on any system, without rewriting either."""
+        at = self._screen
+        if not at:
+            return False
+        sums = 2 in at  # IMAGE_PARTS[2]
+        iu, iv = image(u, sums), image(v, sums)
+        return any(iu[i] != iv[i] for i in at)
+
     def is_trivial_reduced(self, w) -> bool:
         """Whether w is trivial; only a word holding an lhs is rewritten.  A
-        nonempty normal form proves w nontrivial only on a confluent system;
-        elsewhere equal decides on v, by the kept image parts, which
-        rewriting keeps, or not at all."""
+        nonempty normal form v proves w nontrivial only on a confluent
+        system; elsewhere only the kept image parts of v, which rewriting
+        keeps, can, and v is not rewritten again."""
         v = self.nf_reduced(w)
-        if v and not self.confluent:
-            return equal(v, (), self)
-        return not v
+        if not v or self.confluent or self._images_differ(v, ()):
+            return not v
+        raise Inconclusive(_NOT_CONFLUENT)
 
 
 class TraceEntry(NamedTuple):
@@ -462,11 +464,11 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
                     k = min(b, cap - steps)
                     coords += k * width
                     if coords > trace_cap:
-                        raise TraceCapExceeded(trace_cap)
+                        raise CapExceeded("rewrite trace", trace_cap)
                     records.append((p - 1, idx, k))
                 steps += b
                 if steps > cap:
-                    raise StepCapExceeded(cap)
+                    raise CapExceeded("rewrite step", cap)
                 p -= b
                 r -= b
                 t = _move(moves, fail, states[p], c)
@@ -518,13 +520,13 @@ def _leftmost(w, system: RuleSystem, records: list | None = None) -> tuple[list[
         pending += rrhs
         steps += 1
         if steps > cap:
-            raise StepCapExceeded(cap)
+            raise CapExceeded("rewrite step", cap)
         if records is not None:
             lhs_nu, rhs_nu = system._nus[idx]
             width += len(rhs_nu) - len(lhs_nu)
             coords += width
             if coords > trace_cap:
-                raise TraceCapExceeded(trace_cap)
+                raise CapExceeded("rewrite trace", trace_cap)
             records.append((start, idx, 1))
     return out, steps
 
@@ -548,12 +550,12 @@ def _apply_random(ints: list[int], system: RuleSystem, records: list, rng) -> in
         ints[pos : pos + len(lhs)] = rhs
         steps += 1
         if steps > cap:
-            raise StepCapExceeded(cap)
+            raise CapExceeded("rewrite step", cap)
         lhs_nu, rhs_nu = system._nus[idx]
         width += len(rhs_nu) - len(lhs_nu)
         coords += width
         if coords > trace_cap:
-            raise TraceCapExceeded(trace_cap)
+            raise CapExceeded("rewrite trace", trace_cap)
         lo, shift = max(0, pos - back), len(rhs) - len(lhs)
         keep, past = bisect_left(reds, (lo,)), bisect_left(reds, (pos + len(lhs),))
         reds[keep:] = [*system._matches(ints, lo, pos + len(rhs)),
@@ -606,17 +608,13 @@ def equal(u: Word, v: Word, system: RuleSystem) -> bool:
     rewriting, on any system.  Equal normal forms answer True; distinct
     ones answer False only on a confluent system, and raise Inconclusive
     on any other."""
-    at = system._screen
-    if at:
-        sums = 2 in at  # IMAGE_PARTS[2]
-        iu, iv = image(u, sums), image(v, sums)
-        if any(iu[i] != iv[i] for i in at):
-            return False
+    if system._images_differ(u, v):
+        return False
     if nf(u, system) == nf(v, system):
         return True
     if system.confluent:
         return False
-    raise Inconclusive("distinct normal forms, and the rules are not confluent")
+    raise Inconclusive(_NOT_CONFLUENT)
 
 
 @dataclass(frozen=True)
@@ -684,7 +682,7 @@ def random_word(rng: random.Random, system: RuleSystem, max_len: int) -> Word:
     A max_len above words.WORD_CAP, read at call time, raises CapExceeded
     before anything is drawn."""
     if max_len > words.WORD_CAP:
-        raise CapExceeded(words.WORD_CAP)
+        raise CapExceeded("word length", words.WORD_CAP)
     a = system.presentation.alphabet
     n_base = len(a.base_names)
     n_codes = n_base + len(a.stable_names)

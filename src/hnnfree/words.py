@@ -36,27 +36,15 @@ class Inconclusive(RuntimeError):
 
 
 class CapExceeded(Inconclusive):
-    """A computation ran past a cap, so its answer is inconclusive.  A bare
-    one is parse_word's word length cap; each other cap is a subclass that
-    words its message once, as its own template."""
-    template = "word length cap {} exceeded"
+    """A computation ran past a cap, so its answer is inconclusive; what
+    names the cap, which words the message as `{what} cap {cap} exceeded`."""
 
-    def __init__(self, cap: int):
-        super().__init__(self.template.format(cap))
-
-
-class PhiPowerCapExceeded(CapExceeded):
-    """phi_power built, or semidirect_nf pushed, more than WORD_CAP letters."""
-    template = "phi power cap {} exceeded"
+    def __init__(self, what: str, cap: int):
+        super().__init__(f"{what} cap {cap} exceeded")
 
 
 # the largest exp_range an oracle walks; read at call time, so tests can lower it
 EXP_RANGE_CAP = 1_000
-
-
-class ExpRangeCapExceeded(CapExceeded):
-    """An oracle was asked for an exp_range above EXP_RANGE_CAP."""
-    template = "exponent range cap {} exceeded"
 
 
 # the most products an oracle walk checks when no smaller budget is given;
@@ -278,16 +266,17 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         if exp == 0:
             raise WordSyntaxError("zero exponent not allowed", col)
         if len(letters) + abs(exp) > WORD_CAP:
-            raise CapExceeded(WORD_CAP)
+            raise CapExceeded("word length", WORD_CAP)
         letters.extend([g if exp > 0 else -g] * abs(exp))
     return tuple(letters)
 
 
-def format_word(w: Word, alphabet: Alphabet | None = None) -> str:
-    """Print a word in the grammar; runs of one letter collapse to powers."""
+def format_word(w: Word, alphabet: Alphabet) -> str:
+    """Print a word in the grammar, spelled in alphabet; runs of one letter
+    collapse to powers."""
     if not w:
         return "1"
-    name = gen_name if alphabet is None else alphabet.name
+    name = alphabet.name
     out: list[str] = []
     i = 0
     while i < len(w):

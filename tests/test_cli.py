@@ -260,12 +260,12 @@ def test_file_with_a_stable_letter_as_base_generator(tmp_path, capsys):
     assert "x1:x2: unknown base generator x2" in err
 
 
-def test_file_preset_line_reaches_braid_layer(tmp_path, capsys):
+def test_file_preset_line_is_a_parse_error(tmp_path, capsys):
+    # a file names no preset: --preset is the one way to name gN or p2
     path = tmp_path / "pres.txt"
-    path.write_text("preset p2 2\n")
-    code, out, _ = run(capsys, "braid-phi", "--file", str(path), "x1")
-    assert code == 0
-    assert out.strip() == "y1 x1 y1^-1"
+    path.write_text("preset gn 3\n")
+    assert run(capsys, "rules", "--file", str(path)) == (
+        2, "", "parse error: line 1: unknown directive 'preset'\n")
 
 
 # --- certificates and oracles ---------------------------------------------------------
@@ -649,7 +649,7 @@ def test_step_cap_is_inconclusive(monkeypatch, capsys):
     # traced or not, the cap falls inside the first batch of swaps of each
     # nf, and after a single step at x2 y2^-1 y1, whose one kind-3 step no
     # batch takes
-    msg = "inconclusive: rewrite step cap {} exceeded; termination bug suspected\n"
+    msg = "inconclusive: rewrite step cap {} exceeded\n"
     monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 10)
     for argv in (("nf", "--preset", "gn", "3", "x1^20 y2^20"),
                  ("nf", "--preset", "gn", "6", "x1^200 y2^200"),
@@ -688,7 +688,7 @@ def test_caps_trip_inside_a_traced_batch_of_swaps(monkeypatch, n, capsys):
     # the first y2 passes the x1^200 in one batch (gn(6): all but one), the
     # second in the next; every step stores a nu of 201 coordinates.  Each
     # step checks the step cap before it stores its nu
-    step = "inconclusive: rewrite step cap {} exceeded; termination bug suspected\n"
+    step = "inconclusive: rewrite step cap {} exceeded\n"
     trace = "inconclusive: rewrite trace cap {} exceeded\n"
     argv = ("nf", "--preset", "gn", n, "--trace", "x1^200 y2^200")
     for step_cap, trace_cap, msg in ((150, 10 ** 7, step.format(150)),
@@ -756,14 +756,11 @@ def test_random_confluence_max_len_is_capped(monkeypatch, capsys):
     assert run(capsys, *argv, "10")[0] == 0
 
 
-def test_rank_cap_is_inconclusive(tmp_path, capsys):
+def test_rank_cap_is_inconclusive(capsys):
     # the cap stops each rank before gn or p2 builds anything
-    path = tmp_path / "huge.txt"
-    path.write_text(f"preset p2 {10 ** 12}\n")
     msg = f"inconclusive: preset rank cap {hnnfree.presentation.RANK_CAP} exceeded\n"
     for argv in (("nf", "--preset", "gn", str(hnnfree.presentation.RANK_CAP + 1), "x1"),
-                 ("eq", "--preset", "p2", str(10 ** 12), "x1", "x1"),
-                 ("rules", "--file", str(path))):
+                 ("eq", "--preset", "p2", str(10 ** 12), "x1", "x1")):
         assert run(capsys, *argv) == (3, "", msg)
 
 

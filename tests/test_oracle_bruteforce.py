@@ -66,9 +66,9 @@ def factor_list(label, gens, exp_range):
     return out
 
 
-def spec_label(name):
+def spec_label(name, alphabet):
     def label(runs, gens):
-        chunks = [f"({format_word(gens[i])})" + (f"^{e}" if e != 1 else "") for i, e in runs]
+        chunks = [f"({format_word(gens[i], alphabet)})" + (f"^{e}" if e != 1 else "") for i, e in runs]
         return f"{name}: {' '.join(chunks)}"
     return label
 
@@ -145,7 +145,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_free_product_oracle_matches_brute_force(name):
     specs, syllables, exp_range = ORACLE_CASES[name]
-    lists = [factor_list(spec_label(s.label), s.generators, exp_range) for s in specs]
+    lists = [factor_list(spec_label(s.label, GN3.alphabet), s.generators, exp_range) for s in specs]
     hit = lambda w: not w or not nf(w, S3)
     full = brute(lists, syllables, ALL_GN3, hit, None)
     for b in budgets(full):
@@ -157,7 +157,7 @@ def test_free_product_oracle_matches_brute_force(name):
 def test_free_product_oracle_braid_layer_matches_brute_force():
     specs = [SubgroupSpec("H", (E2.parse("y1 x1"),), frozenset({OUTER})),
              SubgroupSpec("T", (E2.parse("t"),), frozenset({OUTER}))]
-    lists = [factor_list(spec_label(s.label), s.generators, 2) for s in specs]
+    lists = [factor_list(spec_label(s.label, E2.alphabet), s.generators, 2) for s in specs]
     hit = lambda w: not w or braid_trivial(E2, w)
     full = brute(lists, 4, ALL_E2, hit, None)
     assert full[0] == "fail"
@@ -207,7 +207,7 @@ def test_bounded_intersection_probe_matches_brute_force(name):
     system, texts, max_len = PROBE_CASES[name]
     p = system.presentation
     spec = SubgroupSpec("P", tuple(p.parse(t) for t in texts), frozenset({OUTER}))
-    lists = [factor_list(spec_label("P"), spec.generators, max_len)]
+    lists = [factor_list(spec_label("P", p.alphabet), spec.generators, max_len)]
     screen = [g for g in p.base_gens + p.stable_gens + [OUTER] if not is_base(g)]
 
     def hit(w):
@@ -233,7 +233,7 @@ FREE_FACTOR_CASES = {
 def test_free_factor_probe_matches_brute_force(name):
     texts, syllables = FREE_FACTOR_CASES[name]
     hs = [E2.parse(t) for t in texts]
-    lists = [factor_list(spec_label("H"), hs, 2), factor_list(t_label, [E2.parse("t")], 2)]
+    lists = [factor_list(spec_label("H", E2.alphabet), hs, 2), factor_list(t_label, [E2.parse("t")], 2)]
     hit = lambda w: not w or braid_trivial(E2, w)
     full = brute(lists, syllables, ALL_E2, hit, None)
     for b in budgets(full):
@@ -302,7 +302,7 @@ def test_free_product_oracle_matches_brute_force_on_drawn_specs(data):
     texts = data.draw(st.lists(st.lists(GN3_WORDS, min_size=1, max_size=2), min_size=2, max_size=3))
     specs = [gn3_spec("ABC"[i], *ts) for i, ts in enumerate(texts)]
     exp_range = data.draw(st.integers(1, 3), label="exp_range")
-    lists = [factor_list(spec_label(s.label), s.generators, exp_range) for s in specs]
+    lists = [factor_list(spec_label(s.label, GN3.alphabet), s.generators, exp_range) for s in specs]
     syllables = fitting_syllables(data, lists)
     hit = lambda w: not w or not nf(w, S3)
     full = brute(lists, syllables, ALL_GN3, hit, None)
@@ -318,7 +318,7 @@ def test_free_product_oracle_matches_brute_force_on_drawn_specs(data):
        data=st.data())
 def test_bounded_intersection_probe_matches_brute_force_on_drawn_specs(texts, max_len, data):
     spec = gn3_spec("P", *texts)
-    lists = [factor_list(spec_label("P"), spec.generators, max_len)]
+    lists = [factor_list(spec_label("P", GN3.alphabet), spec.generators, max_len)]
     screen = [g for g in ALL_GN3 if not is_base(g)]
 
     def hit(w):
@@ -336,7 +336,7 @@ def test_bounded_intersection_probe_matches_brute_force_on_drawn_specs(texts, ma
 @given(texts=st.lists(E2_WORDS, max_size=2), exp_range=st.integers(1, 3), data=st.data())
 def test_free_factor_probe_matches_brute_force_on_drawn_specs(texts, exp_range, data):
     hs = [E2.parse(t) for t in texts]
-    lists = [factor_list(spec_label("H"), hs, exp_range),
+    lists = [factor_list(spec_label("H", E2.alphabet), hs, exp_range),
              factor_list(t_label, [E2.parse("t")], exp_range)]
     syllables = fitting_syllables(data, lists)
     hit = lambda w: not w or braid_trivial(E2, w)

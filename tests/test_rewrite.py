@@ -13,8 +13,6 @@ from hnnfree import rewrite
 from hnnfree.presentation import RewriteRule, compile_rules, gn, p2, parse_presentation
 from hnnfree.rewrite import (
     RuleSystem,
-    StepCapExceeded,
-    TraceCapExceeded,
     check_local_confluence,
     critical_pairs,
     equal,
@@ -30,6 +28,7 @@ from hnnfree.rewrite import (
 from hnnfree.words import (
     EPSILON,
     IMAGE_PARTS,
+    CapExceeded,
     Inconclusive,
     base_gen,
     exp_sum,
@@ -266,7 +265,7 @@ def test_trace_cap_trips_on_a_single_step(monkeypatch):
     monkeypatch.setattr(rewrite, "TRACE_CAP", coords)
     assert normal_form(w, S3)[0] == EPSILON
     monkeypatch.setattr(rewrite, "TRACE_CAP", coords - 1)
-    with pytest.raises(TraceCapExceeded, match=f"cap {coords - 1} exceeded"):
+    with pytest.raises(CapExceeded, match=f"rewrite trace cap {coords - 1} exceeded"):
         normal_form(w, S3)
 
 
@@ -669,7 +668,7 @@ def test_step_cap_inside_a_batch_of_swaps(monkeypatch, n):
     assert nf_steps(w, system) == (gn(n).parse("y2^200 x1^200"), 200 * 200)
     for cap in (150, 39_900):
         monkeypatch.setattr(rewrite, "STEP_CAP", cap)
-        with pytest.raises(StepCapExceeded, match=f"cap {cap} exceeded"):
+        with pytest.raises(CapExceeded, match=f"rewrite step cap {cap} exceeded"):
             nf(w, system)
 
 
@@ -687,12 +686,12 @@ def test_caps_inside_the_single_swap_after_a_batch(monkeypatch, n, m):
     monkeypatch.setattr(rewrite, "TRACE_CAP", coords)
     assert normal_form(w, system)[0] == nf(w, system) == gn(n).parse(f"y2^{m} x1^{r}")
     monkeypatch.setattr(rewrite, "TRACE_CAP", coords - 1)
-    with pytest.raises(TraceCapExceeded, match=f"cap {coords - 1} exceeded"):
+    with pytest.raises(CapExceeded, match=f"rewrite trace cap {coords - 1} exceeded"):
         normal_form(w, system)
     assert nf_steps(w, system)[1] == steps  # untraced runs have no trace cap
     monkeypatch.setattr(rewrite, "STEP_CAP", steps - 1)
     for run in (lambda: nf(w, system), lambda: normal_form(w, system)):
-        with pytest.raises(StepCapExceeded, match=f"cap {steps - 1} exceeded"):
+        with pytest.raises(CapExceeded, match=f"rewrite step cap {steps - 1} exceeded"):
             run()
 
 
@@ -858,23 +857,23 @@ def test_nf_reduced_is_the_normal_form(name, data):
 
 
 def test_is_trivial_reduced_rewrites_a_word_once(monkeypatch):
-    # on a non-confluent system equal decides on the normal form v, which
-    # keeps the kept image parts of w and takes no step, not on w again
+    # on a non-confluent system the answer comes from the normal form v and
+    # its kept image parts, which rewriting keeps: the engine runs on w
+    # alone, and never on v or on the empty word
     system = ENGINE_SYSTEMS["nested"]
     assert not system.confluent
     w = system.presentation.parse("s^-1 y1 x1 s x1^-1 y1^-1")
-    rewriting, leftmost = [], rewrite._leftmost
+    runs, leftmost = [], rewrite._leftmost
 
     def counted(word, system, records=None):
         out, steps = leftmost(word, system, records)
-        if steps:
-            rewriting.append(tuple(word))
+        runs.append((tuple(word), steps))
         return out, steps
 
     monkeypatch.setattr(rewrite, "_leftmost", counted)
     with pytest.raises(Inconclusive, match="not confluent"):
         system.is_trivial_reduced(w)
-    assert rewriting == [w]
+    assert len(runs) == 1 and runs[0][0] == w and runs[0][1]
 
 
 def _unreduced(system):

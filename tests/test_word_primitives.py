@@ -8,10 +8,13 @@ the package defines has a reader in the package, its scripts or the
 benchmark, and every parameter default is overridden by some call there,
 so no code or switch is kept for tests alone.  Every option of a CLI
 subcommand occurs in a case of scripts/cli_corpus.py, whose output
-tests/cli_corpus.txt pins.
+tests/cli_corpus.txt pins, and so does every raise statement of cli.py.
+CapExceeded is the one cap exception: no class subclasses it or words a
+message of its own as a template.
 
 The package's source is read with ast, without importing it; only the
-option check imports the CLI, to read its registry of subcommands.  The
+option and raise checks import the CLI, to read its registry of
+subcommands and to run the corpus.  The
 loop is found by its test `s and s[-1] == -c`: a name, and its last item
 equal to the negation of a letter.  A few per-letter loops stay inline because
 reduce_onto measured slower there (see the comment at each); they are
@@ -23,6 +26,8 @@ import os
 import re
 import runpy
 import shlex
+import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "hnnfree")
@@ -233,3 +238,61 @@ def options_missing_from_corpus(root: str = ROOT) -> set[str]:
 
 def test_every_cli_option_occurs_in_the_corpus():
     assert options_missing_from_corpus() == set()
+
+
+def cli_raises_missing_from_corpus(root: str = ROOT) -> set[int]:
+    """The line of every raise statement of hnnfree/cli.py that no case of
+    root/scripts/cli_corpus.py runs.  The cases run in-process through the
+    script's own run, in a temporary directory that holds its FILES, under
+    a tracer that records the lines of frames of cli.py alone."""
+    from hnnfree import cli
+
+    with open(cli.__file__) as fh:
+        raises = {n.lineno for n in ast.walk(ast.parse(fh.read())) if isinstance(n, ast.Raise)}
+    corpus = runpy.run_path(os.path.join(root, "scripts", "cli_corpus.py"))
+    ran: set[int] = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename == cli.__file__ else None
+
+    cwd, before = os.getcwd(), sys.gettrace()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in corpus["FILES"].items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        os.chdir(tmp)
+        sys.settrace(calls)
+        try:
+            for case in corpus["CASES"]:
+                corpus["run"](shlex.split(case))
+        finally:
+            sys.settrace(before)
+            os.chdir(cwd)
+    return raises - ran
+
+
+def test_every_cli_raise_runs_in_the_corpus():
+    assert cli_raises_missing_from_corpus() == set()
+
+
+def cap_classes(src: str = SRC) -> set[str]:
+    """Every class of the package that subclasses CapExceeded or sets a
+    template attribute: CapExceeded words every cap's message from the
+    cap's name, so such a class would word one a second way."""
+    out = set()
+    for module, tree in _modules(src):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+                if "CapExceeded" in bases or "template" in set().union(*map(_binds, node.body)):
+                    out.add(f"{module}.{node.name}")
+    return out
+
+
+def test_one_cap_exception():
+    assert cap_classes() == set()
