@@ -62,7 +62,6 @@ from .words import (
     exp_sum,
     format_word,
     free_reduce,
-    identity_map,
     image,
     invert,
     is_base,
@@ -268,30 +267,25 @@ def braid_equal(ext: SemidirectExtension, u: Word, v: Word) -> bool:
 class Group:
     """The group a presentation source presents, and the engine that decides
     in it: a SemidirectExtension source is the braid layer p2(n) (braid),
-    decided by the splitting of rank n; any other source decides by
-    rewriting.  hnn is the HNN presentation that rewriting, the rules and
-    the ping-pong theorem speak of, a p2 source's base gN; maps are
-    (phi, phi_inv), or the identity map twice."""
+    decided by the splitting of rank n; any other source is an HNN
+    presentation, decided by rewriting in its own rule system."""
 
     def __init__(self, source: HnnPresentation | SemidirectExtension):
         self.source, self.alphabet = source, source.alphabet
-        if isinstance(source, SemidirectExtension):
-            self.braid, self.hnn = source, source.base
-            self.maps = (source.phi, source.phi_inv)
-        else:
-            self.braid, self.hnn = None, source
-            self.maps = (identity_map(source.base_gens + source.stable_gens),) * 2
+        self.braid = source if isinstance(source, SemidirectExtension) else None
 
     @cached_property
     def system(self) -> RuleSystem:
-        return RuleSystem(self.hnn)
+        # under p2 only pingpong-oracle reads it, for the name table of its
+        # witness: gN's, which spells t too
+        return RuleSystem(self.braid.base if self.braid else self.source)
 
-    def parse(self, text: str, p=None) -> Word:
-        """Parse a word in p, by default the source; under p2, A{i}_{j}
-        braid names are resolved first."""
+    def parse(self, text: str) -> Word:
+        """Parse a word of the source; under p2, A{i}_{j} braid names are
+        resolved first."""
         if self.braid:
             text = resolve_braid_names(text, self.braid.rank)
-        return (p or self.source).parse(text)
+        return self.source.parse(text)
 
     def is_trivial(self, w: Word) -> bool:
         return braid_trivial(self.braid, w) if self.braid else self.system.is_trivial_reduced(w)

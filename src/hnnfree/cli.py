@@ -5,7 +5,10 @@ fail/false/refuted, 3 inconclusive (also any Inconclusive); 2 is a usage or
 parse error.  The library and the handlers raise; main alone turns failures
 into messages and exit codes.  All commands take a presentation source
 (--preset gn N, --preset p2 N, or --file PATH) and emit text or, with
---json, a document with a schema field.
+--json, a document with a schema field.  Each command answers in the one
+group its source presents: under p2, eq, pingpong-oracle and the braid
+commands decide in the braid layer, and nf, rules, confluence and
+pingpong-certify, which speak of an HNN presentation, refuse (exit 2).
 """
 
 from __future__ import annotations
@@ -88,6 +91,13 @@ def _require_extension(group: Group) -> SemidirectExtension:
     return group.braid
 
 
+def _require_hnn(group: Group) -> HnnPresentation:
+    if group.braid is not None:
+        raise ValueError("this command needs an HNN presentation, not the braid layer; "
+                         "use --preset gn N")
+    return group.source
+
+
 def _at_least(low: int, **options) -> None:
     """Reject an integer option below `low` as a usage error."""
     for name, value in options.items():
@@ -160,9 +170,8 @@ _BOUNDS = (
           _arg("--strategy", choices=("leftmost", "random"), default="leftmost"),
           _arg("--seed", type=int))
 def _cmd_nf(args, group) -> int:
-    # normal forms are gN's, where t is no letter
-    p, system = group.hnn, group.system
-    w = group.parse(args.word, p)
+    p, system = _require_hnn(group), group.system
+    w = group.parse(args.word)
     # a leftmost trace is built only for the text that prints it
     if args.strategy != "leftmost" or (args.trace and not args.json):
         result, trace = normal_form(w, system, strategy=args.strategy, seed=args.seed)
@@ -193,7 +202,7 @@ def _cmd_eq(args, group) -> int:
 
 @_command("rules", "list the compiled rewrite rules")
 def _cmd_rules(args, group) -> int:
-    p = group.hnn
+    p = _require_hnn(group)
     rules = compile_rules(p)
     lines = [f"{len(rules)} rules"]
     docs = []
@@ -211,32 +220,36 @@ def _cmd_rules(args, group) -> int:
           _arg("--trials", type=int, default=200),
           _arg("--max-len", type=int, default=20))
 def _cmd_confluence(args, group) -> int:
+    p, system = _require_hnn(group), group.system
     _at_least(1, trials=args.trials, max_len=args.max_len)
-    p, system = group.hnn, group.system
+    pairs = check_local_confluence(system)
+    pairs_text = (f"critical pairs: {pairs.pairs_checked} checked: "
+                  + ("all joinable" if pairs.ok else f"{len(pairs.failures)} non-joinable"))
     if args.random:
         rep = random_confluence_probe(system, seed=args.seed,
                                       trials=args.trials, max_len=args.max_len)
-        ok = rep.ok
+        # agreement on a sample passes only a system whose pairs all join
+        ok = rep.ok and pairs.ok
         text = (f"random probe: {rep.trials} trials x {rep.strategies} strategies: "
-                + ("all agree, nu decreasing" if ok else f"{len(rep.failures)} failures"))
+                + ("all agree, nu decreasing" if rep.ok else f"{len(rep.failures)} failures"))
         doc = {"mode": "random-probe", "ok": ok,
                "trials": rep.trials, "strategies": rep.strategies,
                "failures": len(rep.failures)}
+        if not pairs.ok:
+            text += "\n" + pairs_text
+            doc["non_joinable"] = len(pairs.failures)
     else:
-        rep = check_local_confluence(system)
-        ok = rep.ok
-        text = (f"critical pairs: {rep.pairs_checked} checked: "
-                + ("all joinable" if ok else f"{len(rep.failures)} non-joinable"))
-        if not ok:
-            for cp in rep.failures[:10]:
-                text += f"\n  peak {format_word(cp.peak, p.alphabet)} has non-joinable reducts"
+        ok = pairs.ok
+        text = pairs_text
+        for cp in pairs.failures[:10]:
+            text += f"\n  peak {format_word(cp.peak, p.alphabet)} has non-joinable reducts"
         doc = {"mode": "critical-pairs", "ok": ok,
-               "pairs_checked": rep.pairs_checked, "failures": len(rep.failures)}
+               "pairs_checked": pairs.pairs_checked, "failures": len(pairs.failures)}
     _emit(args, text, doc)
     return (Verdict.PASS if ok else Verdict.FAIL).exit
 
 
-def _parse_spec(text: str, group, p) -> SubgroupSpec:
+def _parse_spec(text: str, group) -> SubgroupSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--spec must read LABEL:SUPPORT:GENWORDS, got {text!r}")
@@ -245,23 +258,23 @@ def _parse_spec(text: str, group, p) -> SubgroupSpec:
         raise ValueError("--spec label must be nonempty")
     support = set()
     for name in filter(None, (s.strip() for s in support_text.split(","))):
-        if name not in p.alphabet:
+        if name not in group.alphabet:
             raise ValueError(f"unknown support letter {name!r} in spec {label!r}")
-        g = p.alphabet.gen(name)
+        g = group.alphabet.gen(name)
         if is_base(g):
             raise ValueError(f"support must consist of stable letters, got {name}")
         support.add(g)
-    gens = tuple(group.parse(g, p) for g in filter(None, (s.strip() for s in gens_text.split(","))))
+    gens = tuple(group.parse(g) for g in filter(None, (s.strip() for s in gens_text.split(","))))
     return SubgroupSpec(label, gens, frozenset(support))
 
 
-def _specs(args, group, p) -> dict[str, SubgroupSpec]:
-    """The --spec options by label, read in p; labels must be distinct."""
+def _specs(args, group) -> dict[str, SubgroupSpec]:
+    """The --spec options by label; labels must be distinct."""
     if not args.spec:
         raise ValueError("at least one --spec is required")
     specs: dict[str, SubgroupSpec] = {}
     for text in args.spec:
-        spec = _parse_spec(text, group, p)
+        spec = _parse_spec(text, group)
         if spec.label in specs:
             raise ValueError(f"--spec label {spec.label!r} is repeated")
         specs[spec.label] = spec
@@ -274,10 +287,8 @@ def _specs(args, group, p) -> dict[str, SubgroupSpec]:
           _arg("--evidence", action="append", metavar="LABEL:KIND:VALUE",
                help="base-intersection evidence: orbit:WORD, declared:TEXT, probe:MAXLEN"))
 def _cmd_pingpong_certify(args, group) -> int:
-    # the theorem speaks of the presented group, whose letters exclude t;
-    # only probe evidence needs its rules
-    p = group.hnn
-    by_label = _specs(args, group, p)
+    p = _require_hnn(group)
+    by_label = _specs(args, group)
     evidence = {}
     for ev in args.evidence or []:
         parts = ev.split(":", 2)
@@ -291,9 +302,9 @@ def _cmd_pingpong_certify(args, group) -> int:
         if kind == "declared":
             evidence[label] = value
         elif kind == "orbit":
-            w = group.parse(value, p)
+            w = group.parse(value)
             try:
-                evidence[label] = orbit_evidence(by_label[label], w, p, *group.maps)
+                evidence[label] = orbit_evidence(by_label[label], w, p)
             except ValueError as e:
                 raise ValueError(f"orbit evidence unavailable here: {e}")
         elif kind == "probe":
@@ -309,7 +320,7 @@ def _cmd_pingpong_certify(args, group) -> int:
 @_command("pingpong-oracle", "brute-force free-product check",
           _arg("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS"), *_BOUNDS)
 def _cmd_pingpong_oracle(args, group) -> int:
-    specs = list(_specs(args, group, group.source).values())
+    specs = list(_specs(args, group).values())
     return _report(args, free_product_oracle(specs, group.system, _bounds(args), group.is_trivial))
 
 

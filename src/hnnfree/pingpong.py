@@ -29,6 +29,7 @@ from .words import (
     exp_sum,
     format_word,
     free_reduce,
+    identity_map,
     image,
     invert,
     is_base,
@@ -239,28 +240,17 @@ def orbit_intersection_certificate(m: GeneratorMap, w: Word, p: HnnPresentation)
     return Certificate("orbit-intersection", conds, r if pure_base else None)
 
 
-def orbit_evidence(
-    spec: SubgroupSpec,
-    w: Word,
-    p: HnnPresentation,
-    m: GeneratorMap,
-    m_inv: GeneratorMap,
-) -> Certificate:
-    """The orbit certificate of w as evidence for spec.
+def orbit_evidence(spec: SubgroupSpec, w: Word, p: HnnPresentation) -> Certificate:
+    """The orbit certificate of w under the identity map as evidence for spec.
 
-    It speaks of A = <m^k(w)>, so it counts only when every generator of
-    spec, freely reduced, is m^k(w)^{+-1} for some |k| <= 3 (the range
-    criterion 09 probes; m_inv inverts m).  Otherwise it is inconclusive
-    and names the first generator not covered, spelled in p's alphabet.
+    It speaks of A = <w>, so it counts only when every generator of spec,
+    freely reduced, is w^{+-1}, the whole orbit.  Otherwise it is
+    inconclusive and names the first generator not covered, spelled in p's
+    alphabet.
     """
-    cert = orbit_intersection_certificate(m, w, p)
+    cert = orbit_intersection_certificate(identity_map(p.base_gens + p.stable_gens), w, p)
     r = free_reduce(w)
-    orbit, fwd, bwd = {r}, r, r
-    for _ in range(3):
-        fwd, bwd = m.apply(fwd), m_inv.apply(bwd)
-        orbit |= {fwd, bwd}
-    orbit |= {invert(u) for u in orbit}
-    missing = [g for g in spec.generators if free_reduce(g) not in orbit]
+    missing = [g for g in spec.generators if free_reduce(g) not in (r, invert(r))]
     if not missing:
         return cert
     why = f"{format_word(missing[0], p.alphabet)} not in the orbit of {format_word(w, p.alphabet)}"

@@ -124,9 +124,24 @@ def test_p2_eq_decides_in_the_braid_layer(capsys):
     for argv in (("2", "t^-1 y1 t", "y1 x1 y1 x1^-1 y1^-1"),
                  ("3", "y1^-1 x2 x1^-1 y1 x1 x2^-1 x1^-1 y1^-1 x1 y1", "1")):
         assert run(capsys, "eq", "--preset", "p2", *argv) == (0, "true\n", "")
-    # normal forms are those of gN, which has no letter t
-    assert run(capsys, "nf", "--preset", "p2", "2", "t y1 t^-1") == (
-        2, "", "parse error: column 1: unknown generator 't'\n")
+
+
+REFUSAL = ("error: this command needs an HNN presentation, not the braid layer; "
+           "use --preset gn N\n")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("command", [
+    # the words name t, which gN cannot parse: only a refusal before parsing passes
+    ("nf", "t y1 t^-1"),
+    ("rules",),
+    ("confluence", "--random"),
+    ("pingpong-certify", "--spec", "A:t:t", "--evidence", "A:orbit:t"),
+], ids=lambda command: command[0])
+def test_p2_refuses_the_commands_of_an_hnn_presentation(capsys, n, json_flag, command):
+    argv = (command[0], "--preset", "p2", str(n), *json_flag, *command[1:])
+    assert run(capsys, *argv) == (2, "", REFUSAL)
 
 
 P2_RELATORS = {n: [e.relator for e in verify_braid_relations(n).entries if len(e.relator) <= 8]
@@ -228,7 +243,27 @@ def test_confluence_random_probe(tmp_path, capsys):
     for seed, failures in (("0", 8), ("1", 5), ("2", 11)):
         code, out, _ = run(capsys, "confluence", "--file", str(path), "--random", "--seed", seed)
         assert code == 1
-        assert out == f"random probe: 200 trials x 5 strategies: {failures} failures\n"
+        assert out == (f"random probe: 200 trials x 5 strategies: {failures} failures\n"
+                       "critical pairs: 26 checked: 9 non-joinable\n")
+
+
+@pytest.mark.parametrize("source", ["gn 2", "gn 3", "gn 4", "handwritten", "nested"])
+def test_confluence_random_passes_only_a_confluent_system(tmp_path, capsys, source):
+    # on NESTED the probe draws no word on which two strategies disagree,
+    # yet 9 of its 26 critical pairs do not join
+    if source in ("handwritten", "nested"):
+        path = tmp_path / f"{source}.txt"
+        path.write_text(FILE_TEXT if source == "handwritten" else NESTED)
+        argv = ("confluence", "--file", str(path))
+    else:
+        argv = ("confluence", "--preset", *source.split())
+    plain = run(capsys, *argv)[0]
+    probe = ("--random", "--trials", "20", "--max-len", "4", "--seed", "0")
+    assert run(capsys, *argv, *probe)[0] == plain == (1 if source == "nested" else 0)
+    code, out, _ = run(capsys, *argv, *probe, "--json")
+    doc = json.loads(out)
+    assert (code, doc["ok"], doc.get("non_joinable")) == (
+        (1, False, 9) if source == "nested" else (0, True, None))
 
 
 def test_confluence_on_a_long_conjugator_is_fast(tmp_path, capsys):
@@ -335,36 +370,27 @@ def test_orbit_evidence_must_cover_the_spec(capsys):
                        "--spec", "A:x1:y1", "--spec", "B:x2:y1")
     assert code == 1
     assert "  witness: 1\n" in out
-    # under p2 the orbit follows phi: phi(x1) = y1 x1 y1^-1, but x1 y1^-1 is no image
-    certify_p2 = ("pingpong-certify", "--preset", "p2", "3", "--evidence", "A:orbit:x1")
-    code, out, _ = run(capsys, *certify_p2, "--spec", "A:x1:y1 x1 y1^-1, x1^-1")
-    assert code == 0
-    code, out, _ = run(capsys, *certify_p2, "--spec", "A:x1:x1 y1^-1")
+    # the orbit of x1 is x1^{+-1} alone; under p2, where phi would move it
+    # in the braid layer, the command refuses
+    certify = ("--spec", "A:x1:y1 x1 y1^-1, x1^-1", "--evidence", "A:orbit:x1")
+    code, out, _ = run(capsys, "pingpong-certify", "--preset", "gn", "3", *certify)
     assert code == 3
-    assert "(x1 y1^-1 not in the orbit of x1)" in out
+    assert "(y1 x1 y1^-1 not in the orbit of x1)" in out
+    assert run(capsys, "pingpong-certify", "--preset", "p2", "3", *certify) == (2, "", REFUSAL)
 
 
-def test_certify_reads_words_in_the_presented_group(capsys):
-    # t lies outside the group the ping-pong theorem speaks of: <t> * <y1 x1> is
-    # not free (pingpong-oracle finds t y1 x1 t^-1 x1^-1 y1^-1 = 1), so a
-    # certificate with t in it would be wrong
-    p2_2 = ("pingpong-certify", "--preset", "p2", "2")
-    code, out, err = run(capsys, *p2_2, "--spec", "A:t:t", "--spec", "B:x1:y1 x1",
-                         "--evidence", "A:declared:ok", "--evidence", "B:orbit:y1 x1")
-    assert (code, out, err) == (2, "", "error: unknown support letter 't' in spec 'A'\n")
-    # A2_3 names t at rank 2, and A3_4 is outside the rank-2 layer
-    code, out, err = run(capsys, *p2_2, "--spec", "A:x1:A2_3", "--evidence", "A:declared:ok")
-    assert (code, out, err) == (2, "", "parse error: column 1: unknown generator 't'\n")
-    code, out, err = run(capsys, *p2_2, "--spec", "A:x1:A3_4", "--evidence", "A:orbit:x1")
-    assert (code, out, err) == (2, "", "error: braid generator A3_4 lies outside the rank-2 layer\n")
-    code, out, err = run(capsys, *p2_2, "--spec", "A:x1:x1", "--evidence", "A:orbit:t")
-    assert code == 2 and out == ""
-    assert err.endswith("unknown generator 't'\n")
-    # a braid name of an x or a y still reads
-    code, out, _ = run(capsys, "pingpong-certify", "--preset", "p2", "3",
-                       "--spec", "A:x1:A1_4", "--evidence", "A:orbit:x1")
-    assert code == 0
-    assert out.startswith("verdict: certified")
+def test_certify_answers_in_gn_only(capsys):
+    # the specs certify in g3, whose map to the braid layer has a kernel: there
+    # the oracle finds x1^-1 y1 x1 x2 x1^-1 y1^-1 x1 x2^-1 = 1, so under p2 the
+    # certificate would be wrong, and the command refuses instead
+    specs = ("--spec", "A:x1:x1^-1 y1 x1", "--spec", "B:x2:x2")
+    evidence = ("--evidence", "A:declared:ok", "--evidence", "B:orbit:x2")
+    code, out, _ = run(capsys, "pingpong-certify", "--preset", "gn", "3", *specs, *evidence)
+    assert code == 0 and out.startswith("verdict: certified")
+    assert run(capsys, "pingpong-certify", "--preset", "p2", "3", *specs, *evidence) == (
+        2, "", REFUSAL)
+    code, out, _ = run(capsys, "pingpong-oracle", "--preset", "p2", "3", *specs)
+    assert code == 1 and "  witness: x1^-1 y1 x1 x2 x1^-1 y1^-1 x1 x2^-1\n" in out
 
 
 def test_vanishing_stable_projection_is_inconclusive(capsys):
@@ -791,13 +817,12 @@ def test_exp_range_cap_is_inconclusive(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv,err", [
     (("eq", "--preset", "p2", "3", "A1_4   zz", "1"), "column 8: unknown generator 'zz'"),
-    (("nf", "--preset", "p2", "3", "x1  y1*zz"), "column 8: unknown generator 'zz'"),
+    (("eq", "--preset", "p2", "3", "x1  y1*zz", "1"), "column 8: unknown generator 'zz'"),
     (("nf", "--preset", "gn", "3", "x1  y1*zz"), "column 8: unknown generator 'zz'"),
     (("eq", "--preset", "p2", "3", " zz", "1"), "column 2: unknown generator 'zz'"),
     (("eq", "--preset", "p2", "3", "A1_4*A1_3  zz", "1"), "column 12: unknown generator 'zz'"),
-    (("nf", "--preset", "p2", "3", "A1_3 A2_3^x2"), "column 6: bad term 'A2_3^x2'"),
+    (("eq", "--preset", "p2", "3", "A1_3 A2_3^x2", "1"), "column 6: bad term 'A2_3^x2'"),
     (("braid-phi", "--preset", "p2", "3", "A1_4^x"), "column 1: bad term 'A1_4^x'"),
-    (("nf", "--preset", "p2", "2", "A2_3"), "column 1: unknown generator 't'"),
 ])
 def test_p2_parse_errors_name_the_text_as_typed(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", f"parse error: {err}\n")

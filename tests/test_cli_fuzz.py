@@ -164,9 +164,7 @@ OPTIONS = {
     "confluence": lambda base, stable: (
         flag("--random"), option("--seed", st.integers(0, 9)),
         option("--trials", small(1, 5)), option("--max-len", small(1, 8))),
-    # the theorem speaks of the presented group, which has no t
-    "pingpong-certify": lambda base, stable: (
-        specs(base, tuple(s for s in stable if s != "t"), evidence=True),),
+    "pingpong-certify": lambda base, stable: (specs(base, stable, evidence=True),),
     "pingpong-oracle": lambda base, stable: (specs(base, stable, evidence=False), *bounds()),
     "braid-verify": lambda base, stable: (),
     "braid-phi": lambda base, stable: (
@@ -179,6 +177,8 @@ OPTIONS = {
         repeated("--h", words(base + stable[:-1]), 1), *bounds()),
 }
 BRAID_COMMANDS = ("braid-verify", "braid-phi", "braid-check-free", "danilevich")
+# the commands of an HNN presentation, which refuse a p2 source
+HNN_COMMANDS = ("nf", "rules", "confluence", "pingpong-certify")
 
 
 @lru_cache(maxsize=None)
@@ -236,3 +236,7 @@ def test_every_run_ends_in_an_exit_code(paths, argv):
                 assert json.loads(out.getvalue())["schema"] == 1
     event(f"exit {code}")
     assert code in (0, 1, 2, 3)
+    if (argv[0] in HNN_COMMANDS and argv[1:3] == ["--preset", "p2"] and argv[3] in ("2", "3", "4")
+            and not {"--help", "--bogus"} & set(argv)):
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: this command needs an HNN presentation")
