@@ -12,6 +12,7 @@ import argparse
 import time
 
 from hnnfree.braid import (
+    Group,
     braid_freeness_check,
     braid_trivial,
     semidirect_nf,
@@ -21,7 +22,6 @@ from hnnfree.braid import (
 )
 from hnnfree.pingpong import Bounds, SubgroupSpec, free_product_oracle
 from hnnfree.presentation import p2
-from hnnfree.rewrite import RuleSystem
 from hnnfree.words import OUTER, commutator, conjugate, format_word, free_reduce, stable_gen
 
 
@@ -76,9 +76,7 @@ def freeness_section(max_n: int, oracle_syllables: int) -> None:
                  for i, w in enumerate(basis, start=1)]
         specs.append(SubgroupSpec("T", ((OUTER,),), frozenset({OUTER})))
         t0 = time.monotonic()
-        rep = free_product_oracle(specs, RuleSystem(ext.base),
-                                  Bounds(syllables=oracle_syllables, exp_range=2),
-                                  is_trivial=lambda w, e=ext: braid_trivial(e, w))
+        rep = free_product_oracle(specs, Group(ext), Bounds(syllables=oracle_syllables, exp_range=2))
         print(f"    oracle on the basis instance: {rep.verdict}, "
               f"{rep.checked:,} products in {time.monotonic() - t0:.1f}s")
 

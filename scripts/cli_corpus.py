@@ -64,13 +64,11 @@ COMMANDS = [
     f"nf {G3} --trace 'x1^2 y2^2'",
     f"nf {G3} --trace 'x1 y2^12'",
     f"nf {G3} --trace 'x1^100 y2^100'",
-    f"nf {G3} --strategy random --seed 3 --trace 'x1^3 y2^3 x2 y1^-2'",
     # batches of swaps on a run of x1 that does not start the word
     f"nf {G3} --trace 'y1^3 x1^12 y2^11 x2 y2^-4'",
     # inside the first batch nu_0 goes from 9 to 10; the last coordinate
     # goes from 10 to 9 in the third
     f"nf {G3} --trace 'y1^9 x1^4 y2^12'",
-    f"nf {G3} --strategy random --seed 5 --trace 'x1^6 y2^6 x2 y2^-1 y1^4'",
     "nf --preset gn 4 'x3 y3^-1 x1 y2 x2^-1 y1'",
     "nf --preset gn 6 'x1^200 y2^200'",
     # floor 2: each batch of swaps stops one letter short of the run
@@ -91,6 +89,8 @@ COMMANDS = [
     "nf --file own.txt 'p a b p^-1 c'",
     f"eq {G3} 'x1 y2' 'y2 x1'",
     f"eq {G3} x1 x2",
+    # the images agree and the normal forms differ, on confluent rules
+    f"eq {G3} 'x1 y1' 'y1 x1'",
     "eq --file nested.txt 'y1 x1' 's x1^-1 y1^-1 x1 y1 x1 s^-1 y1'",
     f"rules {G3}",
     "rules --file own.txt",

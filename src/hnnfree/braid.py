@@ -265,10 +265,12 @@ def braid_equal(ext: SemidirectExtension, u: Word, v: Word) -> bool:
 
 
 class Group:
-    """The group a presentation source presents, and the engine that decides
-    in it: a SemidirectExtension source is the braid layer p2(n) (braid),
-    decided by the splitting of rank n; any other source is an HNN
-    presentation, decided by rewriting in its own rule system."""
+    """The group a presentation source presents, the engine that decides in
+    it and the alphabet that spells its words, the source's own: a
+    SemidirectExtension source is the braid layer p2(n) (braid), decided by
+    the splitting of rank n; any other source is an HNN presentation,
+    decided by rewriting in its own rule system.  free_product_oracle
+    decides and spells in the Group it is given."""
 
     def __init__(self, source: HnnPresentation | SemidirectExtension):
         self.source, self.alphabet = source, source.alphabet
@@ -276,9 +278,9 @@ class Group:
 
     @cached_property
     def system(self) -> RuleSystem:
-        # under p2 only pingpong-oracle reads it, for the name table of its
-        # witness: gN's, which spells t too
-        return RuleSystem(self.braid.base if self.braid else self.source)
+        """The rule system of an HNN source, built on first use; the braid
+        layer has none."""
+        return RuleSystem(self.source)
 
     def parse(self, text: str) -> Word:
         """Parse a word of the source; under p2, A{i}_{j} braid names are
@@ -288,7 +290,7 @@ class Group:
         return self.source.parse(text)
 
     def is_trivial(self, w: Word) -> bool:
-        return braid_trivial(self.braid, w) if self.braid else self.system.is_trivial_reduced(w)
+        return braid_trivial(self.braid, w) if self.braid else self.system.is_trivial(w)
 
     def equal(self, u: Word, v: Word) -> bool:
         return braid_equal(self.braid, u, v) if self.braid else equal(u, v, self.system)
@@ -504,17 +506,17 @@ def free_factor_probe(
 ) -> OracleReport:
     """Bounded check that H and <t> meet only trivially in alternating products.
 
-    The free-product oracle over the specs H and <t>, with the exact
-    splitting as the triviality test: every alternating product of
-    nontrivial H-words and nonzero t-powers within the bounds must be
-    nontrivial.  H-generators may not contain t.
+    The free-product oracle over the specs H and <t> in the braid layer
+    (Group(ext)), whose triviality test is the exact splitting: every
+    alternating product of nontrivial H-words and nonzero t-powers within
+    the bounds must be nontrivial.  H-generators may not contain t.
     """
     for h in h_generators:
         if OUTER in h or -OUTER in h:
             raise ValueError("H generators must not contain the outer letter")
     support = frozenset({OUTER})
     specs = [SubgroupSpec("H", tuple(h_generators), support), SubgroupSpec("T", (T_WORD,), support)]
-    rep = free_product_oracle(specs, _system(ext.base), bounds, _splitting(ext.rank).is_trivial)
+    rep = free_product_oracle(specs, Group(ext), bounds)
     if not rep.witness_factors:
         return rep
     # a <t> factor is one run, "T: (t)" or "T: (t)^e"; it is spelled t^e

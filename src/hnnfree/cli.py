@@ -166,15 +166,13 @@ _BOUNDS = (
 
 @_command("nf", "normal form of a word",
           _arg("word"),
-          _arg("--trace", action="store_true", help="print the rewrite trace"),
-          _arg("--strategy", choices=("leftmost", "random"), default="leftmost"),
-          _arg("--seed", type=int))
+          _arg("--trace", action="store_true", help="print the rewrite trace"))
 def _cmd_nf(args, group) -> int:
     p, system = _require_hnn(group), group.system
     w = group.parse(args.word)
-    # a leftmost trace is built only for the text that prints it
-    if args.strategy != "leftmost" or (args.trace and not args.json):
-        result, trace = normal_form(w, system, strategy=args.strategy, seed=args.seed)
+    # a trace is built only for the text that prints it
+    if args.trace and not args.json:
+        result, trace = normal_form(w, system)
         steps = len(trace)
     else:
         result, steps = nf_steps(w, system)
@@ -321,7 +319,7 @@ def _cmd_pingpong_certify(args, group) -> int:
           _arg("--spec", action="append", metavar="LABEL:SUPPORT:GENWORDS"), *_BOUNDS)
 def _cmd_pingpong_oracle(args, group) -> int:
     specs = list(_specs(args, group).values())
-    return _report(args, free_product_oracle(specs, group.system, _bounds(args), group.is_trivial))
+    return _report(args, free_product_oracle(specs, group, _bounds(args)))
 
 
 @_command("braid-verify", "verify the braid-layer relations and maps")

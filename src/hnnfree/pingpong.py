@@ -14,7 +14,7 @@ from enum import Enum
 from functools import reduce
 from math import prod
 from operator import add, or_, sub
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import words
 from .presentation import Association, HnnPresentation
@@ -35,6 +35,9 @@ from .words import (
     is_base,
     join_reduced,
 )
+
+if TYPE_CHECKING:
+    from .braid import Group
 
 
 class Verdict(str, Enum):
@@ -561,30 +564,29 @@ def _walk(
 
 def free_product_oracle(
     specs: Sequence[SubgroupSpec],
-    system: RuleSystem,
+    group: Group | RuleSystem,
     bounds: Bounds,
     is_trivial: Callable[[Word], bool] | None = None,
 ) -> OracleReport:
-    """Exhaustively check that alternating products are nontrivial.
+    """Exhaustively check that alternating products are nontrivial in group.
 
     Enumerates products a_1 ... a_r with r <= bounds.syllables, adjacent
     factors from different specs, each factor a nonempty reduced word in one
     spec's generators within bounds; order is syllable count, then spec
     sequence, then factor choice, so the first witness is minimal.  Exponent
-    sums in every letter screen the products; the rest go to is_trivial,
-    which must decide triviality in the group the products live in.  By
-    default it is the rewriting decider, RuleSystem.is_trivial_reduced,
-    which rewrites only a product that holds an lhs.  A trivial product is
-    a witness only if is_trivial finds each of its factors nontrivial; a
+    sums in every letter screen the products; the rest go to is_trivial, by
+    default group.is_trivial: a braid.Group's decides in the group its
+    source presents, the braid layer by the splitting, and a RuleSystem's
+    rewrites only a product that holds an lhs.  A trivial product is a
+    witness only if is_trivial finds each of its factors nontrivial; a
     product it cannot decide (words.Inconclusive) stops the walk with an
-    inconclusive report.  The witness is spelled in the alphabet of the
-    system's presentation.
+    inconclusive report.  The witness is spelled in group.alphabet.
     """
     if is_trivial is None:
-        is_trivial = system.is_trivial_reduced
+        is_trivial = group.is_trivial
     trivial = lambda w: not w or is_trivial(w)
     # every generator, t included, is an exponent-sum invariant
-    return _walk(specs, bounds, lambda g: True, trivial, system.presentation.alphabet, trivial)
+    return _walk(specs, bounds, lambda g: True, trivial, group.alphabet, trivial)
 
 
 def bounded_intersection_probe(spec: SubgroupSpec, system: RuleSystem, max_len: int) -> OracleReport:
@@ -604,5 +606,4 @@ def bounded_intersection_probe(spec: SubgroupSpec, system: RuleSystem, max_len: 
 
     bounds = Bounds(syllables=1, exp_range=max_len)
     # a hit's one factor is itself, which pure_base shows is nontrivial
-    return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.presentation.alphabet,
-                 lambda f: False)
+    return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.alphabet, lambda f: False)

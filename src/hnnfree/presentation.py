@@ -62,11 +62,12 @@ class HnnPresentation:
 
 def validate(p: HnnPresentation) -> list[str]:
     """All violations of the presentation constraints; empty list means ok.
-    Generators are spelled in the presentation's alphabet."""
-    name = p.alphabet.name
+    Generators are spelled in the presentation's alphabet, and a code
+    outside it by its number."""
     out: list[str] = []
     stable = set(p.stable_gens)
     base = set(p.base_gens)
+    name = lambda g: p.alphabet.name(g) if g in stable or g in base else f"code {g}"
     for x, assocs in p.assoc.items():
         if x not in stable:
             out.append(f"unknown stable generator {name(x)}")

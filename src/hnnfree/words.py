@@ -66,13 +66,6 @@ def is_base(c: int) -> bool:
     return not c & 1
 
 
-def gen_name(g: int) -> str:
-    """Default symbol name of a generator: y<i> / x<i> / t."""
-    if g == OUTER:
-        return "t"
-    return f"{'x' if g & 1 else 'y'}{g >> 1}"
-
-
 def invert(w: Word) -> Word:
     """Reversed, sign-flipped word; w + invert(w) reduces to 1."""
     return tuple(-c for c in reversed(w))
@@ -232,8 +225,11 @@ class Alphabet:
         return name in self._by_name  # type: ignore[attr-defined]
 
     def name(self, g: int) -> str:
-        """g's name; a code outside the table keeps its default name (gen_name)."""
-        return self._by_code.get(g) or gen_name(g)  # type: ignore[attr-defined]
+        """g's name; a code outside the table has none, and raises KeyError."""
+        try:
+            return self._by_code[g]  # type: ignore[attr-defined]
+        except KeyError:
+            raise KeyError(f"no generator has code {g}") from None
 
 
 def default_alphabet(n_base: int, n_stable: int) -> Alphabet:

@@ -12,8 +12,8 @@ import time
 from rescan import is_subsequence, stable_signature
 from test_rewrite import hand_made
 from hnnfree.braid import (
+    Group,
     braid_freeness_check,
-    braid_trivial,
     free_factor_probe,
     phi_power,
     semidirect_nf,
@@ -202,7 +202,7 @@ def test_criterion_08_certificate_oracle_coupling():
         "A2": orbit_intersection_certificate(p2(3).phi, gn3.parse("y1 x2"), gn3),
     }
     assert free_product_certificate([a1, a2], evidence, gn3).verdict == "certified"
-    instances = [("subgroups of gn(3)", None, [a1, a2], sys3)]
+    instances = [("subgroups of gn(3)", [a1, a2], sys3)]
 
     braid_words = {3: (["x1", "x2"], ["x1 y2", "x2^2"], ["x2 x1 x2^-1", "x2"]),
                    4: (["x1", "x2", "x3"],)}
@@ -216,13 +216,11 @@ def test_criterion_08_certificate_oracle_coupling():
                 for i, w in enumerate(ws, start=1)
             ]
             specs.append(SubgroupSpec("T", ((OUTER,),), frozenset({OUTER})))
-            instances.append((f"n={n} <{', '.join(texts)}, t>", ext, specs,
-                              RuleSystem(ext.base)))
+            instances.append((f"n={n} <{', '.join(texts)}, t>", specs, Group(ext)))
 
-    for label, ext, specs, system in instances:
-        is_trivial = (lambda w, e=ext: braid_trivial(e, w)) if ext else None
+    for label, specs, group in instances:
         t0 = time.monotonic()
-        rep = free_product_oracle(specs, system, bounds, is_trivial=is_trivial)
+        rep = free_product_oracle(specs, group, bounds)
         dt = time.monotonic() - t0
         assert rep.verdict == "pass", (
             f"{label}: oracle contradicts the certificate: "

@@ -35,7 +35,6 @@ from hnnfree.words import (
     exp_sum,
     format_word,
     free_reduce,
-    gen_name,
     image,
     invert,
     stable_gen,
@@ -478,13 +477,13 @@ def _table_faults(split, n):
     changes the x/t exponent sums of its letter (the screens of is_trivial
     rely on both)."""
     odd = [OUTER] + [stable_gen(i) for i in range(1, n)]
-    faults = []
+    name, faults = p2(n).alphabet.name, []
     for y, table in split._tables.items():
         for g, img in table.items():
             if split.act(-y, split.act(y, [g])) != [g]:
-                faults.append(f"not mutually inverse at {gen_name(abs(y))}, {gen_name(abs(g))}")
+                faults.append(f"not mutually inverse at {name(abs(y))}, {name(abs(g))}")
             if any(exp_sum(img, h) != exp_sum((g,), h) for h in odd):
-                faults.append(f"changes the exponent sums of {gen_name(abs(g))}")
+                faults.append(f"changes the exponent sums of {name(abs(g))}")
     return faults
 
 

@@ -18,12 +18,12 @@ import hnnfree.presentation
 import hnnfree.rewrite
 import hnnfree.words
 from artin import artin_equal
-from hnnfree.braid import braid_equal, braid_trivial, verify_braid_relations
+from hnnfree.braid import Group, braid_equal, braid_trivial, verify_braid_relations
 from hnnfree.cli import main
 from hnnfree.pingpong import Bounds, SubgroupSpec, free_product_oracle
 from hnnfree.presentation import gn, p2
 from hnnfree.rewrite import RuleSystem, critical_pairs
-from hnnfree.words import format_word, invert
+from hnnfree.words import OUTER, format_word, invert, stable_gen
 
 FILE_TEXT = """\
 # three-letter base with two stable letters, conjugators of length two
@@ -142,6 +142,36 @@ REFUSAL = ("error: this command needs an HNN presentation, not the braid layer; 
 def test_p2_refuses_the_commands_of_an_hnn_presentation(capsys, n, json_flag, command):
     argv = (command[0], "--preset", "p2", str(n), *json_flag, *command[1:])
     assert run(capsys, *argv) == (2, "", REFUSAL)
+
+
+def test_p2_oracles_build_no_rule_system(monkeypatch, capsys):
+    # under p2 the oracles decide by the splitting and spell in p2's own
+    # alphabet, t included, so only the push builds gN's rule system
+    hnnfree.braid._system.cache_clear()
+    built, init = [], RuleSystem.__init__
+    monkeypatch.setattr(RuleSystem, "__init__", lambda self, p: built.append(p) or init(self, p))
+    code, out, _ = run(capsys, "pingpong-oracle", "--preset", "p2", "3",
+                       "--spec", "A:x1:y1 x1", "--spec", "T:t:t")
+    assert code == 1 and "witness: y1 x1 t x1^-1 y1^-1 t^-1" in out
+    assert run(capsys, "danilevich", "--preset", "p2", "2", "--h", "y1 x1")[0] == 1
+    assert built == []
+    e3 = p2(3)
+    specs = [SubgroupSpec("A", (e3.parse("y1 x1"),), frozenset({stable_gen(1)})),
+             SubgroupSpec("T", (e3.parse("t"),), frozenset({OUTER}))]
+    rep = free_product_oracle(specs, Group(e3), Bounds())
+    assert (code, out) == (rep.verdict.exit, rep.render() + "\n")
+    assert built == []
+    assert run(capsys, "braid-phi", "--preset", "p2", "2", "--push", "x1")[0] == 0
+    assert built == [gn(2)]
+
+
+@pytest.mark.parametrize("option", [("--strategy", "random"), ("--seed", "1")], ids=lambda o: o[0])
+def test_nf_has_one_strategy(capsys, option):
+    # normal forms are unique on a confluent system, so nf takes no strategy
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", "--preset", "gn", "3", *option, "x1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
 
 P2_RELATORS = {n: [e.relator for e in verify_braid_relations(n).entries if len(e.relator) <= 8]
@@ -422,8 +452,8 @@ def test_oracle_pass_and_fail(capsys):
     (("A:x1,x2:x1 y2", "B:x1,x2:y2 x1"), 3),
 ])
 def test_oracle_cli_and_library_share_the_rewriting_decider(texts, runs, monkeypatch, capsys):
-    # Group.is_trivial and free_product_oracle's default both reach
-    # RuleSystem.is_trivial_reduced, so they run the engine equally often:
+    # the CLI's Group and the library's RuleSystem both decide by
+    # RuleSystem.is_trivial, so they run the engine equally often:
     # twice per critical pair, when the first nonempty normal form asks
     # whether the rules are confluent, and once per product holding a redex
     runs += 2 * len(critical_pairs(RuleSystem(gn(3))))
@@ -674,12 +704,13 @@ def test_nf_counts_every_swap_of_a_run(capsys):
 def test_step_cap_is_inconclusive(monkeypatch, capsys):
     # traced or not, the cap falls inside the first batch of swaps of each
     # nf, and after a single step at x2 y2^-1 y1, whose one kind-3 step no
-    # batch takes
+    # batch takes; the random probe's first sampled run of up to 40 letters
+    # takes more than 10 steps
     msg = "inconclusive: rewrite step cap {} exceeded\n"
     monkeypatch.setattr(hnnfree.rewrite, "STEP_CAP", 10)
     for argv in (("nf", "--preset", "gn", "3", "x1^20 y2^20"),
                  ("nf", "--preset", "gn", "6", "x1^200 y2^200"),
-                 ("nf", "--preset", "gn", "3", "--strategy", "random", "x1^20 y2^20"),
+                 ("confluence", "--preset", "gn", "3", "--random", "--max-len", "40"),
                  ("nf", "--preset", "gn", "3", "--trace", "x1^20 y2^20"),
                  ("eq", "--preset", "gn", "3", "x1^20 y2^20", "y2^20 x1^20")):
         assert run(capsys, *argv) == (3, "", msg.format(10))
@@ -695,10 +726,11 @@ def test_eq_refuted_by_the_image_takes_no_step(monkeypatch, capsys):
 
 
 def test_trace_cap_is_inconclusive(monkeypatch, capsys):
-    # x1^2 y2^2 takes 4 steps, each storing a nu of 3 coordinates: 12 in all
+    # x1^2 y2^2 takes 4 steps, each storing a nu of 3 coordinates: 12 in
+    # all; the random probe traces every sampled run
     monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", 11)
     for argv in (("nf", "--preset", "gn", "3", "--trace", "x1^2 y2^2"),
-                 ("nf", "--preset", "gn", "3", "--strategy", "random", "x1^2 y2^2")):
+                 ("confluence", "--preset", "gn", "3", "--random")):
         assert run(capsys, *argv) == (3, "", "inconclusive: rewrite trace cap 11 exceeded\n")
     monkeypatch.setattr(hnnfree.rewrite, "TRACE_CAP", 12)
     code, out, _ = run(capsys, "nf", "--preset", "gn", "3", "--trace", "x1^2 y2^2")

@@ -152,9 +152,7 @@ def specs(draw, base, stable, evidence: bool):
 # each command's arguments over a source's (base names, stable names), as
 # a tuple of strategies of argv pieces
 OPTIONS = {
-    "nf": lambda base, stable: (
-        flag("--trace"), option("--strategy", st.just("random")),
-        option("--seed", st.integers(0, 9)), words(base + stable).map(lambda w: [w])),
+    "nf": lambda base, stable: (flag("--trace"), words(base + stable).map(lambda w: [w])),
     # the right word is the left one, the left one conjugated, or another
     "eq": lambda base, stable: (st.builds(
         lambda u, v, x, pick: [[u, u], [u, padded(u, x)], [u, v]][pick],

@@ -16,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hnnfree import words
-from hnnfree.braid import braid_trivial, free_factor_probe
+from hnnfree.braid import Group, braid_trivial, free_factor_probe
 from hnnfree.pingpong import (
     Bounds,
     SubgroupSpec,
@@ -39,7 +39,7 @@ from hnnfree.words import (
 GN3 = gn(3)
 S3 = RuleSystem(GN3)
 E2 = p2(2)
-SE2 = RuleSystem(E2.base)
+EG2 = Group(E2)
 
 
 def factor_list(label, gens, exp_range):
@@ -162,8 +162,7 @@ def test_free_product_oracle_braid_layer_matches_brute_force():
     full = brute(lists, 4, ALL_E2, hit, None)
     assert full[0] == "fail"
     for b in budgets(full):
-        rep = free_product_oracle(specs, SE2, Bounds(syllables=4, max_products=b),
-                                  is_trivial=lambda w: braid_trivial(E2, w))
+        rep = free_product_oracle(specs, EG2, Bounds(syllables=4, max_products=b))
         assert outcome(rep) == brute(lists, 4, ALL_E2, hit, b), b
 
 

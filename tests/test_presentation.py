@@ -85,9 +85,11 @@ def test_validate_duplicate_y():
     # generators are spelled in the presentation's own alphabet
     named = HnnPresentation(Alphabet(("a", "b"), ("p",)), {stable_gen(1): (a, a)})
     assert validate(named) == ["p:a: duplicate base generator for p"]
-    # a code outside the alphabet keeps its default name
+    # a code outside the alphabet has no name, so its number is given
     stray = HnnPresentation(Alphabet(("a", "b"), ("p",)), {stable_gen(2): (a,)})
-    assert validate(stray) == ["unknown stable generator x2"]
+    assert validate(stray) == ["unknown stable generator code 5"]
+    stray_base = HnnPresentation(Alphabet(("a",), ("p",)), {stable_gen(1): (a, Association(base_gen(2)))})
+    assert validate(stray_base) == ["p:code 4: unknown base generator code 4"]
 
 
 def test_validate_unknown_base_generator():

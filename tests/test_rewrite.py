@@ -60,6 +60,12 @@ def w3(text):
     return GN3.parse(text)
 
 
+def traced(w, system, strategy, seed):
+    """(normal form, trace) by the leftmost strategy of normal_form, or by
+    the random one that random_confluence_probe samples with seed."""
+    return normal_form(w, system) if strategy == "leftmost" else rewrite._apply_random(w, system, seed)
+
+
 # --- nu and the termination order -------------------------------------------
 
 def test_nu_examples():
@@ -235,7 +241,7 @@ def test_trace_reads_rules_by_position_not_id():
     # the one rule has id 7 at position 0
     system = hand_made([RewriteRule(1, 7, w3("y1 y1^-1"), ())])
     for strategy in ("leftmost", "random"):
-        res, trace = normal_form(w3("y2 y1 y1^-1"), system, strategy=strategy, seed=0)
+        res, trace = traced(w3("y2 y1 y1^-1"), system, strategy, 0)
         assert res == w3("y2")
         assert trace.render().splitlines() == [
             "initial: y2 y1 y1^-1", "#1 pos=1 rule=1/7 nu=(1)", "final: y2"]
@@ -303,7 +309,7 @@ def test_nf_subsequence_property(u):
 @given(words4_st, st.integers(0, 3))
 def test_nf_strategy_independent(u, k):
     reference = nf(u, S4)
-    res, trace = normal_form(u, S4, strategy="random", seed=k)
+    res, trace = rewrite._apply_random(u, S4, k)
     assert res == reference
     prev = trace.nu_initial
     for e in trace.entries:
@@ -701,7 +707,7 @@ def test_caps_inside_the_single_swap_after_a_batch(monkeypatch, n, m):
 def test_trace_nu_is_nu_of_each_step(name, strategy, seed):
     system = ENGINE_SYSTEMS[name]
     w = random_word(random.Random(seed), system, 30)
-    _, trace = normal_form(w, system, strategy=strategy, seed=seed)
+    _, trace = traced(w, system, strategy, seed)
     assert trace.nu_initial == nu(w)
     for e, _, after in _replayed(trace):
         assert e.nu_after == nu(after)
@@ -738,7 +744,7 @@ def test_trace_renders_and_segments_as_from_scratch(name, strategy, data):
     w = data.draw(st.one_of(_runs(system), st.lists(st.sampled_from(_letters(system)),
                                                     max_size=30).map(tuple)))
     seed = data.draw(st.integers(0, 10_000))
-    _, trace = normal_form(w, system, strategy=strategy, seed=seed)
+    _, trace = traced(w, system, strategy, seed)
     alphabet = system.presentation.alphabet
     assert _first_difference(trace.render(), _render_from_scratch(trace, alphabet)) is None
     # the segment of an entry is the number of odd letters before its redex
@@ -754,7 +760,7 @@ def test_trace_renders_runs_as_from_entries(name, strategy, data):
     # long runs give the leftmost engine batches of swaps to spell
     system = ENGINE_SYSTEMS[name]
     w, seed = data.draw(_runs(system)), data.draw(st.integers(0, 10_000))
-    _, trace = normal_form(w, system, strategy=strategy, seed=seed)
+    _, trace = traced(w, system, strategy, seed)
     alphabet = system.presentation.alphabet
     assert _first_difference(trace.render(), _render_from_scratch(trace, alphabet)) is None
 
@@ -792,7 +798,7 @@ def test_random_strategy_draws_as_a_full_rescan(name, data):
     w = data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
                                                       max_size=30).map(tuple)))
     seed = data.draw(st.integers(0, 10_000))
-    res, trace = normal_form(w, system, strategy="random", seed=seed)
+    res, trace = rewrite._apply_random(w, system, seed)
     assert (res, [tuple(e) for e in trace.entries]) == _random_by_rescan(w, system, seed)
 
 
@@ -853,10 +859,10 @@ def test_nf_reduced_is_the_normal_form(name, data):
     w = free_reduce(data.draw(st.one_of(_pieces(system), st.lists(st.sampled_from(_letters(system)),
                                                                   max_size=40).map(tuple))))
     assert system.nf_reduced(w) == nf(w, system)
-    assert _decided(system.is_trivial_reduced, w) == _expected_equal(w, (), system)
+    assert _decided(system.is_trivial, w) == _expected_equal(w, (), system)
 
 
-def test_is_trivial_reduced_rewrites_a_word_once(monkeypatch):
+def test_is_trivial_rewrites_a_word_once(monkeypatch):
     # on a non-confluent system the answer comes from the normal form v and
     # its kept image parts, which rewriting keeps: the engine runs on w
     # alone, and never on v or on the empty word
@@ -872,7 +878,7 @@ def test_is_trivial_reduced_rewrites_a_word_once(monkeypatch):
 
     monkeypatch.setattr(rewrite, "_leftmost", counted)
     with pytest.raises(Inconclusive, match="not confluent"):
-        system.is_trivial_reduced(w)
+        system.is_trivial(w)
     assert len(runs) == 1 and runs[0][0] == w and runs[0][1]
 
 
@@ -894,7 +900,7 @@ def test_normality_needs_no_free_reduction(name, data):
     w = data.draw(_unreduced(system))
     assert system.is_normal_reduced(w) == (not system.redexes(w))
     assert system.nf_reduced(w) == nf(w, system)
-    assert _decided(system.is_trivial_reduced, w) == _expected_equal(w, (), system)
+    assert _decided(system.is_trivial, w) == _expected_equal(w, (), system)
 
 
 # the engine's lhs automaton on every system of NORMAL_SYSTEMS: an lhs of

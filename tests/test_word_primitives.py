@@ -8,12 +8,14 @@ the package defines has a reader in the package, its scripts or the
 benchmark, and every parameter default is overridden by some call there,
 so no code or switch is kept for tests alone.  Every option of a CLI
 subcommand occurs in a case of scripts/cli_corpus.py, whose output
-tests/cli_corpus.txt pins, and so does every raise statement of cli.py.
+tests/cli_corpus.txt pins, and so does every raise statement of cli.py and
+every return statement of the deciders rewrite.equal, RuleSystem.is_trivial
+and BraidSplitting.is_trivial.
 CapExceeded is the one cap exception: no class subclasses it or words a
 message of its own as a template.
 
 The package's source is read with ast, without importing it; only the
-option and raise checks import the CLI, to read its registry of
+option, raise and return checks import the CLI, to read its registry of
 subcommands and to run the corpus.  The
 loop is found by its test `s and s[-1] == -c`: a name, and its last item
 equal to the negation of a letter.  A few per-letter loops stay inline because
@@ -22,12 +24,15 @@ listed in INLINE.  A projection is found as a free reduction of a
 filtered comprehension."""
 
 import ast
+import functools
+import inspect
 import os
 import re
 import runpy
 import shlex
 import sys
 import tempfile
+import textwrap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "hnnfree")
@@ -240,25 +245,37 @@ def test_every_cli_option_occurs_in_the_corpus():
     assert options_missing_from_corpus() == set()
 
 
-def cli_raises_missing_from_corpus(root: str = ROOT) -> set[int]:
-    """The line of every raise statement of hnnfree/cli.py that no case of
-    root/scripts/cli_corpus.py runs.  The cases run in-process through the
-    script's own run, in a temporary directory that holds its FILES, under
-    a tracer that records the lines of frames of cli.py alone."""
+def deciders():
+    """rewrite.equal, RuleSystem.is_trivial and BraidSplitting.is_trivial:
+    every answer of the word problem and of triviality in either layer."""
+    from hnnfree.braid import BraidSplitting
+    from hnnfree.rewrite import RuleSystem, equal
+
+    return equal, RuleSystem.is_trivial, BraidSplitting.is_trivial
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_lines(root: str = ROOT) -> frozenset[tuple[str, int]]:
+    """(file, line) of every line that the cases of
+    root/scripts/cli_corpus.py run in frames of hnnfree/cli.py or of the
+    deciders.  The cases run in-process through the script's own run, in a
+    temporary directory that holds its FILES, under a tracer that records
+    the lines of those frames alone; the raise and the return checks share
+    the one run."""
     from hnnfree import cli
 
-    with open(cli.__file__) as fh:
-        raises = {n.lineno for n in ast.walk(ast.parse(fh.read())) if isinstance(n, ast.Raise)}
     corpus = runpy.run_path(os.path.join(root, "scripts", "cli_corpus.py"))
-    ran: set[int] = set()
+    codes = {f.__code__ for f in deciders()}
+    ran: set[tuple[str, int]] = set()
 
     def lines(frame, event, arg):
         if event == "line":
-            ran.add(frame.f_lineno)
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
         return lines
 
     def calls(frame, event, arg):
-        return lines if frame.f_code.co_filename == cli.__file__ else None
+        code = frame.f_code
+        return lines if code in codes or code.co_filename == cli.__file__ else None
 
     cwd, before = os.getcwd(), sys.gettrace()
     with tempfile.TemporaryDirectory() as tmp:
@@ -273,11 +290,39 @@ def cli_raises_missing_from_corpus(root: str = ROOT) -> set[int]:
         finally:
             sys.settrace(before)
             os.chdir(cwd)
-    return raises - ran
+    return frozenset(ran)
+
+
+def cli_raises_missing_from_corpus(root: str = ROOT) -> set[int]:
+    """The line of every raise statement of hnnfree/cli.py that no case of
+    root/scripts/cli_corpus.py runs."""
+    from hnnfree import cli
+
+    with open(cli.__file__) as fh:
+        raises = {n.lineno for n in ast.walk(ast.parse(fh.read())) if isinstance(n, ast.Raise)}
+    return raises - {line for file, line in corpus_lines(root) if file == cli.__file__}
 
 
 def test_every_cli_raise_runs_in_the_corpus():
     assert cli_raises_missing_from_corpus() == set()
+
+
+def decider_returns_missing_from_corpus(root: str = ROOT) -> set[str]:
+    """`name:line` of every return statement of the deciders that no case
+    of root/scripts/cli_corpus.py runs."""
+    returns = {}
+    for f in deciders():
+        source, first = inspect.getsourcelines(f)
+        for n in ast.walk(ast.parse(textwrap.dedent("".join(source)))):
+            if isinstance(n, ast.Return):
+                line = first + n.lineno - 1
+                returns[f.__code__.co_filename, line] = f"{f.__qualname__}:{line}"
+    ran = corpus_lines(root)
+    return {name for at, name in returns.items() if at not in ran}
+
+
+def test_every_decider_answer_runs_in_the_corpus():
+    assert decider_returns_missing_from_corpus() == set()
 
 
 def cap_classes(src: str = SRC) -> set[str]:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnnfree.presentation import gn, p2
 from hnnfree.words import (
     EPSILON,
     OUTER,
@@ -150,6 +151,16 @@ def test_alphabet_rejects_duplicates():
     # a repeated base name would make its first generator untypeable
     with pytest.raises(ValueError):
         Alphabet(("a", "a"), ("p",))
+
+
+def test_alphabet_spells_only_its_own_codes():
+    # one name table per word: a code outside it has no default name
+    assert gn(3).alphabet.name(stable_gen(2)) == "x2" and p2(3).alphabet.name(OUTER) == "t"
+    for code in (OUTER, base_gen(3), stable_gen(3)):
+        with pytest.raises(KeyError, match=f"no generator has code {code}"):
+            gn(3).alphabet.name(code)
+    with pytest.raises(KeyError):
+        format_word((OUTER,), gn(3).alphabet)
 
 
 def test_format_is_canonical_spelling():
