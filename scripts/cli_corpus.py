@@ -106,6 +106,9 @@ COMMANDS = [
     f"{CERTIFY} --evidence A1:orbit:x1 --evidence 'A2:orbit:y1 x2'",
     f"pingpong-certify {G3} --spec A1:x1:x1",
     f"pingpong-certify {G3} --spec A1:x1:x1 --evidence A1:probe:4",
+    # the probe reaches the product cap: every prefix holds no lhs, and its
+    # subtrees repeat
+    f"pingpong-certify {G3} --spec 'A1:x1:x1, y1 x1 y1^-1' --evidence A1:probe:30",
     f"pingpong-certify {G3} --spec A1:x1:x1 --spec A2:x1:x1 "
     "--evidence A1:declared:external --evidence A2:declared:external",
     "pingpong-certify --file own-trivial.txt --spec A:p:p --spec B:p:q",

@@ -350,6 +350,7 @@ def _walk(
     hit: Callable[[Word], bool],
     alphabet: Alphabet,
     trivial: Callable[[Word], bool],
+    reader: tuple[object, Callable[[object, Word], object], Callable[[object], bool]] | None = None,
 ) -> OracleReport:
     """Depth-first walk over the alternating products of the specs.
 
@@ -383,6 +384,20 @@ def _walk(
     tuple.  A hit is a witness only if `trivial` holds for none of its
     factors, whose words are built for hits alone; the first witness fails
     the report, which spells it and its factors in `alphabet`.
+
+    A `reader`, (start, read, clean_hit), decides products without `hit`
+    while it can.  A prefix then carries a state too: start on the empty
+    prefix, then read(state, letters) on each run's letters, the run words
+    read as they are concatenated.  read returns None once it cannot vouch
+    for the letters; that prefix is dirty, and below it the walk runs as
+    above.  A clean state answers `hit` for a product as clean_hit(state)
+    does, so a clean product's word is built only for a witness.  Each
+    transition is computed once per state and run.  The subtree of a
+    clean child is settled when the walk leaves it with no dirty node and
+    no clean_hit that held; its key (slot, state, sums, uses left,
+    generator of the run) fixes the products below it, their screening and
+    their verdicts, so another child with that key in the same spec
+    sequence counts its products as a prune does, without being visited.
 
     The runs that may come next in a factor depend only on the spec, its
     uses left and the generator of the run before, so each such triple
@@ -458,10 +473,12 @@ def _walk(
     # the runs of a spec that may come next, given its uses left and the
     # generator of the run before (-1: none), each as (idx, e, g^e, what it
     # adds to the sums, uses left after it, the run sequences after it, the
-    # rest sets after it), in walk order; built when first needed
+    # rest sets after it, the reader's state after it by the state before),
+    # in walk order; built when first needed
     cands: dict[tuple[int, int, int], list[tuple]] = {}
     path: list[tuple[int, int, int]] = []
-    checked = 0
+    checked = unsettled = 0
+    start, read, clean_hit = reader or (None, None, None)
 
     def slots() -> list[list[tuple[int, int]]]:
         """The runs (generator index, exponent) of each factor on path."""
@@ -486,21 +503,28 @@ def _walk(
                 rest = left - mag
                 if subtree[i][rest]:  # else no run can follow this one
                     for e in (mag, -mag):
-                        out.append((idx, e, *pw[e], rest, subtree[i][rest], rests[i][rest][idx]))
+                        out.append((idx, e, *pw[e], rest, subtree[i][rest], rests[i][rest][idx], {}))
         return out
 
+    def follow(state, moves: dict, letters: Word):
+        """The reader's state after a run's letters, kept in its moves."""
+        if state not in moves:
+            moves[state] = read(state, letters)
+        return moves[state]
+
     # factor() picks the factor of slot pos, runs() extends it run by run;
-    # seq, tail and tail_size belong to the spec sequence being walked, and
-    # path holds the runs (slot, generator index, exponent) of the prefix
-    def factor(pos: int, w: Word, sums: list[int]):
+    # seq, tail, tail_size and settled belong to the spec sequence being
+    # walked, path holds the runs (slot, generator index, exponent) of the
+    # prefix, and state is the reader's state on it, None once dirty
+    def factor(pos: int, w: Word, sums: list[int], state):
         for total in range(1, e_max + 1):
-            found = runs(pos, w, sums, -1, total)
+            found = runs(pos, w, sums, -1, total, state)
             if found is not None:
                 return found
         return None
 
-    def runs(pos: int, w: Word, sums: list[int], last: int, left: int):
-        nonlocal checked
+    def runs(pos: int, w: Word, sums: list[int], last: int, left: int, state):
+        nonlocal checked, unsettled
         key = seq[pos], left, last
         todo = cands.get(key)
         if todo is None:
@@ -508,7 +532,7 @@ def _walk(
         ts, size = tail[pos], tail_size[pos]
         # a run that ends the last factor must bring every sum to bias
         need = list(map(sub, bias, sums)) if pos == end else None
-        for idx, e, letters, step, rest, after, fs in todo:
+        for idx, e, letters, step, rest, after, fs, moves in todo:
             if rest or need is None:
                 nxt = list(map(add, sums, step))
                 for s, f, t in zip(nxt, fs, ts):
@@ -518,20 +542,38 @@ def _walk(
                         checked += after * size
                         break
                 else:
+                    sub_state = None if state is None else follow(state, moves, letters)
+                    if sub_state is None:
+                        unsettled += 1
+                    else:
+                        child = pos, sub_state, tuple(nxt), rest, idx
+                        if child in settled:
+                            if checked + after * size > limit:
+                                return stop
+                            checked += after * size
+                            continue
+                        mark = unsettled
                     path.append((pos, idx, e))
                     v = join_reduced(w, letters)
-                    found = runs(pos, v, nxt, idx, rest) if rest else factor(pos + 1, v, nxt)
+                    found = (runs(pos, v, nxt, idx, rest, sub_state) if rest
+                             else factor(pos + 1, v, nxt, sub_state))
                     if found is not None:
                         return found
                     path.pop()
+                    if sub_state is not None and unsettled == mark:
+                        settled.add(child)
             else:  # a whole product, whose sums vanish exactly when step == need
                 if checked >= limit:
                     return stop
                 checked += 1
                 if step == need:
+                    end_state = None if state is None else follow(state, moves, letters)
+                    if end_state is not None and not clean_hit(end_state):
+                        continue
+                    unsettled += 1
                     path.append((pos, idx, e))
                     v = join_reduced(w, letters)
-                    if hit(v) and not any(
+                    if (end_state is not None or hit(v)) and not any(
                             trivial(reduce(join_reduced, (powers[i][idx][e][0] for idx, e in made)))
                             for i, made in zip(seq, slots())):
                         return v
@@ -548,7 +590,8 @@ def _walk(
                 ]
                 tail, end = [tails[seq[pos + 1 :]] for pos in range(r)], r - 1
                 tail_size = [prod(sizes[i] for i in seq[pos + 1 :]) for pos in range(r)]
-                found = factor(0, (), bias)
+                settled = set()
+                found = factor(0, (), bias, start)
                 if found is stop:
                     return OracleReport(max(limit, 0), note=stop)
                 if found is not None:
@@ -595,15 +638,35 @@ def bounded_intersection_probe(spec: SubgroupSpec, system: RuleSystem, max_len: 
     Enumerates reduced words in the declared generators up to max_len uses;
     products that are trivial in the group are skipped, nontrivial ones must
     keep a stable letter in their normal form.  Only the non-base exponent
-    sums screen the products, and only a product in which the lhs automaton
-    finds a redex is rewritten (RuleSystem.nf_reduced): one that holds none
-    is its own normal form.  Past words.PRODUCT_CAP products, or on a
+    sums screen the products.  Past words.PRODUCT_CAP products, or on a
     product it cannot decide, the report is inconclusive.
+
+    The walk reads the run words of each prefix, as they are concatenated,
+    with the lhs automaton (RuleSystem.read), and carries down the state
+    (automaton state, a letter was read, a stable letter was read).  Every
+    cancelling pair is an lhs, so while no lhs has ended the state is
+    clean: the letters read are the freely reduced prefix and hold no lhs,
+    so they are their own normal form, and a clean product is a witness
+    exactly when it read a letter and no stable letter.  This holds on any
+    system, confluent or not.  Once an lhs ends the prefix is dirty, and
+    each of its products that passes the screen is rewritten
+    (RuleSystem.nf_reduced).  A clean subtree is counted once per key
+    (_walk).  A spec with a letter outside the system's alphabet, whose
+    cancelling pairs are no lhs, is walked without the automaton.
     """
     def pure_base(w: Word) -> bool:
         v = system.nf_reduced(w)
         return bool(v) and all(map(is_base, v))
 
+    def read(state: tuple[int, bool, bool], letters: Word) -> tuple[int, bool, bool] | None:
+        s, seen, stable = state
+        s = system.read(s, letters)
+        return None if s is None else (s, seen or bool(letters), stable or not all(map(is_base, letters)))
+
+    letters = {c for g in spec.generators for c in g}
+    exact = all(system.read(0, (d, -d)) is None for c in letters for d in (c, -c))
+    reader = ((0, False, False), read, lambda state: state[1] and not state[2]) if exact else None
     bounds = Bounds(syllables=1, exp_range=max_len)
     # a hit's one factor is itself, which pure_base shows is nontrivial
-    return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.alphabet, lambda f: False)
+    return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.alphabet, lambda f: False,
+                 reader)

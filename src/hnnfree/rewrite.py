@@ -78,9 +78,9 @@ class RuleSystem:
     for an lhs reads the Aho-Corasick automaton of the lhs (_automaton):
     the leftmost engine by the longest lhs ending in the letter just read,
     redexes, match_at and the probe's random strategy by every lhs ending
-    there (_matches), and is_normal_reduced by whether one does.  For its runs
-    of swaps the engine keeps a floor per swap rule a c -> c a
-    (_swap_floors).
+    there (_matches), and is_normal_reduced and the intersection probe by
+    whether one ends (read).  For its runs of swaps the engine keeps a
+    floor per swap rule a c -> c a (_swap_floors).
     """
 
     def __init__(self, presentation: HnnPresentation):
@@ -225,20 +225,25 @@ class RuleSystem:
         """All (position, rule index) pairs, position order then index."""
         return self._matches(ints, 0, len(ints))
 
-    def is_normal_reduced(self, w) -> bool:
-        """Whether w holds no lhs, so that nf(w) == w: a walk of the lhs
-        automaton that stops at the first state an lhs ends.  It sees every
-        lhs, a cancelling pair y y^-1 too, so w need not be freely reduced."""
+    def read(self, s: int, letters) -> int | None:
+        """The state of the lhs automaton (_automaton) after reading letters
+        from state s, or None as soon as an lhs ends at a letter.  From the
+        root 0, a state means the letters read so far hold no lhs."""
         moves, fail, hits, _ = self._automaton
-        s = 0
-        for c in w:
+        for c in letters:
             try:
                 s = moves[s][c]
             except KeyError:
                 s = _move(moves, fail, s, c)
             if hits[s] is not None:
-                return False
-        return True
+                return None
+        return s
+
+    def is_normal_reduced(self, w) -> bool:
+        """Whether w holds no lhs, so that nf(w) == w: read from the root.
+        It sees every lhs, a cancelling pair y y^-1 too, so w need not be
+        freely reduced."""
+        return self.read(0, w) is not None
 
     def nf_reduced(self, w):
         """nf(w), or w itself if it holds no lhs (is_normal_reduced)."""

@@ -6,7 +6,10 @@ free_reduce and exp_sum on every product.  On small bounds each oracle must
 agree with it on verdict, checked count, witness and witness factors, with
 and without a product budget, on fixed specs and on drawn ones; and the
 walk must hand its `hit` exactly the products whose screened exponent sums
-vanish, in order, so that no prune drops one.
+vanish, in order, so that no prune drops one.  The intersection probe
+decides a product that holds no lhs by its automaton state and counts a
+repeated subtree by its key, so its cases include prefixes that stay
+clean, seams that cancel, and one state reached with other sums.
 """
 
 import itertools
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from hnnfree import words
+from hnnfree import pingpong, words
 from hnnfree.braid import Group, braid_trivial, free_factor_probe
 from hnnfree.pingpong import (
     Bounds,
@@ -38,6 +41,7 @@ from hnnfree.words import (
 
 GN3 = gn(3)
 S3 = RuleSystem(GN3)
+S4 = RuleSystem(gn(4))
 E2 = p2(2)
 EG2 = Group(E2)
 
@@ -189,6 +193,15 @@ PROBE_CASES = {
     "nested lhs": (SN, ("s x1^-1 y1", "y1 s"), 4),
     # x1 y2 x1^-1 = y2 holds a redex, and only its normal form is pure base
     "base word after a rewrite": (S3, ("x2", "x1 y2 x1^-1"), 3),
+    # no prefix holds an lhs, and subtrees of one state, sums, uses left
+    # and last generator repeat, so the walk settles them by that key
+    "clean subtrees that repeat": (S3, ("x1", "y1 x1 y1^-1"), 6),
+    # x1^-1 y1^-1 y1 x2 and its kin cancel at the seam, which makes the
+    # prefix dirty
+    "seams that cancel": (S3, ("y1 x1", "y1 x2"), 6),
+    # x1^-1 s^-1 x1 and x1^-1 s x1 end in one state, with the s sums -1
+    # and 1; only the second subtree holds a witness, x1^-1 s x1 x1^-1 s^-1
+    "one state, other sums": (SN, ("x1^-1 s^-1 x1", "x1^-1 s^-1"), 3),
 }
 
 
@@ -201,11 +214,35 @@ def capped_probe(spec, system, max_len, cap):
         return bounded_intersection_probe(spec, system, max_len)
 
 
-@pytest.mark.parametrize("name", PROBE_CASES)
-def test_bounded_intersection_probe_matches_brute_force(name):
-    system, texts, max_len = PROBE_CASES[name]
+class Settled(set):
+    """The walk's set of settled subtrees, counting the lookups that find
+    their key: each counts a subtree without visiting it."""
+
+    hits = 0
+
+    def __contains__(self, key):
+        found = set.__contains__(self, key)
+        Settled.hits += found
+        return found
+
+
+def settled_hits(spec, system, max_len):
+    """The subtrees the probe counts by their key alone: a module global
+    `set` in pingpong shadows the builtin that _walk builds its set with."""
+    Settled.hits = 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pingpong, "set", Settled, raising=False)
+        bounded_intersection_probe(spec, system, max_len)
+    return Settled.hits
+
+
+def probe_spec(system, texts):
+    return SubgroupSpec("P", tuple(system.presentation.parse(t) for t in texts), frozenset({OUTER}))
+
+
+def probe_brute(spec, system, max_len):
+    """The probe's factor list, screen and hit for the enumerator."""
     p = system.presentation
-    spec = SubgroupSpec("P", tuple(p.parse(t) for t in texts), frozenset({OUTER}))
     lists = [factor_list(spec_label("P", p.alphabet), spec.generators, max_len)]
     screen = [g for g in p.base_gens + p.stable_gens + [OUTER] if not is_base(g)]
 
@@ -213,10 +250,24 @@ def test_bounded_intersection_probe_matches_brute_force(name):
         v = nf(w, system)
         return bool(v) and all(is_base(c) for c in v)
 
+    return lists, screen, hit
+
+
+@pytest.mark.parametrize("name", PROBE_CASES)
+def test_bounded_intersection_probe_matches_brute_force(name):
+    system, texts, max_len = PROBE_CASES[name]
+    spec = probe_spec(system, texts)
+    lists, screen, hit = probe_brute(spec, system, max_len)
     full = brute(lists, 1, screen, hit, None, NEVER)
     for b in budgets(full):
         rep = capped_probe(spec, system, max_len, b)
         assert outcome(rep) == brute(lists, 1, screen, hit, b, NEVER), (name, b)
+
+
+def test_probe_settles_repeated_clean_subtrees_by_their_key():
+    system, texts, max_len = PROBE_CASES["clean subtrees that repeat"]
+    spec = probe_spec(system, texts)
+    assert settled_hits(spec, system, max_len) > 0
 
 
 FREE_FACTOR_CASES = {
@@ -256,6 +307,13 @@ def drawn_words(letters, special):
 
 GN3_WORDS = drawn_words(("x1", "x2", "y1", "y2"),
                         ("1", "x1 y1 x1^-1 y1^-1", "y1 x2", "y1 x1 y1^-1", "x1 x1", "x1"))
+# the probe's systems: gn(3), gn(4) and the non-confluent SN
+PROBE_WORDS = {
+    "gn3": (S3, GN3_WORDS),
+    "gn4": (S4, drawn_words(("x1", "x2", "x3", "y1", "y2", "y3"),
+                            ("1", "y1 x3 y1^-1", "y2 x3", "x3 y2 x3^-1", "x1", "x3"))),
+    "SN": (SN, drawn_words(("s", "x1", "y1"), ("1", "s x1^-1 y1", "y1 s", "x1^-1 s^-1 x1", "s"))),
+}
 E2_WORDS = drawn_words(("x1", "y1"), ("1", "x1 y1 x1^-1 y1^-1", "y1 x1", "x1 x1", "x1"))
 
 
@@ -312,22 +370,19 @@ def test_free_product_oracle_matches_brute_force_on_drawn_specs(data):
     assert_walk_hits(specs, Bounds(syllables, exp_range), ALL_GN3, lists)
 
 
-@settings(max_examples=60)
-@given(texts=st.lists(GN3_WORDS, min_size=1, max_size=2), max_len=st.integers(1, 4),
-       data=st.data())
-def test_bounded_intersection_probe_matches_brute_force_on_drawn_specs(texts, max_len, data):
-    spec = gn3_spec("P", *texts)
-    lists = [factor_list(spec_label("P", GN3.alphabet), spec.generators, max_len)]
-    screen = [g for g in ALL_GN3 if not is_base(g)]
-
-    def hit(w):
-        v = nf(w, S3)
-        return bool(v) and all(is_base(c) for c in v)
-
+@settings(max_examples=200)
+@given(name=st.sampled_from(sorted(PROBE_WORDS)), max_len=st.integers(1, 6), data=st.data())
+def test_bounded_intersection_probe_matches_brute_force_on_drawn_specs(name, max_len, data):
+    system, drawn = PROBE_WORDS[name]
+    texts = data.draw(st.one_of(st.tuples(drawn), st.tuples(drawn, drawn)), label="generators")
+    spec = probe_spec(system, texts)
+    lists, screen, hit = probe_brute(spec, system, max_len)
     full = brute(lists, 1, screen, hit, None, NEVER)
     for b in budgets_drawn(data, full):
-        rep = capped_probe(spec, S3, max_len, b)
+        rep = capped_probe(spec, system, max_len, b)
         assert outcome(rep) == brute(lists, 1, screen, hit, b, NEVER), b
+    event("a subtree settled by its key" if settled_hits(spec, system, max_len)
+          else "no subtree settled by its key")
     assert_walk_hits([spec], Bounds(1, max_len), screen, lists)
 
 

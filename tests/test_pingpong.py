@@ -22,7 +22,7 @@ from hnnfree.pingpong import (
     orbit_intersection_certificate,
     support_check,
 )
-from hnnfree import words
+from hnnfree import rewrite, words
 from hnnfree.braid import braid_freeness_check, free_factor_probe
 from hnnfree.presentation import Association, HnnPresentation, gn, p2, parse_presentation
 from hnnfree.rewrite import RuleSystem, nf
@@ -528,6 +528,32 @@ def test_probe_fixtures():
     assert format_word(rep.witness, GN3.alphabet) == "y1"
     degenerate = SubgroupSpec("E", (w3("1"),), frozenset({stable_gen(1)}))
     assert bounded_intersection_probe(degenerate, S3, max_len=4).verdict == "pass"
+
+
+def test_a_clean_probe_rewrites_no_product(monkeypatch):
+    # no prefix of <x1, y1 x1 y1^-1> holds an lhs, so the automaton's state
+    # decides every product: the benchmark's fixture passes and the longer
+    # walk reaches the product cap, and neither rewrites a word
+    calls = []
+    monkeypatch.setattr(RuleSystem, "nf_reduced", lambda self, w: calls.append(w))
+    monkeypatch.setattr(rewrite, "nf", lambda w, system: calls.append(w))
+    a1 = spec("A1", ["x1"], "x1", "y1 x1 y1^-1")
+    rep = bounded_intersection_probe(a1, S3, max_len=10)
+    assert (rep.verdict, rep.checked) == (Verdict.PASS, 118_096)
+    rep = bounded_intersection_probe(a1, S3, max_len=30)
+    assert (rep.verdict, rep.checked, rep.note) == (
+        Verdict.INCONCLUSIVE, 10_000_000, "oracle product cap 10000000 exceeded")
+    assert calls == []
+
+
+def test_a_letter_outside_the_alphabet_keeps_the_probe_rewriting():
+    # no lhs holds x5 x5^-1, which cancels in (y1 x5) (y2 x5)^-1, so the
+    # automaton cannot vouch for a prefix: the probe rewrites, finds the
+    # witness y1 y2^-1, and then cannot spell its factors
+    x5 = stable_gen(5)
+    odd = SubgroupSpec("P", ((base_gen(1), x5), (base_gen(2), x5)), frozenset({x5}))
+    with pytest.raises(KeyError, match="no generator has code 11"):
+        bounded_intersection_probe(odd, S3, max_len=2)
 
 
 def test_probe_budget():
