@@ -30,6 +30,24 @@ import tempfile
 
 from hnnfree.cli import main
 
+# presentation files with one fault each, which names its line
+FAULTS = {
+    "preset-directive.txt": "preset gn 3\n",
+    "no-stable.txt": "base a b\n",
+    "bad-relation.txt": "base a b\nstable p\nrel p : a ^ 1\n",
+    "bad-side.txt": "base a b\nstable p\nrel p : a = a ^ 1\n",
+    "unknown-stable.txt": "base a b\nstable p\nrel zz : a ^ 1 = a ^ 1\n",
+    "two-base-generators.txt": "base a b\nstable p\nrel p : a ^ 1 = b ^ 1\n",
+    # the faults validate finds, each on the rel line that brings it
+    "stable-conjugator.txt": "base a b\nstable p\nrel p : a ^ p = a ^ b\n",
+    "unreduced-conjugator.txt": "base a b\nstable p\nrel p : a ^ b b^-1 = a ^ b\n",
+    "conjugator-begins-with-y.txt": "base a b\nstable p q\nrel p : a ^ a = a ^ 1\n",
+    "duplicate-association.txt":
+        "base a b\nstable p\nrel p : a ^ b = a ^ b\nrel p : b ^ 1 = b ^ 1\nrel p : a ^ 1 = a ^ 1\n",
+    "base-as-stable.txt": "base a b\nstable p\nrel a : b ^ 1 = b ^ 1\n",
+    "stable-as-base.txt": "base y1\nstable x1 x2\nrel x1 : x2 ^ 1 = x2 ^ 1\n",
+}
+
 FILES = {
     "handwritten.txt": """\
 base y1 y2 y3
@@ -51,6 +69,7 @@ rel s : x1 ^ y1^-1 = x1 ^ y1 x1
     "duplicate.txt": "base a a\nstable s\n",
     # kind 3 and 4 lhs of 2,002 letters
     "long-conjugator.txt": "base a b\nstable p\nrel p : a ^ b^2000 = a ^ b^2000\n",
+    **FAULTS,
 }
 
 G3 = "--preset gn 3"
@@ -106,6 +125,8 @@ COMMANDS = [
     f"{CERTIFY} --evidence A1:orbit:x1 --evidence 'A2:orbit:y1 x2'",
     f"pingpong-certify {G3} --spec A1:x1:x1",
     f"pingpong-certify {G3} --spec A1:x1:x1 --evidence A1:probe:4",
+    # y2 y1 x2 holds an lhs, so the probe rewrites the products below it
+    f"pingpong-certify {G3} --spec 'A:x1,x2:x1 y2 y1, x2' --evidence A:probe:4",
     # the probe reaches the product cap: every prefix holds no lhs, and its
     # subtrees repeat
     f"pingpong-certify {G3} --spec 'A1:x1:x1, y1 x1 y1^-1' --evidence A1:probe:30",
@@ -214,6 +235,12 @@ ERRORS = [
     f"braid-check-free {P2_3} --w x1",
     f"braid-phi {P2_2} t",
     f"danilevich {P2_2} --h 'x1 t'",
+    # word errors and caps
+    f"nf {G3} ''",
+    f"nf {G3} 'x1^0'",
+    f"nf {G3} 'x1^1000001'",
+    "nf --preset gn 33 x1",
+    *(f"rules --file {name}" for name in FAULTS),
 ]
 
 CASES = [*COMMANDS, *(f"{c} --json" for c in COMMANDS), *ERRORS]

@@ -269,8 +269,10 @@ class Group:
     it and the alphabet that spells its words, the source's own: a
     SemidirectExtension source is the braid layer p2(n) (braid), decided by
     the splitting of rank n; any other source is an HNN presentation,
-    decided by rewriting in its own rule system.  free_product_oracle
-    decides and spells in the Group it is given."""
+    decided by rewriting in its own rule system.  It is the one place that
+    tells a p2 source from the others.  is_trivial means the same here, in
+    RuleSystem and in BraidSplitting: triviality in the group each decides;
+    free_product_oracle decides and spells in the Group it is given."""
 
     def __init__(self, source: HnnPresentation | SemidirectExtension):
         self.source, self.alphabet = source, source.alphabet

@@ -408,11 +408,8 @@ def _parser(names) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(_COMMANDS)
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command on the Group of its source; return its exit code."""
     argv = sys.argv[1:] if argv is None else argv
     # building every subparser costs several parses, so a command that is
     # named first gets only its own; anything left over goes to the full
@@ -420,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     named = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
     args, rest = _parser(named).parse_known_args(argv)
     if rest:
-        args = build_parser().parse_args(argv)
+        args = _parser(_COMMANDS).parse_args(argv)
     try:
         return args.func(args, Group(_load_source(args)))
     except (WordSyntaxError, PresentationSyntaxError) as e:  # ValueErrors: first

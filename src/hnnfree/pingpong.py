@@ -5,6 +5,8 @@ generates its free product as soon as each subgroup meets the pure-base
 subgroup trivially.  Certificates record which conditions were machine
 checked and what evidence backs the base-intersection hypothesis; the
 brute-force oracles independently confirm the conclusion up to bounds.
+A report, here or in the braid module, has a verdict (a Verdict) or ok,
+render for its text and doc for its JSON fields.
 """
 
 from __future__ import annotations
@@ -651,8 +653,9 @@ def bounded_intersection_probe(spec: SubgroupSpec, system: RuleSystem, max_len: 
     system, confluent or not.  Once an lhs ends the prefix is dirty, and
     each of its products that passes the screen is rewritten
     (RuleSystem.nf_reduced).  A clean subtree is counted once per key
-    (_walk).  A spec with a letter outside the system's alphabet, whose
-    cancelling pairs are no lhs, is walked without the automaton.
+    (_walk).  A spec with a letter outside the system's alphabet, which
+    the system can neither rewrite nor spell, raises KeyError before the
+    walk.
     """
     def pure_base(w: Word) -> bool:
         v = system.nf_reduced(w)
@@ -663,9 +666,10 @@ def bounded_intersection_probe(spec: SubgroupSpec, system: RuleSystem, max_len: 
         s = system.read(s, letters)
         return None if s is None else (s, seen or bool(letters), stable or not all(map(is_base, letters)))
 
-    letters = {c for g in spec.generators for c in g}
-    exact = all(system.read(0, (d, -d)) is None for c in letters for d in (c, -c))
-    reader = ((0, False, False), read, lambda state: state[1] and not state[2]) if exact else None
+    for g in spec.generators:  # Alphabet.name raises KeyError on a letter outside it
+        for c in g:
+            system.alphabet.name(abs(c))
+    reader = ((0, False, False), read, lambda state: state[1] and not state[2])
     bounds = Bounds(syllables=1, exp_range=max_len)
     # a hit's one factor is itself, which pure_base shows is nontrivial
     return _walk([spec], bounds, lambda g: not is_base(g), pure_base, system.alphabet, lambda f: False,

@@ -179,6 +179,8 @@ class SemidirectExtension:
     for every k: the closed form by which the braid module, where operations
     on extensions live, takes powers.  The braid module decides this group
     with the splitting of the rank-n layer; p2 is the memoized constructor.
+    It takes only the rank, so no other extension can be built, and the
+    splitting of rank n is always this group's own.
     """
 
     def __init__(self, n: int):
@@ -234,7 +236,8 @@ def _parse_rel_side(text: str, alphabet: Alphabet, lineno: int) -> tuple[int, Wo
 
 def parse_presentation(text: str) -> HnnPresentation:
     """Parse the presentation file format into an HnnPresentation whose
-    alphabet is the file's own names."""
+    alphabet is the file's own names.  Every fault names its line: a
+    fault of validate, the first rel line it holds for."""
     base_names: list[str] = []
     stable_names: list[str] = []
     rel_lines: list[tuple[int, str]] = []
@@ -275,11 +278,11 @@ def parse_presentation(text: str) -> HnnPresentation:
                 lineno,
             )
         assoc.setdefault(x, []).append(Association(y1, w, v))
-    p = HnnPresentation(alphabet, {x: tuple(v) for x, v in assoc.items()})
-    bad = validate(p)
-    if bad:
-        raise PresentationSyntaxError("; ".join(bad), 1)
-    return p
+        # validate's faults of x depend only on x's associations
+        bad = validate(HnnPresentation(alphabet, {x: tuple(assoc[x])}))
+        if bad:
+            raise PresentationSyntaxError("; ".join(bad), lineno)
+    return HnnPresentation(alphabet, {x: tuple(v) for x, v in assoc.items()})
 
 
 def relators(p: HnnPresentation) -> list[Word]:

@@ -37,7 +37,9 @@ class Inconclusive(RuntimeError):
 
 class CapExceeded(Inconclusive):
     """A computation ran past a cap, so its answer is inconclusive; what
-    names the cap, which words the message as `{what} cap {cap} exceeded`."""
+    names the cap, which words the message as `{what} cap {cap} exceeded`.
+    The one exception of every cap but PRODUCT_CAP, which raises nothing
+    (Bounds); no class subclasses it."""
 
     def __init__(self, what: str, cap: int):
         super().__init__(f"{what} cap {cap} exceeded")
@@ -196,7 +198,9 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Name table binding identifier spellings to generator codes."""
+    """A presentation's one name table, binding identifier spellings to
+    generator codes: it maps names to codes for parsing, and name spells
+    every code in it (gN's table has no t, p2's has)."""
 
     base_names: tuple[str, ...]
     stable_names: tuple[str, ...]

@@ -6,7 +6,8 @@ The names are read from the benchmark's source with ast, without importing
 it: every TARGETS entry of perfbench/tracing.py, every name a perfbench
 module imports from hnnfree, and every module it imports afresh.  The calls
 are those made through a name imported from hnnfree or a module alias bound
-by fresh_import."""
+by fresh_import.  The package root binds exactly the names the benchmark
+calls through it, so every other name has one import path, its module."""
 
 import ast
 import importlib
@@ -15,7 +16,8 @@ import os
 
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _tree(name):
@@ -113,3 +115,23 @@ def test_benchmark_calls_are_found():
 def test_benchmark_call_binds(module, attr, positional, keywords):
     target = getattr(importlib.import_module(module), attr)
     inspect.signature(target).bind(*range(positional), **dict.fromkeys(keywords))
+
+
+def root_names() -> set[str]:
+    """Every name a top-level statement of the package root binds."""
+    with open(os.path.join(ROOT, "src", "hnnfree", "__init__.py")) as fh:
+        body = ast.parse(fh.read()).body
+    out = set()
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            out.update(a.asname or a.name.split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            out.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def test_the_root_binds_only_what_the_benchmark_calls_through_it():
+    assert root_names() == {attr for module, attr, _, _ in CALLS if module == "hnnfree"}

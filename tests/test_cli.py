@@ -951,7 +951,7 @@ def test_file_generator_names_reach_every_message(tmp_path, capsys):
     path.write_text("base a b\nstable p q\nrel p : a ^ a = a ^ 1\n")
     code, out, err = run(capsys, "rules", "--file", str(path))
     assert code == 2
-    assert err == "parse error: line 1: p:a: w begins with y^{+-1}\n"
+    assert err == "parse error: line 3: p:a: w begins with y^{+-1}\n"
 
 
 def test_file_generator_names_reach_the_projection_error(tmp_path, capsys):

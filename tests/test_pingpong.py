@@ -22,7 +22,7 @@ from hnnfree.pingpong import (
     orbit_intersection_certificate,
     support_check,
 )
-from hnnfree import rewrite, words
+from hnnfree import pingpong, rewrite, words
 from hnnfree.braid import braid_freeness_check, free_factor_probe
 from hnnfree.presentation import Association, HnnPresentation, gn, p2, parse_presentation
 from hnnfree.rewrite import RuleSystem, nf
@@ -546,14 +546,17 @@ def test_a_clean_probe_rewrites_no_product(monkeypatch):
     assert calls == []
 
 
-def test_a_letter_outside_the_alphabet_keeps_the_probe_rewriting():
-    # no lhs holds x5 x5^-1, which cancels in (y1 x5) (y2 x5)^-1, so the
-    # automaton cannot vouch for a prefix: the probe rewrites, finds the
-    # witness y1 y2^-1, and then cannot spell its factors
+def test_the_probe_refuses_a_letter_outside_the_alphabet(monkeypatch):
+    # gn(3) has no x5, so no lhs cancels it and no name spells it: the
+    # probe refuses before it walks, whether or not a witness would reach
+    # x5 (y2 would be one, and (y1 x5) (y2 x5)^-1 = y1 y2^-1 another)
+    walks = []
+    monkeypatch.setattr(pingpong, "_walk", lambda *args: walks.append(args))
     x5 = stable_gen(5)
-    odd = SubgroupSpec("P", ((base_gen(1), x5), (base_gen(2), x5)), frozenset({x5}))
-    with pytest.raises(KeyError, match="no generator has code 11"):
-        bounded_intersection_probe(odd, S3, max_len=2)
+    for gens in (((base_gen(2),), (x5,)), ((base_gen(1), x5), (base_gen(2), x5))):
+        with pytest.raises(KeyError, match="no generator has code 11"):
+            bounded_intersection_probe(SubgroupSpec("P", gens, frozenset({x5})), S3, max_len=2)
+    assert walks == []
 
 
 def test_probe_budget():

@@ -96,7 +96,17 @@ def test_validate_unknown_base_generator():
     # x2 names a generator, but a stable one
     with pytest.raises(PresentationSyntaxError) as e:
         parse_presentation("base y1\nstable x1 x2\nrel x1 : x2 ^ 1 = x2 ^ 1\n")
-    assert str(e.value) == "line 1: x1:x2: unknown base generator x2"
+    assert str(e.value) == "line 3: x1:x2: unknown base generator x2"
+
+
+def test_a_validate_fault_names_the_first_line_that_brings_it():
+    # line 3 is sound, line 5 repeats a for p and line 6 has an unreduced
+    # conjugator: only the first fault is reported, at its own line
+    text = ("base a b\nstable p\nrel p : a ^ b = a ^ b\n\n"
+            "rel p : a ^ 1 = a ^ 1\nrel p : b ^ a a^-1 = b ^ 1\n")
+    with pytest.raises(PresentationSyntaxError) as e:
+        parse_presentation(text)
+    assert (e.value.line, str(e.value)) == (5, "line 5: p:a: duplicate base generator for p")
 
 
 def test_validate_unreduced_conjugator():

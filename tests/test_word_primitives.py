@@ -10,13 +10,15 @@ so no code or switch is kept for tests alone.  Every option of a CLI
 subcommand occurs in a case of scripts/cli_corpus.py, whose output
 tests/cli_corpus.txt pins, and so does every raise statement of cli.py and
 every return statement of the deciders rewrite.equal, RuleSystem.is_trivial
-and BraidSplitting.is_trivial.
+and BraidSplitting.is_trivial, and every input error of the parsers: each
+raise statement of words.parse_word, presentation.parse_presentation and
+_parse_rel_side, and each fault that presentation.validate appends.
 CapExceeded is the one cap exception: no class subclasses it or words a
 message of its own as a template.
 
 The package's source is read with ast, without importing it; only the
-option, raise and return checks import the CLI, to read its registry of
-subcommands and to run the corpus.  The
+option, raise, return and fault checks import the CLI, to read its
+registry of subcommands and to run the corpus.  The
 loop is found by its test `s and s[-1] == -c`: a name, and its last item
 equal to the negation of a letter.  A few per-letter loops stay inline because
 reduce_onto measured slower there (see the comment at each); they are
@@ -254,18 +256,27 @@ def deciders():
     return equal, RuleSystem.is_trivial, BraidSplitting.is_trivial
 
 
+def parsers():
+    """The functions that read a user's words and presentation files:
+    every input error a user can cause is raised or collected in them."""
+    from hnnfree.presentation import _parse_rel_side, parse_presentation, validate
+    from hnnfree.words import parse_word
+
+    return parse_word, parse_presentation, _parse_rel_side, validate
+
+
 @functools.lru_cache(maxsize=None)
 def corpus_lines(root: str = ROOT) -> frozenset[tuple[str, int]]:
     """(file, line) of every line that the cases of
-    root/scripts/cli_corpus.py run in frames of hnnfree/cli.py or of the
-    deciders.  The cases run in-process through the script's own run, in a
-    temporary directory that holds its FILES, under a tracer that records
-    the lines of those frames alone; the raise and the return checks share
-    the one run."""
+    root/scripts/cli_corpus.py run in frames of hnnfree/cli.py, of the
+    deciders or of the parsers.  The cases run in-process through the
+    script's own run, in a temporary directory that holds its FILES, under
+    a tracer that records the lines of those frames alone; the raise, the
+    return and the fault checks share the one run."""
     from hnnfree import cli
 
     corpus = runpy.run_path(os.path.join(root, "scripts", "cli_corpus.py"))
-    codes = {f.__code__ for f in deciders()}
+    codes = {f.__code__ for f in (*deciders(), *parsers())}
     ran: set[tuple[str, int]] = set()
 
     def lines(frame, event, arg):
@@ -307,22 +318,45 @@ def test_every_cli_raise_runs_in_the_corpus():
     assert cli_raises_missing_from_corpus() == set()
 
 
+def _missing_from_corpus(functions, found, root: str) -> set[str]:
+    """`name:line` of every node of the functions that found accepts and
+    whose line no case of root/scripts/cli_corpus.py runs."""
+    at = {}
+    for f in functions:
+        source, first = inspect.getsourcelines(f)
+        for n in ast.walk(ast.parse(textwrap.dedent("".join(source)))):
+            if found(n):
+                line = first + n.lineno - 1
+                at[f.__code__.co_filename, line] = f"{f.__qualname__}:{line}"
+    ran = corpus_lines(root)
+    return {name for key, name in at.items() if key not in ran}
+
+
 def decider_returns_missing_from_corpus(root: str = ROOT) -> set[str]:
     """`name:line` of every return statement of the deciders that no case
     of root/scripts/cli_corpus.py runs."""
-    returns = {}
-    for f in deciders():
-        source, first = inspect.getsourcelines(f)
-        for n in ast.walk(ast.parse(textwrap.dedent("".join(source)))):
-            if isinstance(n, ast.Return):
-                line = first + n.lineno - 1
-                returns[f.__code__.co_filename, line] = f"{f.__qualname__}:{line}"
-    ran = corpus_lines(root)
-    return {name for at, name in returns.items() if at not in ran}
+    return _missing_from_corpus(deciders(), lambda n: isinstance(n, ast.Return), root)
 
 
 def test_every_decider_answer_runs_in_the_corpus():
     assert decider_returns_missing_from_corpus() == set()
+
+
+def _is_input_error(node) -> bool:
+    """A raise statement, or validate appending a fault to its list out."""
+    return isinstance(node, ast.Raise) or (
+        isinstance(node, ast.Call) and ast.unparse(node.func) == "out.append")
+
+
+def parser_errors_missing_from_corpus(root: str = ROOT) -> set[str]:
+    """`name:line` of every raise statement of the parsers, and of every
+    fault that validate appends, that no case of
+    root/scripts/cli_corpus.py runs."""
+    return _missing_from_corpus(parsers(), _is_input_error, root)
+
+
+def test_every_input_error_runs_in_the_corpus():
+    assert parser_errors_missing_from_corpus() == set()
 
 
 def cap_classes(src: str = SRC) -> set[str]:
