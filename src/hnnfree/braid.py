@@ -7,13 +7,16 @@ alternating-product probe.  It tries, in this order:
 
 1. the projection onto F(Y) (words.image): a word whose base letters do
    not freely reduce to 1 is nontrivial, as F(X, t) is the normal factor;
-2. the exponent sums of the x_i and of t: the action of every base letter
+2. the projection onto F(X, t) from the same pass: a nonempty word that
+   it leaves as it is has no base letter and is freely reduced, a
+   nonempty reduced word of the free group F(X, t), so it is nontrivial;
+3. the exponent sums of the x_i and of t: the action of every base letter
    keeps them, so a word with a nonzero sum is nontrivial;
-3. only a word that passes both is split, cyclically reduced first, and it
-   is trivial iff its x-part reduces to 1.  split_nf is the exact two-part
-   normal form of the braid layer as a semidirect product of two free
-   groups, pushing every base letter left through the stable-letter action;
-   its y-part is the projection of step 1.  The x-part can grow
+4. only a word that passes all three is split, cyclically reduced first,
+   and it is trivial iff its x-part reduces to 1.  split_nf is the exact
+   two-part normal form of the braid layer as a semidirect product of two
+   free groups, pushing every base letter left through the stable-letter
+   action; its y-part is the projection of step 1.  The x-part can grow
    exponentially in the word; an action step that leaves more than
    X_PART_CAP letters raises words.CapExceeded, which the CLI reports as
    inconclusive.
@@ -236,10 +239,13 @@ class BraidSplitting:
         return u
 
     def is_trivial(self, w: Word) -> bool:
-        """Triviality in the braid layer: refute by the F(Y) projection and
-        the x/t exponent sums, and split the cyclic reduction of a word that
-        passes both, since a conjugate of w is trivial iff w is."""
-        if image(w, False)[1] or any(exp_sum(w, g) for g in {abs(c) for c in w if c & 1}):
+        """Triviality in the braid layer: refute by the F(Y) projection, then
+        a nonempty w that pi_X leaves as it is (no base letter, freely
+        reduced: a reduced word of the free factor F(X, t)), then the x/t
+        exponent sums, and split the cyclic reduction of a word that passes
+        all three, since a conjugate of w is trivial iff w is."""
+        xs, ys, _ = image(w, False)
+        if ys or len(xs) == len(w) > 0 or any(exp_sum(w, g) for g in {abs(c) for c in w if c & 1}):
             return False
         return not self.x_part(cyclic_reduce(w))
 

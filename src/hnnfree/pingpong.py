@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import reduce
-from math import prod
 from operator import add, or_, sub
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -405,7 +404,11 @@ def _walk(
     uses left and the generator of the run before, so each such triple
     reads them from one list, built the first time the walk reaches it:
     every allowed run in walk order with its word, its step in the sums
-    and its rest sets, leaving out a run that no run could follow.  Only
+    and its rest sets, leaving out a run that no run could follow.  A
+    factor's first run reads one list per spec, the runs of each total
+    in turn, which gains a total's runs (and builds their powers) only
+    when the walk first reaches its end.  A spec sequence reads the tail
+    sets and product counts of its slots from those of its suffix.  Only
     the alternating sequences of non-empty specs are walked.  A prefix
     word and a run's word are both freely reduced, so they are joined at
     the seam (words.join_reduced).
@@ -470,14 +473,18 @@ def _walk(
     reachable = max(1, (limit + 4).bit_length() - 2) if len(live) > 1 else 1
     syllables = min(bounds.syllables, reachable)
     bias = [syllables * o for o in off]
-    # the tail set of every spec sequence walked so far, the empty one first
-    tails = {(): [1 << b + o for b, o in zip(bias, off)]}
+    # per spec sequence walked so far, the empty one first: its tail set,
+    # its number of products, and per slot the tail set and the number of
+    # products of the slots after it
+    tails = {(): ([1 << b + o for b, o in zip(bias, off)], 1, [], [])}
     # the runs of a spec that may come next, given its uses left and the
     # generator of the run before (-1: none), each as (idx, e, g^e, what it
     # adds to the sums, uses left after it, the run sequences after it, the
     # rest sets after it, the reader's state after it by the state before),
-    # in walk order; built when first needed
-    cands: dict[tuple[int, int, int], list[tuple]] = {}
+    # in walk order; built when first needed.  A factor's first run reads
+    # (i, e_max, -1), the runs of totals 1 to grown[i] in turn
+    cands: dict[tuple[int, int, int], list[tuple]] = {(i, e_max, -1): [] for i in live}
+    grown = dict.fromkeys(live, 0)
     path: list[tuple[int, int, int]] = []
     checked = unsettled = 0
     start, read, clean_hit = reader or (None, None, None)
@@ -514,23 +521,32 @@ def _walk(
             moves[state] = read(state, letters)
         return moves[state]
 
-    # factor() picks the factor of slot pos, runs() extends it run by run;
-    # seq, tail, tail_size and settled belong to the spec sequence being
-    # walked, path holds the runs (slot, generator index, exponent) of the
-    # prefix, and state is the reader's state on it, None once dirty
-    def factor(pos: int, w: Word, sums: list[int], state):
-        for total in range(1, e_max + 1):
-            found = runs(pos, w, sums, -1, total, state)
-            if found is not None:
-                return found
-        return None
+    def first_runs(i: int):
+        """The first runs of a factor of spec i, in walk order: its list,
+        extended by the next total's runs whenever the walk reaches its end."""
+        todo, k = cands[i, e_max, -1], 0
+        while True:
+            while k < len(todo):
+                yield todo[k]
+                k += 1
+            if grown[i] == e_max:
+                return
+            grown[i] += 1
+            todo += candidates(i, grown[i], -1)
 
+    # runs() extends the factor of slot pos run by run, from its first run
+    # (last = -1, left = e_max) on; seq, tail, tail_size and settled belong
+    # to the spec sequence being walked, path holds the runs (slot,
+    # generator index, exponent) of the prefix, and state is the reader's
+    # state on it, None once dirty
     def runs(pos: int, w: Word, sums: list[int], last: int, left: int, state):
         nonlocal checked, unsettled
         key = seq[pos], left, last
         todo = cands.get(key)
         if todo is None:
             todo = cands[key] = candidates(*key)
+        elif last < 0 and grown[key[0]] < e_max:
+            todo = first_runs(key[0])
         ts, size = tail[pos], tail_size[pos]
         # a run that ends the last factor must bring every sum to bias
         need = list(map(sub, bias, sums)) if pos == end else None
@@ -558,7 +574,7 @@ def _walk(
                     path.append((pos, idx, e))
                     v = join_reduced(w, letters)
                     found = (runs(pos, v, nxt, idx, rest, sub_state) if rest
-                             else factor(pos + 1, v, nxt, sub_state))
+                             else runs(pos + 1, v, nxt, -1, e_max, sub_state))
                     if found is not None:
                         return found
                     path.pop()
@@ -586,14 +602,13 @@ def _walk(
         for r in range(1, syllables + 1):
             for seq in _alternating(live, r, -1):
                 # the suffixes of seq are walked sequences, so only seq is new
-                tails[seq] = [
-                    reduce(or_, (shift(t, -v) for v in vs), 0)
-                    for t, vs in zip(tails[seq[1:]], values[seq[0]])
-                ]
-                tail, end = [tails[seq[pos + 1 :]] for pos in range(r)], r - 1
-                tail_size = [prod(sizes[i] for i in seq[pos + 1 :]) for pos in range(r)]
+                sets, count, sets_after, counts_after = tails[seq[1:]]
+                tail, tail_size, end = [sets, *sets_after], [count, *counts_after], r - 1
+                tails[seq] = ([reduce(or_, (shift(t, -v) for v in vs), 0)
+                               for t, vs in zip(sets, values[seq[0]])],
+                              sizes[seq[0]] * count, tail, tail_size)
                 settled = set()
-                found = factor(0, (), bias, start)
+                found = runs(0, (), bias, -1, e_max, start)
                 if found is stop:
                     return OracleReport(max(limit, 0), note=stop)
                 if found is not None:
@@ -602,8 +617,8 @@ def _walk(
                     return OracleReport(checked, found, factors, alphabet=alphabet)
     except Inconclusive as e:  # the product just counted is left undecided
         return OracleReport(checked - 1, note=str(e))
-    finally:  # runs and factor reach themselves through their closure cells
-        runs = factor = None
+    finally:  # runs reaches itself through its closure cell
+        runs = None
     return OracleReport(checked)
 
 

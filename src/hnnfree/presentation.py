@@ -63,20 +63,22 @@ class HnnPresentation:
 def validate(p: HnnPresentation) -> list[str]:
     """All violations of the presentation constraints; empty list means ok.
     Generators are spelled in the presentation's alphabet, and a code
-    outside it by its number."""
+    outside it by its number; an unknown generator's name is quoted, as
+    parse_presentation quotes one."""
     out: list[str] = []
     stable = set(p.stable_gens)
     base = set(p.base_gens)
     name = lambda g: p.alphabet.name(g) if g in stable or g in base else f"code {g}"
+    unknown = lambda g: repr(p.alphabet.name(g)) if g in stable or g in base else f"code {g}"
     for x, assocs in p.assoc.items():
         if x not in stable:
-            out.append(f"unknown stable generator {name(x)}")
+            out.append(f"unknown stable generator {unknown(x)}")
             continue
         seen: set[int] = set()
         for a in assocs:
             label = f"{name(x)}:{name(a.y)}"
             if a.y not in base:
-                out.append(f"{label}: unknown base generator {name(a.y)}")
+                out.append(f"{label}: unknown base generator {unknown(a.y)}")
                 continue
             if a.y in seen:
                 out.append(f"{label}: duplicate base generator for {name(x)}")

@@ -32,6 +32,7 @@ from hnnfree.words import (
     base_gen,
     commutator,
     conjugate,
+    cyclic_reduce,
     exp_sum,
     format_word,
     free_reduce,
@@ -361,7 +362,7 @@ def test_split_equality_matches_artin():
         assert not artin_equal(u, shifted, 3)
 
 
-# --- the decision path: two refutations, then the splitting -------------------------
+# --- the decision path: three refutations, then the splitting -----------------------
 
 LAYERS = {2: E2, 3: E3, 4: E4}
 RELATORS = {n: [e.relator for e in verify_braid_relations(n).entries] for n in LAYERS}
@@ -423,24 +424,48 @@ def test_trivial_is_the_same_on_every_cyclic_conjugate(n, data):
         assert braid_trivial(LAYERS[n], w[i:] + w[:i]) == trivial
 
 
+class Counting(BraidSplitting):
+    """A splitting that records each word it splits."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.calls = []
+
+    def x_part(self, w):
+        self.calls.append(w)
+        return super().x_part(w)
+
+
 def test_screens_refute_before_the_splitting():
-    calls = []
-
-    class Counting(BraidSplitting):
-        def x_part(self, w):
-            calls.append(w)
-            return super().x_part(w)
-
     split = Counting(3)
     # the F(Y) projection refutes the first word, the x1 and t sums the others
     assert not split.is_trivial(E3.parse("x1 y1 x1^-1"))
     assert not split.is_trivial(E3.parse("y1 x1 y1^-1"))
     assert not split.is_trivial(E3.parse("t y2 t y2^-1"))
-    assert calls == []
-    # [x1, t] passes both screens and is split
+    assert split.calls == []
+    # [x1, t] is a nonempty reduced word of F(X, t), refuted unsplit;
+    # [y1 x1, t] passes every screen and is split
     assert not split.is_trivial(commutator(E3.parse("x1"), T_WORD))
     assert split.is_trivial(commutator(E3.parse("y1 x1"), T_WORD))
-    assert len(calls) == 2
+    assert len(split.calls) == 1
+
+
+@settings(max_examples=300)
+@given(n=st.integers(2, 5), reduced=st.booleans(), data=st.data())
+def test_a_word_without_base_letters_is_decided_as_its_split_decides_it(n, reduced, data):
+    # words of F(X, t), reduced or not, the empty word included: a reduced
+    # nonempty one is refuted before the splitting, the others as before
+    x_t = [c for c in layer_letters(n) if c & 1]
+    w = tuple(data.draw(st.lists(st.sampled_from(x_t), max_size=12)))
+    if reduced:
+        w = free_reduce(w)
+    split = Counting(n)
+    trivial = split.is_trivial(w)
+    assert trivial == (not BraidSplitting(n).x_part(cyclic_reduce(w)))
+    if len(w) <= 8:
+        assert trivial == artin_trivial(w, n)
+    if w and free_reduce(w) == w:
+        assert split.calls == []
 
 
 def test_x_part_cap_applies_only_to_the_splitting(monkeypatch):

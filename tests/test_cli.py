@@ -322,7 +322,7 @@ def test_file_with_a_stable_letter_as_base_generator(tmp_path, capsys):
     path.write_text("base y1\nstable x1 x2\nrel x1 : x2 ^ 1 = x2 ^ 1\n")
     code, out, err = run(capsys, "rules", "--file", str(path))
     assert (code, out) == (2, "")
-    assert "x1:x2: unknown base generator x2" in err
+    assert "x1:x2: unknown base generator 'x2'" in err
 
 
 def test_file_preset_line_is_a_parse_error(tmp_path, capsys):

@@ -158,6 +158,38 @@ def test_free_product_oracle_matches_brute_force(name):
         assert outcome(rep) == brute(lists, syllables, ALL_GN3, hit, b), (name, b)
 
 
+def factor_totals(spec, exp_range):
+    """The total uses of each factor of spec, in factor_list's order: a
+    spec of n generators has 2n(2n-1)^(u-1) factors of u uses."""
+    n = len(spec.generators)
+    return [u for u in range(1, exp_range + 1) for _ in range(2 * n * (2 * n - 1) ** (u - 1))]
+
+
+def test_a_walk_across_totals_matches_brute_force():
+    # a budget on each side of every count after which the next product
+    # has another spec sequence or another factor total, so the walk
+    # stops just before, at and just after each first run of a new total,
+    # in the first slot and in the last
+    specs, syllables, exp_range = [gn3_spec("O", "x1", "y1 x1 y1^-1"), gn3_spec("A2", "y1 x2")], 2, 3
+    lists = [factor_list(spec_label(s.label, GN3.alphabet), s.generators, exp_range) for s in specs]
+    totals = [factor_totals(s, exp_range) for s in specs]
+    assert [len(t) for t in totals] == [len(f) for f in lists] == [52, 6]
+    keys = [(seq, choice) for r in range(1, syllables + 1)
+            for seq in itertools.product(range(len(specs)), repeat=r)
+            if all(a != b for a, b in zip(seq, seq[1:]))
+            for choice in itertools.product(*(totals[i] for i in seq))]
+    edges = [k for k in range(1, len(keys)) if keys[k - 1] != keys[k]]
+    # one syllable: O's totals end after 4, 16 and 52 factors, A2's after 2, 4 and 6
+    assert edges[:6] == [4, 16, 52, 54, 56, 58]
+    hit = lambda w: not w or not nf(w, S3)
+    full = brute(lists, syllables, ALL_GN3, hit, None)
+    assert full[:2] == ("pass", len(keys))
+    for b in sorted({k + d for k in edges for d in (-1, 0, 1)}):
+        rep = free_product_oracle(specs, S3, Bounds(syllables=syllables, exp_range=exp_range, max_products=b))
+        assert outcome(rep) == brute(lists, syllables, ALL_GN3, hit, b), b
+    assert_walk_hits(specs, Bounds(syllables, exp_range), ALL_GN3, lists)
+
+
 def test_free_product_oracle_braid_layer_matches_brute_force():
     specs = [SubgroupSpec("H", (E2.parse("y1 x1"),), frozenset({OUTER})),
              SubgroupSpec("T", (E2.parse("t"),), frozenset({OUTER}))]

@@ -580,13 +580,16 @@ def test_a_walk_leaves_no_cyclic_garbage():
         lambda: free_product_oracle(specs, S3, Bounds(syllables=4), is_trivial=LONGER_THAN_A_FACTOR),
         lambda: free_product_oracle(specs, S3, Bounds(syllables=4, max_products=9)),
         lambda: free_product_oracle([nested_spec("A", "y1"), nested_spec("B", "x1")], NESTED, Bounds()),
+        # braid-layer walks, whose first runs span every total
+        lambda: free_factor_probe(EXT3, [EXT3.parse("x1"), EXT3.parse("x2")], Bounds(syllables=3, exp_range=3)),
+        lambda: free_factor_probe(p2(2), [p2(2).parse("y1 x1")], Bounds(syllables=6)),
     ]
     verdicts = []
     for report in reports:
         gc.collect()
         verdicts.append(report().verdict)
         assert gc.collect() == 0
-    assert verdicts == ["pass", "fail", "inconclusive"] * 2 + ["inconclusive"]
+    assert verdicts == ["pass", "fail", "inconclusive"] * 2 + ["inconclusive", "pass", "fail"]
 
 
 # --- prescreen soundness (exp-sum cross-check) -----------------------------------------

@@ -96,7 +96,7 @@ def test_validate_unknown_base_generator():
     # x2 names a generator, but a stable one
     with pytest.raises(PresentationSyntaxError) as e:
         parse_presentation("base y1\nstable x1 x2\nrel x1 : x2 ^ 1 = x2 ^ 1\n")
-    assert str(e.value) == "line 3: x1:x2: unknown base generator x2"
+    assert str(e.value) == "line 3: x1:x2: unknown base generator 'x2'"
 
 
 def test_a_validate_fault_names_the_first_line_that_brings_it():
